@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +87,15 @@ def round_half_away(value: float) -> int:
     return int(math.ceil(value - 0.5))
 
 
+def link_rss(d: float, params: ChannelParams) -> Optional[float]:
+    """Mean RSS in dBm over a link of length d, or None beyond the reception radius."""
+    if d <= 0:
+        raise ValueError("distance must be positive")
+    if d > params.reception_radius_m:
+        return None
+    return distance_to_rss(d, params)
+
+
 def sample_rss(d: float, params: ChannelParams,
                rng: np.random.Generator) -> Optional[RssMeasurement]:
     """One shadowed RSS draw at distance d, or None beyond the reception radius.
@@ -94,12 +103,27 @@ def sample_rss(d: float, params: ChannelParams,
     The Gaussian term is drawn even when sigma_dbm is zero so a scenario
     consumes the same stream positions regardless of noise level.
     """
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    if d > params.reception_radius_m:
+    mean = link_rss(d, params)
+    if mean is None:
         return None
-    rss = distance_to_rss(d, params) + rng.normal(0.0, params.sigma_dbm)
+    rss = mean + rng.normal(0.0, params.sigma_dbm)
     return RssMeasurement(rss, round_half_away(rss))
+
+
+def receive(means: Sequence[float], params: ChannelParams,
+            rng: np.random.Generator, quantize: bool) -> list[float]:
+    """Level each receiver measures of one packet, given each link's mean RSS.
+
+    The shadowing terms come from one draw of len(means) normals, in the
+    order given, which takes the same stream positions and values as that
+    many sample_rss calls. With quantize, a level is the integer register
+    reading; otherwise it is the dBm value.
+    """
+    noise = rng.normal(0.0, params.sigma_dbm, len(means)).tolist()
+    levels = [mean + z for mean, z in zip(means, noise)]
+    if quantize:
+        return [float(round_half_away(rss)) for rss in levels]
+    return levels
 
 
 def register_to_rss(register_val: float, params: ChannelParams) -> float:

@@ -134,13 +134,6 @@ def _parse_edges(text: Optional[str]) -> Sequence[float]:
         raise ValueError(f"--buckets: {exc}") from exc
 
 
-def _fraction_below(records: Sequence[sim.RoundRecord], edge: float) -> Optional[float]:
-    errors = [r.error_m for r in records if r.error_m is not None]
-    if not errors:
-        return None
-    return sum(e < edge for e in errors) / len(errors)
-
-
 def _summary_line(tag: str, records: Sequence[sim.RoundRecord]) -> str:
     errors = sorted(r.error_m for r in records if r.error_m is not None)
     no_fix = len(records) - len(errors)

@@ -9,7 +9,7 @@ accumulate per-blind sample buffers and answer average requests.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
@@ -98,6 +98,14 @@ class BlindNodeMachine:
             raise ValueError("accum_count must be >= 1")
 
 
+def _successor(m: BlindNodeMachine, phase: Phase, tests_sent: int,
+               collected: tuple[RssiReport, ...]) -> BlindNodeMachine:
+    """A new blind machine with m's settings and the given round state."""
+    return BlindNodeMachine(m.id, m.accum_count, m.inter_test_gap_ms,
+                            m.response_window_ms, m.ack_timeout_ms,
+                            phase, tests_sent, collected)
+
+
 def blind_step(machine: BlindNodeMachine,
                event: Union[Message, TimerFired, StartRound],
                now: float) -> tuple[BlindNodeMachine, list[Emission]]:
@@ -112,7 +120,7 @@ def blind_step(machine: BlindNodeMachine,
         if m.phase is not Phase.IDLE:
             log.debug("%s: StartRound ignored in phase %s", m.id, m.phase.value)
             return m, []
-        return (replace(m, phase=Phase.AWAIT_ACK, tests_sent=0, collected=()),
+        return (_successor(m, Phase.AWAIT_ACK, 0, ()),
                 [(LocationStart(m.id), now),
                  (TimerFired("ack_timeout"), now + m.ack_timeout_ms)])
 
@@ -120,25 +128,25 @@ def blind_step(machine: BlindNodeMachine,
         if m.phase is not Phase.AWAIT_ACK:
             # Only the first Ack advances the machine.
             return m, []
-        return (replace(m, phase=Phase.ACCUMULATING, tests_sent=1),
+        return (_successor(m, Phase.ACCUMULATING, 1, m.collected),
                 [(RssiTest(m.id, 1), now),
                  (TimerFired("test_gap"), now + m.inter_test_gap_ms)])
 
     if isinstance(event, TimerFired):
         if event.kind == "ack_timeout" and m.phase is Phase.AWAIT_ACK:
             log.debug("%s: no Ack received, round abandoned", m.id)
-            return replace(m, phase=Phase.IDLE), []
+            return _successor(m, Phase.IDLE, m.tests_sent, m.collected), []
         if event.kind == "test_gap" and m.phase is Phase.ACCUMULATING:
             if m.tests_sent < m.accum_count:
                 seq = m.tests_sent + 1
-                return (replace(m, tests_sent=seq),
+                return (_successor(m, m.phase, seq, m.collected),
                         [(RssiTest(m.id, seq), now),
                          (TimerFired("test_gap"), now + m.inter_test_gap_ms)])
-            return (replace(m, phase=Phase.AWAIT_AVERAGES),
+            return (_successor(m, Phase.AWAIT_AVERAGES, m.tests_sent, m.collected),
                     [(RssiAvgRequest(m.id), now),
                      (TimerFired("collect_window"), now + m.response_window_ms)])
         if event.kind == "collect_window" and m.phase is Phase.AWAIT_AVERAGES:
-            return replace(m, phase=Phase.COMPUTING), []
+            return _successor(m, Phase.COMPUTING, m.tests_sent, m.collected), []
         return m, []  # stale timer from an earlier phase
 
     if isinstance(event, RssiAvgResponse):
@@ -147,7 +155,7 @@ def blind_step(machine: BlindNodeMachine,
             return m, []
         report = RssiReport(event.beacon_pos, event.avg_rssi_dbm,
                             event.sample_count)
-        return replace(m, collected=m.collected + (report,)), []
+        return _successor(m, m.phase, m.tests_sent, m.collected + (report,)), []
 
     log.debug("%s: unexpected %s in phase %s", m.id,
               type(event).__name__, m.phase.value)
@@ -176,7 +184,7 @@ def beacon_step(machine: BeaconNodeMachine, event: Message,
     if isinstance(event, RssiTest):
         buffers = dict(m.buffers)
         buffers[event.blind_id] = buffers.get(event.blind_id, ()) + (rssi_dbm,)
-        return replace(m, buffers=buffers), []
+        return BeaconNodeMachine(m.id, m.pos, buffers), []
     if isinstance(event, RssiAvgRequest):
         samples = m.buffers.get(event.blind_id, ())
         if not samples:
@@ -184,7 +192,7 @@ def beacon_step(machine: BeaconNodeMachine, event: Message,
             return m, []
         buffers = {k: v for k, v in m.buffers.items() if k != event.blind_id}
         avg = sum(samples) / len(samples)
-        return (replace(m, buffers=buffers),
+        return (BeaconNodeMachine(m.id, m.pos, buffers),
                 [RssiAvgResponse(m.id, m.pos, avg, len(samples))])
     return m, []
 

@@ -4,6 +4,16 @@ Binds the channel, lattice, protocol machines and estimator into
 reproducible rounds: one heap-ordered event queue per round, zero
 propagation delay, FIFO among same-time events, every reception sampled
 through the channel from a single seeded stream.
+
+A round starts from a link table: the beacons within the reception radius
+of the blind node, in lattice order, each with its mean RSS. The blind node
+is static within a round and a link is symmetric, so that mean serves
+every packet on the link in either direction. A broadcast is one queue
+entry carrying one level per beacon in the table, all drawn with one
+channel call when it is sent, and it is fanned out to those beacons in
+order when it is popped. Its deliveries would be consecutive in FIFO
+order anyway, so events and draws keep their order. A beacon's reply
+reuses its link's mean and takes one draw.
 """
 
 from __future__ import annotations
@@ -11,7 +21,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -112,12 +121,13 @@ class Scenario:
             if self.rounds != t.nx * t.ny:
                 raise ScenarioError("rounds",
                                     f"must equal nx*ny = {t.nx * t.ny} for a lattice sweep")
+        xmin, ymin, xmax, ymax = self.grid.bounds()
+        beacons = geo.build_lattice(self.grid)
         for i, p in enumerate(self.positions()):
-            xmin, ymin, xmax, ymax = self.grid.bounds()
             if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
                 raise ScenarioError("trajectory",
                                     f"point {i} at ({p[0]}, {p[1]}) outside the lattice hull")
-            for b in geo.build_lattice(self.grid):
+            for b in beacons:
                 if geo.dist(p, b.pos) <= geo.COORD_TOL:
                     raise ScenarioError("trajectory",
                                         f"point {i} coincides with beacon {b.id}")
@@ -236,48 +246,47 @@ def _protocol_round(s: Scenario, blind_pos: geo.Point,
         response_window_ms=p.response_window_ms,
         ack_timeout_ms=p.ack_timeout_ms,
     )
-    heap: list[tuple[float, int, str, object, Optional[float]]] = []
+    # Link table: (beacon id, mean RSS) for each beacon in range, in
+    # lattice order; beacons beyond the radius hear nothing this round.
+    links = []
+    for bid, bm in machines.items():
+        mean = chan.link_rss(geo.dist(blind_pos, bm.pos), s.channel)
+        if mean is not None:
+            links.append((bid, mean))
+    means = [mean for _, mean in links]
+    heap: list[tuple[float, int, str, object, Optional[list[float]]]] = []
     seq = itertools.count()
 
-    def push(t: float, dst: str, payload: object, rssi: Optional[float]) -> None:
-        heapq.heappush(heap, (t, next(seq), dst, payload, rssi))
-
-    def send(t: float, src_id: str, src_pos: geo.Point, msg: proto.Message) -> None:
-        blind_sent = src_id == blind.id
-        if trace is not None:
-            dst = proto.BROADCAST if blind_sent else blind.id
-            trace.append(proto.format_trace_line(t, src_id, dst, msg))
-        if blind_sent:
-            # Broadcast; each beacon measures its own reception.
-            for bid, bm in machines.items():
-                meas = chan.sample_rss(geo.dist(src_pos, bm.pos), s.channel, rng)
-                if meas is not None:
-                    push(t, bid, msg, _level(meas, s))
-        else:
-            meas = chan.sample_rss(geo.dist(src_pos, blind_pos), s.channel, rng)
-            if meas is not None:
-                push(t, blind.id, msg, _level(meas, s))
+    def push(t: float, dst: str, payload: object,
+             levels: Optional[list[float]]) -> None:
+        heapq.heappush(heap, (t, next(seq), dst, payload, levels))
 
     push(t0, blind.id, proto.StartRound(), None)
     while heap:
-        t, _, dst, payload, rssi = heapq.heappop(heap)
+        t, _, dst, payload, levels = heapq.heappop(heap)
         if dst == blind.id:
             blind, emissions = proto.blind_step(blind, payload, t)
             for out, t_send in emissions:
                 if isinstance(out, proto.TimerFired):
                     push(t_send, blind.id, out, None)
-                else:
-                    send(t_send, blind.id, blind_pos, out)
-        else:
-            machine, outgoing = proto.beacon_step(machines[dst], payload, rssi, t)
-            machines[dst] = machine
+                    continue
+                if trace is not None:
+                    trace.append(proto.format_trace_line(
+                        t_send, blind.id, proto.BROADCAST, out))
+                # One entry per broadcast, every beacon's level drawn now.
+                push(t_send, proto.BROADCAST, out,
+                     chan.receive(means, s.channel, rng, s.quantize_rssi))
+            continue
+        # Fan a broadcast out to the beacons in table order.
+        for (bid, mean), level in zip(links, levels):
+            machine, outgoing = proto.beacon_step(machines[bid], payload, level, t)
+            machines[bid] = machine
             for out in outgoing:
-                send(t, dst, machine.pos, out)
+                if trace is not None:
+                    trace.append(proto.format_trace_line(t, bid, blind.id, out))
+                push(t, blind.id, out,
+                     chan.receive((mean,), s.channel, rng, s.quantize_rssi))
     return list(blind.collected)
-
-
-def _level(meas: chan.RssMeasurement, s: Scenario) -> float:
-    return float(meas.register_dbm) if s.quantize_rssi else meas.rss_dbm
 
 
 def _centroid_estimate(reports: list[est.RssiReport], n_current: float,

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gridloc.channel import (ChannelParams, distance_to_rss, register_to_rss,
-                             round_half_away, rss_to_distance, sample_rss)
+from gridloc.channel import (ChannelParams, distance_to_rss, link_rss, receive,
+                             register_to_rss, round_half_away, rss_to_distance,
+                             sample_rss)
 
 PARAMS = ChannelParams(a_dbm=-45.0, n_exp=2.0, sigma_dbm=0.0)
 
@@ -130,6 +131,32 @@ class TestSampleRss:
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
             sample_rss(0.0, PARAMS, np.random.default_rng(0))
+
+
+class TestReceive:
+    """One vector draw per packet must equal one sample_rss call per link."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 3.0])
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_matches_one_sample_rss_per_link(self, sigma, quantize):
+        params = ChannelParams(sigma_dbm=sigma)
+        dists = [1.5, 4.0, 5.7, 12.0, 29.9]
+        rng_a = np.random.default_rng(11)
+        rng_b = np.random.default_rng(11)
+        levels = receive([link_rss(d, params) for d in dists], params, rng_a,
+                         quantize)
+        want = [sample_rss(d, params, rng_b) for d in dists]
+        assert levels == [float(m.register_dbm) if quantize else m.rss_dbm
+                          for m in want]
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_link_beyond_radius_is_none(self):
+        assert link_rss(30.0, PARAMS) == distance_to_rss(30.0, PARAMS)
+        assert link_rss(30.5, PARAMS) is None
+
+    def test_nonpositive_link_rejected(self):
+        with pytest.raises(ValueError):
+            link_rss(0.0, PARAMS)
 
 
 class TestRegisterToRss:
