@@ -134,16 +134,20 @@ def _parse_edges(text: Optional[str]) -> Sequence[float]:
         raise ValueError(f"--buckets: {exc}") from exc
 
 
-def _summary_line(tag: str, records: Sequence[sim.RoundRecord]) -> str:
-    errors = sorted(r.error_m for r in records if r.error_m is not None)
-    no_fix = len(records) - len(errors)
-    if not errors:
-        return f"{tag}: records={len(records)} no_fix={no_fix} (no fixes)"
-    mid = len(errors) // 2
-    median = errors[mid] if len(errors) % 2 else (errors[mid - 1] + errors[mid]) / 2
-    frac = sum(e < 1.5 for e in errors) / len(errors)
-    return (f"{tag}: records={len(records)} median_error_m={median:.4g} "
-            f"fraction_below_1.5m={frac:.4f} no_fix={no_fix}")
+def _share_below_1_5m(buckets: harness.ErrorBuckets) -> float:
+    """Share of fixes under 1.5 m, as a ratio of counts."""
+    return buckets.count_below(1.5) / buckets.fixed_count
+
+
+def _summary_line(tag: str, buckets: harness.ErrorBuckets,
+                  median: Optional[float]) -> str:
+    """One run's summary, from its default-edge buckets and median error."""
+    records = buckets.fixed_count + buckets.no_fix_count
+    if median is None:
+        return f"{tag}: records={records} no_fix={buckets.no_fix_count} (no fixes)"
+    return (f"{tag}: records={records} median_error_m={median:.4g} "
+            f"fraction_below_1.5m={_share_below_1_5m(buckets):.4f} "
+            f"no_fix={buckets.no_fix_count}")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -168,7 +172,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except (sim.ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(_summary_line("simulate", records))
+    print(_summary_line("simulate", harness.bucketize(records),
+                        harness.median_error(records)))
     return EXIT_OK
 
 
@@ -214,23 +219,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             harness.write_records_csv(refined, out_dir / f"records_{key}_{tag}.csv")
             harness.write_records_csv(baseline,
                                       out_dir / f"baseline_{key}_{tag}.csv")
-            comparison = harness.compare(refined, baseline)
-            for system, records in (("refined", refined), ("baseline", baseline)):
-                errors = [r.error_m for r in records if r.error_m is not None]
-                median = comparison.median_a if system == "refined" else comparison.median_b
-                mean = comparison.mean_a if system == "refined" else comparison.mean_b
-                wins = comparison.a_wins_fraction if system == "refined" else ""
+            c = harness.compare(refined, baseline)
+            for system, records, median, mean, wins in (
+                    ("refined", refined, c.median_a, c.mean_a, c.a_wins_fraction),
+                    ("baseline", baseline, c.median_b, c.mean_b, None)):
+                buckets = harness.bucketize(records)
                 summary.append(",".join([
-                    key, tag, system, str(len(records)),
-                    str(len(records) - len(errors)),
+                    key, tag, system, str(c.records), str(buckets.no_fix_count),
                     "" if median is None else format(median, ".9g"),
                     "" if mean is None else format(mean, ".9g"),
-                    "" if not errors else format(
-                        sum(e < 1.5 for e in errors) / len(errors), ".9g"),
-                    "" if wins == "" or wins is None else format(wins, ".9g"),
+                    "" if median is None else format(_share_below_1_5m(buckets), ".9g"),
+                    "" if wins is None else format(wins, ".9g"),
                 ]))
-            print(_summary_line(f"{key}={tag} refined", refined))
-            print(_summary_line(f"{key}={tag} baseline", baseline))
+                print(_summary_line(f"{key}={tag} {system}", buckets, median))
         (out_dir / "summary.csv").write_text("\n".join(summary) + "\n",
                                              encoding="utf-8")
     except (sim.ScenarioError, ValueError, OSError) as exc:

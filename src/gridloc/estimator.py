@@ -73,12 +73,11 @@ class LocalizerConfig:
     near_beacon_tau: float = 0.25
     n_min: float = 1.0
     n_max: float = 6.0
-    range_d_min: float = D_MIN_M
     range_d_max: float = 120.0
 
     def range_of(self, rss_dbm: float, n_exp: float) -> float:
         return rss_to_distance(rss_dbm, self.a_dbm, n_exp,
-                               self.range_d_min, self.range_d_max).distance_m
+                               D_MIN_M, self.range_d_max).distance_m
 
 
 def select_top4(reports: Sequence[RssiReport]) -> Optional[list[RssiReport]]:
@@ -162,8 +161,7 @@ _PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
 def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
-                        a_dbm: float, d_min: float = D_MIN_M,
-                        d_max: float = 120.0,
+                        config: LocalizerConfig,
                         tol: float = COORD_TOL) -> Optional[Point]:
     """Straddling-cells handler.
 
@@ -188,8 +186,8 @@ def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
     y_est: Optional[float] = None
     for a, b in best:
         ra, rb = ordered[a], ordered[b]
-        da = rss_to_distance(ra.avg_rssi_dbm, a_dbm, n_used, d_min, d_max).distance_m
-        db = rss_to_distance(rb.avg_rssi_dbm, a_dbm, n_used, d_min, d_max).distance_m
+        da = config.range_of(ra.avg_rssi_dbm, n_used)
+        db = config.range_of(rb.avg_rssi_dbm, n_used)
         pa, pb = ra.beacon_pos, rb.beacon_pos
         if abs(pa[1] - pb[1]) <= tol and abs(pa[0] - pb[0]) > tol:
             est = 0.5 * (pa[0] + pb[0]) + (da * da - db * db) / (2.0 * (pb[0] - pa[0]))
@@ -205,9 +203,7 @@ def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
 
 
 def near_beacon_estimate(max_report: RssiReport, state: EstimatorState,
-                         n_used: float, a_dbm: float, grid: GridSpec,
-                         d_min: float = D_MIN_M,
-                         d_max: float = 120.0) -> Point:
+                         n_used: float, config: LocalizerConfig) -> Point:
     """Dominant-beacon handler.
 
     The blind node sits on a circle of the ranged radius around the
@@ -216,8 +212,8 @@ def near_beacon_estimate(max_report: RssiReport, state: EstimatorState,
     direction at all (the beacon position itself). Always lands inside
     the region.
     """
-    r = rss_to_distance(max_report.avg_rssi_dbm, a_dbm, n_used,
-                        d_min, d_max).distance_m
+    grid = config.grid
+    r = config.range_of(max_report.avg_rssi_dbm, n_used)
     anchor = max_report.beacon_pos
     target = state.last_estimate
     if target is None and state.last_cell is not None:
@@ -287,8 +283,7 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
     strongest = top4[0]
     r_near = config.range_of(strongest.avg_rssi_dbm, n)
     if r_near < config.near_beacon_tau * grid.spacing_m:
-        pos = near_beacon_estimate(strongest, state, n, config.a_dbm, grid,
-                                   config.range_d_min, config.range_d_max)
+        pos = near_beacon_estimate(strongest, state, n, config)
         cell = _cell_or_none(pos, grid)
         est = Estimate(pos, FixMethod.NEAR_BEACON, cell, n)
         new_state = replace(state, last_estimate=pos,
@@ -296,8 +291,7 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
         return est, new_state
 
     fallback = False
-    pos = pair_split_estimate(top4, n, config.a_dbm,
-                              config.range_d_min, config.range_d_max)
+    pos = pair_split_estimate(top4, n, config)
     if pos is None:
         pos = weighted_centroid(top4)
         fallback = True

@@ -32,14 +32,22 @@ class ErrorBuckets:
     def fixed_count(self) -> int:
         return sum(self.counts)
 
-    def fraction_below(self, edge: float) -> Optional[float]:
-        """Cumulative fraction of fixed errors under one of the edges."""
+    def count_below(self, edge: float) -> int:
+        """Number of fixed errors under one of the edges."""
+        return sum(self.counts[:self._edge_index(edge) + 1])
+
+    def _edge_index(self, edge: float) -> int:
         for i, e in enumerate(self.edges):
             if math.isclose(e, edge):
-                if self.fractions is None:
-                    return None
-                return sum(self.fractions[:i + 1])
+                return i
         raise ValueError(f"{edge} is not a bucket edge")
+
+    def fraction_below(self, edge: float) -> Optional[float]:
+        """Cumulative fraction of fixed errors under one of the edges."""
+        i = self._edge_index(edge)
+        if self.fractions is None:
+            return None
+        return sum(self.fractions[:i + 1])
 
 
 def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
@@ -116,6 +124,12 @@ def _errors(records: Sequence[RoundRecord]) -> list[float]:
     return [r.error_m for r in records if r.error_m is not None]
 
 
+def median_error(records: Sequence[RoundRecord]) -> Optional[float]:
+    """Median fix error, or None when no record had a fix."""
+    errors = _errors(records)
+    return statistics.median(errors) if errors else None
+
+
 def compare(a: Sequence[RoundRecord], b: Sequence[RoundRecord],
             edges: Sequence[float] = DEFAULT_BUCKET_EDGES) -> Comparison:
     if len(a) != len(b):
@@ -135,8 +149,8 @@ def compare(a: Sequence[RoundRecord], b: Sequence[RoundRecord],
         edges=buckets_a.edges,
         fraction_below_a=tuple(buckets_a.fraction_below(e) for e in buckets_a.edges),
         fraction_below_b=tuple(buckets_b.fraction_below(e) for e in buckets_b.edges),
-        median_a=statistics.median(errs_a) if errs_a else None,
-        median_b=statistics.median(errs_b) if errs_b else None,
+        median_a=median_error(a),
+        median_b=median_error(b),
         mean_a=statistics.fmean(errs_a) if errs_a else None,
         mean_b=statistics.fmean(errs_b) if errs_b else None,
         a_wins_fraction=wins,

@@ -197,17 +197,6 @@ def beacon_step(machine: BeaconNodeMachine, event: Message,
     return m, []
 
 
-def round_duration(accum_count: int, inter_test_gap_ms: float,
-                   response_window_ms: float) -> float:
-    """Nominal span of one round's measurement window in ms.
-
-    The blind node is treated as static within it.
-    """
-    if accum_count < 1:
-        raise ValueError("accum_count must be >= 1")
-    return (accum_count - 1) * inter_test_gap_ms + response_window_ms
-
-
 _MSG_NAMES = {
     LocationStart: "location_start",
     Ack: "ack",

@@ -21,9 +21,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Container, Optional, Union
 
 import numpy as np
 
@@ -94,10 +94,16 @@ class Scenario:
     def validate(self) -> None:
         if self.rounds < 1:
             raise ScenarioError("rounds", "must be >= 1")
-        if self.protocol.round_interval_ms <= 0:
+        p = self.protocol
+        if p.round_interval_ms <= 0:
             raise ScenarioError("protocol.round_interval_ms", "must be positive")
-        if self.protocol.accum_count < 1:
+        if p.accum_count < 1:
             raise ScenarioError("protocol.accum_count", "must be >= 1")
+        # A round ends when its collect window closes.
+        round_ms = p.accum_count * p.inter_test_gap_ms + p.response_window_ms
+        if p.round_interval_ms < round_ms:
+            raise ScenarioError("protocol.round_interval_ms",
+                                f"must be at least one round, {round_ms:g} ms")
         e = self.estimator
         if e.n_initial <= 0:
             raise ScenarioError("estimator.n_initial", "must be positive")
@@ -302,45 +308,19 @@ def _centroid_estimate(reports: list[est.RssiReport], n_current: float,
     return est.Estimate(pos, est.FixMethod.CENTROID, cell, n_current)
 
 
-# Scenario files are JSON with this exact shape; unknown keys are rejected.
-
-_TOP_KEYS = {"rng", "seed", "grid", "channel", "estimator", "protocol",
-             "trajectory", "rounds", "quantize_rssi"}
-_GRID_KEYS = {"origin", "spacing_m", "cols", "rows"}
-_CHANNEL_KEYS = {"a_dbm", "n_exp", "sigma_dbm", "rssi_offset_dbm",
-                 "reception_radius_m"}
-_ESTIMATOR_KEYS = {"n_initial", "near_beacon_tau", "adapt",
-                   "calibration_beacons", "n_min", "n_max"}
-_PROTOCOL_KEYS = {"accum_count", "inter_test_gap_ms", "response_window_ms",
-                  "ack_timeout_ms", "round_interval_ms"}
+# Scenario files are JSON. Each object is one settings dataclass: its keys
+# are the field names, a missing key keeps the field's default and a value
+# must have the type of that default. Unknown keys are rejected.
 
 
-def _reject_unknown(d: dict, allowed: set[str], path: str) -> None:
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _reject_unknown(d: dict, allowed: Container[str], path: str) -> None:
     for key in d:
         if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ScenarioError(where, "unknown key")
-
-
-def _number(d: dict, key: str, path: str, default: float) -> float:
-    v = d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}", "expected a number")
-    return float(v)
-
-
-def _integer(d: dict, key: str, path: str, default: int) -> int:
-    v = d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{path}.{key}", "expected an integer")
-    return v
-
-
-def _boolean(d: dict, key: str, path: str, default: bool) -> bool:
-    v = d.get(key, default)
-    if not isinstance(v, bool):
-        raise ScenarioError(f"{path}.{key}", "expected true or false")
-    return v
+            raise ScenarioError(_join(path, key), "unknown key")
 
 
 def _point(v: object, path: str) -> geo.Point:
@@ -348,6 +328,49 @@ def _point(v: object, path: str) -> geo.Point:
             or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)):
         raise ScenarioError(path, "expected [x, y]")
     return geo.Point(float(v[0]), float(v[1]))
+
+
+def _typed(default: object, v: object, path: str) -> object:
+    """v checked against, and converted to, the type of a field's default."""
+    if isinstance(default, (Static, Waypoints, LatticeSweep)):
+        return _parse_trajectory(v)
+    if is_dataclass(default):
+        return _settings(type(default), v, path)
+    if isinstance(default, bool):
+        if not isinstance(v, bool):
+            raise ScenarioError(path, "expected true or false")
+        return v
+    if isinstance(default, int):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ScenarioError(path, "expected an integer")
+        return v
+    if isinstance(default, float):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ScenarioError(path, "expected a number")
+        return float(v)
+    if isinstance(default, geo.Point):
+        return _point(v, path)
+    # The calibration beacon pair.
+    if (not isinstance(v, (list, tuple)) or len(v) != 2
+            or any(isinstance(x, bool) or not isinstance(x, int) for x in v)):
+        raise ScenarioError(path, "expected [id, id]")
+    return tuple(v)
+
+
+def _settings(cls: type, d: object, path: str):
+    """An instance of the settings dataclass cls from one JSON object."""
+    if not isinstance(d, dict):
+        raise ScenarioError(path, "expected an object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    _reject_unknown(d, defaults, path)
+    # Types are checked before the constructor runs, so only the
+    # dataclass's own range checks are reported against the section.
+    values = {name: _typed(default, d[name], _join(path, name))
+              for name, default in defaults.items() if name in d}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from exc
 
 
 def _parse_trajectory(v: object) -> Trajectory:
@@ -372,15 +395,14 @@ def _parse_trajectory(v: object) -> Trajectory:
             _reject_unknown(item, {"point", "dwell_rounds"}, where)
             if "point" not in item:
                 raise ScenarioError(f"{where}.point", "required")
-            dwell = _integer(item, "dwell_rounds", where, 1)
+            dwell = _typed(1, item.get("dwell_rounds", 1), f"{where}.dwell_rounds")
             if dwell < 1:
                 raise ScenarioError(f"{where}.dwell_rounds", "must be >= 1")
             points.append((_point(item["point"], f"{where}.point"), dwell))
         return Waypoints(tuple(points))
     if kind == "lattice_sweep":
-        _reject_unknown(v, {"kind", "nx", "ny"}, "trajectory")
-        return LatticeSweep(_integer(v, "nx", "trajectory", 25),
-                            _integer(v, "ny", "trajectory", 25))
+        return _settings(LatticeSweep,
+                         {k: x for k, x in v.items() if k != "kind"}, "trajectory")
     raise ScenarioError("trajectory.kind",
                         "expected static, waypoints or lattice_sweep")
 
@@ -389,87 +411,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build a validated Scenario from parsed configuration data."""
     if not isinstance(data, dict):
         raise ScenarioError("", "scenario must be an object")
-    _reject_unknown(data, _TOP_KEYS, "")
-    rng_name = data.get("rng", "pcg64")
-    if rng_name != "pcg64":
+    data = dict(data)
+    if data.pop("rng", "pcg64") != "pcg64":
         raise ScenarioError("rng", "only pcg64 is supported")
-
-    g = data.get("grid", {})
-    if not isinstance(g, dict):
-        raise ScenarioError("grid", "expected an object")
-    _reject_unknown(g, _GRID_KEYS, "grid")
-    origin = _point(g["origin"], "grid.origin") if "origin" in g else geo.Point(0.0, 0.0)
-    try:
-        grid = geo.GridSpec(origin=origin,
-                            spacing_m=_number(g, "spacing_m", "grid", 4.0),
-                            cols=_integer(g, "cols", "grid", 3),
-                            rows=_integer(g, "rows", "grid", 3))
-    except geo.GeometryError as exc:
-        raise ScenarioError("grid", str(exc)) from exc
-
-    c = data.get("channel", {})
-    if not isinstance(c, dict):
-        raise ScenarioError("channel", "expected an object")
-    _reject_unknown(c, _CHANNEL_KEYS, "channel")
-    try:
-        channel_params = chan.ChannelParams(
-            a_dbm=_number(c, "a_dbm", "channel", chan.DEFAULT_A_DBM),
-            n_exp=_number(c, "n_exp", "channel", 2.0),
-            sigma_dbm=_number(c, "sigma_dbm", "channel", 0.0),
-            rssi_offset_dbm=_number(c, "rssi_offset_dbm", "channel",
-                                    chan.DEFAULT_RSSI_OFFSET_DBM),
-            reception_radius_m=_number(c, "reception_radius_m", "channel", 30.0),
-        )
-    except ValueError as exc:
-        raise ScenarioError("channel", str(exc)) from exc
-
-    e = data.get("estimator", {})
-    if not isinstance(e, dict):
-        raise ScenarioError("estimator", "expected an object")
-    _reject_unknown(e, _ESTIMATOR_KEYS, "estimator")
-    cal = e.get("calibration_beacons", [0, 1])
-    if (not isinstance(cal, (list, tuple)) or len(cal) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in cal)):
-        raise ScenarioError("estimator.calibration_beacons",
-                            "expected [id, id]")
-    estimator_settings = EstimatorSettings(
-        n_initial=_number(e, "n_initial", "estimator", 2.0),
-        near_beacon_tau=_number(e, "near_beacon_tau", "estimator", 0.25),
-        adapt=_boolean(e, "adapt", "estimator", False),
-        calibration_beacons=(cal[0], cal[1]),
-        n_min=_number(e, "n_min", "estimator", 1.0),
-        n_max=_number(e, "n_max", "estimator", 6.0),
-    )
-
-    p = data.get("protocol", {})
-    if not isinstance(p, dict):
-        raise ScenarioError("protocol", "expected an object")
-    _reject_unknown(p, _PROTOCOL_KEYS, "protocol")
-    protocol_settings = ProtocolSettings(
-        accum_count=_integer(p, "accum_count", "protocol", proto.DEFAULT_ACCUM_COUNT),
-        inter_test_gap_ms=_number(p, "inter_test_gap_ms", "protocol",
-                                  proto.DEFAULT_INTER_TEST_GAP_MS),
-        response_window_ms=_number(p, "response_window_ms", "protocol",
-                                   proto.DEFAULT_RESPONSE_WINDOW_MS),
-        ack_timeout_ms=_number(p, "ack_timeout_ms", "protocol",
-                               proto.DEFAULT_ACK_TIMEOUT_MS),
-        round_interval_ms=_number(p, "round_interval_ms", "protocol", 1000.0),
-    )
-
     if "trajectory" not in data:
         raise ScenarioError("trajectory", "required")
-    trajectory = _parse_trajectory(data["trajectory"])
-
-    scenario = Scenario(
-        grid=grid,
-        channel=channel_params,
-        estimator=estimator_settings,
-        protocol=protocol_settings,
-        trajectory=trajectory,
-        rounds=_integer(data, "rounds", "", 1),
-        seed=_integer(data, "seed", "", 0),
-        quantize_rssi=_boolean(data, "quantize_rssi", "", False),
-    )
+    scenario = _settings(Scenario, data, "")
     scenario.validate()
     return scenario
 

@@ -7,7 +7,11 @@ import math
 
 import pytest
 
-from gridloc.cli import EXIT_ERROR, EXIT_NO_FIX, EXIT_OK, main
+from gridloc import harness
+from gridloc.cli import EXIT_ERROR, EXIT_NO_FIX, EXIT_OK, _summary_line, main
+from gridloc.estimator import Estimate, FixMethod
+from gridloc.geometry import Point
+from gridloc.sim import RoundRecord
 
 
 def write_reports(path, blind, beacons, a_dbm=-45.0, n=2.0, header=True):
@@ -227,3 +231,20 @@ class TestSweep:
         write_scenario(scenario)
         assert main(["sweep", str(scenario), "--vary", "sigma=a,b"]) == EXIT_ERROR
         assert "--vary" in capsys.readouterr().err
+
+
+def test_summary_fraction_is_a_ratio_of_counts():
+    # 96 fixes, 87 of them under 1.5 m: 87/96 = 0.90625 prints 0.9062,
+    # while the summed bucket fractions (0.9062500000000001) print 0.9063.
+    errors = [0.25] * 43 + [0.75] * 21 + [1.25] * 23 + [2.0] * 9 + [None] * 4
+    records = [RoundRecord(i, Point(1.0, 1.0),
+                           Estimate(None, FixMethod.NO_FIX) if e is None
+                           else Estimate(Point(1.0 + e, 1.0), FixMethod.REFINED),
+                           e, 2.0)
+               for i, e in enumerate(errors)]
+    buckets = harness.bucketize(records)
+    assert buckets.counts[:3] == (43, 21, 23) and buckets.fixed_count == 96
+    assert format(buckets.fraction_below(1.5), ".4f") == "0.9063"
+    assert (_summary_line("simulate", buckets, harness.median_error(records))
+            == "simulate: records=100 median_error_m=0.75 "
+               "fraction_below_1.5m=0.9062 no_fix=4")

@@ -164,7 +164,7 @@ class TestPairSplit:
         blind = Point(3.0, 1.0)
         reports = [noiseless_report(Point(x, y), blind)
                    for x, y in [(0, 0), (4, 0), (8, 0), (8, 4)]]
-        got = pair_split_estimate(reports, 2.0, A_DBM)
+        got = pair_split_estimate(reports, 2.0, CONFIG)
         assert got == pytest.approx((3.0, 1.0), abs=1e-9)
 
     def test_midpoint_symmetry(self):
@@ -172,26 +172,26 @@ class TestPairSplit:
             RssiReport(Point(0, 0), -55.0), RssiReport(Point(4, 0), -55.0),
             RssiReport(Point(0, 6), -40.0), RssiReport(Point(0, 10), -41.0),
         ]
-        got = pair_split_estimate(reports, 2.0, A_DBM)
+        got = pair_split_estimate(reports, 2.0, CONFIG)
         assert got.x == pytest.approx(2.0, abs=1e-9)
 
     def test_collinear_beacons_unsupported(self):
         blind = Point(3.0, 1.0)
         reports = [noiseless_report(Point(x, 0.0), blind)
                    for x in (0.0, 4.0, 8.0, 12.0)]
-        assert pair_split_estimate(reports, 2.0, A_DBM) is None
+        assert pair_split_estimate(reports, 2.0, CONFIG) is None
 
     def test_exact_recovery_near_cell_edge(self):
         # Top-4 layouts that straddle a beacon line still recover exactly.
         blind = Point(1.0, 3.68)
         reports = [noiseless_report(Point(x, y), blind)
                    for x, y in [(0, 4), (0, 0), (4, 4), (0, 8)]]
-        got = pair_split_estimate(reports, 2.0, A_DBM)
+        got = pair_split_estimate(reports, 2.0, CONFIG)
         assert got == pytest.approx((1.0, 3.68), abs=1e-9)
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
-            pair_split_estimate([RssiReport(Point(0, 0), -50.0)] * 3, 2.0, A_DBM)
+            pair_split_estimate([RssiReport(Point(0, 0), -50.0)] * 3, 2.0, CONFIG)
 
 
 class TestNearBeacon:
@@ -199,27 +199,27 @@ class TestNearBeacon:
         rss = A_DBM - 20.0 * math.log10(0.5)
         report = RssiReport(Point(4, 4), rss)
         state = EstimatorState(last_estimate=Point(3, 4))
-        got = near_beacon_estimate(report, state, 2.0, A_DBM, GRID)
+        got = near_beacon_estimate(report, state, 2.0, CONFIG)
         assert got == pytest.approx((3.5, 4.0), abs=1e-9)
 
     def test_direction_from_last_cell_center(self):
         rss = A_DBM - 20.0 * math.log10(0.5)
         report = RssiReport(Point(0, 4), rss)
         state = EstimatorState(last_cell=CellId(0, 0))
-        got = near_beacon_estimate(report, state, 2.0, A_DBM, GRID)
+        got = near_beacon_estimate(report, state, 2.0, CONFIG)
         expected = (0.5 / math.sqrt(2), 4.0 - 0.5 / math.sqrt(2))
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_no_history_falls_back_to_beacon(self):
         report = RssiReport(Point(4, 0), -40.0)
-        got = near_beacon_estimate(report, EstimatorState(), 2.0, A_DBM, GRID)
+        got = near_beacon_estimate(report, EstimatorState(), 2.0, CONFIG)
         assert got == (4.0, 0.0)
 
     def test_result_clamped_into_region(self):
         rss = A_DBM - 20.0 * math.log10(0.5)
         report = RssiReport(Point(0, 0), rss)
         state = EstimatorState(last_estimate=Point(-3.0, -3.0))
-        got = near_beacon_estimate(report, state, 2.0, A_DBM, GRID)
+        got = near_beacon_estimate(report, state, 2.0, CONFIG)
         assert got == (0.0, 0.0)
 
 

@@ -10,7 +10,7 @@ from gridloc.protocol import (Ack, BeaconNodeMachine, BlindNodeMachine,
                               LocationStart, Phase, RssiAvgRequest,
                               RssiAvgResponse, RssiTest, StartRound,
                               TimerFired, beacon_step, blind_step,
-                              format_trace_line, round_duration)
+                              format_trace_line)
 
 
 def radio(emissions):
@@ -186,21 +186,6 @@ class TestBeaconMachine:
         b = self.make()
         b2, _ = beacon_step(b, RssiTest(blind_id="m0", seq=1), -50.0, 1.0)
         assert b.buffers == {} and b2.buffers == {"m0": (-50.0,)}
-
-
-class TestRoundDuration:
-    @pytest.mark.parametrize("accum,gap,window,want", [
-        (8, 20.0, 50.0, 190.0),
-        (1, 20.0, 50.0, 50.0),
-        (8, 0.0, 0.0, 0.0),
-        (4, 10.0, 25.0, 55.0),
-    ])
-    def test_values(self, accum, gap, window, want):
-        assert round_duration(accum, gap, window) == pytest.approx(want)
-
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(ValueError):
-            round_duration(0, 20.0, 50.0)
 
 
 class TestTraceFormat:

@@ -219,6 +219,24 @@ class TestByteIdentity:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("protocol", [
+    {"round_interval_ms": 210.0},
+    {"accum_count": 3, "inter_test_gap_ms": 10.0, "response_window_ms": 5.0,
+     "round_interval_ms": 35.0},
+])
+def test_trace_times_never_decrease_at_the_shortest_interval(protocol):
+    s = scenario_from_dict({
+        "seed": 3, "channel": {"sigma_dbm": 3.0}, "protocol": protocol,
+        "trajectory": {"kind": "waypoints", "points": [
+            {"point": [1.0, 1.0]}, {"point": [6.0, 3.0]}]},
+        "rounds": 4})
+    trace: list[str] = []
+    run_scenario(s, trace)
+    times = [float(line.split(",", 1)[0]) for line in trace]
+    assert len(times) > 4 * 9
+    assert times == sorted(times)
+
+
 class TestSweepPoints:
     GRID = GridSpec(origin=Point(0.0, 0.0), spacing_m=4.0, cols=3, rows=3)
 
@@ -285,6 +303,7 @@ class TestScenarioParsing:
         assert s.protocol.accum_count == 8
         assert s.rounds == 1 and s.seed == 0
         assert not s.quantize_rssi
+        assert s == Scenario(trajectory=Static(Point(2, 2)))
 
     def test_full_document(self):
         s = scenario_from_dict({
@@ -324,6 +343,64 @@ class TestScenarioParsing:
         mutate(data)
         with pytest.raises(ScenarioError, match=where):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize("patch,message", [
+        ({"channel": {"sigma_dbm": True}}, "channel.sigma_dbm: expected a number"),
+        ({"rounds": 1.5}, "rounds: expected an integer"),
+        ({"quantize_rssi": 1}, "quantize_rssi: expected true or false"),
+        ({"grid": {"origin": [0, "x"]}}, "grid.origin: expected [x, y]"),
+        ({"estimator": {"calibration_beacons": [0, 1.0]}},
+         "estimator.calibration_beacons: expected [id, id]"),
+        ({"trajectory": {"kind": "lattice_sweep", "nx": 2.0}},
+         "trajectory.nx: expected an integer"),
+        ({"channel": {"n_exp": 0}}, "channel: n_exp must be positive"),
+    ])
+    def test_error_messages_are_exact(self, patch, message):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(dict(MINIMAL, **patch))
+        assert str(info.value) == message
+
+    def test_every_field_round_trips(self):
+        want = Scenario(
+            grid=GridSpec(origin=Point(1.0, -2.5), spacing_m=5.0, cols=4, rows=5),
+            channel=ChannelParams(a_dbm=-40.0, n_exp=3.0, sigma_dbm=2.0,
+                                  rssi_offset_dbm=-44.0, reception_radius_m=12.0),
+            estimator=EstimatorSettings(n_initial=3.0, near_beacon_tau=0.5,
+                                        adapt=True, calibration_beacons=(2, 0),
+                                        n_min=1.5, n_max=4.0),
+            protocol=ProtocolSettings(accum_count=3, inter_test_gap_ms=10.0,
+                                      response_window_ms=30.0,
+                                      ack_timeout_ms=50.0, round_interval_ms=500.0),
+            trajectory=LatticeSweep(nx=3, ny=2), rounds=6, seed=7,
+            quantize_rssi=True)
+        doc = {
+            "rng": "pcg64",
+            "grid": {"origin": [1, -2.5], "spacing_m": 5, "cols": 4, "rows": 5},
+            "channel": {"a_dbm": -40, "n_exp": 3, "sigma_dbm": 2,
+                        "rssi_offset_dbm": -44, "reception_radius_m": 12},
+            "estimator": {"n_initial": 3, "near_beacon_tau": 0.5, "adapt": True,
+                          "calibration_beacons": [2, 0], "n_min": 1.5, "n_max": 4},
+            "protocol": {"accum_count": 3, "inter_test_gap_ms": 10,
+                         "response_window_ms": 30, "ack_timeout_ms": 50,
+                         "round_interval_ms": 500},
+            "trajectory": {"kind": "lattice_sweep", "nx": 3, "ny": 2},
+            "rounds": 6, "seed": 7, "quantize_rssi": True,
+        }
+        got = scenario_from_dict(doc)
+        assert got == want
+        assert isinstance(got.grid.spacing_m, float)
+        assert isinstance(got.grid.origin, Point)
+
+    @pytest.mark.parametrize("protocol,shortest", [
+        ({}, 210.0),
+        ({"accum_count": 3, "inter_test_gap_ms": 10.0, "response_window_ms": 5.0}, 35.0),
+    ])
+    def test_round_interval_shorter_than_a_round_rejected(self, protocol, shortest):
+        data = dict(MINIMAL, protocol=dict(protocol, round_interval_ms=shortest - 0.5))
+        with pytest.raises(ScenarioError, match="protocol.round_interval_ms"):
+            scenario_from_dict(data)
+        data["protocol"]["round_interval_ms"] = shortest
+        assert scenario_from_dict(data).protocol.round_interval_ms == shortest
 
     def test_trajectory_required(self):
         with pytest.raises(ScenarioError, match="trajectory"):
