@@ -87,6 +87,15 @@ def round_half_away(value: float) -> int:
     return int(math.ceil(value - 0.5))
 
 
+def round_half_away_array(values: np.ndarray) -> np.ndarray:
+    """round_half_away over an array, as floats.
+
+    Adding 0.0 turns the -0.0 that ceil gives on (-0.5, 0) into the 0 that
+    round_half_away returns there.
+    """
+    return np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5)) + 0.0
+
+
 def link_rss(d: float, params: ChannelParams) -> Optional[float]:
     """Mean RSS in dBm over a link of length d, or None beyond the reception radius."""
     if d <= 0:
@@ -124,6 +133,21 @@ def receive(means: Sequence[float], params: ChannelParams,
     if quantize:
         return [float(round_half_away(rss)) for rss in levels]
     return levels
+
+
+def receive_block(means: Sequence[float], rows: int, params: ChannelParams,
+                  rng: np.random.Generator, quantize: bool) -> np.ndarray:
+    """Levels of rows successive packets over the same links, as a rows x
+    len(means) array.
+
+    Row i holds what the i-th of rows successive receive(means, ...) calls
+    would return: the shadowing terms come from one draw of
+    rows * len(means) normals, which takes the same stream positions and
+    values as those calls, and quantization rounds as they do.
+    """
+    levels = (np.asarray(means, dtype=float)
+              + rng.normal(0.0, params.sigma_dbm, (rows, len(means))))
+    return round_half_away_array(levels) if quantize else levels
 
 
 def register_to_rss(register_val: float, params: ChannelParams) -> float:

@@ -1,19 +1,29 @@
-"""Deterministic discrete-event scenario runs.
+"""Deterministic scenario runs.
 
 Binds the channel, lattice, protocol machines and estimator into
-reproducible rounds: one heap-ordered event queue per round, zero
-propagation delay, FIFO among same-time events, every reception sampled
-through the channel from a single seeded stream.
+reproducible rounds, every reception sampled through the channel from a
+single seeded stream. A round starts from a link table: the beacons within
+the reception radius of the blind node, in lattice order, each with its
+mean RSS. The blind node is static within a round and a link is symmetric,
+so that mean serves every packet on the link in either direction.
 
-A round starts from a link table: the beacons within the reception radius
-of the blind node, in lattice order, each with its mean RSS. The blind node
-is static within a round and a link is symmetric, so that mean serves
-every packet on the link in either direction. A broadcast is one queue
-entry carrying one level per beacon in the table, all drawn with one
-channel call when it is sent, and it is fanned out to those beacons in
-order when it is popped. Its deliveries would be consecutive in FIFO
-order anyway, so events and draws keep their order. A beacon's reply
-reuses its link's mean and takes one draw.
+A traced run plays each round through the discrete-event simulator (DES):
+one heap-ordered event queue per round, zero propagation delay, FIFO among
+same-time events. A broadcast is one queue entry carrying one level per
+beacon in the table, all drawn with one channel call when it is sent, and
+it is fanned out to those beacons in order when it is popped. Its
+deliveries would be consecutive in FIFO order anyway, so events and draws
+keep their order. A beacon's reply reuses its link's mean and takes one
+draw.
+
+A run without a trace takes the batched engine, which gives the same
+reports from one draw per round and no events. That is exact because
+every packet has zero delay and every packet within the radius arrives,
+and validation keeps every timer after the packets it waits for. So with k
+beacons in range a round always draws the same k·(accum_count + 4) normals
+in the same order: start broadcast, k acks, accum_count test broadcasts,
+request, k responses. The DES stays as the oracle the batched engine is
+tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Container, Optional, Union
@@ -95,12 +106,22 @@ class Scenario:
         if self.rounds < 1:
             raise ScenarioError("rounds", "must be >= 1")
         p = self.protocol
-        if p.round_interval_ms <= 0:
-            raise ScenarioError("protocol.round_interval_ms", "must be positive")
+        if not 0 < p.round_interval_ms < math.inf:
+            raise ScenarioError("protocol.round_interval_ms", "must be positive and finite")
         if p.accum_count < 1:
             raise ScenarioError("protocol.accum_count", "must be >= 1")
+        # A zero wait fires with the packets it waits for and drops them,
+        # and a negative gap runs the clock backwards.
+        for key in ("ack_timeout_ms", "response_window_ms"):
+            if not getattr(p, key) > 0:
+                raise ScenarioError(f"protocol.{key}", "must be positive")
+        if not p.inter_test_gap_ms >= 0:
+            raise ScenarioError("protocol.inter_test_gap_ms", "must be >= 0")
         # A round ends when its collect window closes.
-        round_ms = p.accum_count * p.inter_test_gap_ms + p.response_window_ms
+        try:
+            round_ms = p.accum_count * p.inter_test_gap_ms + p.response_window_ms
+        except OverflowError:
+            raise ScenarioError("protocol.accum_count", "too large") from None
         if p.round_interval_ms < round_ms:
             raise ScenarioError("protocol.round_interval_ms",
                                 f"must be at least one round, {round_ms:g} ms")
@@ -127,16 +148,29 @@ class Scenario:
             if self.rounds != t.nx * t.ny:
                 raise ScenarioError("rounds",
                                     f"must equal nx*ny = {t.nx * t.ny} for a lattice sweep")
+        try:
+            positions = self.positions()
+        except OverflowError as exc:
+            raise ScenarioError("trajectory",
+                                f"cannot lay out {self.rounds} rounds: {exc}") from exc
         xmin, ymin, xmax, ymax = self.grid.bounds()
         beacons = geo.build_lattice(self.grid)
-        for i, p in enumerate(self.positions()):
-            if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
+        for i, pos in enumerate(positions):
+            if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
                 raise ScenarioError("trajectory",
-                                    f"point {i} at ({p[0]}, {p[1]}) outside the lattice hull")
+                                    f"point {i} at ({pos[0]}, {pos[1]}) outside the lattice hull")
             for b in beacons:
-                if geo.dist(p, b.pos) <= geo.COORD_TOL:
+                if geo.dist(pos, b.pos) <= geo.COORD_TOL:
                     raise ScenarioError("trajectory",
                                         f"point {i} coincides with beacon {b.id}")
+        # Every event time stays below twice rounds * round_interval_ms, so
+        # a wait longer than one step of the clock there always ends after
+        # the packets it waits for.
+        tick = math.ulp(self.rounds * p.round_interval_ms)
+        for key in ("ack_timeout_ms", "response_window_ms"):
+            if getattr(p, key) <= tick:
+                raise ScenarioError(f"protocol.{key}",
+                                    f"must be longer than one clock step, {tick:g} ms")
 
     def positions(self) -> list[geo.Point]:
         """Blind-node position for each round."""
@@ -207,8 +241,7 @@ def _run(s: Scenario, trace: Optional[list[str]], baseline: bool) -> list[RoundR
     s.validate()
     rng = np.random.Generator(np.random.PCG64(s.seed))
     beacons = geo.build_lattice(s.grid)
-    machines = {f"b{b.id}": proto.BeaconNodeMachine(f"b{b.id}", b.pos)
-                for b in beacons}
+    machines = [proto.BeaconNodeMachine(f"b{b.id}", b.pos) for b in beacons]
     cfg = est.LocalizerConfig(
         grid=s.grid,
         a_dbm=s.channel.a_dbm,
@@ -222,7 +255,6 @@ def _run(s: Scenario, trace: Optional[list[str]], baseline: bool) -> list[RoundR
 
     records = []
     for idx, true_pos in enumerate(s.positions()):
-        t0 = idx * s.protocol.round_interval_ms
         if cal_length is not None:
             meas = chan.sample_rss(cal_length, s.channel, rng)
             if meas is not None:
@@ -231,7 +263,12 @@ def _run(s: Scenario, trace: Optional[list[str]], baseline: bool) -> list[RoundR
                                     s.channel.a_dbm, s.estimator.n_min,
                                     s.estimator.n_max)
                 state = replace(state, n_current=n_new)
-        reports = _protocol_round(s, true_pos, machines, rng, t0, trace)
+        links = _links(beacons, true_pos, s.channel)
+        if trace is None:
+            reports = _batched_round(s, links, rng)
+        else:
+            reports = _protocol_round(s, links, machines, rng,
+                                      idx * s.protocol.round_interval_ms, trace)
         if baseline:
             estimate = _centroid_estimate(reports, state.n_current, s.grid)
         else:
@@ -241,8 +278,41 @@ def _run(s: Scenario, trace: Optional[list[str]], baseline: bool) -> list[RoundR
     return records
 
 
-def _protocol_round(s: Scenario, blind_pos: geo.Point,
-                    machines: dict[str, proto.BeaconNodeMachine],
+Link = tuple[geo.Beacon, float]
+
+
+def _links(beacons: list[geo.Beacon], blind_pos: geo.Point,
+           params: chan.ChannelParams) -> list[Link]:
+    """(beacon, mean RSS) for each beacon in range of the blind node, in
+    lattice order; beacons beyond the radius hear nothing this round."""
+    links = []
+    for b in beacons:
+        mean = chan.link_rss(geo.dist(blind_pos, b.pos), params)
+        if mean is not None:
+            links.append((b, mean))
+    return links
+
+
+def _batched_round(s: Scenario, links: list[Link],
+                   rng: np.random.Generator) -> list[est.RssiReport]:
+    """The reports _protocol_round collects over the same links, from one
+    draw and no events.
+
+    Rows of the block, in the DES's draw order: the start broadcast, the
+    acks, accum_count test broadcasts, the request, the responses.
+    """
+    n = s.protocol.accum_count
+    block = chan.receive_block([mean for _, mean in links], n + 4, s.channel,
+                               rng, s.quantize_rssi)
+    # Average with sum(), as beacon_step does, so that both engines round
+    # alike on every Python: sum() of floats is compensated from 3.12 on.
+    samples = block[2:n + 2].T.tolist()
+    return [est.RssiReport(b.pos, sum(levels) / n, n)
+            for (b, _), levels in zip(links, samples)]
+
+
+def _protocol_round(s: Scenario, links: list[Link],
+                    machines: list[proto.BeaconNodeMachine],
                     rng: np.random.Generator, t0: float,
                     trace: Optional[list[str]]) -> list[est.RssiReport]:
     p = s.protocol
@@ -252,13 +322,6 @@ def _protocol_round(s: Scenario, blind_pos: geo.Point,
         response_window_ms=p.response_window_ms,
         ack_timeout_ms=p.ack_timeout_ms,
     )
-    # Link table: (beacon id, mean RSS) for each beacon in range, in
-    # lattice order; beacons beyond the radius hear nothing this round.
-    links = []
-    for bid, bm in machines.items():
-        mean = chan.link_rss(geo.dist(blind_pos, bm.pos), s.channel)
-        if mean is not None:
-            links.append((bid, mean))
     means = [mean for _, mean in links]
     heap: list[tuple[float, int, str, object, Optional[list[float]]]] = []
     seq = itertools.count()
@@ -284,12 +347,12 @@ def _protocol_round(s: Scenario, blind_pos: geo.Point,
                      chan.receive(means, s.channel, rng, s.quantize_rssi))
             continue
         # Fan a broadcast out to the beacons in table order.
-        for (bid, mean), level in zip(links, levels):
-            machine, outgoing = proto.beacon_step(machines[bid], payload, level, t)
-            machines[bid] = machine
+        for (b, mean), level in zip(links, levels):
+            machine, outgoing = proto.beacon_step(machines[b.id], payload, level, t)
+            machines[b.id] = machine
             for out in outgoing:
                 if trace is not None:
-                    trace.append(proto.format_trace_line(t, bid, blind.id, out))
+                    trace.append(proto.format_trace_line(t, machine.id, blind.id, out))
                 push(t, blind.id, out,
                      chan.receive((mean,), s.channel, rng, s.quantize_rssi))
     return list(blind.collected)

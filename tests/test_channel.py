@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gridloc.channel import (ChannelParams, distance_to_rss, link_rss, receive,
-                             register_to_rss, round_half_away, rss_to_distance,
-                             sample_rss)
+                             receive_block, register_to_rss, round_half_away,
+                             round_half_away_array, rss_to_distance, sample_rss)
 
 PARAMS = ChannelParams(a_dbm=-45.0, n_exp=2.0, sigma_dbm=0.0)
 
@@ -91,6 +91,18 @@ class TestRoundHalfAway:
     def test_values(self, value, expected):
         assert round_half_away(value) == expected
 
+    def test_array_form_matches(self):
+        rng = np.random.default_rng(5)
+        values = ([0.5, -0.5, 44.5, -44.5, -0.3]
+                  + list(rng.uniform(-100.0, 100.0, 200))
+                  + list(rng.integers(-200, 200, 100) / 2))
+        got = round_half_away_array(np.array(values)).tolist()
+        want = [float(round_half_away(v)) for v in values]
+        assert got == want
+        # Equal and of the same sign: no -0.0 where the scalar form gives 0.
+        assert [math.copysign(1.0, g) for g in got] == \
+            [math.copysign(1.0, w) for w in want]
+
 
 class TestSampleRss:
     def test_noiseless_equals_deterministic(self):
@@ -148,6 +160,20 @@ class TestReceive:
         want = [sample_rss(d, params, rng_b) for d in dists]
         assert levels == [float(m.register_dbm) if quantize else m.rss_dbm
                           for m in want]
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("sigma", [0.0, 3.0])
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("dists", [[1.5, 4.0, 5.7, 12.0, 29.9], []])
+    def test_block_matches_successive_receive_calls(self, sigma, quantize, dists):
+        params = ChannelParams(sigma_dbm=sigma)
+        means = [link_rss(d, params) for d in dists]
+        rng_a = np.random.default_rng(11)
+        rng_b = np.random.default_rng(11)
+        block = receive_block(means, 12, params, rng_a, quantize)
+        assert block.shape == (12, len(means))
+        assert block.tolist() == [receive(means, params, rng_b, quantize)
+                                  for _ in range(12)]
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_link_beyond_radius_is_none(self):

@@ -165,6 +165,19 @@ class TestSimulate:
         assert main(["simulate", str(scenario)]) == EXIT_ERROR
         assert "trajectory.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"rounds": 2**70},
+        {"grid": {"spacing_m": 1e308},
+         "trajectory": {"kind": "lattice_sweep", "nx": 2, "ny": 2}, "rounds": 4},
+    ])
+    def test_overflowing_scenario_fails_cleanly(self, tmp_path, capsys, overrides):
+        scenario = tmp_path / "s.json"
+        write_scenario(scenario, **overrides)
+        assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: trajectory: cannot lay out")
+        assert "Traceback" not in err
+
     def test_unknown_bundled_name(self, capsys):
         assert main(["simulate", "no_such_scenario"]) == EXIT_ERROR
         assert "no_such_scenario" in capsys.readouterr().err

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from gridloc import cli
 from gridloc.channel import ChannelParams
@@ -16,9 +18,9 @@ from gridloc.geometry import GridSpec, Point, build_lattice, dist
 from gridloc.protocol import BeaconNodeMachine
 from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
                          Scenario, ScenarioError, Static, Waypoints,
-                         _protocol_round, load_scenario, parse_scenario,
-                         run_baseline, run_scenario, scenario_from_dict,
-                         sweep_points)
+                         _batched_round, _links, _protocol_round,
+                         load_scenario, parse_scenario, run_baseline,
+                         run_scenario, scenario_from_dict, sweep_points)
 
 
 def noiseless(point=Point(2.0, 2.0), rounds=1, **kwargs) -> Scenario:
@@ -138,9 +140,9 @@ class TestBaseline:
 
 
 def simulate_digests(tmp_path, seed, sigma, quantize=False, adapt=False,
-                     cols=3, radius=30.0):
+                     cols=3, radius=30.0, trace=True):
     """sha256 of records.csv and trace.txt from `gridloc simulate --trace`
-    on a 4 x 4 lattice sweep."""
+    on a 4 x 4 lattice sweep; of records.csv alone without a trace."""
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({
         "seed": seed,
@@ -152,9 +154,11 @@ def simulate_digests(tmp_path, seed, sigma, quantize=False, adapt=False,
         "rounds": 16,
     }))
     out = tmp_path / "out"
-    assert cli.main(["simulate", str(path), "--out", str(out), "--trace"]) == 0
+    flags = ["--trace"] if trace else []
+    assert cli.main(["simulate", str(path), "--out", str(out), *flags]) == 0
+    names = ("records.csv", "trace.txt") if trace else ("records.csv",)
     return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                 for name in ("records.csv", "trace.txt"))
+                 for name in names)
 
 
 class TestByteIdentity:
@@ -197,9 +201,19 @@ class TestByteIdentity:
     def test_outputs_match_pinned_digests(self, tmp_path, case):
         assert simulate_digests(tmp_path, *case) == self.PINS[case]
 
-    @pytest.mark.parametrize("sigma", [0.0, 3.0])
-    @pytest.mark.parametrize("cols,radius", [(3, 30.0), (6, 9.0)])
-    def test_round_takes_k_times_accum_plus_four_draws(self, sigma, cols, radius):
+    @pytest.mark.parametrize("case", list(PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_untraced_records_match_pinned_digest(self, tmp_path, case):
+        # Without --trace the batched engine runs, not the DES.
+        assert simulate_digests(tmp_path, *case, trace=False) == self.PINS[case][:1]
+
+    # The DES cases keep the ids they had before the batched engine existed.
+    @pytest.mark.parametrize("cols,radius,sigma,engine", [
+        pytest.param(cols, radius, sigma, engine, id=f"{cols}-{radius}-{sigma}{suffix}")
+        for engine, suffix in (("des", ""), ("batched", "-batched"))
+        for cols, radius in ((3, 30.0), (6, 9.0))
+        for sigma in (0.0, 3.0)])
+    def test_round_takes_k_times_accum_plus_four_draws(self, cols, radius, sigma,
+                                                       engine):
         # Per beacon in range: start, ack, accum_count tests, request, response.
         point = Point(5.0, 6.0)
         s = Scenario(grid=GridSpec(cols=cols, rows=cols),
@@ -207,16 +221,97 @@ class TestByteIdentity:
                                            reception_radius_m=radius),
                      trajectory=Static(point))
         beacons = build_lattice(s.grid)
-        machines = {f"b{b.id}": BeaconNodeMachine(f"b{b.id}", b.pos)
-                    for b in beacons}
+        links = _links(beacons, point, s.channel)
         k = sum(dist(point, b.pos) <= radius for b in beacons)
         rng = np.random.Generator(np.random.PCG64(3))
-        reports = _protocol_round(s, point, machines, rng, 0.0, None)
+        if engine == "des":
+            machines = [BeaconNodeMachine(f"b{b.id}", b.pos) for b in beacons]
+            reports = _protocol_round(s, links, machines, rng, 0.0, None)
+        else:
+            reports = _batched_round(s, links, rng)
         assert len(reports) == k
         ref = np.random.Generator(np.random.PCG64(3))
         for _ in range(k * (s.protocol.accum_count + 4)):
             ref.normal(0.0, sigma)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def sweep_scenario(seed, sigma, quantize, adapt, cols, radius, n=4, **sections):
+    return scenario_from_dict({
+        "seed": seed,
+        "grid": {"spacing_m": 4.0, "cols": cols, "rows": cols},
+        "channel": {"sigma_dbm": sigma, "reception_radius_m": radius},
+        "estimator": {"adapt": adapt},
+        "quantize_rssi": quantize,
+        "trajectory": {"kind": "lattice_sweep", "nx": n, "ny": n},
+        "rounds": n * n,
+        **sections})
+
+
+# Seeds x noise x quantize x adapt on three lattices: 3 x 3, 10 x 10 (its
+# hull is wider than the radius) and 6 x 6 at a 9 m radius; then a short
+# protocol, back-to-back tests, and a radius at which no round has a fix.
+ORACLE_CASES = [
+    pytest.param(sweep_scenario(seed, sigma, quantize, adapt, cols, radius, n),
+                 id=f"{seed}-{sigma}-{quantize}-{adapt}-{cols}-{radius}")
+    for cols, radius, n in ((3, 30.0, 4), (10, 30.0, 3), (6, 9.0, 3))
+    for seed in (42, 7, 1, 3)
+    for sigma in (0.0, 2.0, 3.0, 4.0)
+    for quantize in (False, True)
+    for adapt in (False, True)
+] + [
+    pytest.param(sweep_scenario(42, 3.0, True, True, 3, 30.0,
+                                protocol={"accum_count": 3}), id="accum-3"),
+    pytest.param(sweep_scenario(7, 3.0, False, True, 3, 30.0,
+                                protocol={"inter_test_gap_ms": 0.0}), id="gap-0"),
+    pytest.param(sweep_scenario(42, 3.0, False, False, 3, 2.5), id="all-no-fix"),
+]
+
+
+@pytest.mark.parametrize("run", [run_scenario, run_baseline],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("s", ORACLE_CASES)
+def test_batched_engine_matches_the_des(s, run):
+    assert run(s) == run(s, trace=[])
+
+
+@st.composite
+def small_scenarios(draw):
+    cols, rows = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    spacing = draw(st.floats(1.5, 8.0))
+    accum = draw(st.integers(1, 10))
+    gap = draw(st.floats(0.0, 50.0))
+    window = draw(st.floats(0.0, 100.0, exclude_min=True))
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    points = draw(st.lists(st.fixed_dictionaries({
+        "point": st.tuples(unit, unit).map(
+            lambda u: [u[0] * (cols - 1) * spacing, u[1] * (rows - 1) * spacing]),
+        "dwell_rounds": st.integers(1, 3)}), min_size=1, max_size=3))
+    try:
+        return scenario_from_dict({
+            "seed": draw(st.integers(0, 2**32 - 1)),
+            "grid": {"spacing_m": spacing, "cols": cols, "rows": rows},
+            "channel": {"sigma_dbm": draw(st.floats(0.0, 6.0)),
+                        "reception_radius_m": draw(st.floats(1.0, 40.0))},
+            "estimator": {"adapt": draw(st.booleans())},
+            "protocol": {
+                "accum_count": accum, "inter_test_gap_ms": gap,
+                "response_window_ms": window,
+                "ack_timeout_ms": draw(st.floats(0.0, 200.0, exclude_min=True)),
+                "round_interval_ms": accum * gap + window + draw(st.floats(0.0, 1e3))},
+            "quantize_rssi": draw(st.booleans()),
+            "trajectory": {"kind": "waypoints", "points": points},
+            "rounds": draw(st.integers(1, 6))})
+    except ScenarioError:
+        reject()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_scenarios())
+def test_batched_engine_matches_the_des_on_any_valid_scenario(s):
+    assert run_scenario(s) == run_scenario(s, trace=[])
+    assert run_baseline(s) == run_baseline(s, trace=[])
 
 
 @pytest.mark.parametrize("protocol", [
@@ -354,6 +449,25 @@ class TestScenarioParsing:
         ({"trajectory": {"kind": "lattice_sweep", "nx": 2.0}},
          "trajectory.nx: expected an integer"),
         ({"channel": {"n_exp": 0}}, "channel: n_exp must be positive"),
+        ({"protocol": {"ack_timeout_ms": 0.0}},
+         "protocol.ack_timeout_ms: must be positive"),
+        ({"protocol": {"response_window_ms": 0.0}},
+         "protocol.response_window_ms: must be positive"),
+        ({"protocol": {"inter_test_gap_ms": -5.0}},
+         "protocol.inter_test_gap_ms: must be >= 0"),
+        ({"protocol": {"inter_test_gap_ms": math.nan}},
+         "protocol.inter_test_gap_ms: must be >= 0"),
+        ({"protocol": {"round_interval_ms": math.nan}},
+         "protocol.round_interval_ms: must be positive and finite"),
+        ({"protocol": {"round_interval_ms": math.inf}},
+         "protocol.round_interval_ms: must be positive and finite"),
+        # The DES's clock at t = 1000 ms cannot resolve a 1e-14 ms wait.
+        ({"protocol": {"ack_timeout_ms": 1e-14}, "rounds": 2},
+         "protocol.ack_timeout_ms: must be longer than one clock step, 2.27374e-13 ms"),
+        ({"protocol": {"accum_count": 10**400}}, "protocol.accum_count: too large"),
+        ({"rounds": 2**70},
+         "trajectory: cannot lay out 1180591620717411303424 rounds: "
+         "cannot fit 'int' into an index-sized integer"),
     ])
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
