@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gridloc import cli
@@ -306,8 +306,7 @@ def small_scenarios(draw):
         reject()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(small_scenarios())
 def test_batched_engine_matches_the_des_on_any_valid_scenario(s):
     assert run_scenario(s) == run_scenario(s, trace=[])
@@ -465,9 +464,6 @@ class TestScenarioParsing:
         ({"protocol": {"ack_timeout_ms": 1e-14}, "rounds": 2},
          "protocol.ack_timeout_ms: must be longer than one clock step, 2.27374e-13 ms"),
         ({"protocol": {"accum_count": 10**400}}, "protocol.accum_count: too large"),
-        ({"rounds": 2**70},
-         "trajectory: cannot lay out 1180591620717411303424 rounds: "
-         "cannot fit 'int' into an index-sized integer"),
     ])
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
