@@ -15,7 +15,7 @@ from .harness import (Comparison, ErrorBuckets, bucketize, compare,
                       write_surface_csv)
 from .sim import (LatticeSweep, RoundRecord, Scenario, ScenarioError, Static,
                   Waypoints, load_scenario, parse_scenario, run_baseline,
-                  run_scenario, sweep_points)
+                  run_scenario, run_with_baseline, sweep_points)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "load_scenario", "localize", "near_beacon_estimate",
     "pair_split_estimate", "parse_scenario", "refine_in_cell",
     "register_to_rss", "rss_to_distance", "run_baseline", "run_scenario",
-    "sample_rss", "select_top4", "sweep_points", "weighted_centroid",
-    "write_buckets_csv", "write_records_csv", "write_surface_csv",
-    "__version__",
+    "run_with_baseline", "sample_rss", "select_top4", "sweep_points",
+    "weighted_centroid", "write_buckets_csv", "write_records_csv",
+    "write_surface_csv", "__version__",
 ]

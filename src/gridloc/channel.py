@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,10 @@ class ChannelParams:
     reception_radius_m: float = 30.0
 
     def __post_init__(self) -> None:
+        # JSON may spell NaN and Infinity, which pass the range checks below.
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.n_exp <= 0:
             raise ValueError("n_exp must be positive")
         if self.sigma_dbm < 0:

@@ -214,8 +214,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for value in values:
             scenario = _variant(base, key, value)
             tag = format(value, "g")
-            refined = sim.run_scenario(scenario)
-            baseline = sim.run_baseline(scenario)
+            refined, baseline = sim.run_with_baseline(scenario)
             harness.write_records_csv(refined, out_dir / f"records_{key}_{tag}.csv")
             harness.write_records_csv(baseline,
                                       out_dir / f"baseline_{key}_{tag}.csv")

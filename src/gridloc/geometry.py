@@ -46,8 +46,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.origin[0]) and math.isfinite(self.origin[1])):
             raise GeometryError("origin must be finite")
-        if self.spacing_m <= 0:
-            raise GeometryError("spacing_m must be positive")
+        if not 0 < self.spacing_m < math.inf:
+            raise GeometryError("spacing_m must be positive and finite")
         if self.cols < 2 or self.rows < 2:
             raise GeometryError("lattice needs at least 2 columns and 2 rows")
 

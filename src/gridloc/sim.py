@@ -126,8 +126,8 @@ class Scenario:
             raise ScenarioError("protocol.round_interval_ms",
                                 f"must be at least one round, {round_ms:g} ms")
         e = self.estimator
-        if e.n_initial <= 0:
-            raise ScenarioError("estimator.n_initial", "must be positive")
+        if not 0 < e.n_initial < math.inf:
+            raise ScenarioError("estimator.n_initial", "must be positive and finite")
         if not 0 < e.near_beacon_tau < 1:
             raise ScenarioError("estimator.near_beacon_tau", "must be in (0, 1)")
         if not 0 < e.n_min <= e.n_max:
@@ -227,17 +227,28 @@ def _calibration_length(s: Scenario) -> float:
 
 
 def run_scenario(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
-    """Run every round through the full message protocol and estimator."""
-    return _run(s, trace, baseline=False)
+    """Play every round, through the DES when a trace list is given and
+    the batched engine otherwise, and localize each report set."""
+    return _run(s, trace, refined=True, baseline=False)[0]
 
 
 def run_baseline(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
     """Same rounds and RNG stream, but each fix is the weighted centroid
     of the four strongest reports. Comparison curve only."""
-    return _run(s, trace, baseline=True)
+    return _run(s, trace, refined=False, baseline=True)[1]
 
 
-def _run(s: Scenario, trace: Optional[list[str]], baseline: bool) -> list[RoundRecord]:
+def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None
+                      ) -> tuple[list[RoundRecord], list[RoundRecord]]:
+    """(run_scenario(s), run_baseline(s)) from one play of the rounds, and
+    the trace run_scenario writes. localize never changes n_current, and
+    only the round and calibration draws move the stream, so both lists
+    are exact."""
+    return _run(s, trace, refined=True, baseline=True)
+
+
+def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
+         baseline: bool) -> tuple[list[RoundRecord], list[RoundRecord]]:
     s.validate()
     rng = np.random.Generator(np.random.PCG64(s.seed))
     beacons = geo.build_lattice(s.grid)
@@ -253,7 +264,7 @@ def _run(s: Scenario, trace: Optional[list[str]], baseline: bool) -> list[RoundR
     state = est.EstimatorState(n_current=s.estimator.n_initial)
     cal_length = _calibration_length(s) if s.estimator.adapt else None
 
-    records = []
+    refined_records, baseline_records = [], []
     for idx, true_pos in enumerate(s.positions()):
         if cal_length is not None:
             meas = chan.sample_rss(cal_length, s.channel, rng)
@@ -271,11 +282,16 @@ def _run(s: Scenario, trace: Optional[list[str]], baseline: bool) -> list[RoundR
                                       idx * s.protocol.round_interval_ms, trace)
         if baseline:
             estimate = _centroid_estimate(reports, state.n_current, s.grid)
-        else:
+            baseline_records.append(_record(idx, true_pos, estimate))
+        if refined:
             estimate, state = est.localize(reports, state, cfg)
-        err = geo.dist(estimate.pos, true_pos) if estimate.pos is not None else None
-        records.append(RoundRecord(idx, true_pos, estimate, err, estimate.n_used))
-    return records
+            refined_records.append(_record(idx, true_pos, estimate))
+    return refined_records, baseline_records
+
+
+def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecord:
+    err = geo.dist(estimate.pos, true_pos) if estimate.pos is not None else None
+    return RoundRecord(idx, true_pos, estimate, err, estimate.n_used)
 
 
 Link = tuple[geo.Beacon, float]

@@ -18,6 +18,9 @@ class TestParams:
         {"n_exp": -2.0},
         {"sigma_dbm": -0.1},
         {"reception_radius_m": 0.0},
+        {"sigma_dbm": math.nan},
+        {"a_dbm": math.inf},
+        {"reception_radius_m": math.inf},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from gridloc import harness
+from gridloc import estimator, harness
 from gridloc.cli import EXIT_ERROR, EXIT_NO_FIX, EXIT_OK, _summary_line, main
 from gridloc.estimator import Estimate, FixMethod
 from gridloc.geometry import Point
@@ -244,6 +245,73 @@ class TestSweep:
         write_scenario(scenario)
         assert main(["sweep", str(scenario), "--vary", "sigma=a,b"]) == EXIT_ERROR
         assert "--vary" in capsys.readouterr().err
+
+
+def sweep_digests(tmp_path, capsys, vary, seed, quantize=False, adapt=False):
+    """sha256 of every file `gridloc sweep` writes, in name order, then of
+    its stdout, on a 4 x 4 lattice sweep at sigma = 3."""
+    path = tmp_path / "scenario.json"
+    write_scenario(path, seed=seed, estimator={"adapt": adapt},
+                   channel={"sigma_dbm": 3.0}, quantize_rssi=quantize,
+                   trajectory={"kind": "lattice_sweep", "nx": 4, "ny": 4},
+                   rounds=16)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", str(path), "--vary", vary, "--out", str(out)]) == EXIT_OK
+    blobs = [f.read_bytes() for f in sorted(out.iterdir())]
+    blobs.append(capsys.readouterr().out.encode())
+    return tuple(hashlib.sha256(b).hexdigest() for b in blobs)
+
+
+class TestSweepByteIdentity:
+    """The sweep's records, summary and stdout, for both systems."""
+
+    # (vary, seed, quantize, adapt) -> digests of baseline_*, records_*,
+    # summary.csv and stdout. The records match the `simulate` pins in
+    # test_sim. With adapt on, the first calibration draw replaces
+    # n_initial, so both n_prime variants give the same records.
+    PINS = {
+        ("sigma=0,3", 42, False, False):
+            ('597c224decd10dbadbc3cafae12d88a614b41b926fecaee86429782ad968a63a',
+             '7ab1a95b2171ef5b4fbfc37270a52158c756a869eace801556093a571dc8686b',
+             'fc123efb6f6abff97471caa5ab9e0b9b8ec34e5f53137d8681a9fce1dc8a2afb',
+             '0d8789b783b10932a1036058a5c376f2c4e1e8ab4fef24e4ed65f8febd22130a',
+             '0680509a868d94b01624d0fcdb7cfe1208f73d544dbae4e99336f4eee02ea8c8',
+             '9df4bb85d40b7371286b8a0b7044244857d3cdb96ba0926cae2a70e54021d59a'),
+        ("sigma=0,3", 7, False, False):
+            ('597c224decd10dbadbc3cafae12d88a614b41b926fecaee86429782ad968a63a',
+             '7bd88885f031970ebb67c1336a15297dc17fae8b0195b160b769155a71bb03c0',
+             'fc123efb6f6abff97471caa5ab9e0b9b8ec34e5f53137d8681a9fce1dc8a2afb',
+             'e9d1c0ad84230e3861eeeef9f3ad7005dcf1eda67061027ac4ad76e9c3b5cc72',
+             'c959f444609c6638b5d96a72d9b65e948884b0d9f9f6af0a6c570f6e33d7deaf',
+             '4c954b416abc6c0f4744023ad930b9be0024b126dfa26b3044ddad791861d384'),
+        ("n_prime=2,3", 7, True, True):
+            ('31516da91c17d5d5a8c7351c7535ad71d6ab40084eec7bd7fd17230b77f12489',
+             '31516da91c17d5d5a8c7351c7535ad71d6ab40084eec7bd7fd17230b77f12489',
+             '385b864ececd856963a59becc23e8ba81bbc3fdb4cca5b0c6b2c0b67d06fbbbc',
+             '385b864ececd856963a59becc23e8ba81bbc3fdb4cca5b0c6b2c0b67d06fbbbc',
+             '5fc16dfb43e0f5c565298bdab3407f1f9b45a5dedbffaba7d94e3eedb00cedaf',
+             'f2ecf53b3f7e7492861ee778107d06c324387b834792b600fdfe63263c3dfbea'),
+    }
+
+    @pytest.mark.parametrize("case", list(PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys, case):
+        assert sweep_digests(tmp_path, capsys, *case) == self.PINS[case]
+
+    def test_each_round_is_localized_once(self, tmp_path, monkeypatch):
+        calls = []
+        localize = estimator.localize
+
+        def counting(*args):
+            calls.append(args)
+            return localize(*args)
+
+        monkeypatch.setattr(estimator, "localize", counting)
+        scenario = tmp_path / "s.json"
+        write_scenario(scenario)
+        assert main(["sweep", str(scenario), "--vary", "sigma=0,2,3",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(calls) == 3 * 9
 
 
 def test_summary_fraction_is_a_ratio_of_counts():

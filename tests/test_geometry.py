@@ -45,6 +45,8 @@ class TestGridSpec:
         {"cols": 1},
         {"rows": 1},
         {"origin": Point(math.nan, 0.0)},
+        {"spacing_m": math.inf},
+        {"spacing_m": math.nan},
     ])
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(GeometryError):

@@ -20,7 +20,8 @@ from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
                          Scenario, ScenarioError, Static, Waypoints,
                          _batched_round, _links, _protocol_round,
                          load_scenario, parse_scenario, run_baseline,
-                         run_scenario, scenario_from_dict, sweep_points)
+                         run_scenario, run_with_baseline, scenario_from_dict,
+                         sweep_points)
 
 
 def noiseless(point=Point(2.0, 2.0), rounds=1, **kwargs) -> Scenario:
@@ -268,11 +269,19 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("run", [run_scenario, run_baseline],
+@pytest.mark.parametrize("run", [run_scenario, run_baseline, run_with_baseline],
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("s", ORACLE_CASES)
 def test_batched_engine_matches_the_des(s, run):
-    assert run(s) == run(s, trace=[])
+    trace: list[str] = []
+    untraced = run(s)
+    assert untraced == run(s, trace)
+    if run is run_with_baseline:
+        # One play of the rounds gives both systems' records, and the
+        # trace run_scenario writes.
+        alone: list[str] = []
+        assert untraced == (run_scenario(s, alone), run_baseline(s, []))
+        assert trace == alone
 
 
 @st.composite
@@ -311,6 +320,7 @@ def small_scenarios(draw):
 def test_batched_engine_matches_the_des_on_any_valid_scenario(s):
     assert run_scenario(s) == run_scenario(s, trace=[])
     assert run_baseline(s) == run_baseline(s, trace=[])
+    assert run_with_baseline(s) == (run_scenario(s), run_baseline(s))
 
 
 @pytest.mark.parametrize("protocol", [
@@ -464,6 +474,24 @@ class TestScenarioParsing:
         ({"protocol": {"ack_timeout_ms": 1e-14}, "rounds": 2},
          "protocol.ack_timeout_ms: must be longer than one clock step, 2.27374e-13 ms"),
         ({"protocol": {"accum_count": 10**400}}, "protocol.accum_count: too large"),
+        # JSON may spell NaN and Infinity, and they pass a plain range check.
+        ({"channel": {"sigma_dbm": math.nan}}, "channel: sigma_dbm must be finite"),
+        ({"channel": {"a_dbm": math.nan}}, "channel: a_dbm must be finite"),
+        ({"channel": {"n_exp": math.nan}}, "channel: n_exp must be finite"),
+        ({"channel": {"rssi_offset_dbm": -math.inf}},
+         "channel: rssi_offset_dbm must be finite"),
+        ({"channel": {"reception_radius_m": math.nan}},
+         "channel: reception_radius_m must be finite"),
+        ({"channel": {"reception_radius_m": math.inf}},
+         "channel: reception_radius_m must be finite"),
+        ({"grid": {"spacing_m": math.inf}},
+         "grid: spacing_m must be positive and finite"),
+        ({"grid": {"spacing_m": math.nan}},
+         "grid: spacing_m must be positive and finite"),
+        ({"estimator": {"n_initial": math.nan}},
+         "estimator.n_initial: must be positive and finite"),
+        ({"estimator": {"n_initial": math.inf}},
+         "estimator.n_initial: must be positive and finite"),
     ])
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
