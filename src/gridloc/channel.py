@@ -68,17 +68,16 @@ def distance_to_rss(d: float, params: ChannelParams) -> float:
 
 
 def rss_to_distance(rss: float, a_dbm: float, n_exp: float,
-                    d_min: float = D_MIN_M,
                     d_max: float = D_MAX_FACTOR * 30.0) -> RangeEstimate:
-    """Invert the log-distance model; result clamped to [d_min, d_max].
+    """Invert the log-distance model; result clamped to [D_MIN_M, d_max].
 
     The clamped flag records whether the raw inverse fell outside the window.
     """
     if n_exp <= 0:
         raise ValueError("n_exp must be positive")
     d = 10.0 ** ((a_dbm - rss) / (10.0 * n_exp))
-    if d < d_min:
-        return RangeEstimate(d_min, True)
+    if d < D_MIN_M:
+        return RangeEstimate(D_MIN_M, True)
     if d > d_max:
         return RangeEstimate(d_max, True)
     return RangeEstimate(d, False)

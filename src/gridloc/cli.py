@@ -134,11 +134,6 @@ def _parse_edges(text: Optional[str]) -> Sequence[float]:
         raise ValueError(f"--buckets: {exc}") from exc
 
 
-def _share_below_1_5m(buckets: harness.ErrorBuckets) -> float:
-    """Share of fixes under 1.5 m, as a ratio of counts."""
-    return buckets.count_below(1.5) / buckets.fixed_count
-
-
 def _summary_line(tag: str, buckets: harness.ErrorBuckets,
                   median: Optional[float]) -> str:
     """One run's summary, from its default-edge buckets and median error."""
@@ -146,7 +141,7 @@ def _summary_line(tag: str, buckets: harness.ErrorBuckets,
     if median is None:
         return f"{tag}: records={records} no_fix={buckets.no_fix_count} (no fixes)"
     return (f"{tag}: records={records} median_error_m={median:.4g} "
-            f"fraction_below_1.5m={_share_below_1_5m(buckets):.4f} "
+            f"fraction_below_1.5m={buckets.fraction_below(1.5):.4f} "
             f"no_fix={buckets.no_fix_count}")
 
 
@@ -227,7 +222,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     key, tag, system, str(c.records), str(buckets.no_fix_count),
                     "" if median is None else format(median, ".9g"),
                     "" if mean is None else format(mean, ".9g"),
-                    "" if median is None else format(_share_below_1_5m(buckets), ".9g"),
+                    "" if median is None else format(buckets.fraction_below(1.5), ".9g"),
                     "" if wins is None else format(wins, ".9g"),
                 ]))
                 print(_summary_line(f"{key}={tag} {system}", buckets, median))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-from .channel import D_MIN_M, DEFAULT_A_DBM, rss_to_distance
+from .channel import DEFAULT_A_DBM, rss_to_distance
 from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec,
                        OutOfRegionError, Point, cell_of_corners,
                        containing_cell, is_rectangle)
@@ -71,13 +71,11 @@ class LocalizerConfig:
     grid: GridSpec
     a_dbm: float = DEFAULT_A_DBM
     near_beacon_tau: float = 0.25
-    n_min: float = 1.0
-    n_max: float = 6.0
     range_d_max: float = 120.0
 
     def range_of(self, rss_dbm: float, n_exp: float) -> float:
         return rss_to_distance(rss_dbm, self.a_dbm, n_exp,
-                               D_MIN_M, self.range_d_max).distance_m
+                               self.range_d_max).distance_m
 
 
 def select_top4(reports: Sequence[RssiReport]) -> Optional[list[RssiReport]]:
@@ -114,30 +112,27 @@ def adapt_n(rss_between_beacons: float, true_dist_m: float, n_prime: float,
     return min(max(n, n_min), n_max)
 
 
-def refine_in_cell(corner_distances: Sequence[tuple[Point, float]],
-                   clamp: bool = True, tol: float = COORD_TOL) -> Point:
+def refine_in_cell(corner_distances: Sequence[tuple[Point, float]]) -> Point:
     """Closed-form position inside a rectangle from its four corner ranges.
 
     Each opposite-corner-column pair yields one x equation and each
     corner-row pair one y equation; averaging the two of each makes the
     result exact whenever the four distances are mutually consistent.
-    The estimate is clamped to the rectangle unless clamp is False.
+    The estimate is clamped to the rectangle.
     """
     if len(corner_distances) != 4:
         raise GeometryError("refine_in_cell needs four corners")
     pts = [p for p, _ in corner_distances]
-    if not is_rectangle(pts, tol):
+    if not is_rectangle(pts):
         raise GeometryError("corners do not form a rectangle")
     x_lo = min(p[0] for p in pts)
     x_hi = max(p[0] for p in pts)
     y_lo = min(p[1] for p in pts)
     y_hi = max(p[1] for p in pts)
-    if x_hi - x_lo <= tol or y_hi - y_lo <= tol:
-        raise GeometryError("degenerate rectangle")
 
     def corner(px: float, py: float) -> float:
         for p, d in corner_distances:
-            if abs(p[0] - px) <= tol and abs(p[1] - py) <= tol:
+            if abs(p[0] - px) <= COORD_TOL and abs(p[1] - py) <= COORD_TOL:
                 return d
         raise GeometryError("missing corner")
 
@@ -149,10 +144,7 @@ def refine_in_cell(corner_distances: Sequence[tuple[Point, float]],
                / (2.0 * (x_lo - x_hi)))
     y = 0.5 * (y_hi + y_lo - ((d1 * d1 + d2 * d2) - (d3 * d3 + d4 * d4))
                / (2.0 * (y_hi - y_lo)))
-    if clamp:
-        x = min(max(x, x_lo), x_hi)
-        y = min(max(y, y_lo), y_hi)
-    return Point(x, y)
+    return Point(min(max(x, x_lo), x_hi), min(max(y, y_lo), y_hi))
 
 
 # The three perfect matchings of four items, applied after sorting reports
@@ -161,8 +153,7 @@ _PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
 def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
-                        config: LocalizerConfig,
-                        tol: float = COORD_TOL) -> Optional[Point]:
+                        config: LocalizerConfig) -> Optional[Point]:
     """Straddling-cells handler.
 
     Splits the four reports into the two pairs with the most similar
@@ -189,11 +180,11 @@ def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
         da = config.range_of(ra.avg_rssi_dbm, n_used)
         db = config.range_of(rb.avg_rssi_dbm, n_used)
         pa, pb = ra.beacon_pos, rb.beacon_pos
-        if abs(pa[1] - pb[1]) <= tol and abs(pa[0] - pb[0]) > tol:
+        if abs(pa[1] - pb[1]) <= COORD_TOL and abs(pa[0] - pb[0]) > COORD_TOL:
             est = 0.5 * (pa[0] + pb[0]) + (da * da - db * db) / (2.0 * (pb[0] - pa[0]))
             if x_est is None:
                 x_est = est
-        elif abs(pa[0] - pb[0]) <= tol and abs(pa[1] - pb[1]) > tol:
+        elif abs(pa[0] - pb[0]) <= COORD_TOL and abs(pa[1] - pb[1]) > COORD_TOL:
             est = 0.5 * (pa[1] + pb[1]) + (da * da - db * db) / (2.0 * (pb[1] - pa[1]))
             if y_est is None:
                 y_est = est
@@ -249,6 +240,16 @@ def _cell_or_none(p: Point, grid: GridSpec) -> Optional[CellId]:
         return None
 
 
+def centroid_estimate(reports: Sequence[RssiReport], n_current: float,
+                      grid: GridSpec) -> Estimate:
+    """Baseline fix: the weighted centroid of the four strongest reports."""
+    top4 = select_top4(reports)
+    if top4 is None:
+        return Estimate(None, FixMethod.NO_FIX, None, n_current)
+    pos = weighted_centroid(top4)
+    return Estimate(pos, FixMethod.CENTROID, _cell_or_none(pos, grid), n_current)
+
+
 def localize(reports: Sequence[RssiReport], state: EstimatorState,
              config: LocalizerConfig) -> tuple[Estimate, EstimatorState]:
     """One localization round: select, dispatch, estimate, update history.
@@ -266,37 +267,30 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
         return Estimate(None, FixMethod.NO_FIX, None, n), state
 
     grid = config.grid
-    positions = [r.beacon_pos for r in top4]
-    if is_rectangle(positions):
-        try:
-            cell = cell_of_corners(positions, grid)
-            pairs = [(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
-                     for r in top4]
-            pos = refine_in_cell(pairs)
-            est = Estimate(pos, FixMethod.REFINED, cell, n)
-            return est, replace(state, last_cell=cell, last_estimate=pos)
-        except GeometryError:
-            # A rectangle wider than one cell, or off the lattice; treat
-            # it like the non-rectangle cases below.
-            pass
+    try:
+        cell = cell_of_corners([r.beacon_pos for r in top4], grid)
+        pos = refine_in_cell([(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
+                              for r in top4])
+        est = Estimate(pos, FixMethod.REFINED, cell, n)
+        return est, replace(state, last_cell=cell, last_estimate=pos)
+    except GeometryError:
+        # No rectangle, one wider than a cell, or one off the lattice:
+        # handled like the straddling cases below.
+        pass
 
     strongest = top4[0]
-    r_near = config.range_of(strongest.avg_rssi_dbm, n)
-    if r_near < config.near_beacon_tau * grid.spacing_m:
-        pos = near_beacon_estimate(strongest, state, n, config)
-        cell = _cell_or_none(pos, grid)
-        est = Estimate(pos, FixMethod.NEAR_BEACON, cell, n)
-        new_state = replace(state, last_estimate=pos,
-                            last_cell=cell if cell is not None else state.last_cell)
-        return est, new_state
-
     fallback = False
-    pos = pair_split_estimate(top4, n, config)
-    if pos is None:
-        pos = weighted_centroid(top4)
-        fallback = True
+    if config.range_of(strongest.avg_rssi_dbm, n) < config.near_beacon_tau * grid.spacing_m:
+        method = FixMethod.NEAR_BEACON
+        pos = near_beacon_estimate(strongest, state, n, config)
+    else:
+        method = FixMethod.PAIR_SPLIT
+        pos = pair_split_estimate(top4, n, config)
+        if pos is None:
+            pos = weighted_centroid(top4)
+            fallback = True
     cell = _cell_or_none(pos, grid)
-    est = Estimate(pos, FixMethod.PAIR_SPLIT, cell, n, fallback_centroid=fallback)
+    est = Estimate(pos, method, cell, n, fallback_centroid=fallback)
     new_state = replace(state, last_estimate=pos,
                         last_cell=cell if cell is not None else state.last_cell)
     return est, new_state

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # Coordinate equality tolerance in meters.
 COORD_TOL = 1e-6
@@ -103,76 +103,82 @@ def build_lattice(spec: GridSpec) -> list[Beacon]:
     return out
 
 
-def _distinct(values: Sequence[float], tol: float) -> list[float]:
+def _distinct(values: Sequence[float]) -> list[float]:
     reps: list[float] = []
     for v in values:
         for r in reps:
-            if abs(v - r) <= tol:
+            if abs(v - r) <= COORD_TOL:
                 break
         else:
             reps.append(v)
     return reps
 
 
-def is_rectangle(quad: Sequence[Point], tol: float = COORD_TOL) -> bool:
+def _rectangle_axes(quad: Sequence[Point]
+                    ) -> Optional[tuple[list[float], list[float]]]:
+    """The sorted distinct xs and ys of four points that are the distinct
+    corners of an axis-aligned rectangle, or None for any other four."""
+    if len(quad) != 4:
+        raise GeometryError("a rectangle needs exactly four points")
+    xs = _distinct([p[0] for p in quad])
+    ys = _distinct([p[1] for p in quad])
+    if len(xs) != 2 or len(ys) != 2:
+        return None
+    corners = {(abs(p[0] - xs[0]) > COORD_TOL, abs(p[1] - ys[0]) > COORD_TOL)
+               for p in quad}
+    if len(corners) != 4:
+        return None
+    return sorted(xs), sorted(ys)
+
+
+def is_rectangle(quad: Sequence[Point]) -> bool:
     """True iff the four points are distinct corners of an axis-aligned rectangle.
 
     Requires exactly two distinct x values and two distinct y values with
     every combination present once. Permutation invariant; duplicates give
     False rather than an error.
     """
-    if len(quad) != 4:
-        raise GeometryError("is_rectangle needs exactly four points")
-    xs = _distinct([p[0] for p in quad], tol)
-    ys = _distinct([p[1] for p in quad], tol)
-    if len(xs) != 2 or len(ys) != 2:
-        return False
-    seen = [[False, False], [False, False]]
-    for p in quad:
-        xi = 0 if abs(p[0] - xs[0]) <= tol else 1
-        yi = 0 if abs(p[1] - ys[0]) <= tol else 1
-        if seen[xi][yi]:
-            return False
-        seen[xi][yi] = True
-    return True
+    return _rectangle_axes(quad) is not None
 
 
-def cell_of_corners(quad: Sequence[Point], spec: GridSpec,
-                    tol: float = COORD_TOL) -> CellId:
+def cell_of_corners(quad: Sequence[Point], spec: GridSpec) -> CellId:
     """Resolve the grid cell whose corners the four points are.
 
     The points must form an axis-aligned square of side spacing_m whose
     corners sit on the lattice; anything else raises GeometryError.
     """
-    if not is_rectangle(quad, tol):
+    axes = _rectangle_axes(quad)
+    if axes is None:
         raise GeometryError("corner set does not form a rectangle")
-    xs = sorted(_distinct([p[0] for p in quad], tol))
-    ys = sorted(_distinct([p[1] for p in quad], tol))
-    if abs((xs[1] - xs[0]) - spec.spacing_m) > tol or abs((ys[1] - ys[0]) - spec.spacing_m) > tol:
+    xs, ys = axes
+    if (abs((xs[1] - xs[0]) - spec.spacing_m) > COORD_TOL
+            or abs((ys[1] - ys[0]) - spec.spacing_m) > COORD_TOL):
         raise GeometryError("corners are not adjacent lattice vertices")
     col = (xs[0] - spec.origin[0]) / spec.spacing_m
     row = (ys[0] - spec.origin[1]) / spec.spacing_m
     ci, ri = round(col), round(row)
-    if abs(col - ci) * spec.spacing_m > tol or abs(row - ri) * spec.spacing_m > tol:
+    if (abs(col - ci) * spec.spacing_m > COORD_TOL
+            or abs(row - ri) * spec.spacing_m > COORD_TOL):
         raise GeometryError("corners do not lie on the lattice")
     if not (0 <= ci < spec.cols - 1 and 0 <= ri < spec.rows - 1):
         raise GeometryError("corners lie outside the lattice")
     return CellId(int(ci), int(ri))
 
 
-def _axis_cell(offset: float, spacing: float, n_cells: int, tol: float) -> int:
+def _axis_cell(offset: float, spacing: float, n_cells: int) -> int:
     # Points on a lattice line belong to the lower-index cell.
     k = round(offset / spacing)
-    if abs(offset - k * spacing) <= tol:
+    if abs(offset - k * spacing) <= COORD_TOL:
         return min(max(int(k) - 1, 0), n_cells - 1)
     return min(max(int(math.floor(offset / spacing)), 0), n_cells - 1)
 
 
-def containing_cell(p: Point, spec: GridSpec, tol: float = COORD_TOL) -> CellId:
+def containing_cell(p: Point, spec: GridSpec) -> CellId:
     """Cell whose closed bounds contain p; boundary points go to the lower-index cell."""
     xmin, ymin, xmax, ymax = spec.bounds()
-    if not (xmin - tol <= p[0] <= xmax + tol and ymin - tol <= p[1] <= ymax + tol):
+    if not (xmin - COORD_TOL <= p[0] <= xmax + COORD_TOL
+            and ymin - COORD_TOL <= p[1] <= ymax + COORD_TOL):
         raise OutOfRegionError(f"point ({p[0]}, {p[1]}) outside lattice hull")
-    col = _axis_cell(p[0] - xmin, spec.spacing_m, spec.cols - 1, tol)
-    row = _axis_cell(p[1] - ymin, spec.spacing_m, spec.rows - 1, tol)
+    col = _axis_cell(p[0] - xmin, spec.spacing_m, spec.cols - 1)
+    row = _axis_cell(p[1] - ymin, spec.spacing_m, spec.rows - 1)
     return CellId(col, row)

@@ -43,11 +43,10 @@ class ErrorBuckets:
         raise ValueError(f"{edge} is not a bucket edge")
 
     def fraction_below(self, edge: float) -> Optional[float]:
-        """Cumulative fraction of fixed errors under one of the edges."""
-        i = self._edge_index(edge)
-        if self.fractions is None:
-            return None
-        return sum(self.fractions[:i + 1])
+        """Share of fixed errors under one of the edges, as a ratio of
+        counts; None when no record had a fix."""
+        below = self.count_below(edge)
+        return below / self.fixed_count if self.fixed_count else None
 
 
 def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
@@ -105,19 +104,14 @@ def error_surface(records: Sequence[RoundRecord]) -> list[list[tuple[float, floa
 
 @dataclass(frozen=True)
 class Comparison:
-    """Two systems over the same true positions, bucket by bucket."""
+    """Two systems over the same true positions."""
 
-    edges: tuple[float, ...]
-    fraction_below_a: tuple[Optional[float], ...]
-    fraction_below_b: tuple[Optional[float], ...]
     median_a: Optional[float]
     median_b: Optional[float]
     mean_a: Optional[float]
     mean_b: Optional[float]
     a_wins_fraction: Optional[float]
     records: int
-    no_fix_a: int
-    no_fix_b: int
 
 
 def _errors(records: Sequence[RoundRecord]) -> list[float]:
@@ -130,33 +124,25 @@ def median_error(records: Sequence[RoundRecord]) -> Optional[float]:
     return statistics.median(errors) if errors else None
 
 
-def compare(a: Sequence[RoundRecord], b: Sequence[RoundRecord],
-            edges: Sequence[float] = DEFAULT_BUCKET_EDGES) -> Comparison:
+def compare(a: Sequence[RoundRecord], b: Sequence[RoundRecord]) -> Comparison:
     if len(a) != len(b):
         raise ValueError("record lists differ in length")
     for ra, rb in zip(a, b):
         if (not math.isclose(ra.true_pos[0], rb.true_pos[0])
                 or not math.isclose(ra.true_pos[1], rb.true_pos[1])):
             raise ValueError(f"true positions differ at round {ra.round_index}")
-    buckets_a = bucketize(a, edges)
-    buckets_b = bucketize(b, edges)
     errs_a = _errors(a)
     errs_b = _errors(b)
     both = [(ra.error_m, rb.error_m) for ra, rb in zip(a, b)
             if ra.error_m is not None and rb.error_m is not None]
     wins = sum(ea < eb for ea, eb in both) / len(both) if both else None
     return Comparison(
-        edges=buckets_a.edges,
-        fraction_below_a=tuple(buckets_a.fraction_below(e) for e in buckets_a.edges),
-        fraction_below_b=tuple(buckets_b.fraction_below(e) for e in buckets_b.edges),
         median_a=median_error(a),
         median_b=median_error(b),
         mean_a=statistics.fmean(errs_a) if errs_a else None,
         mean_b=statistics.fmean(errs_b) if errs_b else None,
         a_wins_fraction=wins,
         records=len(a),
-        no_fix_a=buckets_a.no_fix_count,
-        no_fix_b=buckets_b.no_fix_count,
     )
 
 

@@ -71,6 +71,9 @@ class LatticeSweep:
 
 Trajectory = Union[Static, Waypoints, LatticeSweep]
 
+# Largest lattice a scenario may describe, in beacons.
+MAX_BEACONS = 10_000
+
 
 @dataclass(frozen=True)
 class EstimatorSettings:
@@ -125,6 +128,9 @@ class Scenario:
         if p.round_interval_ms < round_ms:
             raise ScenarioError("protocol.round_interval_ms",
                                 f"must be at least one round, {round_ms:g} ms")
+        n_beacons = self.grid.cols * self.grid.rows
+        if n_beacons > MAX_BEACONS:
+            raise ScenarioError("grid", f"cols * rows must be at most {MAX_BEACONS}")
         e = self.estimator
         if not 0 < e.n_initial < math.inf:
             raise ScenarioError("estimator.n_initial", "must be positive and finite")
@@ -133,7 +139,6 @@ class Scenario:
         if not 0 < e.n_min <= e.n_max:
             raise ScenarioError("estimator.n_min", "need 0 < n_min <= n_max")
         if e.adapt:
-            n_beacons = self.grid.cols * self.grid.rows
             a, b = e.calibration_beacons
             if a == b or not (0 <= a < n_beacons and 0 <= b < n_beacons):
                 raise ScenarioError("estimator.calibration_beacons",
@@ -257,8 +262,6 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
         grid=s.grid,
         a_dbm=s.channel.a_dbm,
         near_beacon_tau=s.estimator.near_beacon_tau,
-        n_min=s.estimator.n_min,
-        n_max=s.estimator.n_max,
         range_d_max=s.channel.d_max_m,
     )
     state = est.EstimatorState(n_current=s.estimator.n_initial)
@@ -281,7 +284,7 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
             reports = _protocol_round(s, links, machines, rng,
                                       idx * s.protocol.round_interval_ms, trace)
         if baseline:
-            estimate = _centroid_estimate(reports, state.n_current, s.grid)
+            estimate = est.centroid_estimate(reports, state.n_current, s.grid)
             baseline_records.append(_record(idx, true_pos, estimate))
         if refined:
             estimate, state = est.localize(reports, state, cfg)
@@ -372,19 +375,6 @@ def _protocol_round(s: Scenario, links: list[Link],
                 push(t, blind.id, out,
                      chan.receive((mean,), s.channel, rng, s.quantize_rssi))
     return list(blind.collected)
-
-
-def _centroid_estimate(reports: list[est.RssiReport], n_current: float,
-                       grid: geo.GridSpec) -> est.Estimate:
-    top4 = est.select_top4(reports)
-    if top4 is None:
-        return est.Estimate(None, est.FixMethod.NO_FIX, None, n_current)
-    pos = est.weighted_centroid(top4)
-    try:
-        cell = geo.containing_cell(pos, grid)
-    except geo.OutOfRegionError:
-        cell = None
-    return est.Estimate(pos, est.FixMethod.CENTROID, cell, n_current)
 
 
 # Scenario files are JSON. Each object is one settings dataclass: its keys

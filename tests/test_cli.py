@@ -179,6 +179,13 @@ class TestSimulate:
         assert err.startswith("error: trajectory: cannot lay out")
         assert "Traceback" not in err
 
+    def test_oversized_lattice_fails_cleanly(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        write_scenario(scenario, grid={"cols": 3334, "rows": 3})
+        assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert (capsys.readouterr().err
+                == "error: grid: cols * rows must be at most 10000\n")
+
     def test_unknown_bundled_name(self, capsys):
         assert main(["simulate", "no_such_scenario"]) == EXIT_ERROR
         assert "no_such_scenario" in capsys.readouterr().err
@@ -316,7 +323,8 @@ class TestSweepByteIdentity:
 
 def test_summary_fraction_is_a_ratio_of_counts():
     # 96 fixes, 87 of them under 1.5 m: 87/96 = 0.90625 prints 0.9062,
-    # while the summed bucket fractions (0.9062500000000001) print 0.9063.
+    # while summing the bucket fractions (0.9062500000000001) would print
+    # 0.9063.
     errors = [0.25] * 43 + [0.75] * 21 + [1.25] * 23 + [2.0] * 9 + [None] * 4
     records = [RoundRecord(i, Point(1.0, 1.0),
                            Estimate(None, FixMethod.NO_FIX) if e is None
@@ -325,7 +333,7 @@ def test_summary_fraction_is_a_ratio_of_counts():
                for i, e in enumerate(errors)]
     buckets = harness.bucketize(records)
     assert buckets.counts[:3] == (43, 21, 23) and buckets.fixed_count == 96
-    assert format(buckets.fraction_below(1.5), ".4f") == "0.9063"
+    assert format(buckets.fraction_below(1.5), ".4f") == "0.9062"
     assert (_summary_line("simulate", buckets, harness.median_error(records))
             == "simulate: records=100 median_error_m=0.75 "
                "fraction_below_1.5m=0.9062 no_fix=4")

@@ -103,7 +103,6 @@ class TestCompare:
     def test_self_comparison_is_neutral(self):
         recs = records_from_errors([0.2, 0.7, 1.4])
         c = compare(recs, recs)
-        assert c.fraction_below_a == c.fraction_below_b
         assert c.median_a == c.median_b == 0.7
         assert c.a_wins_fraction == 0.0
         assert c.records == 3
@@ -119,7 +118,6 @@ class TestCompare:
         a = records_from_errors([0.1, 0.2]) + [record(2, (2.5, 0.5), None)]
         b = records_from_errors([0.3, 0.1, 0.2])
         c = compare(a, b)
-        assert c.no_fix_a == 1 and c.no_fix_b == 0
         assert c.a_wins_fraction == pytest.approx(0.5)
 
     def test_mismatched_lengths_rejected(self):

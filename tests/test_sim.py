@@ -492,6 +492,12 @@ class TestScenarioParsing:
          "estimator.n_initial: must be positive and finite"),
         ({"estimator": {"n_initial": math.inf}},
          "estimator.n_initial: must be positive and finite"),
+        # Rejected before any beacon is laid out, with adapt on or off.
+        ({"grid": {"cols": 2**70}}, "grid: cols * rows must be at most 10000"),
+        ({"grid": {"cols": 2**70}, "estimator": {"adapt": True}},
+         "grid: cols * rows must be at most 10000"),
+        ({"grid": {"cols": 100, "rows": 101}},
+         "grid: cols * rows must be at most 10000"),
     ])
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
@@ -539,6 +545,10 @@ class TestScenarioParsing:
             scenario_from_dict(data)
         data["protocol"]["round_interval_ms"] = shortest
         assert scenario_from_dict(data).protocol.round_interval_ms == shortest
+
+    def test_largest_lattice_accepted(self):
+        data = dict(MINIMAL, grid={"cols": 100, "rows": 100})
+        assert scenario_from_dict(data).grid.cols == 100
 
     def test_trajectory_required(self):
         with pytest.raises(ScenarioError, match="trajectory"):
