@@ -67,20 +67,27 @@ def distance_to_rss(d: float, params: ChannelParams) -> float:
     return params.a_dbm - 10.0 * params.n_exp * math.log10(d)
 
 
+def _inverse_range(rss: float, a_dbm: float, n_exp: float,
+                   d_max: float) -> tuple[float, bool]:
+    """rss_to_distance as a plain (distance_m, clamped) tuple, for callers
+    that range many times and read only the distance."""
+    if n_exp <= 0:
+        raise ValueError("n_exp must be positive")
+    d = 10.0 ** ((a_dbm - rss) / (10.0 * n_exp))
+    if d < D_MIN_M:
+        return D_MIN_M, True
+    if d > d_max:
+        return d_max, True
+    return d, False
+
+
 def rss_to_distance(rss: float, a_dbm: float, n_exp: float,
                     d_max: float = D_MAX_FACTOR * 30.0) -> RangeEstimate:
     """Invert the log-distance model; result clamped to [D_MIN_M, d_max].
 
     The clamped flag records whether the raw inverse fell outside the window.
     """
-    if n_exp <= 0:
-        raise ValueError("n_exp must be positive")
-    d = 10.0 ** ((a_dbm - rss) / (10.0 * n_exp))
-    if d < D_MIN_M:
-        return RangeEstimate(D_MIN_M, True)
-    if d > d_max:
-        return RangeEstimate(d_max, True)
-    return RangeEstimate(d, False)
+    return RangeEstimate(*_inverse_range(rss, a_dbm, n_exp, d_max))
 
 
 def round_half_away(value: float) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -64,6 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_REPORT_COLUMNS = ("beacon_x", "beacon_y", "avg_rssi_dbm")
+
+
 def _parse_reports(path: Path) -> list[RssiReport]:
     reports = []
     with path.open(encoding="utf-8") as fh:
@@ -72,13 +76,18 @@ def _parse_reports(path: Path) -> list[RssiReport]:
             if not line:
                 continue
             fields = [f.strip() for f in line.split(",")]
-            if lineno == 1 and fields[:3] == ["beacon_x", "beacon_y", "avg_rssi_dbm"]:
+            if lineno == 1 and fields[:3] == list(_REPORT_COLUMNS):
                 continue
             if len(fields) != 4:
                 raise ValueError(f"line {lineno}: expected 4 fields, got {len(fields)}")
             try:
-                report = RssiReport(Point(float(fields[0]), float(fields[1])),
-                                    float(fields[2]), int(fields[3]))
+                x, y, rssi = values = [float(f) for f in fields[:3]]
+                # float() takes nan and inf, which localize would turn into
+                # a nan fix.
+                for name, value in zip(_REPORT_COLUMNS, values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be finite")
+                report = RssiReport(Point(x, y), rssi, int(fields[3]))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             reports.append(report)

@@ -10,14 +10,14 @@ dominating the ranking (near beacon).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .channel import DEFAULT_A_DBM, rss_to_distance
+from .channel import DEFAULT_A_DBM, _inverse_range
 from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec,
-                       OutOfRegionError, Point, cell_of_corners,
-                       containing_cell, is_rectangle)
+                       OutOfRegionError, Point, _cell_of_axes,
+                       _rectangle_axes, containing_cell, is_rectangle)
 
 
 class FixMethod(Enum):
@@ -74,8 +74,7 @@ class LocalizerConfig:
     range_d_max: float = 120.0
 
     def range_of(self, rss_dbm: float, n_exp: float) -> float:
-        return rss_to_distance(rss_dbm, self.a_dbm, n_exp,
-                               self.range_d_max).distance_m
+        return _inverse_range(rss_dbm, self.a_dbm, n_exp, self.range_d_max)[0]
 
 
 def select_top4(reports: Sequence[RssiReport]) -> Optional[list[RssiReport]]:
@@ -122,13 +121,21 @@ def refine_in_cell(corner_distances: Sequence[tuple[Point, float]]) -> Point:
     """
     if len(corner_distances) != 4:
         raise GeometryError("refine_in_cell needs four corners")
-    pts = [p for p, _ in corner_distances]
-    if not is_rectangle(pts):
+    if not is_rectangle([p for p, _ in corner_distances]):
         raise GeometryError("corners do not form a rectangle")
-    x_lo = min(p[0] for p in pts)
-    x_hi = max(p[0] for p in pts)
-    y_lo = min(p[1] for p in pts)
-    y_hi = max(p[1] for p in pts)
+    return _solve_in_cell(corner_distances)
+
+
+def _solve_in_cell(corner_distances: Sequence[tuple[Point, float]]) -> Point:
+    """refine_in_cell on four corners already known to form a rectangle.
+
+    The bounds are the extreme corner coordinates, not the representatives
+    _rectangle_axes returns, and each range is looked up within COORD_TOL
+    of its corner.
+    """
+    xs = [p[0] for p, _ in corner_distances]
+    ys = [p[1] for p, _ in corner_distances]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
 
     def corner(px: float, py: float) -> float:
         for p, d in corner_distances:
@@ -267,16 +274,21 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
         return Estimate(None, FixMethod.NO_FIX, None, n), state
 
     grid = config.grid
-    try:
-        cell = cell_of_corners([r.beacon_pos for r in top4], grid)
-        pos = refine_in_cell([(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
-                              for r in top4])
-        est = Estimate(pos, FixMethod.REFINED, cell, n)
-        return est, replace(state, last_cell=cell, last_estimate=pos)
-    except GeometryError:
-        # No rectangle, one wider than a cell, or one off the lattice:
-        # handled like the straddling cases below.
-        pass
+    # Classify the top-4 once; cell_of_corners and refine_in_cell would
+    # each classify it again.
+    axes = _rectangle_axes([r.beacon_pos for r in top4])
+    if axes is not None:
+        try:
+            cell = _cell_of_axes(axes, grid)
+            pos = _solve_in_cell([(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
+                                  for r in top4])
+        except GeometryError:
+            # A rectangle wider than a cell or off the lattice is handled
+            # like the straddling cases below.
+            pass
+        else:
+            return (Estimate(pos, FixMethod.REFINED, cell, n),
+                    EstimatorState(n, cell, pos))
 
     strongest = top4[0]
     fallback = False
@@ -291,6 +303,5 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
             fallback = True
     cell = _cell_or_none(pos, grid)
     est = Estimate(pos, method, cell, n, fallback_centroid=fallback)
-    new_state = replace(state, last_estimate=pos,
-                        last_cell=cell if cell is not None else state.last_cell)
-    return est, new_state
+    return est, EstimatorState(
+        n, cell if cell is not None else state.last_cell, pos)

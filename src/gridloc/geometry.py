@@ -63,6 +63,16 @@ class GridSpec:
         return Point(self.origin[0] + i * self.spacing_m,
                      self.origin[1] + j * self.spacing_m)
 
+    def beacon_id(self, i: int, j: int) -> int:
+        """Id of the beacon in column i, row j: ids run row-major from the
+        origin."""
+        return j * self.cols + i
+
+    def position_of(self, beacon_id: int) -> Point:
+        """Position of the beacon with the given id."""
+        j, i = divmod(beacon_id, self.cols)
+        return self.beacon_position(i, j)
+
     def bounds(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the lattice hull."""
         return (self.origin[0], self.origin[1],
@@ -99,7 +109,7 @@ def build_lattice(spec: GridSpec) -> list[Beacon]:
     out = []
     for j in range(spec.rows):
         for i in range(spec.cols):
-            out.append(Beacon(id=j * spec.cols + i, pos=spec.beacon_position(i, j)))
+            out.append(Beacon(id=spec.beacon_id(i, j), pos=spec.beacon_position(i, j)))
     return out
 
 
@@ -150,6 +160,12 @@ def cell_of_corners(quad: Sequence[Point], spec: GridSpec) -> CellId:
     axes = _rectangle_axes(quad)
     if axes is None:
         raise GeometryError("corner set does not form a rectangle")
+    return _cell_of_axes(axes, spec)
+
+
+def _cell_of_axes(axes: tuple[list[float], list[float]], spec: GridSpec) -> CellId:
+    """The cell of a rectangle, given as the sorted distinct xs and ys that
+    _rectangle_axes returns for its corners."""
     xs, ys = axes
     if (abs((xs[1] - xs[0]) - spec.spacing_m) > COORD_TOL
             or abs((ys[1] - ys[0]) - spec.spacing_m) > COORD_TOL):

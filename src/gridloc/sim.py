@@ -159,15 +159,14 @@ class Scenario:
             raise ScenarioError("trajectory",
                                 f"cannot lay out {self.rounds} rounds: {exc}") from exc
         xmin, ymin, xmax, ymax = self.grid.bounds()
-        beacons = geo.build_lattice(self.grid)
         for i, pos in enumerate(positions):
             if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
                 raise ScenarioError("trajectory",
                                     f"point {i} at ({pos[0]}, {pos[1]}) outside the lattice hull")
-            for b in beacons:
-                if geo.dist(pos, b.pos) <= geo.COORD_TOL:
-                    raise ScenarioError("trajectory",
-                                        f"point {i} coincides with beacon {b.id}")
+            beacon = _coincident_beacon(self.grid, pos)
+            if beacon is not None:
+                raise ScenarioError("trajectory",
+                                    f"point {i} coincides with beacon {beacon}")
         # Every event time stays below twice rounds * round_interval_ms, so
         # a wait longer than one step of the clock there always ends after
         # the packets it waits for.
@@ -192,6 +191,44 @@ class Scenario:
         if len(out) < self.rounds:
             out.extend([out[-1]] * (self.rounds - len(out)))
         return out[:self.rounds]
+
+
+def _lines_near(v: float, origin: float, spacing: float, count: int) -> list[int]:
+    """Indices k in [0, count) of the lattice lines origin + k * spacing
+    within COORD_TOL of v.
+
+    Only the indices of the exact window, widened by a few ulps of the
+    coordinates and by one index each way against rounding, are measured;
+    every line is when v - origin overflows.
+    """
+    first, last = 0, count - 1
+    d = v - origin
+    if math.isfinite(d):
+        slack = geo.COORD_TOL + 4.0 * math.ulp(abs(origin) + abs(v))
+        # Clamp before rounding: far below the slack in spacing, the
+        # quotients overflow to inf.
+        first = max(math.floor(max((d - slack) / spacing, -1.0)) - 1, 0)
+        last = min(math.ceil(min((d + slack) / spacing, float(count))) + 1, last)
+    return [k for k in range(first, last + 1)
+            if abs(v - (origin + k * spacing)) <= geo.COORD_TOL]
+
+
+def _coincident_beacon(grid: geo.GridSpec, p: geo.Point) -> Optional[int]:
+    """Lowest id of a beacon within COORD_TOL of p, or None.
+
+    dist is never below the gap along one axis, so only a beacon on a
+    column and a row within COORD_TOL of p can match; the cost does not
+    grow with the lattice.
+    """
+    (ox, oy), s = grid.origin, grid.spacing_m
+    cols = _lines_near(p[0], ox, s, grid.cols)
+    if not cols:
+        return None
+    for j in _lines_near(p[1], oy, s, grid.rows):
+        for i in cols:
+            if geo.dist(p, grid.beacon_position(i, j)) <= geo.COORD_TOL:
+                return grid.beacon_id(i, j)
+    return None
 
 
 def _axis_samples(start: float, width: float, count: int, spacing: float) -> list[float]:
@@ -226,9 +263,8 @@ class RoundRecord:
 
 
 def _calibration_length(s: Scenario) -> float:
-    beacons = geo.build_lattice(s.grid)
     a, b = s.estimator.calibration_beacons
-    return geo.dist(beacons[a].pos, beacons[b].pos)
+    return geo.dist(s.grid.position_of(a), s.grid.position_of(b))
 
 
 def run_scenario(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:

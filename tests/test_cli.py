@@ -85,6 +85,23 @@ class TestLocate:
         assert main(["locate", str(reports)]) == EXIT_ERROR
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row,message", [
+        ("4,0,nan,8", "error: line 3: avg_rssi_dbm must be finite"),
+        ("4,0,-inf,8", "error: line 3: avg_rssi_dbm must be finite"),
+        ("inf,0,-50.0,8", "error: line 3: beacon_x must be finite"),
+        ("4,NaN,-50.0,8", "error: line 3: beacon_y must be finite"),
+        ("-Infinity,nan,nan,8", "error: line 3: beacon_x must be finite"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, row, message):
+        reports = tmp_path / "reports.csv"
+        reports.write_text("beacon_x,beacon_y,avg_rssi_dbm,sample_count\n"
+                           "0,0,-50.0,8\n" + row + "\n"
+                           "0,4,-50.0,8\n4,4,-50.0,8\n")
+        assert main(["locate", str(reports)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == message + "\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["locate", str(tmp_path / "absent.csv")]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err

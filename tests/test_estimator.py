@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from gridloc.channel import distance_to_rss, ChannelParams
+from gridloc.channel import D_MIN_M, ChannelParams, distance_to_rss, rss_to_distance
 from gridloc.estimator import (Estimate, EstimatorState, FixMethod,
                                LocalizerConfig, RssiReport, adapt_n, localize,
                                near_beacon_estimate, pair_split_estimate,
@@ -107,6 +107,35 @@ def cell_corner_distances(blind: Point, cell=(0.0, 0.0, 4.0, 4.0)):
     x0, y0, x1, y1 = cell
     corners = [Point(x0, y0), Point(x1, y0), Point(x0, y1), Point(x1, y1)]
     return [(c, dist(c, blind)) for c in corners]
+
+
+class TestRangeOf:
+    """range_of is rss_to_distance's distance, bit for bit."""
+
+    @pytest.mark.parametrize("d_max", [120.0, 0.04])
+    @pytest.mark.parametrize("n", [1.0, 2.0, 3.3])
+    # Raw ranges below, inside and above the window, and exactly on its
+    # lower bound (10 ** -1.0 at n 1 and 2) or just past its upper one.
+    @pytest.mark.parametrize("rss", [
+        10.0, -20.0, -44.999, -45.0, -46.5, -58.25, -65.0, -89.0, -145.0, -400.0,
+        -45.0 + 10.0, -45.0 + 20.0, -45.0 - 41.58362492095977,
+    ])
+    def test_matches_rss_to_distance(self, rss, n, d_max):
+        config = LocalizerConfig(grid=GRID, a_dbm=A_DBM, range_d_max=d_max)
+        want = rss_to_distance(rss, A_DBM, n, d_max).distance_m
+        assert config.range_of(rss, n).hex() == want.hex()
+
+    def test_clamp_window_edges(self):
+        # 10 ** -1.0 is exactly D_MIN_M: on the bound, not clamped.
+        assert rss_to_distance(A_DBM + 20.0, A_DBM, 2.0) == (D_MIN_M, False)
+        assert CONFIG.range_of(A_DBM + 20.0, 2.0) == D_MIN_M
+        assert CONFIG.range_of(A_DBM + 30.0, 2.0) == D_MIN_M
+        assert CONFIG.range_of(A_DBM - 100.0, 2.0) == CONFIG.range_d_max
+
+    @pytest.mark.parametrize("n", [0.0, -1.0])
+    def test_nonpositive_exponent_rejected(self, n):
+        with pytest.raises(ValueError, match="n_exp must be positive"):
+            CONFIG.range_of(-50.0, n)
 
 
 class TestRefineInCell:

@@ -28,6 +28,13 @@ class TestGridSpec:
         assert [b.id for b in beacons] == list(range(9))
         assert beacons[5] == Beacon(5, Point(8.0, 4.0))
 
+    def test_id_mapping_matches_the_lattice(self):
+        spec = GridSpec(origin=Point(-2.0, 1.5), spacing_m=0.5, cols=4, rows=3)
+        for b in build_lattice(spec):
+            assert spec.position_of(b.id) == b.pos
+            i, j = b.id % 4, b.id // 4
+            assert spec.beacon_id(i, j) == b.id
+
     def test_minimal_lattice(self):
         beacons = build_lattice(GridSpec(cols=2, rows=2))
         assert len(beacons) == 4

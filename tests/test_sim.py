@@ -498,6 +498,38 @@ class TestScenarioParsing:
          "grid: cols * rows must be at most 10000"),
         ({"grid": {"cols": 100, "rows": 101}},
          "grid: cols * rows must be at most 10000"),
+        # A point on a beacon names the lowest id within COORD_TOL of it.
+        ({"grid": {"cols": 100, "rows": 100}, "rounds": 200,
+          "trajectory": {"kind": "static", "point": [396.0, 396.0]}},
+         "trajectory: point 0 coincides with beacon 9999"),
+        ({"grid": {"cols": 100, "rows": 100},
+          "trajectory": {"kind": "static", "point": [395.9999995, 395.9999996]}},
+         "trajectory: point 0 coincides with beacon 9999"),
+        ({"grid": {"origin": [-3.5, 10.25], "spacing_m": 0.5, "cols": 7, "rows": 4},
+          "trajectory": {"kind": "waypoints", "points": [
+              {"point": [-3.25, 10.5], "dwell_rounds": 2},
+              {"point": [-0.5000004, 11.7499994]}]}, "rounds": 4},
+         "trajectory: point 2 coincides with beacon 27"),
+        ({"grid": {"origin": [1e12, -1e12], "spacing_m": 0.25, "cols": 5, "rows": 5},
+          "trajectory": {"kind": "static", "point": [1e12 + 0.5, -1e12 + 0.75]}},
+         "trajectory: point 0 coincides with beacon 17"),
+        # Spacings below COORD_TOL: several beacons coincide with the point.
+        ({"grid": {"spacing_m": 1e-7},
+          "trajectory": {"kind": "static", "point": [1e-7, 1e-7]}},
+         "trajectory: point 0 coincides with beacon 0"),
+        ({"grid": {"spacing_m": 4e-7, "cols": 5, "rows": 5},
+          "trajectory": {"kind": "static", "point": [1.6e-6, 1.6e-6]}},
+         "trajectory: point 0 coincides with beacon 13"),
+        ({"grid": {"spacing_m": 4e-7, "cols": 5, "rows": 5},
+          "trajectory": {"kind": "static", "point": [1.1e-6, 0.9e-6]}},
+         "trajectory: point 0 coincides with beacon 2"),
+        ({"grid": {"spacing_m": 5e-324, "cols": 4, "rows": 4},
+          "trajectory": {"kind": "static", "point": [0.0, 0.0]}},
+         "trajectory: point 0 coincides with beacon 0"),
+        # A lattice wider than the largest float.
+        ({"grid": {"origin": [-1e308, 0.0], "spacing_m": 1e308},
+          "trajectory": {"kind": "static", "point": [0.0, 0.0]}},
+         "trajectory: point 0 coincides with beacon 1"),
     ])
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
@@ -549,6 +581,52 @@ class TestScenarioParsing:
     def test_largest_lattice_accepted(self):
         data = dict(MINIMAL, grid={"cols": 100, "rows": 100})
         assert scenario_from_dict(data).grid.cols == 100
+
+    def test_beacon_check_cost_does_not_grow_with_the_lattice(self, monkeypatch):
+        from gridloc import geometry
+        calls = []
+        real = geometry.dist
+        monkeypatch.setattr(geometry, "dist", lambda p, q: calls.append(1) or real(p, q))
+        monkeypatch.setattr(geometry, "build_lattice", None)
+        # Within COORD_TOL of beacon (1, 1) along each axis, but not in distance.
+        near = {"kind": "static", "point": [4.0 + 8e-7, 4.0 + 8e-7]}
+        counts = []
+        for size in (3, 100):
+            calls.clear()
+            scenario_from_dict(dict(MINIMAL, grid={"cols": size, "rows": size},
+                                    trajectory=near, rounds=200))
+            counts.append(len(calls))
+        assert counts == [200, 200]
+
+    def test_point_past_the_largest_float_from_the_origin_accepted(self):
+        s = scenario_from_dict(dict(
+            MINIMAL, grid={"origin": [-1e308, 0.0], "spacing_m": 1e308},
+            trajectory={"kind": "static", "point": [1e308, 0.0]}))
+        assert s.positions() == [Point(1e308, 0.0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(origin=st.sampled_from([(0.0, 0.0), (-3.5, 10.25), (1e12, -1e12)]),
+           spacing=st.sampled_from([5e-324, 1e-7, 4e-7, 1e-6, 1.5e-6, 2e-6,
+                                    0.25, 4.0]),
+           cols=st.integers(2, 6), rows=st.integers(2, 6),
+           vertex=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+           offset=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    def test_coincident_beacon_is_the_lowest_id_in_tolerance(
+            self, origin, spacing, cols, rows, vertex, offset):
+        grid = GridSpec(origin=Point(*origin), spacing_m=spacing, cols=cols, rows=rows)
+        near = grid.beacon_position(min(vertex[0], cols - 1), min(vertex[1], rows - 1))
+        point = grid.clamp(Point(near[0] + offset[0] * 1e-6, near[1] + offset[1] * 1e-6))
+        want = next((b.id for b in build_lattice(grid) if dist(point, b.pos) <= 1e-6),
+                    None)
+        data = dict(MINIMAL, grid={"origin": list(origin), "spacing_m": spacing,
+                                   "cols": cols, "rows": rows},
+                    trajectory={"kind": "static", "point": list(point)})
+        if want is None:
+            assert scenario_from_dict(data).grid == grid
+        else:
+            with pytest.raises(ScenarioError) as info:
+                scenario_from_dict(data)
+            assert str(info.value) == f"trajectory: point 0 coincides with beacon {want}"
 
     def test_trajectory_required(self):
         with pytest.raises(ScenarioError, match="trajectory"):
