@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .channel import DEFAULT_A_DBM, _inverse_range
@@ -77,6 +78,10 @@ class LocalizerConfig:
         return _inverse_range(rss_dbm, self.a_dbm, n_exp, self.range_d_max)[0]
 
 
+_strength = attrgetter("avg_rssi_dbm")
+_position = attrgetter("beacon_pos")
+
+
 def select_top4(reports: Sequence[RssiReport]) -> Optional[list[RssiReport]]:
     """Four strongest reports, or None when fewer than four beacons answered.
 
@@ -85,8 +90,21 @@ def select_top4(reports: Sequence[RssiReport]) -> Optional[list[RssiReport]]:
     """
     if len(reports) < 4:
         return None
-    ordered = sorted(reports, key=lambda r: (-r.avg_rssi_dbm, r.beacon_pos))
-    return ordered[:4]
+    ordered = sorted(reports, key=_strength, reverse=True)
+    a, b, c, d = top = ordered[:4]
+    fourth = d.avg_rssi_dbm
+    if (a.avg_rssi_dbm > b.avg_rssi_dbm > c.avg_rssi_dbm > fourth
+            and (len(ordered) == 4 or ordered[4].avg_rssi_dbm < fourth)):
+        return top
+    # Ties: only reports as strong as the fourth can reach the top four.
+    end = 4
+    while end < len(ordered) and ordered[end].avg_rssi_dbm == fourth:
+        end += 1
+    head = ordered[:end]
+    # Both sorts are stable, so this orders by strength, then position.
+    head.sort(key=_position)
+    head.sort(key=_strength, reverse=True)
+    return head[:4]
 
 
 def adapt_n(rss_between_beacons: float, true_dist_m: float, n_prime: float,

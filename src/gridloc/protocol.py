@@ -191,7 +191,12 @@ def beacon_step(machine: BeaconNodeMachine, event: Message,
             # Never heard the tests; stay silent.
             return m, []
         buffers = {k: v for k, v in m.buffers.items() if k != event.blind_id}
-        avg = sum(samples) / len(samples)
+        # Left to right on every Python; sum() of floats is compensated
+        # from 3.12 on.
+        total = 0.0
+        for level in samples:
+            total += level
+        avg = total / len(samples)
         return (BeaconNodeMachine(m.id, m.pos, buffers),
                 [RssiAvgResponse(m.id, m.pos, avg, len(samples))])
     return m, []

@@ -339,12 +339,23 @@ Link = tuple[geo.Beacon, float]
 def _links(beacons: list[geo.Beacon], blind_pos: geo.Point,
            params: chan.ChannelParams) -> list[Link]:
     """(beacon, mean RSS) for each beacon in range of the blind node, in
-    lattice order; beacons beyond the radius hear nothing this round."""
+    lattice order; beacons beyond the radius hear nothing this round.
+
+    Each mean is chan.link_rss(geo.dist(blind_pos, b.pos), params), with
+    both calls' arithmetic written out in the same order.
+    """
+    px, py = blind_pos
+    a_dbm, slope = params.a_dbm, 10.0 * params.n_exp
+    radius = params.reception_radius_m
     links = []
     for b in beacons:
-        mean = chan.link_rss(geo.dist(blind_pos, b.pos), params)
-        if mean is not None:
-            links.append((b, mean))
+        bx, by = b.pos
+        d = math.hypot(px - bx, py - by)
+        if d > radius:
+            continue
+        if d <= 0:
+            raise ValueError("distance must be positive")
+        links.append((b, a_dbm - slope * math.log10(d)))
     return links
 
 
@@ -359,11 +370,11 @@ def _batched_round(s: Scenario, links: list[Link],
     n = s.protocol.accum_count
     block = chan.receive_block([mean for _, mean in links], n + 4, s.channel,
                                rng, s.quantize_rssi)
-    # Average with sum(), as beacon_step does, so that both engines round
-    # alike on every Python: sum() of floats is compensated from 3.12 on.
-    samples = block[2:n + 2].T.tolist()
-    return [est.RssiReport(b.pos, sum(levels) / n, n)
-            for (b, _), levels in zip(links, samples)]
+    # Each beacon's test levels added left to right, as beacon_step adds
+    # them: cumsum adds in row order, where np.sum may add pairwise, and
+    # sum() of floats is compensated from Python 3.12 on.
+    avgs = (block[2:n + 2].cumsum(axis=0)[-1] / n).tolist()
+    return [est.RssiReport(b.pos, avg, n) for (b, _), avg in zip(links, avgs)]
 
 
 def _protocol_round(s: Scenario, links: list[Link],

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridloc.channel import D_MIN_M, ChannelParams, distance_to_rss, rss_to_distance
 from gridloc.estimator import (Estimate, EstimatorState, FixMethod,
@@ -59,6 +61,41 @@ class TestSelectTop4:
         a = [tuple(r.beacon_pos) for r in select_top4(reports)]
         b = [tuple(r.beacon_pos) for r in select_top4(shifted)]
         assert a == b
+
+
+@st.composite
+def report_sets(draw):
+    """0-100 reports in shuffled order, levels on a 1/8 dB grid narrow
+    enough that ties are common, positions on a small lattice that may
+    repeat."""
+    report = st.builds(
+        lambda level, i, j: RssiReport(Point(4.0 * i, 4.0 * j), level / 8),
+        st.integers(-420, -400), st.integers(0, 3), st.integers(0, 3))
+    return draw(st.permutations(draw(st.lists(report, max_size=100))))
+
+
+def _grid_reports(*levels_and_positions):
+    return [RssiReport(Point(float(x), float(y)), level)
+            for level, x, y in levels_and_positions]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example(_grid_reports((-50, 4, 0), (-50, 0, 0), (-51, 0, 4), (-52, 4, 4)))
+@example(_grid_reports((-50, 0, 0), (-51, 4, 0), (-52, 0, 4), (-53, 8, 0),
+                       (-53, 4, 4), (-53, 0, 8), (-54, 8, 8)))
+@example(_grid_reports((-50, 4, 4), (-50, 0, 0), (-50, 4, 4), (-50, 0, 4),
+                       (-50, 0, 0), (-50, 8, 0)))
+@given(report_sets())
+def test_select_top4_equals_the_full_sort(reports):
+    # The first example ties inside the top four, the second across fourth
+    # place, the third repeats strength and position; identity shows that
+    # equal reports keep their input order, as in a stable sort.
+    expected = sorted(reports, key=lambda r: (-r.avg_rssi_dbm, r.beacon_pos))
+    top4 = select_top4(reports)
+    if len(reports) < 4:
+        assert top4 is None
+    else:
+        assert list(map(id, top4)) == list(map(id, expected[:4]))
 
 
 class TestAdaptN:

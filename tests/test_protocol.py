@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from gridloc.estimator import RssiReport
@@ -167,6 +169,19 @@ class TestBeaconMachine:
         assert resp.avg_rssi_dbm == pytest.approx(-55.0)
         assert resp.sample_count == 2
         assert resp.beacon_pos == Point(4.0, 0.0)
+
+    def test_average_adds_left_to_right(self):
+        # A compensated sum (sum() from Python 3.12 on, math.fsum) gives 2.0
+        # here; adding in order loses the first 1.0 to rounding.
+        samples = [1e16, 1.0, -1e16, 1.0]
+        assert math.fsum(samples) == 2.0
+        b = self.make()
+        for seq, level in enumerate(samples, 1):
+            b, _ = beacon_step(b, RssiTest(blind_id="m0", seq=seq), level, 10.0 * seq)
+        b, out = beacon_step(b, RssiAvgRequest(blind_id="m0"), None, 160.0)
+        (resp,) = out
+        assert resp.avg_rssi_dbm == 0.25
+        assert resp.sample_count == 4
 
     def test_buffer_cleared_after_response(self):
         b = self.make()

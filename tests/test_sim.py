@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from gridloc import channel as chan
 from gridloc import cli
-from gridloc.channel import ChannelParams
+from gridloc.channel import ChannelParams, link_rss
 from gridloc.estimator import FixMethod
 from gridloc.geometry import GridSpec, Point, build_lattice, dist
 from gridloc.protocol import BeaconNodeMachine
@@ -235,6 +236,84 @@ class TestByteIdentity:
         for _ in range(k * (s.protocol.accum_count + 4)):
             ref.normal(0.0, sigma)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestRoundEngines:
+    """The link table and the per-beacon averages, which records cannot
+    show: a round with fewer than four reports is no_fix."""
+
+    GRID = GridSpec(origin=Point(-3.7, 11.2), spacing_m=4.3, cols=10, rows=10)
+    # No two beacons are the same distance from this point.
+    POINT = Point(13.9, 27.35)
+
+    def expected_links(self, params):
+        out = []
+        for b in build_lattice(self.GRID):
+            mean = link_rss(dist(self.POINT, b.pos), params)
+            if mean is not None:
+                out.append((b, mean.hex()))
+        return out
+
+    @pytest.mark.parametrize("n_exp", [2.0, 3.3])
+    @pytest.mark.parametrize("edge", ["at", "beyond"])
+    def test_link_means_equal_link_rss(self, edge, n_exp):
+        beacons = build_lattice(self.GRID)
+        d = dist(self.POINT, beacons[57].pos)
+        radius = d if edge == "at" else math.nextafter(d, 0.0)
+        params = ChannelParams(a_dbm=-41.3, n_exp=n_exp, reception_radius_m=radius)
+        links = _links(beacons, self.POINT, params)
+        assert [(b, mean.hex()) for b, mean in links] == self.expected_links(params)
+        assert (beacons[57] in [b for b, _ in links]) == (edge == "at")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1.0, 6.0), st.floats(-70.0, -30.0), st.floats(0.5, 60.0))
+    def test_link_means_equal_link_rss_for_any_channel(self, n_exp, a_dbm, radius):
+        params = ChannelParams(a_dbm=a_dbm, n_exp=n_exp, reception_radius_m=radius)
+        links = _links(build_lattice(self.GRID), self.POINT, params)
+        assert [(b, mean.hex()) for b, mean in links] == self.expected_links(params)
+
+    def test_blind_node_on_a_beacon_rejected(self):
+        beacons = build_lattice(self.GRID)
+        with pytest.raises(ValueError, match="distance must be positive"):
+            _links(beacons, beacons[12].pos, ChannelParams())
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("accum", [1, 8, 20])
+    @pytest.mark.parametrize("heard", [1, 2, 9, 84])
+    def test_batched_round_equals_protocol_round(self, heard, accum, quantize):
+        beacons = build_lattice(self.GRID)
+        radius = sorted(dist(self.POINT, b.pos) for b in beacons)[heard - 1]
+        s = Scenario(grid=self.GRID,
+                     channel=ChannelParams(sigma_dbm=3.0, reception_radius_m=radius),
+                     protocol=ProtocolSettings(accum_count=accum),
+                     quantize_rssi=quantize, trajectory=Static(self.POINT))
+        links = _links(beacons, self.POINT, s.channel)
+        assert len(links) == heard
+        machines = [BeaconNodeMachine(f"b{b.id}", b.pos) for b in beacons]
+        des = _protocol_round(s, links, machines,
+                              np.random.Generator(np.random.PCG64(11)), 0.0, None)
+        batched = _batched_round(s, links, np.random.Generator(np.random.PCG64(11)))
+
+        def fields(reports):
+            return [(r.beacon_pos, type(r.avg_rssi_dbm), r.avg_rssi_dbm.hex(),
+                     r.sample_count) for r in reports]
+
+        assert fields(batched) == fields(des)
+
+    def test_batched_average_adds_left_to_right(self, monkeypatch):
+        # Compensated, these test levels add to 2.0; in order, to 1.0.
+        samples = [1e16, 1.0, -1e16, 1.0]
+
+        def block(means, rows, params, rng, quantize):
+            levels = np.zeros((rows, len(means)))
+            levels[2:rows - 2, 0] = samples
+            return levels
+
+        monkeypatch.setattr(chan, "receive_block", block)
+        s = Scenario(protocol=ProtocolSettings(accum_count=len(samples)))
+        links = _links(build_lattice(s.grid), Point(2.0, 2.0), s.channel)
+        first, *_ = _batched_round(s, links, None)
+        assert first.avg_rssi_dbm == 0.25
 
 
 def sweep_scenario(seed, sigma, quantize, adapt, cols, radius, n=4, **sections):
