@@ -8,6 +8,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .geometry import Beacon, Point
+
 DEFAULT_A_DBM = -45.0
 DEFAULT_RSSI_OFFSET_DBM = -45.0
 
@@ -82,7 +84,8 @@ def _inverse_range(rss: float, a_dbm: float, n_exp: float,
 
 
 def rss_to_distance(rss: float, a_dbm: float, n_exp: float,
-                    d_max: float = D_MAX_FACTOR * 30.0) -> RangeEstimate:
+                    d_max: float = D_MAX_FACTOR * ChannelParams.reception_radius_m
+                    ) -> RangeEstimate:
     """Invert the log-distance model; result clamped to [D_MIN_M, d_max].
 
     The clamped flag records whether the raw inverse fell outside the window.
@@ -113,6 +116,32 @@ def link_rss(d: float, params: ChannelParams) -> Optional[float]:
     if d > params.reception_radius_m:
         return None
     return distance_to_rss(d, params)
+
+
+Link = tuple[Beacon, float]
+
+
+def _links(beacons: list[Beacon], blind_pos: Point,
+           params: ChannelParams) -> list[Link]:
+    """(beacon, mean RSS) for each beacon in range of the blind node, in
+    lattice order; beacons beyond the radius hear nothing this round.
+
+    Each mean is link_rss(geometry.dist(blind_pos, b.pos), params), with
+    both calls' arithmetic written out in the same order.
+    """
+    px, py = blind_pos
+    a_dbm, slope = params.a_dbm, 10.0 * params.n_exp
+    radius = params.reception_radius_m
+    links = []
+    for b in beacons:
+        bx, by = b.pos
+        d = math.hypot(px - bx, py - by)
+        if d > radius:
+            continue
+        if d <= 0:
+            raise ValueError("distance must be positive")
+        links.append((b, a_dbm - slope * math.log10(d)))
+    return links
 
 
 def sample_rss(d: float, params: ChannelParams,

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import harness, sim
+from .channel import DEFAULT_A_DBM
 from .estimator import (EstimatorState, FixMethod, LocalizerConfig,
                         RssiReport, localize)
 from .geometry import GeometryError, GridSpec, Point
@@ -29,18 +30,20 @@ def _build_parser() -> argparse.ArgumentParser:
     locate = sub.add_parser(
         "locate", help="estimate a position from a beacon report file")
     locate.add_argument("reports", help="CSV file: beacon_x,beacon_y,avg_rssi_dbm,sample_count")
-    locate.add_argument("--a-dbm", type=float, default=-45.0,
-                        help="reference power at 1 m (default -45)")
-    locate.add_argument("--n", type=float, default=2.0,
-                        help="path-loss exponent used for ranging (default 2)")
-    locate.add_argument("--tau", type=float, default=0.25,
-                        help="near-beacon trigger as a fraction of cell spacing")
-    locate.add_argument("--origin", default="0,0", metavar="X,Y",
-                        help="lattice origin (default 0,0)")
-    locate.add_argument("--spacing", type=float, default=4.0,
-                        help="beacon spacing in meters (default 4)")
-    locate.add_argument("--cols", type=int, default=3)
-    locate.add_argument("--rows", type=int, default=3)
+    locate.add_argument("--a-dbm", type=float, default=DEFAULT_A_DBM,
+                        help="reference power at 1 m (default %(default)s)")
+    locate.add_argument("--n", type=float, default=EstimatorState.n_current,
+                        help="path-loss exponent used for ranging (default %(default)s)")
+    locate.add_argument("--tau", type=float, default=LocalizerConfig.near_beacon_tau,
+                        help="near-beacon trigger in cell spacings (default %(default)s)")
+    locate.add_argument("--origin", default="%r,%r" % GridSpec.origin, metavar="X,Y",
+                        help="lattice origin (default %(default)s)")
+    locate.add_argument("--spacing", type=float, default=GridSpec.spacing_m,
+                        help="beacon spacing in meters (default %(default)s)")
+    locate.add_argument("--cols", type=int, default=GridSpec.cols,
+                        help="beacon columns (default %(default)s)")
+    locate.add_argument("--rows", type=int, default=GridSpec.rows,
+                        help="beacon rows (default %(default)s)")
 
     simulate = sub.add_parser("simulate", help="run one scenario end to end")
     simulate.add_argument("scenario",
@@ -168,8 +171,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         harness.write_buckets_csv(harness.bucketize(records, edges),
                                   out_dir / "buckets.csv")
         if isinstance(scenario.trajectory, sim.LatticeSweep):
-            harness.write_surface_csv(harness.error_surface(records),
-                                      out_dir / "surface.csv")
+            rows = harness.error_surface(records, scenario.trajectory.nx)
+            harness.write_surface_csv(rows, out_dir / "surface.csv")
         if trace is not None:
             (out_dir / "trace.txt").write_text("\n".join(trace) + "\n",
                                                encoding="utf-8")

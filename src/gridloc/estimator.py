@@ -15,7 +15,8 @@ from enum import Enum
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from .channel import DEFAULT_A_DBM, _inverse_range
+from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
+                      _inverse_range)
 from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec,
                        OutOfRegionError, Point, _cell_of_axes,
                        _rectangle_axes, containing_cell, is_rectangle)
@@ -72,7 +73,7 @@ class LocalizerConfig:
     grid: GridSpec
     a_dbm: float = DEFAULT_A_DBM
     near_beacon_tau: float = 0.25
-    range_d_max: float = 120.0
+    range_d_max: float = D_MAX_FACTOR * ChannelParams.reception_radius_m
 
     def range_of(self, rss_dbm: float, n_exp: float) -> float:
         return _inverse_range(rss_dbm, self.a_dbm, n_exp, self.range_d_max)[0]

@@ -75,36 +75,25 @@ def bucketize(records: Sequence[RoundRecord],
     return ErrorBuckets(edges, tuple(counts), fractions, no_fix)
 
 
-def error_surface(records: Sequence[RoundRecord]) -> list[list[tuple[float, float, float]]]:
+def error_surface(records: Sequence[RoundRecord],
+                  nx: int) -> list[list[tuple[float, float, float]]]:
     """Sweep records as a rectangular grid of (x, y, error) rows.
 
-    Rows are runs of constant true y in record order; every row must
-    repeat the same x sequence. Rounds without a fix carry NaN.
+    The records are a row-major sweep with nx points per row, as
+    sim.sweep_points lays it out, so each row is the next nx records.
+    Rounds without a fix carry NaN.
     """
-    if not records:
-        raise ValueError("no records")
-    rows: list[list[RoundRecord]] = []
-    for r in records:
-        if rows and math.isclose(rows[-1][-1].true_pos[1], r.true_pos[1]):
-            rows[-1].append(r)
-        else:
-            rows.append([r])
-    width = len(rows[0])
-    first_xs = [r.true_pos[0] for r in rows[0]]
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("records do not form a rectangular sweep")
-        for r, x in zip(row, first_xs):
-            if not math.isclose(r.true_pos[0], x):
-                raise ValueError("records do not form a rectangular sweep")
-    return [[(r.true_pos[0], r.true_pos[1],
-              r.error_m if r.error_m is not None else math.nan)
-             for r in row] for row in rows]
+    if nx < 1 or not records or len(records) % nx:
+        raise ValueError("records do not form a rectangular sweep")
+    points = [(r.true_pos[0], r.true_pos[1],
+               r.error_m if r.error_m is not None else math.nan)
+              for r in records]
+    return [points[i:i + nx] for i in range(0, len(points), nx)]
 
 
 @dataclass(frozen=True)
 class Comparison:
-    """Two systems over the same true positions."""
+    """Two systems over the same true positions, equal to the bit."""
 
     median_a: Optional[float]
     median_b: Optional[float]
@@ -128,8 +117,7 @@ def compare(a: Sequence[RoundRecord], b: Sequence[RoundRecord]) -> Comparison:
     if len(a) != len(b):
         raise ValueError("record lists differ in length")
     for ra, rb in zip(a, b):
-        if (not math.isclose(ra.true_pos[0], rb.true_pos[0])
-                or not math.isclose(ra.true_pos[1], rb.true_pos[1])):
+        if ra.true_pos != rb.true_pos:
             raise ValueError(f"true positions differ at round {ra.round_index}")
     errs_a = _errors(a)
     errs_b = _errors(b)
@@ -162,7 +150,7 @@ def write_records_csv(records: Sequence[RoundRecord],
             err = _g(r.error_m)
         lines.append(",".join([
             str(r.round_index), _g(r.true_pos[0]), _g(r.true_pos[1]),
-            est_x, est_y, r.estimate.method.value, err, _g(r.n_used),
+            est_x, est_y, r.estimate.method.value, err, _g(r.estimate.n_used),
         ]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -2,10 +2,11 @@
 
 Binds the channel, lattice, protocol machines and estimator into
 reproducible rounds, every reception sampled through the channel from a
-single seeded stream. A round starts from a link table: the beacons within
-the reception radius of the blind node, in lattice order, each with its
-mean RSS. The blind node is static within a round and a link is symmetric,
-so that mean serves every packet on the link in either direction.
+single seeded stream. A round starts from the channel's link table: the
+beacons within the reception radius of the blind node, in lattice order,
+each with its mean RSS. The blind node is static within a round and a link
+is symmetric, so that mean serves every packet on the link in either
+direction; the calibration link's mean likewise serves every round.
 
 A traced run plays each round through the discrete-event simulator (DES):
 one heap-ordered event queue per round, zero propagation delay, FIFO among
@@ -78,7 +79,7 @@ MAX_BEACONS = 10_000
 @dataclass(frozen=True)
 class EstimatorSettings:
     n_initial: float = 2.0
-    near_beacon_tau: float = 0.25
+    near_beacon_tau: float = est.LocalizerConfig.near_beacon_tau
     adapt: bool = False
     calibration_beacons: tuple[int, int] = (0, 1)
     n_min: float = 1.0
@@ -259,7 +260,6 @@ class RoundRecord:
     true_pos: geo.Point
     estimate: est.Estimate
     error_m: Optional[float]  # absent when there is no fix
-    n_used: float
 
 
 def _calibration_length(s: Scenario) -> float:
@@ -302,18 +302,18 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     )
     state = est.EstimatorState(n_current=s.estimator.n_initial)
     cal_length = _calibration_length(s) if s.estimator.adapt else None
+    # None also when the calibration link is beyond the radius: no draw.
+    cal_mean = None if cal_length is None else chan.link_rss(cal_length, s.channel)
 
     refined_records, baseline_records = [], []
     for idx, true_pos in enumerate(s.positions()):
-        if cal_length is not None:
-            meas = chan.sample_rss(cal_length, s.channel, rng)
-            if meas is not None:
-                rss = float(meas.register_dbm) if s.quantize_rssi else meas.rss_dbm
-                n_new = est.adapt_n(rss, cal_length, state.n_current,
-                                    s.channel.a_dbm, s.estimator.n_min,
-                                    s.estimator.n_max)
-                state = replace(state, n_current=n_new)
-        links = _links(beacons, true_pos, s.channel)
+        if cal_mean is not None:
+            (rss,) = chan.receive((cal_mean,), s.channel, rng, s.quantize_rssi)
+            n_new = est.adapt_n(rss, cal_length, state.n_current,
+                                s.channel.a_dbm, s.estimator.n_min,
+                                s.estimator.n_max)
+            state = replace(state, n_current=n_new)
+        links = chan._links(beacons, true_pos, s.channel)
         if trace is None:
             reports = _batched_round(s, links, rng)
         else:
@@ -330,36 +330,10 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
 
 def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecord:
     err = geo.dist(estimate.pos, true_pos) if estimate.pos is not None else None
-    return RoundRecord(idx, true_pos, estimate, err, estimate.n_used)
+    return RoundRecord(idx, true_pos, estimate, err)
 
 
-Link = tuple[geo.Beacon, float]
-
-
-def _links(beacons: list[geo.Beacon], blind_pos: geo.Point,
-           params: chan.ChannelParams) -> list[Link]:
-    """(beacon, mean RSS) for each beacon in range of the blind node, in
-    lattice order; beacons beyond the radius hear nothing this round.
-
-    Each mean is chan.link_rss(geo.dist(blind_pos, b.pos), params), with
-    both calls' arithmetic written out in the same order.
-    """
-    px, py = blind_pos
-    a_dbm, slope = params.a_dbm, 10.0 * params.n_exp
-    radius = params.reception_radius_m
-    links = []
-    for b in beacons:
-        bx, by = b.pos
-        d = math.hypot(px - bx, py - by)
-        if d > radius:
-            continue
-        if d <= 0:
-            raise ValueError("distance must be positive")
-        links.append((b, a_dbm - slope * math.log10(d)))
-    return links
-
-
-def _batched_round(s: Scenario, links: list[Link],
+def _batched_round(s: Scenario, links: list[chan.Link],
                    rng: np.random.Generator) -> list[est.RssiReport]:
     """The reports _protocol_round collects over the same links, from one
     draw and no events.
@@ -377,7 +351,7 @@ def _batched_round(s: Scenario, links: list[Link],
     return [est.RssiReport(b.pos, avg, n) for (b, _), avg in zip(links, avgs)]
 
 
-def _protocol_round(s: Scenario, links: list[Link],
+def _protocol_round(s: Scenario, links: list[chan.Link],
                     machines: list[proto.BeaconNodeMachine],
                     rng: np.random.Generator, t0: float,
                     trace: Optional[list[str]]) -> list[est.RssiReport]:

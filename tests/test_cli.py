@@ -9,9 +9,12 @@ import math
 import pytest
 
 from gridloc import estimator, harness
-from gridloc.cli import EXIT_ERROR, EXIT_NO_FIX, EXIT_OK, _summary_line, main
-from gridloc.estimator import Estimate, FixMethod
-from gridloc.geometry import Point
+from gridloc.channel import DEFAULT_A_DBM, ChannelParams
+from gridloc.cli import (EXIT_ERROR, EXIT_NO_FIX, EXIT_OK, _build_parser,
+                         _summary_line, main)
+from gridloc.estimator import (Estimate, EstimatorState, FixMethod,
+                               LocalizerConfig)
+from gridloc.geometry import GridSpec, Point
 from gridloc.sim import RoundRecord
 
 
@@ -166,6 +169,17 @@ class TestSimulate:
         assert len(records) == 626
         surface = (out / "surface.csv").read_text()
         assert surface.count("\n\n") == 24
+
+    def test_far_origin_sweep_surface_has_one_block_per_row(self, tmp_path):
+        # 1e12 m out, every row's y is within math.isclose of the next.
+        scenario = tmp_path / "far.json"
+        write_scenario(scenario, grid={"origin": [1e12, 1e12]},
+                       trajectory={"kind": "lattice_sweep", "nx": 5, "ny": 5},
+                       rounds=25)
+        out = tmp_path / "out"
+        assert main(["simulate", str(scenario), "--out", str(out)]) == EXIT_OK
+        blocks = (out / "surface.csv").read_text().split("\n\n")
+        assert [len(block.splitlines()) for block in blocks] == [5] * 5
 
     def test_custom_bucket_edges(self, tmp_path):
         scenario = tmp_path / "s.json"
@@ -338,6 +352,17 @@ class TestSweepByteIdentity:
         assert len(calls) == 3 * 9
 
 
+def test_locate_defaults_are_their_owners_defaults():
+    args = _build_parser().parse_args(["locate", "reports.csv"])
+    grid = GridSpec()
+    assert args.a_dbm == ChannelParams().a_dbm == DEFAULT_A_DBM
+    assert args.n == EstimatorState().n_current
+    assert args.tau == LocalizerConfig(grid).near_beacon_tau
+    assert Point(*map(float, args.origin.split(","))) == grid.origin
+    assert (args.spacing, args.cols, args.rows) == (grid.spacing_m, grid.cols,
+                                                     grid.rows)
+
+
 def test_summary_fraction_is_a_ratio_of_counts():
     # 96 fixes, 87 of them under 1.5 m: 87/96 = 0.90625 prints 0.9062,
     # while summing the bucket fractions (0.9062500000000001) would print
@@ -346,7 +371,7 @@ def test_summary_fraction_is_a_ratio_of_counts():
     records = [RoundRecord(i, Point(1.0, 1.0),
                            Estimate(None, FixMethod.NO_FIX) if e is None
                            else Estimate(Point(1.0 + e, 1.0), FixMethod.REFINED),
-                           e, 2.0)
+                           e)
                for i, e in enumerate(errors)]
     buckets = harness.bucketize(records)
     assert buckets.counts[:3] == (43, 21, 23) and buckets.fixed_count == 96

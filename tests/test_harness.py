@@ -11,15 +11,16 @@ from gridloc.geometry import CellId, Point
 from gridloc.harness import (DEFAULT_BUCKET_EDGES, bucketize, compare,
                              error_surface, write_buckets_csv,
                              write_records_csv, write_surface_csv)
-from gridloc.sim import RoundRecord
+from gridloc.sim import RoundRecord, run_scenario, scenario_from_dict
 
 
 def record(idx, true, err, method=FixMethod.REFINED, n=2.0):
     if err is None:
-        return RoundRecord(idx, Point(*true), Estimate(None, FixMethod.NO_FIX), None, n)
+        return RoundRecord(idx, Point(*true),
+                           Estimate(None, FixMethod.NO_FIX, n_used=n), None)
     ex, ey = true[0] + err, true[1]
     return RoundRecord(idx, Point(*true),
-                       Estimate(Point(ex, ey), method, CellId(0, 0), n), err, n)
+                       Estimate(Point(ex, ey), method, CellId(0, 0), n), err)
 
 
 def records_from_errors(errors):
@@ -79,24 +80,24 @@ class TestErrorSurface:
                 idx += 1
         return recs
 
-    def test_rows_follow_constant_y_runs(self):
-        rows = error_surface(self.sweep_records())
+    def test_rows_are_runs_of_nx_records(self):
+        rows = error_surface(self.sweep_records(), 3)
         assert len(rows) == 2 and all(len(row) == 3 for row in rows)
         assert [y for _, y, _ in rows[0]] == [1.0, 1.0, 1.0]
         assert [x for x, _, _ in rows[1]] == [1.0, 2.0, 3.0]
         assert rows[1][2][2] == pytest.approx(0.5)
 
     def test_no_fix_becomes_nan(self):
-        rows = error_surface(self.sweep_records(no_fix_at=4))
+        rows = error_surface(self.sweep_records(no_fix_at=4), 3)
         assert math.isnan(rows[1][1][2])
 
     def test_ragged_sweep_rejected(self):
         with pytest.raises(ValueError, match="rectangular"):
-            error_surface(self.sweep_records()[:-1])
+            error_surface(self.sweep_records()[:-1], 3)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            error_surface([])
+        with pytest.raises(ValueError, match="rectangular"):
+            error_surface([], 3)
 
 
 class TestCompare:
@@ -129,6 +130,17 @@ class TestCompare:
         b = [record(0, (2.0, 1.0), 0.1)]
         with pytest.raises(ValueError, match="positions"):
             compare(a, b)
+
+    def test_sweeps_of_another_shape_rejected(self):
+        # 1e12 m out, the two sweeps' positions are within math.isclose.
+        def sweep(nx, ny):
+            return run_scenario(scenario_from_dict({
+                "grid": {"origin": [1e12, 1e12]},
+                "trajectory": {"kind": "lattice_sweep", "nx": nx, "ny": ny},
+                "rounds": nx * ny}))
+
+        with pytest.raises(ValueError, match="positions differ"):
+            compare(sweep(5, 5), sweep(25, 1))
 
 
 class TestCsvWriters:

@@ -13,16 +13,15 @@ from hypothesis import strategies as st
 
 from gridloc import channel as chan
 from gridloc import cli
-from gridloc.channel import ChannelParams, link_rss
+from gridloc.channel import ChannelParams, _links, link_rss
 from gridloc.estimator import FixMethod
 from gridloc.geometry import GridSpec, Point, build_lattice, dist
 from gridloc.protocol import BeaconNodeMachine
 from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
                          Scenario, ScenarioError, Static, Waypoints,
-                         _batched_round, _links, _protocol_round,
-                         load_scenario, parse_scenario, run_baseline,
-                         run_scenario, run_with_baseline, scenario_from_dict,
-                         sweep_points)
+                         _batched_round, _protocol_round, load_scenario,
+                         parse_scenario, run_baseline, run_scenario,
+                         run_with_baseline, scenario_from_dict, sweep_points)
 
 
 def noiseless(point=Point(2.0, 2.0), rounds=1, **kwargs) -> Scenario:
@@ -37,7 +36,7 @@ class TestRunScenario:
         assert r.estimate.method is FixMethod.REFINED
         assert r.error_m < 1e-9
         assert r.true_pos == Point(2.0, 2.0)
-        assert r.n_used == 2.0
+        assert r.estimate.n_used == 2.0
 
     def test_identical_runs_identical_records(self):
         s = Scenario(channel=ChannelParams(sigma_dbm=3.0),
@@ -91,7 +90,7 @@ class TestAdaptation:
                       estimator=EstimatorSettings(n_initial=2.0, adapt=True))
         records = run_scenario(s)
         for r in records:
-            assert r.n_used == pytest.approx(3.0, abs=1e-9)
+            assert r.estimate.n_used == pytest.approx(3.0, abs=1e-9)
             assert r.estimate.method is FixMethod.REFINED
             assert r.error_m < 1e-6
 
@@ -99,7 +98,7 @@ class TestAdaptation:
         s = noiseless(Point(1.0, 1.0), channel=ChannelParams(n_exp=3.0),
                       estimator=EstimatorSettings(n_initial=2.0, adapt=False))
         (r,) = run_scenario(s)
-        assert r.n_used == 2.0
+        assert r.estimate.n_used == 2.0
         assert r.error_m > 0.1
 
     def test_adaptation_survives_quantization(self):
@@ -107,7 +106,16 @@ class TestAdaptation:
                       estimator=EstimatorSettings(n_initial=2.0, adapt=True),
                       quantize_rssi=True)
         (r,) = run_scenario(s)
-        assert abs(r.n_used - 3.0) < 0.1
+        assert abs(r.estimate.n_used - 3.0) < 0.1
+
+    def test_calibration_link_beyond_the_radius_draws_nothing(self):
+        # Beacons 0 and 1 are 4 m apart: no round hears the calibration
+        # packet, so the stream and the exponent are those of a run
+        # without adaptation.
+        runs = [run_scenario(sweep_scenario(42, 3.0, quantize, adapt, 3, 3.5))
+                for quantize in (False, True) for adapt in (False, True)]
+        assert runs[0] == runs[1] and runs[2] == runs[3]
+        assert {r.estimate.n_used for r in runs[1] + runs[3]} == {2.0}
 
 
 class TestQuantization:
