@@ -141,7 +141,7 @@ def _parse_edges(text: Optional[str]) -> Sequence[float]:
     if text is None:
         return harness.DEFAULT_BUCKET_EDGES
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return harness._check_edges([float(v) for v in text.split(",") if v.strip()])
     except ValueError as exc:
         raise ValueError(f"--buckets: {exc}") from exc
 

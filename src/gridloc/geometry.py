@@ -48,6 +48,9 @@ class GridSpec:
             raise GeometryError("origin must be finite")
         if not 0 < self.spacing_m < math.inf:
             raise GeometryError("spacing_m must be positive and finite")
+        # Closer lines leave a coordinate within COORD_TOL of two of them.
+        if self.spacing_m <= 2 * COORD_TOL:
+            raise GeometryError(f"spacing_m must be more than 2 * COORD_TOL, {2 * COORD_TOL:g} m")
         if self.cols < 2 or self.rows < 2:
             raise GeometryError("lattice needs at least 2 columns and 2 rows")
 

@@ -53,6 +53,8 @@ def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
     edges = tuple(float(e) for e in edges)
     if not edges:
         raise ValueError("need at least one bucket edge")
+    if not all(map(math.isfinite, edges)):
+        raise ValueError("bucket edges must be finite")
     if any(e <= 0 for e in edges):
         raise ValueError("bucket edges must be positive")
     if any(b <= a for a, b in zip(edges, edges[1:])):

@@ -4,6 +4,11 @@ One ranging round: the blind node broadcasts a start command, waits for an
 acknowledgement, fires a fixed count of strength-test packets at a fixed
 gap, asks every beacon for its accumulated average, then computes. Beacons
 accumulate per-blind sample buffers and answer average requests.
+
+The machines are the protocol's reference. The oracle in tests/test_sim.py
+drives them packet by packet, and gridloc.sim plays the fixed schedule they
+follow over a lossless, zero-delay channel; its traces use the messages and
+format_trace_line defined here.
 """
 
 from __future__ import annotations

@@ -1,36 +1,27 @@
 """Deterministic scenario runs.
 
-Binds the channel, lattice, protocol machines and estimator into
-reproducible rounds, every reception sampled through the channel from a
-single seeded stream. A round starts from the channel's link table: the
-beacons within the reception radius of the blind node, in lattice order,
-each with its mean RSS. The blind node is static within a round and a link
-is symmetric, so that mean serves every packet on the link in either
-direction; the calibration link's mean likewise serves every round.
+Binds the channel, lattice, protocol and estimator into reproducible
+rounds, every reception sampled through the channel from a single seeded
+stream. A round starts from the channel's link table: the beacons within
+the reception radius of the blind node, in lattice order, each with its
+mean RSS. The blind node is static within a round and a link is symmetric,
+so that mean serves every packet on the link in either direction; the
+calibration link's mean likewise serves every round.
 
-A traced run plays each round through the discrete-event simulator (DES):
-one heap-ordered event queue per round, zero propagation delay, FIFO among
-same-time events. A broadcast is one queue entry carrying one level per
-beacon in the table, all drawn with one channel call when it is sent, and
-it is fanned out to those beacons in order when it is popped. Its
-deliveries would be consecutive in FIFO order anyway, so events and draws
-keep their order. A beacon's reply reuses its link's mean and takes one
-draw.
-
-A run without a trace takes the batched engine, which gives the same
-reports from one draw per round and no events. That is exact because
-every packet has zero delay and every packet within the radius arrives,
-and validation keeps every timer after the packets it waits for. So with k
-beacons in range a round always draws the same k·(accum_count + 4) normals
-in the same order: start broadcast, k acks, accum_count test broadcasts,
-request, k responses. The DES stays as the oracle the batched engine is
-tested against.
+Every packet has zero delay and every packet within the radius arrives,
+and validation keeps every timer after the packets it waits for, so each
+round of the protocol in gridloc.protocol follows one fixed schedule. With
+k beacons in range: the start broadcast and the k acks at the round's
+start, accum_count test broadcasts one inter-test gap apart, then the
+request and the k responses one gap after the last test. _batched_round
+takes that schedule's k·(accum_count + 4) normals in one draw, in that
+order, and _trace_round writes its messages when a trace is asked for.
+The discrete-event simulator that drives the protocol machines packet by
+packet is the oracle in tests/test_sim.py.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -168,9 +159,9 @@ class Scenario:
             if beacon is not None:
                 raise ScenarioError("trajectory",
                                     f"point {i} coincides with beacon {beacon}")
-        # Every event time stays below twice rounds * round_interval_ms, so
-        # a wait longer than one step of the clock there always ends after
-        # the packets it waits for.
+        # Every message time stays below twice rounds * round_interval_ms,
+        # so a wait longer than one step of the clock there always ends
+        # after the packets it waits for.
         tick = math.ulp(self.rounds * p.round_interval_ms)
         for key in ("ack_timeout_ms", "response_window_ms"):
             if getattr(p, key) <= tick:
@@ -268,8 +259,8 @@ def _calibration_length(s: Scenario) -> float:
 
 
 def run_scenario(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
-    """Play every round, through the DES when a trace list is given and
-    the batched engine otherwise, and localize each report set."""
+    """Play every round, localize each report set, and append each round's
+    messages to trace when a list is given."""
     return _run(s, trace, refined=True, baseline=False)[0]
 
 
@@ -293,7 +284,6 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     s.validate()
     rng = np.random.Generator(np.random.PCG64(s.seed))
     beacons = geo.build_lattice(s.grid)
-    machines = [proto.BeaconNodeMachine(f"b{b.id}", b.pos) for b in beacons]
     cfg = est.LocalizerConfig(
         grid=s.grid,
         a_dbm=s.channel.a_dbm,
@@ -314,11 +304,10 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
                                 s.estimator.n_max)
             state = replace(state, n_current=n_new)
         links = chan._links(beacons, true_pos, s.channel)
-        if trace is None:
-            reports = _batched_round(s, links, rng)
-        else:
-            reports = _protocol_round(s, links, machines, rng,
-                                      idx * s.protocol.round_interval_ms, trace)
+        reports = _batched_round(s, links, rng)
+        if trace is not None:
+            _trace_round(s.protocol, links, reports,
+                         idx * s.protocol.round_interval_ms, trace)
         if baseline:
             estimate = est.centroid_estimate(reports, state.n_current, s.grid)
             baseline_records.append(_record(idx, true_pos, estimate))
@@ -335,10 +324,9 @@ def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecor
 
 def _batched_round(s: Scenario, links: list[chan.Link],
                    rng: np.random.Generator) -> list[est.RssiReport]:
-    """The reports _protocol_round collects over the same links, from one
-    draw and no events.
+    """The reports of one round over links, from one draw.
 
-    Rows of the block, in the DES's draw order: the start broadcast, the
+    Rows of the block, in the schedule's order: the start broadcast, the
     acks, accum_count test broadcasts, the request, the responses.
     """
     n = s.protocol.accum_count
@@ -351,51 +339,24 @@ def _batched_round(s: Scenario, links: list[chan.Link],
     return [est.RssiReport(b.pos, avg, n) for (b, _), avg in zip(links, avgs)]
 
 
-def _protocol_round(s: Scenario, links: list[chan.Link],
-                    machines: list[proto.BeaconNodeMachine],
-                    rng: np.random.Generator, t0: float,
-                    trace: Optional[list[str]]) -> list[est.RssiReport]:
-    p = s.protocol
-    blind = proto.BlindNodeMachine(
-        "m0", accum_count=p.accum_count,
-        inter_test_gap_ms=p.inter_test_gap_ms,
-        response_window_ms=p.response_window_ms,
-        ack_timeout_ms=p.ack_timeout_ms,
-    )
-    means = [mean for _, mean in links]
-    heap: list[tuple[float, int, str, object, Optional[list[float]]]] = []
-    seq = itertools.count()
-
-    def push(t: float, dst: str, payload: object,
-             levels: Optional[list[float]]) -> None:
-        heapq.heappush(heap, (t, next(seq), dst, payload, levels))
-
-    push(t0, blind.id, proto.StartRound(), None)
-    while heap:
-        t, _, dst, payload, levels = heapq.heappop(heap)
-        if dst == blind.id:
-            blind, emissions = proto.blind_step(blind, payload, t)
-            for out, t_send in emissions:
-                if isinstance(out, proto.TimerFired):
-                    push(t_send, blind.id, out, None)
-                    continue
-                if trace is not None:
-                    trace.append(proto.format_trace_line(
-                        t_send, blind.id, proto.BROADCAST, out))
-                # One entry per broadcast, every beacon's level drawn now.
-                push(t_send, proto.BROADCAST, out,
-                     chan.receive(means, s.channel, rng, s.quantize_rssi))
-            continue
-        # Fan a broadcast out to the beacons in table order.
-        for (b, mean), level in zip(links, levels):
-            machine, outgoing = proto.beacon_step(machines[b.id], payload, level, t)
-            machines[b.id] = machine
-            for out in outgoing:
-                if trace is not None:
-                    trace.append(proto.format_trace_line(t, machine.id, blind.id, out))
-                push(t, blind.id, out,
-                     chan.receive((mean,), s.channel, rng, s.quantize_rssi))
-    return list(blind.collected)
+def _trace_round(p: ProtocolSettings, links: list[chan.Link],
+                 reports: list[est.RssiReport], t0: float, trace: list[str]) -> None:
+    """Append the messages of one round's schedule, from t0 on, to trace."""
+    line, blind = proto.format_trace_line, "m0"
+    trace.append(line(t0, blind, proto.BROADCAST, proto.LocationStart(blind)))
+    if not links:
+        return
+    ids = [f"b{b.id}" for b, _ in links]
+    trace.extend(line(t0, i, blind, proto.Ack(i)) for i in ids)
+    # The gap is added once per test, as the blind machine's timer adds it;
+    # t0 + j * gap can round differently.
+    t = t0
+    for seq in range(1, p.accum_count + 1):
+        trace.append(line(t, blind, proto.BROADCAST, proto.RssiTest(blind, seq)))
+        t += p.inter_test_gap_ms
+    trace.append(line(t, blind, proto.BROADCAST, proto.RssiAvgRequest(blind)))
+    trace.extend(line(t, i, blind, proto.RssiAvgResponse(
+        i, r.beacon_pos, r.avg_rssi_dbm, r.sample_count)) for i, r in zip(ids, reports))
 
 
 # Scenario files are JSON. Each object is one settings dataclass: its keys

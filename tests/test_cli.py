@@ -191,6 +191,18 @@ class TestSimulate:
         assert lines[0] == "edge_lo,edge_hi,count,fraction"
         assert len(lines) == 4  # [0,1), [1,2), [2,inf)
 
+    @pytest.mark.parametrize("edges,message", [
+        ("2,1", "bucket edges must be strictly increasing"),
+        ("0.5,nan,1.5", "bucket edges must be finite"),
+    ])
+    def test_bad_bucket_edges_rejected_before_the_run(self, tmp_path, capsys,
+                                                      edges, message):
+        out = tmp_path / "out"
+        assert main(["simulate", "paper_sweep", "--buckets", edges,
+                     "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --buckets: {message}\n"
+        assert not (out / "records.csv").exists()
+
     def test_invalid_scenario_file(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         scenario.write_text('{"trajectory": {"kind": "orbit"}}')
@@ -283,6 +295,14 @@ class TestSweep:
         write_scenario(scenario)
         assert main(["sweep", str(scenario), "--vary", "sigma=a,b"]) == EXIT_ERROR
         assert "--vary" in capsys.readouterr().err
+
+    def test_sub_tolerance_spacing_rejected(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        write_scenario(scenario)
+        assert main(["sweep", str(scenario), "--vary", "spacing=1e-6",
+                     "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        assert (capsys.readouterr().err
+                == "error: spacing_m must be more than 2 * COORD_TOL, 2e-06 m\n")
 
 
 def sweep_digests(tmp_path, capsys, vary, seed, quantize=False, adapt=False):

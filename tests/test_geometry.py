@@ -54,6 +54,7 @@ class TestGridSpec:
         {"origin": Point(math.nan, 0.0)},
         {"spacing_m": math.inf},
         {"spacing_m": math.nan},
+        {"spacing_m": 2e-6},
     ])
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(GeometryError):

@@ -68,6 +68,13 @@ class TestBucketize:
         with pytest.raises(ValueError):
             bucketize([], edges=edges)
 
+    @pytest.mark.parametrize("edges", [[0.5, math.nan, 1.5], [1.0, math.inf]])
+    def test_non_finite_edges_rejected(self, edges):
+        # nan passes both the positive and the increasing check.
+        with pytest.raises(ValueError) as info:
+            bucketize([], edges=edges)
+        assert str(info.value) == "bucket edges must be finite"
+
 
 class TestErrorSurface:
     def sweep_records(self, nx=3, ny=2, no_fix_at=None):

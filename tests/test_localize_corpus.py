@@ -18,16 +18,11 @@ from gridloc.channel import ChannelParams, distance_to_rss
 from gridloc.estimator import (EstimatorState, FixMethod, LocalizerConfig,
                                RssiReport, localize, refine_in_cell,
                                select_top4)
-from gridloc.geometry import (COORD_TOL, GridSpec, Point, build_lattice,
-                              cell_of_corners, dist)
+from gridloc.geometry import (COORD_TOL, GeometryError, GridSpec, Point,
+                              build_lattice, cell_of_corners, dist)
 
 # sha256 of the corpus lines, one per localize call, each field as float.hex.
 CORPUS_SHA256 = "34511fa63555d392bbf807f9fb9b0d81e810e8c9596c5df02ab2e6e61b4d1a7f"
-# The same over the fine-lattice sets alone. That pin holds a known defect,
-# recorded in CHANGES.md: with spacing at or below 2·COORD_TOL, one report's
-# range can go to two corners of the cell. Kept apart so that mending it
-# leaves CORPUS_SHA256 as it is.
-FINE_LATTICE_SHA256 = "7d500e5190ef3fbb9c805b16ed1b0f64184f3c3081bdcd04041b1835a99c7b15"
 
 
 def _hex(v) -> str:
@@ -98,24 +93,6 @@ def _degenerate() -> list[list[RssiReport]]:
     ]
 
 
-def _fine_lattice(seed: int) -> tuple[GridSpec, list[list[RssiReport]]]:
-    """Report sets on a lattice whose spacing is 1.5·COORD_TOL, beacon
-    coordinates moved by up to ±0.6·COORD_TOL: a coordinate may lie
-    within tolerance of both sides of a cell. Signal strengths fall off
-    with distance in cell spacings, so the ranges differ."""
-    grid = GridSpec(spacing_m=1.5 * COORD_TOL)
-    rnd = random.Random(seed)
-    sets = []
-    for _ in range(400):
-        blind = Point(rnd.uniform(0, grid.width_m), rnd.uniform(0, grid.height_m))
-        sets.append([RssiReport(Point(b.pos[0] + rnd.uniform(-0.6, 0.6) * COORD_TOL,
-                                      b.pos[1] + rnd.uniform(-0.6, 0.6) * COORD_TOL),
-                                -45.0 + rnd.gauss(0.0, 0.5) - 20.0 * math.log10(
-                                    max(dist(b.pos, blind) / grid.spacing_m, 1e-3)))
-                     for b in build_lattice(grid)])
-    return grid, sets
-
-
 def _corpus() -> list[str]:
     lines = []
     sweeps = [_sweep_calls(sigma, quantize)
@@ -132,17 +109,6 @@ def _corpus() -> list[str]:
             lines.append(_line(est, state))
         for reports in _degenerate():
             lines.append(_line(*localize(reports, EstimatorState(n_current=n), config)))
-    return lines
-
-
-def _fine_lattice_corpus() -> list[str]:
-    grid, sets = _fine_lattice(3)
-    config = LocalizerConfig(grid=grid)
-    lines = []
-    state = EstimatorState()
-    for reports in sets:
-        est, state = localize(reports, state, config)
-        lines.append(_line(est, state))
     return lines
 
 
@@ -166,13 +132,20 @@ def test_localize_output_is_pinned(corpus):
     assert _digest(corpus) == CORPUS_SHA256
 
 
-def test_fine_lattice_output_is_pinned():
-    assert _digest(_fine_lattice_corpus()) == FINE_LATTICE_SHA256
+@pytest.mark.parametrize("spacing", [1e-6, 1.5 * COORD_TOL, 2 * COORD_TOL])
+def test_fine_lattice_is_rejected(spacing):
+    # On a lattice this fine a beacon coordinate can lie within COORD_TOL
+    # of both sides of a cell, and one report's range would go to two
+    # corners of it.
+    with pytest.raises(GeometryError) as info:
+        GridSpec(spacing_m=spacing)
+    assert str(info.value) == "spacing_m must be more than 2 * COORD_TOL, 2e-06 m"
 
 
 @st.composite
 def report_sets(draw):
-    spacing = draw(st.sampled_from([1e-6, 1.5e-6, 0.5, 4.0, 7.3]))
+    spacing = draw(st.sampled_from([math.nextafter(2 * COORD_TOL, math.inf),
+                                    0.5, 4.0, 7.3]))
     cols = draw(st.integers(2, 4))
     rows = draw(st.integers(2, 4))
     origin = Point(draw(st.floats(-50, 50)), draw(st.floats(-50, 50)))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
+import itertools
 import json
 import math
 
@@ -12,20 +15,119 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gridloc import channel as chan
-from gridloc import cli
+from gridloc import cli, estimator
+from gridloc import protocol as proto
 from gridloc.channel import ChannelParams, _links, link_rss
 from gridloc.estimator import FixMethod
-from gridloc.geometry import GridSpec, Point, build_lattice, dist
-from gridloc.protocol import BeaconNodeMachine
+from gridloc.geometry import COORD_TOL, GridSpec, Point, build_lattice, dist
 from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
                          Scenario, ScenarioError, Static, Waypoints,
-                         _batched_round, _protocol_round, load_scenario,
-                         parse_scenario, run_baseline, run_scenario,
-                         run_with_baseline, scenario_from_dict, sweep_points)
+                         _batched_round, load_scenario, parse_scenario,
+                         run_baseline, run_scenario, run_with_baseline,
+                         scenario_from_dict, sweep_points)
 
 
 def noiseless(point=Point(2.0, 2.0), rounds=1, **kwargs) -> Scenario:
     return Scenario(trajectory=Static(point), rounds=rounds, **kwargs)
+
+
+# The oracle: a discrete-event simulator (DES) that drives the protocol
+# machines packet by packet. One heap-ordered event queue per round, zero
+# propagation delay, FIFO among same-time events. A broadcast is one queue
+# entry carrying one level per beacon in the link table, all drawn with one
+# channel call when it is sent, and it is fanned out to those beacons in
+# table order when it is popped, where one delivery per beacon would sit in
+# FIFO order. A beacon's reply reuses its link's mean and takes one draw.
+
+
+def _protocol_round(s: Scenario, links, machines, rng, t0: float, trace):
+    """One round's collected reports, each message appended to trace
+    unless it is None; machines holds each beacon's machine by id."""
+    p = s.protocol
+    blind = proto.BlindNodeMachine(
+        "m0", accum_count=p.accum_count,
+        inter_test_gap_ms=p.inter_test_gap_ms,
+        response_window_ms=p.response_window_ms,
+        ack_timeout_ms=p.ack_timeout_ms,
+    )
+    means = [mean for _, mean in links]
+    heap = []
+    seq = itertools.count()
+
+    def push(t, dst, payload, levels):
+        heapq.heappush(heap, (t, next(seq), dst, payload, levels))
+
+    push(t0, blind.id, proto.StartRound(), None)
+    while heap:
+        t, _, dst, payload, levels = heapq.heappop(heap)
+        if dst == blind.id:
+            blind, emissions = proto.blind_step(blind, payload, t)
+            for out, t_send in emissions:
+                if isinstance(out, proto.TimerFired):
+                    push(t_send, blind.id, out, None)
+                    continue
+                if trace is not None:
+                    trace.append(proto.format_trace_line(
+                        t_send, blind.id, proto.BROADCAST, out))
+                push(t_send, proto.BROADCAST, out,
+                     chan.receive(means, s.channel, rng, s.quantize_rssi))
+            continue
+        for (b, mean), level in zip(links, levels):
+            machine, outgoing = proto.beacon_step(machines[b.id], payload, level, t)
+            machines[b.id] = machine
+            for out in outgoing:
+                if trace is not None:
+                    trace.append(proto.format_trace_line(t, machine.id, blind.id, out))
+                push(t, blind.id, out,
+                     chan.receive((mean,), s.channel, rng, s.quantize_rssi))
+    return list(blind.collected)
+
+
+def _machines(beacons):
+    return [proto.BeaconNodeMachine(f"b{b.id}", b.pos) for b in beacons]
+
+
+@functools.cache
+def des_play(s: Scenario) -> tuple[list, list[str]]:
+    """Every round's report set and the whole trace, from the DES. An
+    adapting round first takes its calibration draw, as the engine does."""
+    s.validate()
+    rng = np.random.Generator(np.random.PCG64(s.seed))
+    beacons = build_lattice(s.grid)
+    machines = _machines(beacons)
+    cal_mean = None
+    if s.estimator.adapt:
+        a, b = s.estimator.calibration_beacons
+        cal_mean = link_rss(dist(s.grid.position_of(a), s.grid.position_of(b)),
+                            s.channel)
+    sets, trace = [], []
+    for idx, pos in enumerate(s.positions()):
+        if cal_mean is not None:
+            chan.receive((cal_mean,), s.channel, rng, s.quantize_rssi)
+        sets.append(_protocol_round(s, _links(beacons, pos, s.channel), machines,
+                                    rng, idx * s.protocol.round_interval_ms, trace))
+    return sets, trace
+
+
+def engine_play(run, s: Scenario):
+    """run(s, trace)'s result and trace, and the report sets the run passes
+    to localize and to centroid_estimate."""
+    sets = {"localize": [], "centroid_estimate": []}
+    trace: list[str] = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, calls in sets.items():
+            def recording(reports, *args, _original=getattr(estimator, name),
+                          _calls=calls):
+                _calls.append(list(reports))
+                return _original(reports, *args)
+            mp.setattr(estimator, name, recording)
+        result = run(s, trace)
+    return result, trace, sets
+
+
+def report_fields(report_sets):
+    return [[(r.beacon_pos, type(r.avg_rssi_dbm), r.avg_rssi_dbm.hex(),
+              r.sample_count) for r in reports] for reports in report_sets]
 
 
 class TestRunScenario:
@@ -213,7 +315,7 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("case", list(PINS), ids=lambda c: "-".join(map(str, c)))
     def test_untraced_records_match_pinned_digest(self, tmp_path, case):
-        # Without --trace the batched engine runs, not the DES.
+        # Writing the trace leaves the records as they are.
         assert simulate_digests(tmp_path, *case, trace=False) == self.PINS[case][:1]
 
     # The DES cases keep the ids they had before the batched engine existed.
@@ -235,8 +337,7 @@ class TestByteIdentity:
         k = sum(dist(point, b.pos) <= radius for b in beacons)
         rng = np.random.Generator(np.random.PCG64(3))
         if engine == "des":
-            machines = [BeaconNodeMachine(f"b{b.id}", b.pos) for b in beacons]
-            reports = _protocol_round(s, links, machines, rng, 0.0, None)
+            reports = _protocol_round(s, links, _machines(beacons), rng, 0.0, None)
         else:
             reports = _batched_round(s, links, rng)
         assert len(reports) == k
@@ -297,16 +398,10 @@ class TestRoundEngines:
                      quantize_rssi=quantize, trajectory=Static(self.POINT))
         links = _links(beacons, self.POINT, s.channel)
         assert len(links) == heard
-        machines = [BeaconNodeMachine(f"b{b.id}", b.pos) for b in beacons]
-        des = _protocol_round(s, links, machines,
+        des = _protocol_round(s, links, _machines(beacons),
                               np.random.Generator(np.random.PCG64(11)), 0.0, None)
         batched = _batched_round(s, links, np.random.Generator(np.random.PCG64(11)))
-
-        def fields(reports):
-            return [(r.beacon_pos, type(r.avg_rssi_dbm), r.avg_rssi_dbm.hex(),
-                     r.sample_count) for r in reports]
-
-        assert fields(batched) == fields(des)
+        assert report_fields([batched]) == report_fields([des])
 
     def test_batched_average_adds_left_to_right(self, monkeypatch):
         # Compensated, these test levels add to 2.0; in order, to 1.0.
@@ -338,7 +433,9 @@ def sweep_scenario(seed, sigma, quantize, adapt, cols, radius, n=4, **sections):
 
 # Seeds x noise x quantize x adapt on three lattices: 3 x 3, 10 x 10 (its
 # hull is wider than the radius) and 6 x 6 at a 9 m radius; then a short
-# protocol, back-to-back tests, and a radius at which no round has a fix.
+# protocol, back-to-back tests, a gap whose sums round differently from its
+# multiples, a radius at which no round has a fix, and the shortest and
+# longest waits tried.
 ORACLE_CASES = [
     pytest.param(sweep_scenario(seed, sigma, quantize, adapt, cols, radius, n),
                  id=f"{seed}-{sigma}-{quantize}-{adapt}-{cols}-{radius}")
@@ -352,23 +449,61 @@ ORACLE_CASES = [
                                 protocol={"accum_count": 3}), id="accum-3"),
     pytest.param(sweep_scenario(7, 3.0, False, True, 3, 30.0,
                                 protocol={"inter_test_gap_ms": 0.0}), id="gap-0"),
+    # From t0 = 2000 ms, 0.0001 ms added five times prints 2000.000, but
+    # t0 + 5 * 0.0001 prints 2000.001.
+    pytest.param(sweep_scenario(42, 3.0, False, False, 3, 30.0,
+                                protocol={"inter_test_gap_ms": 0.0001}), id="gap-0.0001"),
     pytest.param(sweep_scenario(42, 3.0, False, False, 3, 2.5), id="all-no-fix"),
+    pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0, protocol={
+        "ack_timeout_ms": 0.3, "response_window_ms": 0.3}), id="waits-0.3"),
+    pytest.param(sweep_scenario(7, 3.0, True, True, 6, 9.0, protocol={
+        "ack_timeout_ms": 5000.0, "response_window_ms": 5000.0,
+        "round_interval_ms": 6000.0}), id="waits-5000"),
 ]
+
+
+def assert_matches_the_des(s: Scenario, run) -> None:
+    """run(s, trace) passes the DES's report sets to each localizer it
+    calls and writes the DES's trace; its records are those of run(s)."""
+    des_sets, des_trace = des_play(s)
+    result, trace, sets = engine_play(run, s)
+    assert trace == des_trace
+    if run is not run_baseline:
+        assert report_fields(sets["localize"]) == report_fields(des_sets)
+    if run is not run_scenario:
+        assert report_fields(sets["centroid_estimate"]) == report_fields(des_sets)
+    assert result == run(s)
 
 
 @pytest.mark.parametrize("run", [run_scenario, run_baseline, run_with_baseline],
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("s", ORACLE_CASES)
 def test_batched_engine_matches_the_des(s, run):
-    trace: list[str] = []
-    untraced = run(s)
-    assert untraced == run(s, trace)
+    assert_matches_the_des(s, run)
     if run is run_with_baseline:
-        # One play of the rounds gives both systems' records, and the
-        # trace run_scenario writes.
-        alone: list[str] = []
-        assert untraced == (run_scenario(s, alone), run_baseline(s, []))
-        assert trace == alone
+        # One play of the rounds gives both systems' records.
+        assert run(s) == (run_scenario(s), run_baseline(s))
+
+
+@pytest.mark.parametrize("s", [
+    pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0), id="adapt"),
+    pytest.param(sweep_scenario(42, 3.0, False, False, 6, 9.0), id="partial"),
+])
+def test_run_with_baseline_writes_the_trace_of_run_scenario(s):
+    alone: list[str] = []
+    both: list[str] = []
+    run_scenario(s, alone)
+    run_with_baseline(s, both)
+    assert both == alone and alone
+
+
+def test_round_with_no_beacon_in_range_traces_one_line():
+    # Every beacon is 2.83 m from the cell center.
+    s = noiseless(Point(2.0, 2.0), channel=ChannelParams(reception_radius_m=2.5))
+    trace: list[str] = []
+    (record,) = run_scenario(s, trace)
+    assert record.estimate.method is FixMethod.NO_FIX
+    assert trace == ["0.000,m0,*,location_start,m0"] == des_play(s)[1]
 
 
 @st.composite
@@ -405,8 +540,7 @@ def small_scenarios(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(small_scenarios())
 def test_batched_engine_matches_the_des_on_any_valid_scenario(s):
-    assert run_scenario(s) == run_scenario(s, trace=[])
-    assert run_baseline(s) == run_baseline(s, trace=[])
+    assert_matches_the_des(s, run_with_baseline)
     assert run_with_baseline(s) == (run_scenario(s), run_baseline(s))
 
 
@@ -484,6 +618,9 @@ class TestTrajectories:
 
 
 MINIMAL = {"trajectory": {"kind": "static", "point": [2.0, 2.0]}}
+SUB_TOLERANCE = "grid: spacing_m must be more than 2 * COORD_TOL, 2e-06 m"
+# The smallest spacing a lattice may have.
+ABOVE_TOLERANCE = math.nextafter(2 * COORD_TOL, math.inf)
 
 
 class TestScenarioParsing:
@@ -557,7 +694,7 @@ class TestScenarioParsing:
          "protocol.round_interval_ms: must be positive and finite"),
         ({"protocol": {"round_interval_ms": math.inf}},
          "protocol.round_interval_ms: must be positive and finite"),
-        # The DES's clock at t = 1000 ms cannot resolve a 1e-14 ms wait.
+        # The protocol's clock at t = 1000 ms cannot resolve a 1e-14 ms wait.
         ({"protocol": {"ack_timeout_ms": 1e-14}, "rounds": 2},
          "protocol.ack_timeout_ms: must be longer than one clock step, 2.27374e-13 ms"),
         ({"protocol": {"accum_count": 10**400}}, "protocol.accum_count: too large"),
@@ -600,23 +737,29 @@ class TestScenarioParsing:
         ({"grid": {"origin": [1e12, -1e12], "spacing_m": 0.25, "cols": 5, "rows": 5},
           "trajectory": {"kind": "static", "point": [1e12 + 0.5, -1e12 + 0.75]}},
          "trajectory: point 0 coincides with beacon 17"),
-        # Spacings below COORD_TOL: several beacons coincide with the point.
+        # Spacings at or below 2 * COORD_TOL, where a point could lie within
+        # COORD_TOL of two lattice lines, are rejected with the grid.
         ({"grid": {"spacing_m": 1e-7},
-          "trajectory": {"kind": "static", "point": [1e-7, 1e-7]}},
-         "trajectory: point 0 coincides with beacon 0"),
+          "trajectory": {"kind": "static", "point": [1e-7, 1e-7]}}, SUB_TOLERANCE),
         ({"grid": {"spacing_m": 4e-7, "cols": 5, "rows": 5},
-          "trajectory": {"kind": "static", "point": [1.6e-6, 1.6e-6]}},
-         "trajectory: point 0 coincides with beacon 13"),
+          "trajectory": {"kind": "static", "point": [1.6e-6, 1.6e-6]}}, SUB_TOLERANCE),
         ({"grid": {"spacing_m": 4e-7, "cols": 5, "rows": 5},
-          "trajectory": {"kind": "static", "point": [1.1e-6, 0.9e-6]}},
-         "trajectory: point 0 coincides with beacon 2"),
+          "trajectory": {"kind": "static", "point": [1.1e-6, 0.9e-6]}}, SUB_TOLERANCE),
         ({"grid": {"spacing_m": 5e-324, "cols": 4, "rows": 4},
-          "trajectory": {"kind": "static", "point": [0.0, 0.0]}},
-         "trajectory: point 0 coincides with beacon 0"),
+          "trajectory": {"kind": "static", "point": [0.0, 0.0]}}, SUB_TOLERANCE),
         # A lattice wider than the largest float.
         ({"grid": {"origin": [-1e308, 0.0], "spacing_m": 1e308},
           "trajectory": {"kind": "static", "point": [0.0, 0.0]}},
          "trajectory: point 0 coincides with beacon 1"),
+        ({"grid": {"spacing_m": 2 * COORD_TOL},
+          "trajectory": {"kind": "static", "point": [1e-6, 0.0]}}, SUB_TOLERANCE),
+        # Just above it, only the nearer beacon is within COORD_TOL.
+        ({"grid": {"spacing_m": ABOVE_TOLERANCE},
+          "trajectory": {"kind": "static", "point": [1e-6, 0.0]}},
+         "trajectory: point 0 coincides with beacon 0"),
+        ({"grid": {"spacing_m": ABOVE_TOLERANCE},
+          "trajectory": {"kind": "static", "point": [1e-6, ABOVE_TOLERANCE]}},
+         "trajectory: point 0 coincides with beacon 3"),
     ])
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
@@ -694,19 +837,25 @@ class TestScenarioParsing:
     @settings(max_examples=300, deadline=None)
     @given(origin=st.sampled_from([(0.0, 0.0), (-3.5, 10.25), (1e12, -1e12)]),
            spacing=st.sampled_from([5e-324, 1e-7, 4e-7, 1e-6, 1.5e-6, 2e-6,
-                                    0.25, 4.0]),
+                                    ABOVE_TOLERANCE, 0.25, 4.0]),
            cols=st.integers(2, 6), rows=st.integers(2, 6),
            vertex=st.tuples(st.integers(0, 5), st.integers(0, 5)),
            offset=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
     def test_coincident_beacon_is_the_lowest_id_in_tolerance(
             self, origin, spacing, cols, rows, vertex, offset):
+        grid_doc = {"origin": list(origin), "spacing_m": spacing,
+                    "cols": cols, "rows": rows}
+        if spacing <= 2 * COORD_TOL:
+            with pytest.raises(ScenarioError) as info:
+                scenario_from_dict(dict(MINIMAL, grid=grid_doc))
+            assert str(info.value) == SUB_TOLERANCE
+            return
         grid = GridSpec(origin=Point(*origin), spacing_m=spacing, cols=cols, rows=rows)
         near = grid.beacon_position(min(vertex[0], cols - 1), min(vertex[1], rows - 1))
         point = grid.clamp(Point(near[0] + offset[0] * 1e-6, near[1] + offset[1] * 1e-6))
         want = next((b.id for b in build_lattice(grid) if dist(point, b.pos) <= 1e-6),
                     None)
-        data = dict(MINIMAL, grid={"origin": list(origin), "spacing_m": spacing,
-                                   "cols": cols, "rows": rows},
+        data = dict(MINIMAL, grid=grid_doc,
                     trajectory={"kind": "static", "point": list(point)})
         if want is None:
             assert scenario_from_dict(data).grid == grid
