@@ -1,8 +1,7 @@
 """RSSI grid localization engine and protocol simulator."""
 
 from .channel import (ChannelParams, RangeEstimate, RssMeasurement,
-                      distance_to_rss, register_to_rss, rss_to_distance,
-                      sample_rss)
+                      distance_to_rss, rss_to_distance, sample_rss)
 from .estimator import (Estimate, EstimatorState, FixMethod, LocalizerConfig,
                         RssiReport, adapt_n, localize, near_beacon_estimate,
                         pair_split_estimate, refine_in_cell, select_top4,
@@ -29,8 +28,8 @@ __all__ = [
     "containing_cell", "distance_to_rss", "error_surface", "is_rectangle",
     "load_scenario", "localize", "near_beacon_estimate",
     "pair_split_estimate", "parse_scenario", "refine_in_cell",
-    "register_to_rss", "rss_to_distance", "run_baseline", "run_scenario",
-    "run_with_baseline", "sample_rss", "select_top4", "sweep_points",
-    "weighted_centroid", "write_buckets_csv", "write_records_csv",
-    "write_surface_csv", "__version__",
+    "rss_to_distance", "run_baseline", "run_scenario", "run_with_baseline",
+    "sample_rss", "select_top4", "sweep_points", "weighted_centroid",
+    "write_buckets_csv", "write_records_csv", "write_surface_csv",
+    "__version__",
 ]

@@ -158,37 +158,17 @@ def sample_rss(d: float, params: ChannelParams,
     return RssMeasurement(rss, round_half_away(rss))
 
 
-def receive(means: Sequence[float], params: ChannelParams,
-            rng: np.random.Generator, quantize: bool) -> list[float]:
-    """Level each receiver measures of one packet, given each link's mean RSS.
-
-    The shadowing terms come from one draw of len(means) normals, in the
-    order given, which takes the same stream positions and values as that
-    many sample_rss calls. With quantize, a level is the integer register
-    reading; otherwise it is the dBm value.
-    """
-    noise = rng.normal(0.0, params.sigma_dbm, len(means)).tolist()
-    levels = [mean + z for mean, z in zip(means, noise)]
-    if quantize:
-        return [float(round_half_away(rss)) for rss in levels]
-    return levels
-
-
 def receive_block(means: Sequence[float], rows: int, params: ChannelParams,
                   rng: np.random.Generator, quantize: bool) -> np.ndarray:
     """Levels of rows successive packets over the same links, as a rows x
     len(means) array.
 
-    Row i holds what the i-th of rows successive receive(means, ...) calls
-    would return: the shadowing terms come from one draw of
-    rows * len(means) normals, which takes the same stream positions and
-    values as those calls, and quantization rounds as they do.
+    Row i holds the levels of the i-th packet, one per link in the order
+    given: the shadowing terms come from one draw of rows * len(means)
+    normals, which takes the same stream positions and values as that many
+    sample_rss calls, row by row. With quantize, a level is the integer
+    register reading, as a float; otherwise it is the dBm value.
     """
     levels = (np.asarray(means, dtype=float)
               + rng.normal(0.0, params.sigma_dbm, (rows, len(means))))
     return round_half_away_array(levels) if quantize else levels
-
-
-def register_to_rss(register_val: float, params: ChannelParams) -> float:
-    """Raw register reading to dBm: value plus the radio's fixed offset."""
-    return register_val + params.rssi_offset_dbm

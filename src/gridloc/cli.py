@@ -220,7 +220,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                    "median_error_m,mean_error_m,fraction_below_1.5m,wins_vs_baseline"]
         for value in values:
             scenario = _variant(base, key, value)
+            # The short form, unless it names another value.
             tag = format(value, "g")
+            if float(tag) != value:
+                tag = repr(value)
             refined, baseline = sim.run_with_baseline(scenario)
             harness.write_records_csv(refined, out_dir / f"records_{key}_{tag}.csv")
             harness.write_records_csv(baseline,

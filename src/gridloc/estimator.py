@@ -46,10 +46,10 @@ class RssiReport:
 
 @dataclass(frozen=True)
 class EstimatorState:
-    """Per-blind-node history carried between rounds."""
+    """Per-blind-node history carried between rounds: the working path-loss
+    exponent and the last position fix, which localize sets on every fix."""
 
     n_current: float = 2.0
-    last_cell: Optional[CellId] = None
     last_estimate: Optional[Point] = None
 
     def __post_init__(self) -> None:
@@ -224,17 +224,14 @@ def near_beacon_estimate(max_report: RssiReport, state: EstimatorState,
     """Dominant-beacon handler.
 
     The blind node sits on a circle of the ranged radius around the
-    loudest beacon; history picks the direction along it. Preference:
-    last position estimate, then the last resolved cell's center, then no
-    direction at all (the beacon position itself). Always lands inside
-    the region.
+    loudest beacon; the last position estimate picks the direction along
+    it. With no earlier fix there is no direction, and the beacon position
+    itself is the fix. Always lands inside the region.
     """
     grid = config.grid
     r = config.range_of(max_report.avg_rssi_dbm, n_used)
     anchor = max_report.beacon_pos
     target = state.last_estimate
-    if target is None and state.last_cell is not None:
-        target = grid.cell_center(state.last_cell)
     if target is None:
         return grid.clamp(anchor)
     vx = target[0] - anchor[0]
@@ -307,7 +304,7 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
             pass
         else:
             return (Estimate(pos, FixMethod.REFINED, cell, n),
-                    EstimatorState(n, cell, pos))
+                    EstimatorState(n, pos))
 
     strongest = top4[0]
     fallback = False
@@ -322,5 +319,4 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
             fallback = True
     cell = _cell_or_none(pos, grid)
     est = Estimate(pos, method, cell, n, fallback_centroid=fallback)
-    return est, EstimatorState(
-        n, cell if cell is not None else state.last_cell, pos)
+    return est, EstimatorState(n, pos)

@@ -88,10 +88,6 @@ class GridSpec:
         y0 = self.origin[1] + cell[1] * self.spacing_m
         return (x0, y0, x0 + self.spacing_m, y0 + self.spacing_m)
 
-    def cell_center(self, cell: CellId) -> Point:
-        x0, y0, x1, y1 = self.cell_bounds(cell)
-        return Point((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-
     def cell_corners(self, cell: CellId) -> tuple[Point, Point, Point, Point]:
         x0, y0, x1, y1 = self.cell_bounds(cell)
         return (Point(x0, y0), Point(x1, y0), Point(x0, y1), Point(x1, y1))

@@ -5,8 +5,9 @@ rounds, every reception sampled through the channel from a single seeded
 stream. A round starts from the channel's link table: the beacons within
 the reception radius of the blind node, in lattice order, each with its
 mean RSS. The blind node is static within a round and a link is symmetric,
-so that mean serves every packet on the link in either direction; the
-calibration link's mean likewise serves every round.
+so that mean serves every packet on the link in either direction. An
+adapting round first takes its calibration level from one sample_rss draw
+on the calibration link.
 
 Every packet has zero delay and every packet within the radius arrives,
 and validation keeps every timer after the packets it waits for, so each
@@ -175,14 +176,14 @@ class Scenario:
             return [t.point] * self.rounds
         if isinstance(t, LatticeSweep):
             return sweep_points(self.grid, t.nx, t.ny)
+        if not t.points:
+            raise ScenarioError("trajectory.points", "must not be empty")
         out: list[geo.Point] = []
         for p, dwell in t.points:
-            out.extend([p] * dwell)
-        if not out:
-            raise ScenarioError("trajectory.points", "must not be empty")
-        if len(out) < self.rounds:
-            out.extend([out[-1]] * (self.rounds - len(out)))
-        return out[:self.rounds]
+            # Lay out rounds points at most, however long the dwell.
+            out.extend([p] * min(dwell, self.rounds - len(out)))
+        # The last point holds for the rounds left.
+        return out + out[-1:] * (self.rounds - len(out))
 
 
 def _lines_near(v: float, origin: float, spacing: float, count: int) -> list[int]:
@@ -292,13 +293,14 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     )
     state = est.EstimatorState(n_current=s.estimator.n_initial)
     cal_length = _calibration_length(s) if s.estimator.adapt else None
-    # None also when the calibration link is beyond the radius: no draw.
-    cal_mean = None if cal_length is None else chan.link_rss(cal_length, s.channel)
+    if cal_length is not None and chan.link_rss(cal_length, s.channel) is None:
+        cal_length = None  # beyond the radius: no calibration draw
 
     refined_records, baseline_records = [], []
     for idx, true_pos in enumerate(s.positions()):
-        if cal_mean is not None:
-            (rss,) = chan.receive((cal_mean,), s.channel, rng, s.quantize_rssi)
+        if cal_length is not None:
+            cal = chan.sample_rss(cal_length, s.channel, rng)
+            rss = float(cal.register_dbm) if s.quantize_rssi else cal.rss_dbm
             n_new = est.adapt_n(rss, cal_length, state.n_current,
                                 s.channel.a_dbm, s.estimator.n_min,
                                 s.estimator.n_max)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gridloc.channel import (ChannelParams, distance_to_rss, link_rss, receive,
-                             receive_block, register_to_rss, round_half_away,
+from gridloc.channel import (ChannelParams, distance_to_rss, link_rss,
+                             receive_block, round_half_away,
                              round_half_away_array, rss_to_distance, sample_rss)
 
 PARAMS = ChannelParams(a_dbm=-45.0, n_exp=2.0, sigma_dbm=0.0)
@@ -149,21 +149,7 @@ class TestSampleRss:
 
 
 class TestReceive:
-    """One vector draw per packet must equal one sample_rss call per link."""
-
-    @pytest.mark.parametrize("sigma", [0.0, 3.0])
-    @pytest.mark.parametrize("quantize", [False, True])
-    def test_matches_one_sample_rss_per_link(self, sigma, quantize):
-        params = ChannelParams(sigma_dbm=sigma)
-        dists = [1.5, 4.0, 5.7, 12.0, 29.9]
-        rng_a = np.random.default_rng(11)
-        rng_b = np.random.default_rng(11)
-        levels = receive([link_rss(d, params) for d in dists], params, rng_a,
-                         quantize)
-        want = [sample_rss(d, params, rng_b) for d in dists]
-        assert levels == [float(m.register_dbm) if quantize else m.rss_dbm
-                          for m in want]
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    """One block draw must equal one sample_rss call per link, packet by packet."""
 
     @pytest.mark.parametrize("sigma", [0.0, 3.0])
     @pytest.mark.parametrize("quantize", [False, True])
@@ -175,8 +161,9 @@ class TestReceive:
         rng_b = np.random.default_rng(11)
         block = receive_block(means, 12, params, rng_a, quantize)
         assert block.shape == (12, len(means))
-        assert block.tolist() == [receive(means, params, rng_b, quantize)
-                                  for _ in range(12)]
+        want = [[sample_rss(d, params, rng_b) for d in dists] for _ in range(12)]
+        assert block.tolist() == [[float(m.register_dbm) if quantize else m.rss_dbm
+                                   for m in row] for row in want]
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_link_beyond_radius_is_none(self):
@@ -186,12 +173,6 @@ class TestReceive:
     def test_nonpositive_link_rejected(self):
         with pytest.raises(ValueError):
             link_rss(0.0, PARAMS)
-
-
-class TestRegisterToRss:
-    @pytest.mark.parametrize("reg,expected", [(0, -45.0), (-20, -65.0), (45, 0.0)])
-    def test_offset_addition(self, reg, expected):
-        assert register_to_rss(reg, PARAMS) == expected
 
 
 def test_quantization_ranging_error_bound():

@@ -278,6 +278,23 @@ class TestSweep:
         assert float(good.split(",")[6]) < 1e-9
         assert float(bad.split(",")[6]) > 0.01
 
+    def test_values_with_one_short_form_get_their_own_files(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        write_scenario(scenario)
+        out = tmp_path / "out"
+        code = main(["sweep", str(scenario), "--vary", "sigma=3,3.0000001",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == [
+            "baseline_sigma_3.0000001.csv", "baseline_sigma_3.csv",
+            "records_sigma_3.0000001.csv", "records_sigma_3.csv", "summary.csv"]
+        rows = [ln.split(",")[:3] for ln
+                in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert rows == [["sigma", "3", "refined"], ["sigma", "3", "baseline"],
+                        ["sigma", "3.0000001", "refined"],
+                        ["sigma", "3.0000001", "baseline"]]
+        assert "sigma=3.0000001 refined:" in capsys.readouterr().out
+
     def test_unknown_vary_key(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         write_scenario(scenario)

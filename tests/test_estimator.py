@@ -266,14 +266,6 @@ class TestNearBeacon:
         got = near_beacon_estimate(report, state, 2.0, CONFIG)
         assert got == pytest.approx((3.5, 4.0), abs=1e-9)
 
-    def test_direction_from_last_cell_center(self):
-        rss = A_DBM - 20.0 * math.log10(0.5)
-        report = RssiReport(Point(0, 4), rss)
-        state = EstimatorState(last_cell=CellId(0, 0))
-        got = near_beacon_estimate(report, state, 2.0, CONFIG)
-        expected = (0.5 / math.sqrt(2), 4.0 - 0.5 / math.sqrt(2))
-        assert got == pytest.approx(expected, abs=1e-9)
-
     def test_no_history_falls_back_to_beacon(self):
         report = RssiReport(Point(4, 0), -40.0)
         got = near_beacon_estimate(report, EstimatorState(), 2.0, CONFIG)
@@ -309,7 +301,6 @@ class TestLocalizeDispatch:
         assert est.method is FixMethod.REFINED
         assert est.cell == CellId(0, 0)
         assert dist(est.pos, Point(1.0, 1.0)) < 1e-9
-        assert state.last_cell == CellId(0, 0)
         assert state.last_estimate == est.pos
 
     def test_refined_matches_true_cell_everywhere_it_fires(self):
@@ -349,7 +340,7 @@ class TestLocalizeDispatch:
         assert est.pos == pytest.approx((4.0, 2.0))
 
     def test_history_cleared_only_by_new_fixes(self):
-        state = EstimatorState(last_cell=CellId(1, 1), last_estimate=Point(5, 5))
+        state = EstimatorState(last_estimate=Point(5, 5))
         est, after = localize(reports_for(Point(1, 1))[:2], state, CONFIG)
         assert est.method is FixMethod.NO_FIX
         assert after == state

@@ -63,7 +63,6 @@ class TestGridSpec:
     def test_bounds_and_cells(self, grid):
         assert grid.bounds() == (0.0, 0.0, 8.0, 8.0)
         assert grid.cell_bounds(CellId(1, 0)) == (4.0, 0.0, 8.0, 4.0)
-        assert grid.cell_center(CellId(0, 1)) == Point(2.0, 6.0)
         with pytest.raises(GeometryError):
             grid.cell_bounds(CellId(2, 0))
 

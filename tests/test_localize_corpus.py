@@ -22,7 +22,7 @@ from gridloc.geometry import (COORD_TOL, GeometryError, GridSpec, Point,
                               build_lattice, cell_of_corners, dist)
 
 # sha256 of the corpus lines, one per localize call, each field as float.hex.
-CORPUS_SHA256 = "34511fa63555d392bbf807f9fb9b0d81e810e8c9596c5df02ab2e6e61b4d1a7f"
+CORPUS_SHA256 = "0d0045cd5a3cb5875dc86b2cf3a0c1614ee5fa1f3aff4cfdac8272e0cf5f8ffb"
 
 
 def _hex(v) -> str:
@@ -37,7 +37,7 @@ def _line(est, state) -> str:
     return ";".join([
         _hex(est.pos), est.method.value, _hex(est.cell), _hex(est.n_used),
         _hex(est.fallback_centroid), _hex(state.n_current),
-        _hex(state.last_cell), _hex(state.last_estimate)])
+        _hex(state.last_estimate)])
 
 
 def _sweep_calls(sigma: float, quantize: bool) -> list[tuple[list, EstimatorState]]:
@@ -180,4 +180,4 @@ def test_refined_fix_is_cell_of_corners_and_refine_in_cell(case):
     fix = refine_in_cell([(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
                           for r in top4])
     assert (est.pos[0].hex(), est.pos[1].hex()) == (fix[0].hex(), fix[1].hex())
-    assert state == EstimatorState(n, est.cell, est.pos)
+    assert state == EstimatorState(n, est.pos)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from gridloc import channel as chan
 from gridloc import cli, estimator
 from gridloc import protocol as proto
-from gridloc.channel import ChannelParams, _links, link_rss
+from gridloc.channel import ChannelParams, _links, link_rss, sample_rss
 from gridloc.estimator import FixMethod
 from gridloc.geometry import COORD_TOL, GridSpec, Point, build_lattice, dist
 from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
@@ -34,15 +34,23 @@ def noiseless(point=Point(2.0, 2.0), rounds=1, **kwargs) -> Scenario:
 # The oracle: a discrete-event simulator (DES) that drives the protocol
 # machines packet by packet. One heap-ordered event queue per round, zero
 # propagation delay, FIFO among same-time events. A broadcast is one queue
-# entry carrying one level per beacon in the link table, all drawn with one
-# channel call when it is sent, and it is fanned out to those beacons in
-# table order when it is popped, where one delivery per beacon would sit in
-# FIFO order. A beacon's reply reuses its link's mean and takes one draw.
+# entry carrying one level per beacon in the link table, each drawn with one
+# sample_rss call on that link's length, in table order, when it is sent; it
+# is fanned out to those beacons in table order when it is popped, where one
+# delivery per beacon would sit in FIFO order. A beacon's reply takes one
+# sample_rss draw on its link's length.
 
 
-def _protocol_round(s: Scenario, links, machines, rng, t0: float, trace):
-    """One round's collected reports, each message appended to trace
-    unless it is None; machines holds each beacon's machine by id."""
+def _level(s: Scenario, d: float, rng) -> float:
+    """The level a receiver measures of one packet over a link of length d."""
+    m = sample_rss(d, s.channel, rng)
+    return float(m.register_dbm) if s.quantize_rssi else m.rss_dbm
+
+
+def _protocol_round(s: Scenario, pos, links, machines, rng, t0: float, trace):
+    """One round's collected reports with the blind node at pos, each
+    message appended to trace unless it is None; links is the round's link
+    table and machines holds each beacon's machine by id."""
     p = s.protocol
     blind = proto.BlindNodeMachine(
         "m0", accum_count=p.accum_count,
@@ -50,7 +58,7 @@ def _protocol_round(s: Scenario, links, machines, rng, t0: float, trace):
         response_window_ms=p.response_window_ms,
         ack_timeout_ms=p.ack_timeout_ms,
     )
-    means = [mean for _, mean in links]
+    lengths = [dist(pos, b.pos) for b, _ in links]
     heap = []
     seq = itertools.count()
 
@@ -70,16 +78,15 @@ def _protocol_round(s: Scenario, links, machines, rng, t0: float, trace):
                     trace.append(proto.format_trace_line(
                         t_send, blind.id, proto.BROADCAST, out))
                 push(t_send, proto.BROADCAST, out,
-                     chan.receive(means, s.channel, rng, s.quantize_rssi))
+                     [_level(s, d, rng) for d in lengths])
             continue
-        for (b, mean), level in zip(links, levels):
+        for (b, _), d, level in zip(links, lengths, levels):
             machine, outgoing = proto.beacon_step(machines[b.id], payload, level, t)
             machines[b.id] = machine
             for out in outgoing:
                 if trace is not None:
                     trace.append(proto.format_trace_line(t, machine.id, blind.id, out))
-                push(t, blind.id, out,
-                     chan.receive((mean,), s.channel, rng, s.quantize_rssi))
+                push(t, blind.id, out, _level(s, d, rng))
     return list(blind.collected)
 
 
@@ -95,18 +102,20 @@ def des_play(s: Scenario) -> tuple[list, list[str]]:
     rng = np.random.Generator(np.random.PCG64(s.seed))
     beacons = build_lattice(s.grid)
     machines = _machines(beacons)
-    cal_mean = None
-    if s.estimator.adapt:
-        a, b = s.estimator.calibration_beacons
-        cal_mean = link_rss(dist(s.grid.position_of(a), s.grid.position_of(b)),
-                            s.channel)
     sets, trace = [], []
     for idx, pos in enumerate(s.positions()):
-        if cal_mean is not None:
-            chan.receive((cal_mean,), s.channel, rng, s.quantize_rssi)
-        sets.append(_protocol_round(s, _links(beacons, pos, s.channel), machines,
-                                    rng, idx * s.protocol.round_interval_ms, trace))
+        if s.estimator.adapt:
+            # None beyond the radius, with no draw.
+            sample_rss(calibration_length(s), s.channel, rng)
+        sets.append(_protocol_round(s, pos, _links(beacons, pos, s.channel),
+                                    machines, rng,
+                                    idx * s.protocol.round_interval_ms, trace))
     return sets, trace
+
+
+def calibration_length(s: Scenario) -> float:
+    a, b = s.estimator.calibration_beacons
+    return dist(s.grid.position_of(a), s.grid.position_of(b))
 
 
 def engine_play(run, s: Scenario):
@@ -337,7 +346,8 @@ class TestByteIdentity:
         k = sum(dist(point, b.pos) <= radius for b in beacons)
         rng = np.random.Generator(np.random.PCG64(3))
         if engine == "des":
-            reports = _protocol_round(s, links, _machines(beacons), rng, 0.0, None)
+            reports = _protocol_round(s, point, links, _machines(beacons), rng,
+                                      0.0, None)
         else:
             reports = _batched_round(s, links, rng)
         assert len(reports) == k
@@ -398,7 +408,7 @@ class TestRoundEngines:
                      quantize_rssi=quantize, trajectory=Static(self.POINT))
         links = _links(beacons, self.POINT, s.channel)
         assert len(links) == heard
-        des = _protocol_round(s, links, _machines(beacons),
+        des = _protocol_round(s, self.POINT, links, _machines(beacons),
                               np.random.Generator(np.random.PCG64(11)), 0.0, None)
         batched = _batched_round(s, links, np.random.Generator(np.random.PCG64(11)))
         assert report_fields([batched]) == report_fields([des])
@@ -506,6 +516,34 @@ def test_round_with_no_beacon_in_range_traces_one_line():
     assert trace == ["0.000,m0,*,location_start,m0"] == des_play(s)[1]
 
 
+@pytest.mark.parametrize("run", [run_scenario, run_with_baseline],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("s,cal_draws", [
+    pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0), True, id="adapt"),
+    pytest.param(sweep_scenario(7, 3.0, False, False, 3, 30.0), False, id="no-adapt"),
+    # The calibration link, 28.3 m long, is beyond the 9 m radius.
+    pytest.param(sweep_scenario(7, 3.0, True, True, 6, 9.0, estimator={
+        "adapt": True, "calibration_beacons": [0, 35]}), False, id="cal-out-of-range"),
+])
+def test_each_round_draws_one_block_and_one_calibration_level(s, cal_draws, run,
+                                                             monkeypatch):
+    lengths, blocks = [], []
+
+    def counting_sample_rss(d, *args, _original=chan.sample_rss):
+        lengths.append(d)
+        return _original(d, *args)
+
+    def counting_receive_block(*args, _original=chan.receive_block):
+        blocks.append(args[1])
+        return _original(*args)
+
+    monkeypatch.setattr(chan, "sample_rss", counting_sample_rss)
+    monkeypatch.setattr(chan, "receive_block", counting_receive_block)
+    run(s, [])
+    assert lengths == ([calibration_length(s)] * s.rounds if cal_draws else [])
+    assert blocks == [s.protocol.accum_count + 4] * s.rounds
+
+
 @st.composite
 def small_scenarios(draw):
     cols, rows = draw(st.integers(2, 6)), draw(st.integers(2, 6))
@@ -603,6 +641,16 @@ class TestTrajectories:
         w = Waypoints(((Point(1, 1), 2), (Point(5, 5), 1)))
         assert Scenario(trajectory=w, rounds=2).positions() == [Point(1, 1)] * 2
         assert Scenario(trajectory=w, rounds=5).positions()[-2:] == [Point(5, 5)] * 2
+
+    def test_long_dwell_lays_out_only_the_rounds(self):
+        # A dwell far longer than memory allows: only rounds points are made.
+        s = scenario_from_dict({
+            "trajectory": {"kind": "waypoints", "points": [
+                {"point": [1.0, 1.0], "dwell_rounds": 10**18},
+                {"point": [5.0, 5.0]}]},
+            "rounds": 3})
+        assert s.positions() == [Point(1.0, 1.0)] * 3
+        assert [r.true_pos for r in run_scenario(s)] == [Point(1.0, 1.0)] * 3
 
     def test_sweep_round_count_enforced(self):
         with pytest.raises(ScenarioError, match="rounds"):
