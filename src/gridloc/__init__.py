@@ -1,7 +1,7 @@
 """RSSI grid localization engine and protocol simulator."""
 
-from .channel import (ChannelParams, RangeEstimate, RssMeasurement,
-                      distance_to_rss, rss_to_distance, sample_rss)
+from .channel import (ChannelParams, RangeEstimate, distance_to_rss,
+                      rss_to_distance, sample_rss)
 from .estimator import (Estimate, EstimatorState, FixMethod, LocalizerConfig,
                         RssiReport, adapt_n, localize, near_beacon_estimate,
                         pair_split_estimate, refine_in_cell, select_top4,
@@ -22,7 +22,7 @@ __all__ = [
     "Beacon", "CellId", "ChannelParams", "Comparison", "ErrorBuckets",
     "Estimate", "EstimatorState", "FixMethod", "GeometryError", "GridSpec",
     "LatticeSweep", "LocalizerConfig", "OutOfRegionError", "Point",
-    "RangeEstimate", "RoundRecord", "RssMeasurement", "RssiReport",
+    "RangeEstimate", "RoundRecord", "RssiReport",
     "Scenario", "ScenarioError", "Static", "Waypoints", "adapt_n",
     "bucketize", "build_lattice", "cell_of_corners", "compare",
     "containing_cell", "distance_to_rss", "error_surface", "is_rectangle",

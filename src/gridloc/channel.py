@@ -52,11 +52,6 @@ class ChannelParams:
         return D_MAX_FACTOR * self.reception_radius_m
 
 
-class RssMeasurement(NamedTuple):
-    rss_dbm: float
-    register_dbm: int
-
-
 class RangeEstimate(NamedTuple):
     distance_m: float
     clamped: bool
@@ -93,18 +88,11 @@ def rss_to_distance(rss: float, a_dbm: float, n_exp: float,
     return RangeEstimate(*_inverse_range(rss, a_dbm, n_exp, d_max))
 
 
-def round_half_away(value: float) -> int:
-    """Round to the nearest integer with halves away from zero."""
-    if value >= 0:
-        return int(math.floor(value + 0.5))
-    return int(math.ceil(value - 0.5))
-
-
 def round_half_away_array(values: np.ndarray) -> np.ndarray:
-    """round_half_away over an array, as floats.
+    """Each value rounded to the nearest integer with halves away from
+    zero, as floats.
 
-    Adding 0.0 turns the -0.0 that ceil gives on (-0.5, 0) into the 0 that
-    round_half_away returns there.
+    Adding 0.0 turns the -0.0 that ceil gives on (-0.5, 0) into 0.
     """
     return np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5)) + 0.0
 
@@ -144,9 +132,10 @@ def _links(beacons: list[Beacon], blind_pos: Point,
     return links
 
 
-def sample_rss(d: float, params: ChannelParams,
-               rng: np.random.Generator) -> Optional[RssMeasurement]:
-    """One shadowed RSS draw at distance d, or None beyond the reception radius.
+def sample_rss(d: float, params: ChannelParams, rng: np.random.Generator,
+               quantize: bool = False) -> Optional[float]:
+    """One shadowed level at distance d, as receive_block gives it, or None
+    beyond the reception radius.
 
     The Gaussian term is drawn even when sigma_dbm is zero so a scenario
     consumes the same stream positions regardless of noise level.
@@ -155,7 +144,7 @@ def sample_rss(d: float, params: ChannelParams,
     if mean is None:
         return None
     rss = mean + rng.normal(0.0, params.sigma_dbm)
-    return RssMeasurement(rss, round_half_away(rss))
+    return float(round_half_away_array(rss)) if quantize else rss
 
 
 def receive_block(means: Sequence[float], rows: int, params: ChannelParams,

@@ -105,6 +105,12 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         print("error: --origin expects X,Y", file=sys.stderr)
         return EXIT_ERROR
     try:
+        # Checked as the scenario keys are; float() takes nan and inf.
+        for flag, ok, rule in (("--a-dbm", math.isfinite(args.a_dbm), "must be finite"),
+                               ("--n", 0 < args.n < math.inf, "must be positive and finite"),
+                               ("--tau", 0 < args.tau < 1, "must be in (0, 1)")):
+            if not ok:
+                raise ValueError(f"{flag}: {rule}")
         grid = GridSpec(origin=origin, spacing_m=args.spacing,
                         cols=args.cols, rows=args.rows)
         reports = _parse_reports(Path(args.reports))

@@ -54,14 +54,6 @@ class GridSpec:
         if self.cols < 2 or self.rows < 2:
             raise GeometryError("lattice needs at least 2 columns and 2 rows")
 
-    @property
-    def width_m(self) -> float:
-        return (self.cols - 1) * self.spacing_m
-
-    @property
-    def height_m(self) -> float:
-        return (self.rows - 1) * self.spacing_m
-
     def beacon_position(self, i: int, j: int) -> Point:
         return Point(self.origin[0] + i * self.spacing_m,
                      self.origin[1] + j * self.spacing_m)
@@ -78,8 +70,8 @@ class GridSpec:
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the lattice hull."""
-        return (self.origin[0], self.origin[1],
-                self.origin[0] + self.width_m, self.origin[1] + self.height_m)
+        (x0, y0), s = self.origin, self.spacing_m
+        return (x0, y0, x0 + (self.cols - 1) * s, y0 + (self.rows - 1) * s)
 
     def cell_bounds(self, cell: CellId) -> tuple[float, float, float, float]:
         if not (0 <= cell[0] < self.cols - 1 and 0 <= cell[1] < self.rows - 1):
@@ -87,10 +79,6 @@ class GridSpec:
         x0 = self.origin[0] + cell[0] * self.spacing_m
         y0 = self.origin[1] + cell[1] * self.spacing_m
         return (x0, y0, x0 + self.spacing_m, y0 + self.spacing_m)
-
-    def cell_corners(self, cell: CellId) -> tuple[Point, Point, Point, Point]:
-        x0, y0, x1, y1 = self.cell_bounds(cell)
-        return (Point(x0, y0), Point(x1, y0), Point(x0, y1), Point(x1, y1))
 
     def clamp(self, p: Point) -> Point:
         xmin, ymin, xmax, ymax = self.bounds()

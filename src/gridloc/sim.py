@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Container, Optional, Union
 
@@ -66,6 +67,10 @@ Trajectory = Union[Static, Waypoints, LatticeSweep]
 
 # Largest lattice a scenario may describe, in beacons.
 MAX_BEACONS = 10_000
+# Most rounds a scenario may run; a run keeps about 1 kB of records a round.
+MAX_ROUNDS = 10**6
+# Most tests a round may take; its block holds accum_count + 4 levels a beacon.
+MAX_ACCUM_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -98,14 +103,20 @@ class Scenario:
     seed: int = 0
     quantize_rssi: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ScenarioError("rounds", "must be >= 1")
+        if self.rounds > MAX_ROUNDS:
+            raise ScenarioError("rounds", f"must be at most {MAX_ROUNDS}")
+        if self.seed < 0:
+            raise ScenarioError("seed", "must be >= 0")
         p = self.protocol
         if not 0 < p.round_interval_ms < math.inf:
             raise ScenarioError("protocol.round_interval_ms", "must be positive and finite")
         if p.accum_count < 1:
             raise ScenarioError("protocol.accum_count", "must be >= 1")
+        if p.accum_count > MAX_ACCUM_COUNT:
+            raise ScenarioError("protocol.accum_count", f"must be at most {MAX_ACCUM_COUNT}")
         # A zero wait fires with the packets it waits for and drops them,
         # and a negative gap runs the clock backwards.
         for key in ("ack_timeout_ms", "response_window_ms"):
@@ -114,10 +125,7 @@ class Scenario:
         if not p.inter_test_gap_ms >= 0:
             raise ScenarioError("protocol.inter_test_gap_ms", "must be >= 0")
         # A round ends when its collect window closes.
-        try:
-            round_ms = p.accum_count * p.inter_test_gap_ms + p.response_window_ms
-        except OverflowError:
-            raise ScenarioError("protocol.accum_count", "too large") from None
+        round_ms = p.accum_count * p.inter_test_gap_ms + p.response_window_ms
         if p.round_interval_ms < round_ms:
             raise ScenarioError("protocol.round_interval_ms",
                                 f"must be at least one round, {round_ms:g} ms")
@@ -139,20 +147,26 @@ class Scenario:
             if abs(_calibration_length(self) - 1.0) <= geo.COORD_TOL:
                 raise ScenarioError("estimator.calibration_beacons",
                                     "a 1 m link cannot calibrate the exponent")
-        if isinstance(self.trajectory, LatticeSweep):
-            t = self.trajectory
+        t = self.trajectory
+        if isinstance(t, LatticeSweep):
             if t.nx < 1 or t.ny < 1:
                 raise ScenarioError("trajectory", "sweep needs nx, ny >= 1")
             if self.rounds != t.nx * t.ny:
                 raise ScenarioError("rounds",
                                     f"must equal nx*ny = {t.nx * t.ny} for a lattice sweep")
-        try:
-            positions = self.positions()
-        except OverflowError as exc:
-            raise ScenarioError("trajectory",
-                                f"cannot lay out {self.rounds} rounds: {exc}") from exc
+        if isinstance(t, Waypoints):
+            if not t.points:
+                raise ScenarioError("trajectory.points", "must not be empty")
+            for i, (_, dwell) in enumerate(t.points):
+                if dwell < 1:
+                    raise ScenarioError(f"trajectory.points[{i}].dwell_rounds", "must be >= 1")
+        # Each distinct position is checked once, at the first round there.
         xmin, ymin, xmax, ymax = self.grid.bounds()
-        for i, pos in enumerate(positions):
+        checked: set[geo.Point] = set()
+        for i, pos in self._stops():
+            if pos in checked:
+                continue
+            checked.add(pos)
             if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
                 raise ScenarioError("trajectory",
                                     f"point {i} at ({pos[0]}, {pos[1]}) outside the lattice hull")
@@ -169,21 +183,27 @@ class Scenario:
                 raise ScenarioError(f"protocol.{key}",
                                     f"must be longer than one clock step, {tick:g} ms")
 
-    def positions(self) -> list[geo.Point]:
-        """Blind-node position for each round."""
+    def _stops(self) -> list[tuple[int, geo.Point]]:
+        """(first round, position) of each stay of the blind node, in
+        round order; a stay lasts until the next one starts or the rounds
+        end."""
         t = self.trajectory
         if isinstance(t, Static):
-            return [t.point] * self.rounds
+            return [(0, t.point)]
         if isinstance(t, LatticeSweep):
-            return sweep_points(self.grid, t.nx, t.ny)
-        if not t.points:
-            raise ScenarioError("trajectory.points", "must not be empty")
-        out: list[geo.Point] = []
-        for p, dwell in t.points:
-            # Lay out rounds points at most, however long the dwell.
-            out.extend([p] * min(dwell, self.rounds - len(out)))
-        # The last point holds for the rounds left.
-        return out + out[-1:] * (self.rounds - len(out))
+            try:
+                return list(enumerate(sweep_points(self.grid, t.nx, t.ny)))
+            except OverflowError as exc:
+                raise ScenarioError("trajectory",
+                                    f"cannot lay out {self.rounds} rounds: {exc}") from exc
+        starts = accumulate((dwell for _, dwell in t.points), initial=0)
+        return [(i, p) for i, (p, _) in zip(starts, t.points) if i < self.rounds]
+
+    def positions(self) -> list[geo.Point]:
+        """Blind-node position for each round."""
+        stops = self._stops()
+        ends = [start for start, _ in stops[1:]] + [self.rounds]
+        return [p for (start, p), end in zip(stops, ends) for _ in range(start, end)]
 
 
 def _lines_near(v: float, origin: float, spacing: float, count: int) -> list[int]:
@@ -282,7 +302,6 @@ def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None
 
 def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
          baseline: bool) -> tuple[list[RoundRecord], list[RoundRecord]]:
-    s.validate()
     rng = np.random.Generator(np.random.PCG64(s.seed))
     beacons = geo.build_lattice(s.grid)
     cfg = est.LocalizerConfig(
@@ -299,8 +318,7 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     refined_records, baseline_records = [], []
     for idx, true_pos in enumerate(s.positions()):
         if cal_length is not None:
-            cal = chan.sample_rss(cal_length, s.channel, rng)
-            rss = float(cal.register_dbm) if s.quantize_rssi else cal.rss_dbm
+            rss = chan.sample_rss(cal_length, s.channel, rng, s.quantize_rssi)
             n_new = est.adapt_n(rss, cal_length, state.n_current,
                                 s.channel.a_dbm, s.estimator.n_min,
                                 s.estimator.n_max)
@@ -422,6 +440,8 @@ def _settings(cls: type, d: object, path: str):
               for name, default in defaults.items() if name in d}
     try:
         return cls(**values)
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
 
@@ -449,8 +469,6 @@ def _parse_trajectory(v: object) -> Trajectory:
             if "point" not in item:
                 raise ScenarioError(f"{where}.point", "required")
             dwell = _typed(1, item.get("dwell_rounds", 1), f"{where}.dwell_rounds")
-            if dwell < 1:
-                raise ScenarioError(f"{where}.dwell_rounds", "must be >= 1")
             points.append((_point(item["point"], f"{where}.point"), dwell))
         return Waypoints(tuple(points))
     if kind == "lattice_sweep":
@@ -461,7 +479,7 @@ def _parse_trajectory(v: object) -> Trajectory:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a validated Scenario from parsed configuration data."""
+    """Build a Scenario from parsed configuration data."""
     if not isinstance(data, dict):
         raise ScenarioError("", "scenario must be an object")
     data = dict(data)
@@ -469,9 +487,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("rng", "only pcg64 is supported")
     if "trajectory" not in data:
         raise ScenarioError("trajectory", "required")
-    scenario = _settings(Scenario, data, "")
-    scenario.validate()
-    return scenario
+    return _settings(Scenario, data, "")
 
 
 def parse_scenario(text: str) -> Scenario:

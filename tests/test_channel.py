@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gridloc.channel import (ChannelParams, distance_to_rss, link_rss,
-                             receive_block, round_half_away,
-                             round_half_away_array, rss_to_distance, sample_rss)
+                             receive_block, round_half_away_array,
+                             rss_to_distance, sample_rss)
 
 PARAMS = ChannelParams(a_dbm=-45.0, n_exp=2.0, sigma_dbm=0.0)
 
@@ -92,7 +92,7 @@ class TestRoundHalfAway:
         (-57.0412, -57), (3.0, 3),
     ])
     def test_values(self, value, expected):
-        assert round_half_away(value) == expected
+        assert round_half_away_array(np.array(value)) == expected
 
     def test_array_form_matches(self):
         rng = np.random.default_rng(5)
@@ -100,19 +100,20 @@ class TestRoundHalfAway:
                   + list(rng.uniform(-100.0, 100.0, 200))
                   + list(rng.integers(-200, 200, 100) / 2))
         got = round_half_away_array(np.array(values)).tolist()
-        want = [float(round_half_away(v)) for v in values]
+        want = [float(math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5))
+                for v in values]
         assert got == want
-        # Equal and of the same sign: no -0.0 where the scalar form gives 0.
+        # Equal and of the same sign: no -0.0 where integer rounding gives 0.
         assert [math.copysign(1.0, g) for g in got] == \
             [math.copysign(1.0, w) for w in want]
 
 
 class TestSampleRss:
     def test_noiseless_equals_deterministic(self):
-        rng = np.random.default_rng(0)
-        meas = sample_rss(5.0, PARAMS, rng)
-        assert meas.rss_dbm == distance_to_rss(5.0, PARAMS)
-        assert meas.register_dbm == round_half_away(meas.rss_dbm)
+        rss = distance_to_rss(5.0, PARAMS)
+        assert sample_rss(5.0, PARAMS, np.random.default_rng(0)) == rss
+        assert (sample_rss(5.0, PARAMS, np.random.default_rng(0), quantize=True)
+                == round_half_away_array(np.array(rss)) == -59.0)
 
     def test_out_of_range_is_none(self):
         rng = np.random.default_rng(0)
@@ -120,10 +121,8 @@ class TestSampleRss:
 
     def test_same_seed_same_draws(self):
         noisy = ChannelParams(sigma_dbm=4.0)
-        a = [sample_rss(4.0, noisy, np.random.default_rng(7)).rss_dbm
-             for _ in range(1)]
-        b = [sample_rss(4.0, noisy, np.random.default_rng(7)).rss_dbm
-             for _ in range(1)]
+        a = [sample_rss(4.0, noisy, np.random.default_rng(7)) for _ in range(1)]
+        b = [sample_rss(4.0, noisy, np.random.default_rng(7)) for _ in range(1)]
         assert a == b
 
     def test_noise_level_does_not_shift_stream(self):
@@ -138,7 +137,7 @@ class TestSampleRss:
         noisy = ChannelParams(sigma_dbm=3.0)
         rng = np.random.default_rng(11)
         base = distance_to_rss(4.0, noisy)
-        draws = np.array([sample_rss(4.0, noisy, rng).rss_dbm - base
+        draws = np.array([sample_rss(4.0, noisy, rng) - base
                           for _ in range(4000)])
         assert abs(draws.mean()) < 0.2
         assert abs(draws.std() - 3.0) < 0.2
@@ -161,9 +160,9 @@ class TestReceive:
         rng_b = np.random.default_rng(11)
         block = receive_block(means, 12, params, rng_a, quantize)
         assert block.shape == (12, len(means))
-        want = [[sample_rss(d, params, rng_b) for d in dists] for _ in range(12)]
-        assert block.tolist() == [[float(m.register_dbm) if quantize else m.rss_dbm
-                                   for m in row] for row in want]
+        want = [[sample_rss(d, params, rng_b, quantize) for d in dists]
+                for _ in range(12)]
+        assert block.tolist() == want
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_link_beyond_radius_is_none(self):
@@ -180,5 +179,5 @@ def test_quantization_ranging_error_bound():
     bound = 10.0 ** (0.5 / 20.0) - 1.0
     for d in np.linspace(0.5, 25.0, 500):
         rss = distance_to_rss(float(d), PARAMS)
-        back, _ = rss_to_distance(float(round_half_away(rss)), -45.0, 2.0)
+        back, _ = rss_to_distance(float(round_half_away_array(rss)), -45.0, 2.0)
         assert abs(back - d) / d <= bound + 1e-12

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -109,6 +110,24 @@ class TestLocate:
         assert main(["locate", str(tmp_path / "absent.csv")]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "0"], "--n: must be positive and finite"),
+        (["--n", "-2"], "--n: must be positive and finite"),
+        (["--n", "nan"], "--n: must be positive and finite"),
+        (["--n", "inf"], "--n: must be positive and finite"),
+        (["--a-dbm", "nan"], "--a-dbm: must be finite"),
+        (["--a-dbm=-inf"], "--a-dbm: must be finite"),
+        (["--tau", "0"], "--tau: must be in (0, 1)"),
+        (["--tau", "1"], "--tau: must be in (0, 1)"),
+        (["--tau", "-0.5"], "--tau: must be in (0, 1)"),
+        (["--tau", "nan"], "--tau: must be in (0, 1)"),
+    ])
+    def test_bad_model_flag_rejected(self, tmp_path, capsys, flags, message):
+        reports = tmp_path / "reports.csv"
+        write_reports(reports, (1.0, 1.0), GRID_3X3)
+        assert main(["locate", str(reports), *flags]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bad_origin_flag(self, tmp_path, capsys):
         reports = tmp_path / "reports.csv"
         write_reports(reports, (1.0, 1.0), GRID_3X3)
@@ -153,6 +172,12 @@ class TestSimulate:
                          "--out", str(out)]) == EXIT_OK
             outs.append((out / "records.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_negative_seed_override_names_the_key(self, tmp_path, capsys):
+        assert main(["simulate", "paper_sweep", "--seed", "-1",
+                     "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: seed: must be >= 0\n"
+        assert not (tmp_path / "records.csv").exists()
 
     def test_seed_override_changes_noise(self, tmp_path):
         scenario = tmp_path / "s.json"
@@ -209,18 +234,24 @@ class TestSimulate:
         assert main(["simulate", str(scenario)]) == EXIT_ERROR
         assert "trajectory.kind" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("overrides", [
-        {"rounds": 2**70},
-        {"grid": {"spacing_m": 1e308},
-         "trajectory": {"kind": "lattice_sweep", "nx": 2, "ny": 2}, "rounds": 4},
-    ])
-    def test_overflowing_scenario_fails_cleanly(self, tmp_path, capsys, overrides):
+    @pytest.mark.parametrize("overrides,message", [
+        ({"rounds": 2**70}, "rounds: must be at most 1000000"),
+        ({"rounds": 10**15}, "rounds: must be at most 1000000"),
+        ({"protocol": {"accum_count": 10**12, "inter_test_gap_ms": 0}},
+         "protocol.accum_count: must be at most 1000"),
+        ({"grid": {"spacing_m": 1e308},
+          "trajectory": {"kind": "lattice_sweep", "nx": 2, "ny": 2}, "rounds": 4},
+         "trajectory: cannot lay out 4 rounds: cannot convert float infinity to integer"),
+    ], ids=["rounds-2e70", "rounds-1e15", "accum-1e12", "sweep-wider-than-float"])
+    def test_overflowing_scenario_fails_cleanly(self, tmp_path, capsys, overrides,
+                                                message):
         scenario = tmp_path / "s.json"
         write_scenario(scenario, **overrides)
-        assert main(["simulate", str(scenario), "--out", str(tmp_path)]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: trajectory: cannot lay out")
-        assert "Traceback" not in err
+        start = time.perf_counter()
+        code = main(["simulate", str(scenario), "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_oversized_lattice_fails_cleanly(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"

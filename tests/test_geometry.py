@@ -70,7 +70,9 @@ class TestGridSpec:
         for col in range(grid.cols - 1):
             for row in range(grid.rows - 1):
                 cell = CellId(col, row)
-                assert cell_of_corners(grid.cell_corners(cell), grid) == cell
+                x0, y0, x1, y1 = grid.cell_bounds(cell)
+                corners = [Point(x0, y0), Point(x1, y0), Point(x0, y1), Point(x1, y1)]
+                assert cell_of_corners(corners, grid) == cell
 
     def test_clamp(self, grid):
         assert grid.clamp(Point(-1.0, 9.0)) == Point(0.0, 8.0)

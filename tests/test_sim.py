@@ -8,6 +8,7 @@ import heapq
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,12 +42,6 @@ def noiseless(point=Point(2.0, 2.0), rounds=1, **kwargs) -> Scenario:
 # sample_rss draw on its link's length.
 
 
-def _level(s: Scenario, d: float, rng) -> float:
-    """The level a receiver measures of one packet over a link of length d."""
-    m = sample_rss(d, s.channel, rng)
-    return float(m.register_dbm) if s.quantize_rssi else m.rss_dbm
-
-
 def _protocol_round(s: Scenario, pos, links, machines, rng, t0: float, trace):
     """One round's collected reports with the blind node at pos, each
     message appended to trace unless it is None; links is the round's link
@@ -78,7 +73,7 @@ def _protocol_round(s: Scenario, pos, links, machines, rng, t0: float, trace):
                     trace.append(proto.format_trace_line(
                         t_send, blind.id, proto.BROADCAST, out))
                 push(t_send, proto.BROADCAST, out,
-                     [_level(s, d, rng) for d in lengths])
+                     [sample_rss(d, s.channel, rng, s.quantize_rssi) for d in lengths])
             continue
         for (b, _), d, level in zip(links, lengths, levels):
             machine, outgoing = proto.beacon_step(machines[b.id], payload, level, t)
@@ -86,7 +81,7 @@ def _protocol_round(s: Scenario, pos, links, machines, rng, t0: float, trace):
             for out in outgoing:
                 if trace is not None:
                     trace.append(proto.format_trace_line(t, machine.id, blind.id, out))
-                push(t, blind.id, out, _level(s, d, rng))
+                push(t, blind.id, out, sample_rss(d, s.channel, rng, s.quantize_rssi))
     return list(blind.collected)
 
 
@@ -98,7 +93,6 @@ def _machines(beacons):
 def des_play(s: Scenario) -> tuple[list, list[str]]:
     """Every round's report set and the whole trace, from the DES. An
     adapting round first takes its calibration draw, as the engine does."""
-    s.validate()
     rng = np.random.Generator(np.random.PCG64(s.seed))
     beacons = build_lattice(s.grid)
     machines = _machines(beacons)
@@ -664,6 +658,33 @@ class TestTrajectories:
         with pytest.raises(ScenarioError, match="beacon"):
             run_scenario(Scenario(trajectory=Static(Point(4.0, 4.0))))
 
+    def test_waypoint_past_the_rounds_is_not_checked(self):
+        # The second point sits on beacon 4, but no round reaches it.
+        w = Waypoints(((Point(1.0, 1.0), 3), (Point(4.0, 4.0), 1)))
+        assert Scenario(trajectory=w, rounds=3).positions() == [Point(1.0, 1.0)] * 3
+        with pytest.raises(ScenarioError) as info:
+            Scenario(trajectory=w, rounds=4)
+        assert str(info.value) == "trajectory: point 3 coincides with beacon 4"
+
+
+@pytest.mark.parametrize("build,path,message", [
+    (lambda: Scenario(rounds=0), "rounds", "must be >= 1"),
+    (lambda: Scenario(rounds=10**15), "rounds", "must be at most 1000000"),
+    (lambda: replace(Scenario(), seed=-1), "seed", "must be >= 0"),
+    (lambda: replace(Scenario(), protocol=ProtocolSettings(accum_count=1001)),
+     "protocol.accum_count", "must be at most 1000"),
+    (lambda: Scenario(trajectory=Waypoints(())), "trajectory.points", "must not be empty"),
+    (lambda: Scenario(trajectory=Waypoints(((Point(1.0, 1.0), -2),))),
+     "trajectory.points[0].dwell_rounds", "must be >= 1"),
+    (lambda: replace(Scenario(), trajectory=Static(Point(9.0, 1.0))),
+     "trajectory", "point 0 at (9.0, 1.0) outside the lattice hull"),
+], ids=["rounds-0", "rounds-1e15", "replace-seed", "replace-accum", "no-waypoints",
+        "negative-dwell", "replace-outside"])
+def test_invalid_scenario_cannot_be_built(build, path, message):
+    with pytest.raises(ScenarioError) as info:
+        build()
+    assert (info.value.path, str(info.value)) == (path, f"{path}: {message}")
+
 
 MINIMAL = {"trajectory": {"kind": "static", "point": [2.0, 2.0]}}
 SUB_TOLERANCE = "grid: spacing_m must be more than 2 * COORD_TOL, 2e-06 m"
@@ -745,7 +766,8 @@ class TestScenarioParsing:
         # The protocol's clock at t = 1000 ms cannot resolve a 1e-14 ms wait.
         ({"protocol": {"ack_timeout_ms": 1e-14}, "rounds": 2},
          "protocol.ack_timeout_ms: must be longer than one clock step, 2.27374e-13 ms"),
-        ({"protocol": {"accum_count": 10**400}}, "protocol.accum_count: too large"),
+        ({"protocol": {"accum_count": 10**400}},
+         "protocol.accum_count: must be at most 1000"),
         # JSON may spell NaN and Infinity, and they pass a plain range check.
         ({"channel": {"sigma_dbm": math.nan}}, "channel: sigma_dbm must be finite"),
         ({"channel": {"a_dbm": math.nan}}, "channel: a_dbm must be finite"),
@@ -808,6 +830,22 @@ class TestScenarioParsing:
         ({"grid": {"spacing_m": ABOVE_TOLERANCE},
           "trajectory": {"kind": "static", "point": [1e-6, ABOVE_TOLERANCE]}},
          "trajectory: point 0 coincides with beacon 3"),
+        # Capped before any round is laid out or any block is drawn.
+        ({"rounds": 10**15}, "rounds: must be at most 1000000"),
+        ({"rounds": 10**6 + 1}, "rounds: must be at most 1000000"),
+        ({"protocol": {"accum_count": 10**12, "inter_test_gap_ms": 0.0}},
+         "protocol.accum_count: must be at most 1000"),
+        ({"protocol": {"accum_count": 2**80, "inter_test_gap_ms": 0.0}},
+         "protocol.accum_count: must be at most 1000"),
+        ({"seed": -1}, "seed: must be >= 0"),
+        ({"trajectory": {"kind": "waypoints", "points": [
+            {"point": [1.0, 1.0]}, {"point": [5.0, 5.0], "dwell_rounds": 0}]}},
+         "trajectory.points[1].dwell_rounds: must be >= 1"),
+        # A point is named by the first round there.
+        ({"trajectory": {"kind": "waypoints", "points": [
+            {"point": [1.0, 1.0], "dwell_rounds": 3}, {"point": [9.0, 1.0]},
+            {"point": [1.0, 1.0]}]}, "rounds": 6},
+         "trajectory: point 3 at (9.0, 1.0) outside the lattice hull"),
     ])
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
@@ -856,6 +894,24 @@ class TestScenarioParsing:
         data["protocol"]["round_interval_ms"] = shortest
         assert scenario_from_dict(data).protocol.round_interval_ms == shortest
 
+    def test_each_distinct_point_is_checked_once(self, monkeypatch):
+        from gridloc import geometry
+        calls = []
+        real = geometry.dist
+        monkeypatch.setattr(geometry, "dist", lambda p, q: calls.append(1) or real(p, q))
+        # Each within COORD_TOL of a beacon along each axis, but not in distance.
+        a, b = [4.0 + 8e-7, 4.0 + 8e-7], [8.0 - 8e-7, 4.0 + 8e-7]
+        s = scenario_from_dict(dict(MINIMAL, grid={"cols": 100, "rows": 100},
+                                    trajectory={"kind": "static", "point": a},
+                                    rounds=10**6,
+                                    protocol={"accum_count": 1000, "inter_test_gap_ms": 0.0}))
+        assert (s.rounds, s.protocol.accum_count, len(calls)) == (10**6, 1000, 1)
+        calls.clear()
+        scenario_from_dict(dict(MINIMAL, rounds=8, trajectory={
+            "kind": "waypoints", "points": [{"point": p, "dwell_rounds": 2}
+                                            for p in (a, b, a, b)]}))
+        assert len(calls) == 2
+
     def test_largest_lattice_accepted(self):
         data = dict(MINIMAL, grid={"cols": 100, "rows": 100})
         assert scenario_from_dict(data).grid.cols == 100
@@ -874,7 +930,8 @@ class TestScenarioParsing:
             scenario_from_dict(dict(MINIMAL, grid={"cols": size, "rows": size},
                                     trajectory=near, rounds=200))
             counts.append(len(calls))
-        assert counts == [200, 200]
+        # One check of the one position, however many rounds stay there.
+        assert counts == [1, 1]
 
     def test_point_past_the_largest_float_from_the_origin_accepted(self):
         s = scenario_from_dict(dict(
