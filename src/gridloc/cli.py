@@ -97,12 +97,17 @@ def _parse_reports(path: Path) -> list[RssiReport]:
     return reports
 
 
+# The locate flag that sets each GridSpec field.
+_GRID_FLAGS = {"origin": "--origin", "spacing_m": "--spacing",
+               "cols": "--cols", "rows": "--rows"}
+
+
 def _cmd_locate(args: argparse.Namespace) -> int:
     try:
         ox, _, oy = args.origin.partition(",")
         origin = Point(float(ox), float(oy))
     except ValueError:
-        print("error: --origin expects X,Y", file=sys.stderr)
+        print("error: --origin: expects X,Y", file=sys.stderr)
         return EXIT_ERROR
     try:
         # Checked as the scenario keys are; float() takes nan and inf.
@@ -111,10 +116,13 @@ def _cmd_locate(args: argparse.Namespace) -> int:
                                ("--tau", 0 < args.tau < 1, "must be in (0, 1)")):
             if not ok:
                 raise ValueError(f"{flag}: {rule}")
-        grid = GridSpec(origin=origin, spacing_m=args.spacing,
-                        cols=args.cols, rows=args.rows)
+        try:
+            grid = GridSpec(origin=origin, spacing_m=args.spacing,
+                            cols=args.cols, rows=args.rows)
+        except GeometryError as exc:
+            raise ValueError(f"{_GRID_FLAGS[exc.field]}: {exc}") from exc
         reports = _parse_reports(Path(args.reports))
-    except (GeometryError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     config = LocalizerConfig(grid=grid, a_dbm=args.a_dbm,

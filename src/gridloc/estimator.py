@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
                       _inverse_range)
@@ -31,17 +32,47 @@ class FixMethod(Enum):
     CENTROID = "centroid"
 
 
-@dataclass(frozen=True)
-class RssiReport:
-    """Averaged signal strength from one beacon."""
+def _check_count(sample_count: int) -> None:
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
 
+
+class _ReportFields(NamedTuple):
     beacon_pos: Point
     avg_rssi_dbm: float
     sample_count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+
+class RssiReport(_ReportFields):
+    """Averaged signal strength from one beacon.
+
+    An immutable named tuple. The constructor, _make, _replace and batch
+    all check the sample count.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, beacon_pos: Point, avg_rssi_dbm: float,
+                sample_count: int = 1) -> RssiReport:
+        _check_count(sample_count)
+        return tuple.__new__(cls, (beacon_pos, avg_rssi_dbm, sample_count))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> RssiReport:
+        # The named tuple's _make checks the length and skips __new__;
+        # _replace goes through here.
+        report = super()._make(iterable)
+        _check_count(report.sample_count)
+        return report
+
+    @classmethod
+    def batch(cls, positions: Iterable[Point], levels: Iterable[float],
+              sample_count: int) -> list[RssiReport]:
+        """RssiReport(p, level, sample_count) for each position and level
+        in turn, with the count checked once."""
+        _check_count(sample_count)
+        return list(map(tuple.__new__, repeat(cls),
+                        zip(positions, levels, repeat(sample_count))))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,12 @@ COORD_TOL = 1e-6
 
 
 class GeometryError(ValueError):
-    """A coordinate set violates a lattice precondition."""
+    """A coordinate set violates a lattice precondition; field names the
+    GridSpec field at fault, when there is one."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 class OutOfRegionError(GeometryError):
@@ -45,14 +50,19 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.origin[0]) and math.isfinite(self.origin[1])):
-            raise GeometryError("origin must be finite")
+            raise GeometryError("origin must be finite", "origin")
         if not 0 < self.spacing_m < math.inf:
-            raise GeometryError("spacing_m must be positive and finite")
+            raise GeometryError("spacing_m must be positive and finite", "spacing_m")
         # Closer lines leave a coordinate within COORD_TOL of two of them.
         if self.spacing_m <= 2 * COORD_TOL:
-            raise GeometryError(f"spacing_m must be more than 2 * COORD_TOL, {2 * COORD_TOL:g} m")
-        if self.cols < 2 or self.rows < 2:
-            raise GeometryError("lattice needs at least 2 columns and 2 rows")
+            raise GeometryError(f"spacing_m must be more than 2 * COORD_TOL, {2 * COORD_TOL:g} m",
+                                "spacing_m")
+        for name in ("cols", "rows"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise GeometryError(f"{name} must be an integer", name)
+            if count < 2:
+                raise GeometryError("lattice needs at least 2 columns and 2 rows", name)
 
     def beacon_position(self, i: int, j: int) -> Point:
         return Point(self.origin[0] + i * self.spacing_m,

@@ -46,6 +46,12 @@ class ScenarioError(ValueError):
         self.path = path
 
 
+def _check_integer(path: str, value: object) -> None:
+    # A float count would build and then fail mid-run; bool is an int too.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(path, "must be an integer")
+
+
 @dataclass(frozen=True)
 class Static:
     point: geo.Point
@@ -104,15 +110,18 @@ class Scenario:
     quantize_rssi: bool = False
 
     def __post_init__(self) -> None:
+        _check_integer("rounds", self.rounds)
         if self.rounds < 1:
             raise ScenarioError("rounds", "must be >= 1")
         if self.rounds > MAX_ROUNDS:
             raise ScenarioError("rounds", f"must be at most {MAX_ROUNDS}")
+        _check_integer("seed", self.seed)
         if self.seed < 0:
             raise ScenarioError("seed", "must be >= 0")
         p = self.protocol
         if not 0 < p.round_interval_ms < math.inf:
             raise ScenarioError("protocol.round_interval_ms", "must be positive and finite")
+        _check_integer("protocol.accum_count", p.accum_count)
         if p.accum_count < 1:
             raise ScenarioError("protocol.accum_count", "must be >= 1")
         if p.accum_count > MAX_ACCUM_COUNT:
@@ -149,6 +158,8 @@ class Scenario:
                                     "a 1 m link cannot calibrate the exponent")
         t = self.trajectory
         if isinstance(t, LatticeSweep):
+            _check_integer("trajectory.nx", t.nx)
+            _check_integer("trajectory.ny", t.ny)
             if t.nx < 1 or t.ny < 1:
                 raise ScenarioError("trajectory", "sweep needs nx, ny >= 1")
             if self.rounds != t.nx * t.ny:
@@ -158,8 +169,10 @@ class Scenario:
             if not t.points:
                 raise ScenarioError("trajectory.points", "must not be empty")
             for i, (_, dwell) in enumerate(t.points):
+                path = f"trajectory.points[{i}].dwell_rounds"
+                _check_integer(path, dwell)
                 if dwell < 1:
-                    raise ScenarioError(f"trajectory.points[{i}].dwell_rounds", "must be >= 1")
+                    raise ScenarioError(path, "must be >= 1")
         # Each distinct position is checked once, at the first round there.
         xmin, ymin, xmax, ymax = self.grid.bounds()
         checked: set[geo.Point] = set()
@@ -356,7 +369,7 @@ def _batched_round(s: Scenario, links: list[chan.Link],
     # them: cumsum adds in row order, where np.sum may add pairwise, and
     # sum() of floats is compensated from Python 3.12 on.
     avgs = (block[2:n + 2].cumsum(axis=0)[-1] / n).tolist()
-    return [est.RssiReport(b.pos, avg, n) for (b, _), avg in zip(links, avgs)]
+    return est.RssiReport.batch([b.pos for b, _ in links], avgs, n)
 
 
 def _trace_round(p: ProtocolSettings, links: list[chan.Link],

@@ -121,6 +121,13 @@ class TestLocate:
         (["--tau", "1"], "--tau: must be in (0, 1)"),
         (["--tau", "-0.5"], "--tau: must be in (0, 1)"),
         (["--tau", "nan"], "--tau: must be in (0, 1)"),
+        # The lattice's own rules, named by the flag that set the field.
+        (["--spacing", "nan"], "--spacing: spacing_m must be positive and finite"),
+        (["--spacing", "1e-6"], "--spacing: spacing_m must be more than 2 * COORD_TOL, 2e-06 m"),
+        (["--cols", "1"], "--cols: lattice needs at least 2 columns and 2 rows"),
+        (["--rows", "0"], "--rows: lattice needs at least 2 columns and 2 rows"),
+        (["--origin", "inf,0"], "--origin: origin must be finite"),
+        (["--origin", "0,0,0"], "--origin: expects X,Y"),
     ])
     def test_bad_model_flag_rejected(self, tmp_path, capsys, flags, message):
         reports = tmp_path / "reports.csv"

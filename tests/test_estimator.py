@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -372,3 +373,47 @@ def test_estimate_invariants():
         EstimatorState(n_current=0.0)
     est = Estimate(None, FixMethod.NO_FIX)
     assert est.n_used == 2.0
+
+
+class TestRssiReport:
+    P = Point(4.0, 0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda p: RssiReport(p, -50.0, 0),
+        lambda p: RssiReport._make((p, -50.0, 0)),
+        lambda p: RssiReport(p, -50.0, 3)._replace(sample_count=0),
+        lambda p: RssiReport.batch([p, p], [-50.0, -51.0], 0),
+    ], ids=["constructor", "_make", "_replace", "batch"])
+    def test_every_constructor_rejects_a_zero_count(self, build):
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            build(self.P)
+
+    def test_batch_equals_the_constructor(self):
+        positions = [self.P, Point(0.0, 4.0), Point(8.0, 8.0)]
+        levels = [-50.0, -61.25, -47.5]
+        batch = RssiReport.batch(positions, levels, 8)
+        one_by_one = [RssiReport(p, level, 8) for p, level in zip(positions, levels)]
+        assert batch == one_by_one
+        assert [type(r) for r in batch] == [RssiReport] * 3
+        assert RssiReport.batch([], [], 1) == []
+
+    def test_fields_unpack_and_compare_as_a_tuple(self):
+        r = RssiReport(self.P, -50.0)
+        pos, level, count = r
+        assert (pos, level, count) == (self.P, -50.0, 1)
+        assert r == (self.P, -50.0, 1)
+        assert RssiReport._make((self.P, -50.0, 2)) == r._replace(sample_count=2)
+        with pytest.raises(TypeError):
+            RssiReport._make((self.P, -50.0))
+
+    def test_immutable(self):
+        r = RssiReport(self.P, -50.0, 8)
+        with pytest.raises(AttributeError):
+            r.sample_count = 0
+        with pytest.raises(AttributeError):
+            r.note = "x"
+
+    def test_pickle_round_trip(self):
+        r = RssiReport(self.P, -50.0, 8)
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and type(back) is RssiReport

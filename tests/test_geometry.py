@@ -57,8 +57,17 @@ class TestGridSpec:
         {"spacing_m": 2e-6},
     ])
     def test_invalid_spec_rejected(self, kwargs):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError) as info:
             GridSpec(**kwargs)
+        [field] = kwargs
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("field,value", [
+        ("cols", 2.5), ("cols", True), ("rows", 3.0), ("rows", "3")])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(GeometryError) as info:
+            GridSpec(**{field: value})
+        assert (info.value.field, str(info.value)) == (field, f"{field} must be an integer")
 
     def test_bounds_and_cells(self, grid):
         assert grid.bounds() == (0.0, 0.0, 8.0, 8.0)

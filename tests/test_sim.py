@@ -129,7 +129,8 @@ def engine_play(run, s: Scenario):
 
 
 def report_fields(report_sets):
-    return [[(r.beacon_pos, type(r.avg_rssi_dbm), r.avg_rssi_dbm.hex(),
+    # A report equals a plain tuple of its fields, so its type is recorded too.
+    return [[(type(r), r.beacon_pos, type(r.avg_rssi_dbm), r.avg_rssi_dbm.hex(),
               r.sample_count) for r in reports] for reports in report_sets]
 
 
@@ -678,8 +679,21 @@ class TestTrajectories:
      "trajectory.points[0].dwell_rounds", "must be >= 1"),
     (lambda: replace(Scenario(), trajectory=Static(Point(9.0, 1.0))),
      "trajectory", "point 0 at (9.0, 1.0) outside the lattice hull"),
+    # Counts must be ints, not floats or bools.
+    (lambda: Scenario(rounds=2.5), "rounds", "must be an integer"),
+    (lambda: Scenario(seed=1.5), "seed", "must be an integer"),
+    (lambda: Scenario(protocol=ProtocolSettings(accum_count=2.5)),
+     "protocol.accum_count", "must be an integer"),
+    (lambda: Scenario(trajectory=LatticeSweep(nx=2.0, ny=2), rounds=4),
+     "trajectory.nx", "must be an integer"),
+    (lambda: Scenario(trajectory=LatticeSweep(nx=1, ny=True), rounds=1),
+     "trajectory.ny", "must be an integer"),
+    (lambda: Scenario(trajectory=Waypoints(((Point(1.0, 1.0), 1),
+                                            (Point(1.0, 3.0), 2.0))), rounds=3),
+     "trajectory.points[1].dwell_rounds", "must be an integer"),
 ], ids=["rounds-0", "rounds-1e15", "replace-seed", "replace-accum", "no-waypoints",
-        "negative-dwell", "replace-outside"])
+        "negative-dwell", "replace-outside", "rounds-float", "seed-float",
+        "accum-float", "nx-float", "ny-bool", "dwell-float"])
 def test_invalid_scenario_cannot_be_built(build, path, message):
     with pytest.raises(ScenarioError) as info:
         build()
