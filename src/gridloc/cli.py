@@ -228,16 +228,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = _resolve_scenario(args.scenario)
         if args.seed is not None:
             base = replace(base, seed=args.seed)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        summary = ["vary_key,value,system,records,no_fix,"
-                   "median_error_m,mean_error_m,fraction_below_1.5m,wins_vs_baseline"]
+        # Every variant is built, and so checked, before the first round.
+        variants = []
         for value in values:
-            scenario = _variant(base, key, value)
             # The short form, unless it names another value.
             tag = format(value, "g")
             if float(tag) != value:
                 tag = repr(value)
+            try:
+                variants.append((tag, _variant(base, key, value)))
+            except ValueError as exc:
+                raise ValueError(f"--vary {key}={tag}: {exc}") from exc
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary = ["vary_key,value,system,records,no_fix,"
+                   "median_error_m,mean_error_m,fraction_below_1.5m,wins_vs_baseline"]
+        for tag, scenario in variants:
             refined, baseline = sim.run_with_baseline(scenario)
             harness.write_records_csv(refined, out_dir / f"records_{key}_{tag}.csv")
             harness.write_records_csv(baseline,

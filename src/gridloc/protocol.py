@@ -5,7 +5,9 @@ acknowledgement, fires a fixed count of strength-test packets at a fixed
 gap, asks every beacon for its accumulated average, then computes. Beacons
 accumulate per-blind sample buffers and answer average requests.
 
-The machines are the protocol's reference. The oracle in tests/test_sim.py
+ProtocolSettings is the one statement of a round's timings: it is a
+scenario's protocol section, and the blind machine holds it whole. The
+machines are the protocol's reference. The oracle in tests/test_sim.py
 drives them packet by packet, and gridloc.sim plays the fixed schedule they
 follow over a lossless, zero-delay channel; its traces use the messages and
 format_trace_line defined here.
@@ -13,22 +15,25 @@ format_trace_line defined here.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
 from .estimator import RssiReport
 from .geometry import Point
 
-log = logging.getLogger(__name__)
-
-DEFAULT_ACCUM_COUNT = 8
-DEFAULT_INTER_TEST_GAP_MS = 20.0
-DEFAULT_RESPONSE_WINDOW_MS = 50.0
-DEFAULT_ACK_TIMEOUT_MS = 100.0
-
 BROADCAST = "*"
+
+
+@dataclass(frozen=True)
+class ProtocolSettings:
+    """A round's timers and test count, and the interval between rounds."""
+
+    accum_count: int = 8
+    inter_test_gap_ms: float = 20.0
+    response_window_ms: float = 50.0
+    ack_timeout_ms: float = 100.0
+    round_interval_ms: float = 1000.0
 
 
 @dataclass(frozen=True)
@@ -90,25 +95,14 @@ Emission = tuple[Union[Message, TimerFired], float]
 @dataclass(frozen=True)
 class BlindNodeMachine:
     id: str
-    accum_count: int = DEFAULT_ACCUM_COUNT
-    inter_test_gap_ms: float = DEFAULT_INTER_TEST_GAP_MS
-    response_window_ms: float = DEFAULT_RESPONSE_WINDOW_MS
-    ack_timeout_ms: float = DEFAULT_ACK_TIMEOUT_MS
+    settings: ProtocolSettings = ProtocolSettings()
     phase: Phase = Phase.IDLE
     tests_sent: int = 0
     collected: tuple[RssiReport, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.accum_count < 1:
+        if self.settings.accum_count < 1:
             raise ValueError("accum_count must be >= 1")
-
-
-def _successor(m: BlindNodeMachine, phase: Phase, tests_sent: int,
-               collected: tuple[RssiReport, ...]) -> BlindNodeMachine:
-    """A new blind machine with m's settings and the given round state."""
-    return BlindNodeMachine(m.id, m.accum_count, m.inter_test_gap_ms,
-                            m.response_window_ms, m.ack_timeout_ms,
-                            phase, tests_sent, collected)
 
 
 def blind_step(machine: BlindNodeMachine,
@@ -120,50 +114,44 @@ def blind_step(machine: BlindNodeMachine,
     Radio messages are emitted with send time now; TimerFired emissions
     are wakeups the caller must deliver back at their send time.
     """
-    m = machine
+    m, p = machine, machine.settings
     if isinstance(event, StartRound):
         if m.phase is not Phase.IDLE:
-            log.debug("%s: StartRound ignored in phase %s", m.id, m.phase.value)
             return m, []
-        return (_successor(m, Phase.AWAIT_ACK, 0, ()),
+        return (replace(m, phase=Phase.AWAIT_ACK, tests_sent=0, collected=()),
                 [(LocationStart(m.id), now),
-                 (TimerFired("ack_timeout"), now + m.ack_timeout_ms)])
+                 (TimerFired("ack_timeout"), now + p.ack_timeout_ms)])
 
     if isinstance(event, Ack):
         if m.phase is not Phase.AWAIT_ACK:
             # Only the first Ack advances the machine.
             return m, []
-        return (_successor(m, Phase.ACCUMULATING, 1, m.collected),
+        return (replace(m, phase=Phase.ACCUMULATING, tests_sent=1),
                 [(RssiTest(m.id, 1), now),
-                 (TimerFired("test_gap"), now + m.inter_test_gap_ms)])
+                 (TimerFired("test_gap"), now + p.inter_test_gap_ms)])
 
     if isinstance(event, TimerFired):
         if event.kind == "ack_timeout" and m.phase is Phase.AWAIT_ACK:
-            log.debug("%s: no Ack received, round abandoned", m.id)
-            return _successor(m, Phase.IDLE, m.tests_sent, m.collected), []
+            return replace(m, phase=Phase.IDLE), []
         if event.kind == "test_gap" and m.phase is Phase.ACCUMULATING:
-            if m.tests_sent < m.accum_count:
+            if m.tests_sent < p.accum_count:
                 seq = m.tests_sent + 1
-                return (_successor(m, m.phase, seq, m.collected),
+                return (replace(m, tests_sent=seq),
                         [(RssiTest(m.id, seq), now),
-                         (TimerFired("test_gap"), now + m.inter_test_gap_ms)])
-            return (_successor(m, Phase.AWAIT_AVERAGES, m.tests_sent, m.collected),
+                         (TimerFired("test_gap"), now + p.inter_test_gap_ms)])
+            return (replace(m, phase=Phase.AWAIT_AVERAGES),
                     [(RssiAvgRequest(m.id), now),
-                     (TimerFired("collect_window"), now + m.response_window_ms)])
+                     (TimerFired("collect_window"), now + p.response_window_ms)])
         if event.kind == "collect_window" and m.phase is Phase.AWAIT_AVERAGES:
-            return _successor(m, Phase.COMPUTING, m.tests_sent, m.collected), []
+            return replace(m, phase=Phase.COMPUTING), []
         return m, []  # stale timer from an earlier phase
 
     if isinstance(event, RssiAvgResponse):
         if m.phase is not Phase.AWAIT_AVERAGES:
-            log.debug("%s: late average response dropped", m.id)
             return m, []
         report = RssiReport(event.beacon_pos, event.avg_rssi_dbm,
                             event.sample_count)
-        return _successor(m, m.phase, m.tests_sent, m.collected + (report,)), []
-
-    log.debug("%s: unexpected %s in phase %s", m.id,
-              type(event).__name__, m.phase.value)
+        return replace(m, collected=m.collected + (report,)), []
     return m, []
 
 

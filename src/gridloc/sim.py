@@ -11,7 +11,8 @@ on the calibration link.
 
 Every packet has zero delay and every packet within the radius arrives,
 and validation keeps every timer after the packets it waits for, so each
-round of the protocol in gridloc.protocol follows one fixed schedule. With
+round of the protocol in gridloc.protocol, timed by the scenario's
+protocol.ProtocolSettings, follows one fixed schedule. With
 k beacons in range: the start broadcast and the k acks at the round's
 start, accum_count test broadcasts one inter-test gap apart, then the
 request and the k responses one gap after the last test. _batched_round
@@ -36,6 +37,7 @@ from . import channel as chan
 from . import estimator as est
 from . import geometry as geo
 from . import protocol as proto
+from .protocol import ProtocolSettings
 
 
 class ScenarioError(ValueError):
@@ -50,6 +52,12 @@ def _check_integer(path: str, value: object) -> None:
     # A float count would build and then fail mid-run; bool is an int too.
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(path, "must be an integer")
+
+
+def _check_bool(path: str, value: object) -> None:
+    # A truthy 1 or "no" would build and switch the feature on.
+    if not isinstance(value, bool):
+        raise ScenarioError(path, "must be true or false")
 
 
 @dataclass(frozen=True)
@@ -90,15 +98,6 @@ class EstimatorSettings:
 
 
 @dataclass(frozen=True)
-class ProtocolSettings:
-    accum_count: int = proto.DEFAULT_ACCUM_COUNT
-    inter_test_gap_ms: float = proto.DEFAULT_INTER_TEST_GAP_MS
-    response_window_ms: float = proto.DEFAULT_RESPONSE_WINDOW_MS
-    ack_timeout_ms: float = proto.DEFAULT_ACK_TIMEOUT_MS
-    round_interval_ms: float = 1000.0
-
-
-@dataclass(frozen=True)
 class Scenario:
     grid: geo.GridSpec = geo.GridSpec()
     channel: chan.ChannelParams = chan.ChannelParams()
@@ -118,6 +117,7 @@ class Scenario:
         _check_integer("seed", self.seed)
         if self.seed < 0:
             raise ScenarioError("seed", "must be >= 0")
+        _check_bool("quantize_rssi", self.quantize_rssi)
         p = self.protocol
         if not 0 < p.round_interval_ms < math.inf:
             raise ScenarioError("protocol.round_interval_ms", "must be positive and finite")
@@ -148,8 +148,13 @@ class Scenario:
             raise ScenarioError("estimator.near_beacon_tau", "must be in (0, 1)")
         if not 0 < e.n_min <= e.n_max:
             raise ScenarioError("estimator.n_min", "need 0 < n_min <= n_max")
+        _check_bool("estimator.adapt", e.adapt)
+        pair = e.calibration_beacons
+        if (not isinstance(pair, tuple) or len(pair) != 2
+                or any(isinstance(i, bool) or not isinstance(i, int) for i in pair)):
+            raise ScenarioError("estimator.calibration_beacons", "must be a pair of integer ids")
         if e.adapt:
-            a, b = e.calibration_beacons
+            a, b = pair
             if a == b or not (0 <= a < n_beacons and 0 <= b < n_beacons):
                 raise ScenarioError("estimator.calibration_beacons",
                                     "need two distinct beacon ids on the lattice")

@@ -1,7 +1,8 @@
 """The benchmark's per-layer metrics read the span aggregates of gridloc's
-public functions by name. A refactor that renames, privatizes or removes
-one of those functions makes the traced benchmark fail with a KeyError;
-this check catches that without running the benchmark."""
+public functions by name, and its workloads call some of them as
+gridloc.<module>.<name>. A refactor that renames, privatizes or removes
+one of those functions makes the benchmark fail with a KeyError or an
+AttributeError; these checks catch that without running the benchmark."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import inspect
 from pathlib import Path
 
 RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+WORKLOADS_PY = RUN_PY.with_name("workloads.py")
 AGGREGATES = {"calls", "self_s", "total_s"}
 
 
@@ -36,13 +38,48 @@ def traced_names() -> set[str]:
     return names
 
 
-def test_bench_lookups_are_public_functions():
-    names = traced_names()
-    assert {"sim.run_baseline", "channel.sample_rss",
-            "harness.error_surface"} <= names
+def attribute_names() -> set[str]:
+    """Every "module.name" that bench/run.py or bench/workloads.py reads as
+    gridloc.<module>.<name>, in its code or in a string of code it hands
+    to a child process."""
+    names = set()
+    for path in (RUN_PY, WORKLOADS_PY):
+        trees = [ast.parse(path.read_text(encoding="utf-8"))]
+        for node in ast.walk(trees[0]):
+            text = _string(node)
+            if text is not None and "gridloc." in text:
+                try:
+                    trees.append(ast.parse(text))
+                except SyntaxError:
+                    pass  # prose, not code
+        for tree in trees:
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Attribute)
+                        and isinstance(node.value.value, ast.Name)
+                        and node.value.value.id == "gridloc"):
+                    names.add(f"{node.value.attr}.{node.attr}")
+    return names
+
+
+def assert_public_functions(names: set[str]) -> None:
     for name in sorted(names):
         module_name, _, func_name = name.partition(".")
         module = importlib.import_module(f"gridloc.{module_name}")
         fn = getattr(module, func_name, None)
         assert inspect.isfunction(fn) and not func_name.startswith("_"), name
         assert fn.__module__ == module.__name__, name
+
+
+def test_bench_lookups_are_public_functions():
+    names = traced_names()
+    assert {"sim.run_baseline", "channel.sample_rss",
+            "harness.error_surface"} <= names
+    assert_public_functions(names)
+
+
+def test_bench_attribute_reads_are_public_functions():
+    names = attribute_names()
+    assert {"sim.load_scenario", "sim.scenario_from_dict",
+            "sim.run_scenario"} <= names
+    assert_public_functions(names)

@@ -356,8 +356,19 @@ class TestSweep:
         write_scenario(scenario)
         assert main(["sweep", str(scenario), "--vary", "spacing=1e-6",
                      "--out", str(tmp_path / "out")]) == EXIT_ERROR
-        assert (capsys.readouterr().err
-                == "error: spacing_m must be more than 2 * COORD_TOL, 2e-06 m\n")
+        assert (capsys.readouterr().err == "error: --vary spacing=1e-06: "
+                "spacing_m must be more than 2 * COORD_TOL, 2e-06 m\n")
+
+    def test_every_value_checked_before_the_first_round(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        write_scenario(scenario)
+        out = tmp_path / "out"
+        assert main(["sweep", str(scenario), "--vary", "sigma=0,nan",
+                     "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: --vary sigma=nan: sigma_dbm must be finite\n"
+        assert captured.out == ""
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 def sweep_digests(tmp_path, capsys, vary, seed, quantize=False, adapt=False):

@@ -9,9 +9,9 @@ import pytest
 from gridloc.estimator import RssiReport
 from gridloc.geometry import Point
 from gridloc.protocol import (Ack, BeaconNodeMachine, BlindNodeMachine,
-                              LocationStart, Phase, RssiAvgRequest,
-                              RssiAvgResponse, RssiTest, StartRound,
-                              TimerFired, beacon_step, blind_step,
+                              LocationStart, Phase, ProtocolSettings,
+                              RssiAvgRequest, RssiAvgResponse, RssiTest,
+                              StartRound, TimerFired, beacon_step, blind_step,
                               format_trace_line)
 
 
@@ -22,8 +22,8 @@ def radio(emissions):
 
 def drive_happy_path(accum=8, gap=20.0, window=50.0):
     """Walk one full round of the blind machine; return it plus the send log."""
-    m = BlindNodeMachine(id="m0", accum_count=accum, inter_test_gap_ms=gap,
-                         response_window_ms=window)
+    m = BlindNodeMachine(id="m0", settings=ProtocolSettings(
+        accum_count=accum, inter_test_gap_ms=gap, response_window_ms=window))
     log = []
 
     m, out = blind_step(m, StartRound(), 0.0)
@@ -80,10 +80,32 @@ class TestBlindMachine:
         assert m.tests_sent == 1
 
     def test_start_schedules_ack_timeout(self):
-        m = BlindNodeMachine(id="m0", ack_timeout_ms=100.0)
+        m = BlindNodeMachine(id="m0", settings=ProtocolSettings(ack_timeout_ms=100.0))
         _, out = blind_step(m, StartRound(), 7.0)
         timers = [(p, t) for p, t in out if isinstance(p, TimerFired)]
         assert timers == [(TimerFired("ack_timeout"), 107.0)]
+
+    def test_timers_follow_the_machines_settings(self):
+        p = ProtocolSettings(accum_count=3, inter_test_gap_ms=7.5,
+                             response_window_ms=33.0, ack_timeout_ms=41.0)
+        m = BlindNodeMachine(id="m0", settings=p)
+        m, out = blind_step(m, StartRound(), 2.0)
+        timers = [(e.kind, t) for e, t in out if isinstance(e, TimerFired)]
+        m, out = blind_step(m, Ack(beacon_id="b0"), 3.0)
+        sent = radio(out)
+        # Fire each pending timer at its time until the round computes.
+        while m.phase is not Phase.COMPUTING:
+            ((timer, t),) = [(e, t) for e, t in out if isinstance(e, TimerFired)]
+            timers.append((timer.kind, t))
+            m, out = blind_step(m, timer, t)
+            sent += radio(out)
+        assert timers == [("ack_timeout", 43.0), ("test_gap", 10.5),
+                          ("test_gap", 18.0), ("test_gap", 25.5),
+                          ("collect_window", 58.5)]
+        assert [(type(msg), t) for msg, t in sent] == [
+            (RssiTest, 3.0), (RssiTest, 10.5), (RssiTest, 18.0),
+            (RssiAvgRequest, 25.5)]
+        assert m.tests_sent == p.accum_count
 
     def test_ack_timeout_resets_round(self):
         m = BlindNodeMachine(id="m0")
@@ -133,7 +155,7 @@ class TestBlindMachine:
 
     def test_rejects_zero_accum(self):
         with pytest.raises(ValueError):
-            BlindNodeMachine(id="m0", accum_count=0)
+            BlindNodeMachine(id="m0", settings=ProtocolSettings(accum_count=0))
 
 
 class TestBeaconMachine:

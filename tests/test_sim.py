@@ -46,13 +46,7 @@ def _protocol_round(s: Scenario, pos, links, machines, rng, t0: float, trace):
     """One round's collected reports with the blind node at pos, each
     message appended to trace unless it is None; links is the round's link
     table and machines holds each beacon's machine by id."""
-    p = s.protocol
-    blind = proto.BlindNodeMachine(
-        "m0", accum_count=p.accum_count,
-        inter_test_gap_ms=p.inter_test_gap_ms,
-        response_window_ms=p.response_window_ms,
-        ack_timeout_ms=p.ack_timeout_ms,
-    )
+    blind = proto.BlindNodeMachine("m0", s.protocol)
     lengths = [dist(pos, b.pos) for b, _ in links]
     heap = []
     seq = itertools.count()
@@ -691,9 +685,25 @@ class TestTrajectories:
     (lambda: Scenario(trajectory=Waypoints(((Point(1.0, 1.0), 1),
                                             (Point(1.0, 3.0), 2.0))), rounds=3),
      "trajectory.points[1].dwell_rounds", "must be an integer"),
+    # Switches must be bools, and the calibration pair two int ids, with
+    # adapt on or off.
+    (lambda: Scenario(quantize_rssi=1), "quantize_rssi", "must be true or false"),
+    (lambda: Scenario(estimator=EstimatorSettings(adapt="no"), rounds=2),
+     "estimator.adapt", "must be true or false"),
+    (lambda: Scenario(estimator=EstimatorSettings(adapt=True,
+                                                  calibration_beacons=(0.5, 1))),
+     "estimator.calibration_beacons", "must be a pair of integer ids"),
+    (lambda: Scenario(estimator=EstimatorSettings(calibration_beacons=(True, 2))),
+     "estimator.calibration_beacons", "must be a pair of integer ids"),
+    (lambda: Scenario(estimator=EstimatorSettings(calibration_beacons=[0, 1])),
+     "estimator.calibration_beacons", "must be a pair of integer ids"),
+    (lambda: Scenario(estimator=EstimatorSettings(calibration_beacons=(0, 1, 2))),
+     "estimator.calibration_beacons", "must be a pair of integer ids"),
 ], ids=["rounds-0", "rounds-1e15", "replace-seed", "replace-accum", "no-waypoints",
         "negative-dwell", "replace-outside", "rounds-float", "seed-float",
-        "accum-float", "nx-float", "ny-bool", "dwell-float"])
+        "accum-float", "nx-float", "ny-bool", "dwell-float", "quantize-int",
+        "adapt-str", "calibration-float", "calibration-bool", "calibration-list",
+        "calibration-triple"])
 def test_invalid_scenario_cannot_be_built(build, path, message):
     with pytest.raises(ScenarioError) as info:
         build()
