@@ -9,8 +9,9 @@ ProtocolSettings is the one statement of a round's timings: it is a
 scenario's protocol section, and the blind machine holds it whole. The
 machines are the protocol's reference. The oracle in tests/test_sim.py
 drives them packet by packet, and gridloc.sim plays the fixed schedule they
-follow over a lossless, zero-delay channel; its traces use the messages and
-format_trace_line defined here.
+follow over a lossless, zero-delay channel. format_trace_line is the one
+statement of a trace line; gridloc.sim builds its lines' fixed text with
+it, and the oracle checks the two writers' traces are equal.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .estimator import RssiReport
 from .geometry import Point
 
 BROADCAST = "*"
+# Format specs of a trace line's time in ms, and of its positions and levels.
+TIME_SPEC = ".3f"
+VALUE_SPEC = ".9g"
 
 
 @dataclass(frozen=True)
@@ -205,8 +209,10 @@ _MSG_NAMES = {
 
 
 def format_trace_line(time_ms: float, src: str, dst: str, msg: Message) -> str:
-    """One deterministic trace line: time, src, dst, type, payload fields."""
-    fields = [f"{time_ms:.3f}", src, dst, _MSG_NAMES[type(msg)]]
+    """One deterministic trace line, comma-separated: time, src, dst, type,
+    then the message's fields in declaration order. A response ends with
+    its level and sample count."""
+    fields = [format(time_ms, TIME_SPEC), src, dst, _MSG_NAMES[type(msg)]]
     if isinstance(msg, LocationStart):
         fields.append(msg.blind_id)
     elif isinstance(msg, Ack):
@@ -217,8 +223,8 @@ def format_trace_line(time_ms: float, src: str, dst: str, msg: Message) -> str:
         fields.append(msg.blind_id)
     else:
         fields += [msg.beacon_id,
-                   format(msg.beacon_pos[0], ".9g"),
-                   format(msg.beacon_pos[1], ".9g"),
-                   format(msg.avg_rssi_dbm, ".9g"),
+                   format(msg.beacon_pos[0], VALUE_SPEC),
+                   format(msg.beacon_pos[1], VALUE_SPEC),
+                   format(msg.avg_rssi_dbm, VALUE_SPEC),
                    str(msg.sample_count)]
     return ",".join(fields)

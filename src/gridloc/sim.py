@@ -17,19 +17,22 @@ k beacons in range: the start broadcast and the k acks at the round's
 start, accum_count test broadcasts one inter-test gap apart, then the
 request and the k responses one gap after the last test. _batched_round
 takes that schedule's k·(accum_count + 4) normals in one draw, in that
-order, and _trace_round writes its messages when a trace is asked for.
-The discrete-event simulator that drives the protocol machines packet by
-packet is the oracle in tests/test_sim.py.
+order. When a trace is asked for, _trace_tails has
+protocol.format_trace_line write the text of each line after its time
+once per run, and _trace_round adds the round's times and each
+response's level and count. The discrete-event simulator that drives the
+protocol machines packet by packet, and formats each of their messages
+whole, is the oracle in tests/test_sim.py.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Container, Optional, Union
+from typing import Container, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -333,6 +336,8 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     if cal_length is not None and chan.link_rss(cal_length, s.channel) is None:
         cal_length = None  # beyond the radius: no calibration draw
 
+    tails = _trace_tails(s.protocol, beacons) if trace is not None else None
+
     refined_records, baseline_records = [], []
     for idx, true_pos in enumerate(s.positions()):
         if cal_length is not None:
@@ -340,11 +345,11 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
             n_new = est.adapt_n(rss, cal_length, state.n_current,
                                 s.channel.a_dbm, s.estimator.n_min,
                                 s.estimator.n_max)
-            state = replace(state, n_current=n_new)
+            state = est.EstimatorState(n_new, state.last_estimate)
         links = chan._links(beacons, true_pos, s.channel)
         reports = _batched_round(s, links, rng)
-        if trace is not None:
-            _trace_round(s.protocol, links, reports,
+        if tails is not None:
+            _trace_round(tails, s.protocol.inter_test_gap_ms, links, reports,
                          idx * s.protocol.round_interval_ms, trace)
         if baseline:
             estimate = est.centroid_estimate(reports, state.n_current, s.grid)
@@ -377,24 +382,64 @@ def _batched_round(s: Scenario, links: list[chan.Link],
     return est.RssiReport.batch([b.pos for b, _ in links], avgs, n)
 
 
-def _trace_round(p: ProtocolSettings, links: list[chan.Link],
+class _TraceTails(NamedTuple):
+    """The text of a traced run's lines after their time, built once by
+    protocol.format_trace_line. Each is indexed by test seq - 1 or by
+    beacon id; a response's head stops before its level."""
+
+    start: str
+    tests: list[str]
+    request: str
+    acks: list[str]
+    response_heads: list[str]
+
+
+def _trace_tails(p: ProtocolSettings, beacons: list[geo.Beacon]) -> _TraceTails:
+    """The tails of every line a run's rounds can write; beacons are in
+    build_lattice order, so a beacon's id is its index."""
+    blind, cut = "m0", len(format(0.0, proto.TIME_SPEC))
+
+    def tail(src: str, dst: str, msg: proto.Message) -> str:
+        # A line's time is its first field.
+        return proto.format_trace_line(0.0, src, dst, msg)[cut:]
+
+    ids = [f"b{b.id}" for b in beacons]
+    return _TraceTails(
+        tail(blind, proto.BROADCAST, proto.LocationStart(blind)),
+        [tail(blind, proto.BROADCAST, proto.RssiTest(blind, seq))
+         for seq in range(1, p.accum_count + 1)],
+        tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind)),
+        [tail(i, blind, proto.Ack(i)) for i in ids],
+        # A response's last two fields are its level and count.
+        [tail(i, blind, proto.RssiAvgResponse(i, b.pos, 0.0, 0)).rsplit(",", 2)[0] + ","
+         for i, b in zip(ids, beacons)])
+
+
+def _trace_round(tails: _TraceTails, gap_ms: float, links: list[chan.Link],
                  reports: list[est.RssiReport], t0: float, trace: list[str]) -> None:
-    """Append the messages of one round's schedule, from t0 on, to trace."""
-    line, blind = proto.format_trace_line, "m0"
-    trace.append(line(t0, blind, proto.BROADCAST, proto.LocationStart(blind)))
+    """Append the lines of one round's schedule, from t0 on, to trace.
+
+    Only the round's distinct times and each response's level and count
+    are formatted; the rest of each line is a tail of the run's.
+    """
+    time_spec, value_spec = proto.TIME_SPEC, proto.VALUE_SPEC
+    now = format(t0, time_spec)
+    trace.append(now + tails.start)
     if not links:
         return
-    ids = [f"b{b.id}" for b, _ in links]
-    trace.extend(line(t0, i, blind, proto.Ack(i)) for i in ids)
+    acks = tails.acks
+    trace.extend([now + acks[b.id] for b, _ in links])
     # The gap is added once per test, as the blind machine's timer adds it;
     # t0 + j * gap can round differently.
     t = t0
-    for seq in range(1, p.accum_count + 1):
-        trace.append(line(t, blind, proto.BROADCAST, proto.RssiTest(blind, seq)))
-        t += p.inter_test_gap_ms
-    trace.append(line(t, blind, proto.BROADCAST, proto.RssiAvgRequest(blind)))
-    trace.extend(line(t, i, blind, proto.RssiAvgResponse(
-        i, r.beacon_pos, r.avg_rssi_dbm, r.sample_count)) for i, r in zip(ids, reports))
+    for test in tails.tests:
+        trace.append(format(t, time_spec) + test)
+        t += gap_ms
+    now = format(t, time_spec)
+    trace.append(now + tails.request)
+    heads = tails.response_heads
+    trace.extend([f"{now}{heads[b.id]}{format(level, value_spec)},{count}"
+                  for (b, _), (_, level, count) in zip(links, reports)])
 
 
 # Scenario files are JSON. Each object is one settings dataclass: its keys

@@ -430,11 +430,16 @@ def sweep_scenario(seed, sigma, quantize, adapt, cols, radius, n=4, **sections):
         **sections})
 
 
+# A 4 x 3 lattice whose beacon positions print with fractions.
+OFF_INTEGER_GRID = {"origin": [0.1, -3.7], "spacing_m": 2.7, "cols": 4, "rows": 3}
+
+
 # Seeds x noise x quantize x adapt on three lattices: 3 x 3, 10 x 10 (its
 # hull is wider than the radius) and 6 x 6 at a 9 m radius; then a short
 # protocol, back-to-back tests, a gap whose sums round differently from its
-# multiples, a radius at which no round has a fix, and the shortest and
-# longest waits tried.
+# multiples, a radius at which no round has a fix, the shortest and longest
+# waits tried, beacon positions with fractions, and times with seven digits
+# before the point.
 ORACLE_CASES = [
     pytest.param(sweep_scenario(seed, sigma, quantize, adapt, cols, radius, n),
                  id=f"{seed}-{sigma}-{quantize}-{adapt}-{cols}-{radius}")
@@ -458,6 +463,12 @@ ORACLE_CASES = [
     pytest.param(sweep_scenario(7, 3.0, True, True, 6, 9.0, protocol={
         "ack_timeout_ms": 5000.0, "response_window_ms": 5000.0,
         "round_interval_ms": 6000.0}), id="waits-5000"),
+    pytest.param(sweep_scenario(42, 3.0, True, True, 3, 30.0, grid=OFF_INTEGER_GRID),
+                 id="off-integer-lattice"),
+    # Round 15 starts at 1851851.835 ms: every digit of the time is printed.
+    pytest.param(sweep_scenario(7, 2.0, False, False, 3, 30.0, protocol={
+        "round_interval_ms": 123456.789, "inter_test_gap_ms": 0.37}),
+                 id="interval-123456.789"),
 ]
 
 
@@ -494,6 +505,18 @@ def test_run_with_baseline_writes_the_trace_of_run_scenario(s):
     run_scenario(s, alone)
     run_with_baseline(s, both)
     assert both == alone and alone
+
+
+def test_back_to_back_traces_each_match_their_des():
+    # Beacon ids 0-8 sit at other positions, and the runs take other test
+    # counts, so a line kept from an earlier run would show.
+    first = sweep_scenario(42, 3.0, False, False, 3, 30.0)
+    second = sweep_scenario(7, 3.0, True, True, 3, 30.0, grid=OFF_INTEGER_GRID,
+                            protocol={"accum_count": 5})
+    for s in (first, second, first):
+        trace: list[str] = []
+        run_scenario(s, trace)
+        assert trace == des_play(s)[1]
 
 
 def test_round_with_no_beacon_in_range_traces_one_line():
