@@ -5,6 +5,12 @@ grid cell they outline. Fine phase: closed-form in-cell position from the
 four corner ranges. Two degenerate layouts get dedicated handlers: the four
 strongest beacons straddling two cells (pair split) and one beacon
 dominating the ranking (near beacon).
+
+The coarse phase's answer depends only on the four beacon positions in
+rank order and the grid, so _cell_plan keeps it per process in a bounded
+cache. A plan holds the cell and indices into the four reports, never a
+coordinate: the fine phase reads every bound and range from the call's
+own reports, and a cached plan gives the same bits as a fresh one.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -21,6 +28,10 @@ from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
 from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec,
                        OutOfRegionError, Point, _cell_of_axes,
                        _rectangle_axes, containing_cell, is_rectangle)
+
+# Distinct ranked top-4s whose cell plans localize keeps. A 625-round
+# paper_sweep run has at most a few hundred.
+PLAN_CACHE_SIZE = 4096
 
 
 class FixMethod(Enum):
@@ -167,41 +178,74 @@ def refine_in_cell(corner_distances: Sequence[tuple[Point, float]]) -> Point:
     Each opposite-corner-column pair yields one x equation and each
     corner-row pair one y equation; averaging the two of each makes the
     result exact whenever the four distances are mutually consistent.
-    The estimate is clamped to the rectangle.
+    The estimate is clamped to the rectangle. localize's refined fixes
+    come from the same corner lookup and solve, bit for bit.
     """
     if len(corner_distances) != 4:
         raise GeometryError("refine_in_cell needs four corners")
-    if not is_rectangle([p for p, _ in corner_distances]):
+    quad = [p for p, _ in corner_distances]
+    if not is_rectangle(quad):
         raise GeometryError("corners do not form a rectangle")
-    return _solve_in_cell(corner_distances)
+    return _solve_in_cell(quad, [d for _, d in corner_distances],
+                          _corner_plan(quad))
 
 
-def _solve_in_cell(corner_distances: Sequence[tuple[Point, float]]) -> Point:
-    """refine_in_cell on four corners already known to form a rectangle.
+def _corner_plan(quad: Sequence[Point]) -> tuple[int, ...]:
+    """Indices into the four corners of a rectangle: the first of the min
+    x, max x, min y and max y, then the first corner within COORD_TOL of
+    (x_lo, y_hi), (x_hi, y_hi), (x_hi, y_lo) and (x_lo, y_lo).
 
-    The bounds are the extreme corner coordinates, not the representatives
-    _rectangle_axes returns, and each range is looked up within COORD_TOL
-    of its corner.
+    The bounds are extreme corner coordinates, not the representatives
+    _rectangle_axes returns. Raises GeometryError for a missing corner.
     """
-    xs = [p[0] for p, _ in corner_distances]
-    ys = [p[1] for p, _ in corner_distances]
-    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    xs = [p[0] for p in quad]
+    ys = [p[1] for p in quad]
+    # index finds the element min and max return: the first extreme one.
+    bounds = (xs.index(min(xs)), xs.index(max(xs)),
+              ys.index(min(ys)), ys.index(max(ys)))
+    lo_x, hi_x, lo_y, hi_y = bounds
 
-    def corner(px: float, py: float) -> float:
-        for p, d in corner_distances:
+    def corner(px: float, py: float) -> int:
+        for i, p in enumerate(quad):
             if abs(p[0] - px) <= COORD_TOL and abs(p[1] - py) <= COORD_TOL:
-                return d
+                return i
         raise GeometryError("missing corner")
 
-    d1 = corner(x_lo, y_hi)
-    d2 = corner(x_hi, y_hi)
-    d3 = corner(x_hi, y_lo)
-    d4 = corner(x_lo, y_lo)
+    x_lo, x_hi, y_lo, y_hi = xs[lo_x], xs[hi_x], ys[lo_y], ys[hi_y]
+    return bounds + (corner(x_lo, y_hi), corner(x_hi, y_hi),
+                     corner(x_hi, y_lo), corner(x_lo, y_lo))
+
+
+def _solve_in_cell(quad: Sequence[Point], ranges: Sequence[float],
+                   plan: Sequence[int]) -> Point:
+    """The closed-form fix from the corners, their ranges in the same
+    order, and _corner_plan's indices into both."""
+    lo_x, hi_x, lo_y, hi_y, c1, c2, c3, c4 = plan
+    x_lo, x_hi, y_lo, y_hi = quad[lo_x][0], quad[hi_x][0], quad[lo_y][1], quad[hi_y][1]
+    d1, d2, d3, d4 = ranges[c1], ranges[c2], ranges[c3], ranges[c4]
     x = 0.5 * (x_lo + x_hi - ((d1 * d1 + d4 * d4) - (d2 * d2 + d3 * d3))
                / (2.0 * (x_lo - x_hi)))
     y = 0.5 * (y_hi + y_lo - ((d1 * d1 + d2 * d2) - (d3 * d3 + d4 * d4))
                / (2.0 * (y_hi - y_lo)))
     return Point(min(max(x, x_lo), x_hi), min(max(y, y_lo), y_hi))
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cell_plan(quad: tuple[Point, ...], grid: GridSpec
+               ) -> Optional[tuple[CellId, tuple[int, ...]]]:
+    """The cell the ranked top-4 positions frame on grid with their
+    _corner_plan, or None when they frame no cell.
+
+    None covers four points that are no rectangle, a rectangle wider than
+    a cell or off the lattice, and a missing corner.
+    """
+    axes = _rectangle_axes(quad)
+    if axes is None:
+        return None
+    try:
+        return _cell_of_axes(axes, grid), _corner_plan(quad)
+    except GeometryError:
+        return None
 
 
 # The three perfect matchings of four items, applied after sorting reports
@@ -314,6 +358,11 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
     direction recovery; everything else pair-splits, with the weighted
     centroid as the safety net. Degenerate geometry degrades, it never
     aborts.
+
+    Whether the top-4 frames a cell, and which report is which corner, is
+    worked out once per distinct ranked top-4 and grid, and kept in a cache
+    of at most PLAN_CACHE_SIZE plans per process; the fix is computed from
+    this call's reports each time, so outputs are unchanged bit for bit.
     """
     n = state.n_current
     top4 = select_top4(reports)
@@ -321,21 +370,13 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
         return Estimate(None, FixMethod.NO_FIX, None, n), state
 
     grid = config.grid
-    # Classify the top-4 once; cell_of_corners and refine_in_cell would
-    # each classify it again.
-    axes = _rectangle_axes([r.beacon_pos for r in top4])
-    if axes is not None:
-        try:
-            cell = _cell_of_axes(axes, grid)
-            pos = _solve_in_cell([(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
-                                  for r in top4])
-        except GeometryError:
-            # A rectangle wider than a cell or off the lattice is handled
-            # like the straddling cases below.
-            pass
-        else:
-            return (Estimate(pos, FixMethod.REFINED, cell, n),
-                    EstimatorState(n, pos))
+    quad = tuple(map(_position, top4))
+    plan = _cell_plan(quad, grid)
+    if plan is not None:
+        cell, corners = plan
+        pos = _solve_in_cell(quad, [config.range_of(r.avg_rssi_dbm, n) for r in top4],
+                             corners)
+        return Estimate(pos, FixMethod.REFINED, cell, n), EstimatorState(n, pos)
 
     strongest = top4[0]
     fallback = False

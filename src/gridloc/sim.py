@@ -19,10 +19,11 @@ request and the k responses one gap after the last test. _batched_round
 takes that schedule's k·(accum_count + 4) normals in one draw, in that
 order. When a trace is asked for, _trace_tails has
 protocol.format_trace_line write the text of each line after its time
-once per run, and _trace_round adds the round's times and each
-response's level and count. The discrete-event simulator that drives the
-protocol machines packet by packet, and formats each of their messages
-whole, is the oracle in tests/test_sim.py.
+once per run, a beacon's the first time it is in range, and _trace_round
+adds the round's times and each response's level and count. The
+discrete-event simulator that drives the protocol machines packet by
+packet, and formats each of their messages whole, is the oracle in
+tests/test_sim.py.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Container, NamedTuple, Optional, Union
+from typing import Callable, Container, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -382,20 +383,35 @@ def _batched_round(s: Scenario, links: list[chan.Link],
     return est.RssiReport.batch([b.pos for b, _ in links], avgs, n)
 
 
+class _Lazy(dict):
+    """A dict that fills a missing key with make(key) on first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], str]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int) -> str:
+        value = self[key] = self.make(key)
+        return value
+
+
 class _TraceTails(NamedTuple):
-    """The text of a traced run's lines after their time, built once by
-    protocol.format_trace_line. Each is indexed by test seq - 1 or by
-    beacon id; a response's head stops before its level."""
+    """The text of a traced run's lines after their time, built by
+    protocol.format_trace_line. The tests' are indexed by seq - 1; a
+    beacon's ack tail and response head, keyed by its id, are built the
+    first time it is in range. A response's head stops before its level."""
 
     start: str
     tests: list[str]
     request: str
-    acks: list[str]
-    response_heads: list[str]
+    acks: dict[int, str]
+    response_heads: dict[int, str]
 
 
 def _trace_tails(p: ProtocolSettings, beacons: list[geo.Beacon]) -> _TraceTails:
-    """The tails of every line a run's rounds can write; beacons are in
+    """The tails of the lines a run's rounds write; beacons are in
     build_lattice order, so a beacon's id is its index."""
     blind, cut = "m0", len(format(0.0, proto.TIME_SPEC))
 
@@ -403,16 +419,20 @@ def _trace_tails(p: ProtocolSettings, beacons: list[geo.Beacon]) -> _TraceTails:
         # A line's time is its first field.
         return proto.format_trace_line(0.0, src, dst, msg)[cut:]
 
-    ids = [f"b{b.id}" for b in beacons]
+    def ack(i: int) -> str:
+        return tail(f"b{i}", blind, proto.Ack(f"b{i}"))
+
+    def response_head(i: int) -> str:
+        # A response's last two fields are its level and count.
+        msg = proto.RssiAvgResponse(f"b{i}", beacons[i].pos, 0.0, 0)
+        return tail(f"b{i}", blind, msg).rsplit(",", 2)[0] + ","
+
     return _TraceTails(
         tail(blind, proto.BROADCAST, proto.LocationStart(blind)),
         [tail(blind, proto.BROADCAST, proto.RssiTest(blind, seq))
          for seq in range(1, p.accum_count + 1)],
         tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind)),
-        [tail(i, blind, proto.Ack(i)) for i in ids],
-        # A response's last two fields are its level and count.
-        [tail(i, blind, proto.RssiAvgResponse(i, b.pos, 0.0, 0)).rsplit(",", 2)[0] + ","
-         for i, b in zip(ids, beacons)])
+        _Lazy(ack), _Lazy(response_head))
 
 
 def _trace_round(tails: _TraceTails, gap_ms: float, links: list[chan.Link],

@@ -132,6 +132,68 @@ def test_localize_output_is_pinned(corpus):
     assert _digest(corpus) == CORPUS_SHA256
 
 
+def test_corpus_is_pinned_from_a_cold_and_a_warm_plan_cache():
+    estimator._cell_plan.cache_clear()
+    cold = _corpus()
+    hits = estimator._cell_plan.cache_info().hits
+    warm = _corpus()
+    assert estimator._cell_plan.cache_info().hits > hits
+    assert _digest(cold) == CORPUS_SHA256
+    assert _digest(warm) == CORPUS_SHA256
+
+
+# One cell's corners, ranked strongest first, written with 0.0, -0.0, int
+# and float coordinates: each set equals the others as a cache key.
+_CELL_SPELLINGS = {
+    "float": [(0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (4.0, 4.0)],
+    "minus_zero": [(-0.0, -0.0), (-0.0, 4.0), (4.0, -0.0), (4.0, 4.0)],
+    "int": [(0, 0), (0, 4), (4, 0), (4, 4)],
+    "mixed": [(0, -0.0), (-0.0, 4), (4.0, 0), (4, 4.0)],
+}
+# Ranges the solve clamps to (x_lo, y_lo), so the fix is a corner's own
+# coordinate, with that coordinate's sign and type.
+_CELL_RANGES = (1.0, 5.0, 5.5, 7.0)
+
+
+def _spelled_reports(name: str, config: LocalizerConfig, n: float) -> list[RssiReport]:
+    return [RssiReport(Point(*p), config.a_dbm - 10.0 * n * math.log10(d))
+            for p, d in zip(_CELL_SPELLINGS[name], _CELL_RANGES)]
+
+
+def _bits(p) -> tuple:
+    return tuple((type(v), float(v).hex()) for v in p)
+
+
+@pytest.mark.parametrize("first, second", [
+    (a, b) for a in _CELL_SPELLINGS for b in _CELL_SPELLINGS if a != b])
+def test_equal_keys_with_other_bits_give_their_own_fix(first, second):
+    config, n = LocalizerConfig(grid=GridSpec()), 2.0
+    estimator._cell_plan.cache_clear()
+    for k, name in enumerate((first, second)):
+        reports = _spelled_reports(name, config, n)
+        est, _ = localize(reports, EstimatorState(n_current=n), config)
+        # The second spelling finds the first one's plan.
+        assert estimator._cell_plan.cache_info().hits == k
+        assert est.method is FixMethod.REFINED
+        fix = refine_in_cell([(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
+                              for r in reports])
+        assert _bits(est.pos) == _bits(fix)
+        assert _bits(est.pos) == _bits(reports[0].beacon_pos)
+
+
+def test_plan_cache_is_bounded():
+    maxsize = estimator._cell_plan.cache_info().maxsize
+    assert maxsize is not None
+    grid = GridSpec()
+    for i in range(maxsize + 10):
+        x = i * 0.25
+        estimator._cell_plan((Point(x, 0.0), Point(x, 4.0), Point(x + 4.0, 0.0),
+                              Point(x + 4.0, 4.0)), grid)
+    info = estimator._cell_plan.cache_info()
+    assert info.misses >= maxsize + 10
+    assert info.currsize <= maxsize
+
+
 @pytest.mark.parametrize("spacing", [1e-6, 1.5 * COORD_TOL, 2 * COORD_TOL])
 def test_fine_lattice_is_rejected(spacing):
     # On a lattice this fine a beacon coordinate can lie within COORD_TOL
@@ -164,13 +226,14 @@ def report_sets(draw):
                     b.pos[1] + draw(st.floats(-1.0, 1.0)) * jitter)
         reports.append(RssiReport(pos, rss))
     n = draw(st.sampled_from([2.0, 2.7]))
-    return grid, reports, n
+    # The same jittered positions heard at new levels: the same ranked
+    # top-4 finds its cached plan.
+    shift = draw(st.floats(-3.0, 3.0))
+    again = [RssiReport(r.beacon_pos, r.avg_rssi_dbm + shift) for r in reports]
+    return grid, reports, again, n
 
 
-@settings(max_examples=300, deadline=None)
-@given(report_sets())
-def test_refined_fix_is_cell_of_corners_and_refine_in_cell(case):
-    grid, reports, n = case
+def _check_refined(grid, reports, n) -> None:
     config = LocalizerConfig(grid=grid)
     est, state = localize(reports, EstimatorState(n_current=n), config)
     if est.method is not FixMethod.REFINED:
@@ -181,3 +244,15 @@ def test_refined_fix_is_cell_of_corners_and_refine_in_cell(case):
                           for r in top4])
     assert (est.pos[0].hex(), est.pos[1].hex()) == (fix[0].hex(), fix[1].hex())
     assert state == EstimatorState(n, est.pos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_sets())
+def test_refined_fix_is_cell_of_corners_and_refine_in_cell(case):
+    grid, reports, again, n = case
+    _check_refined(grid, reports, n)
+    hits = estimator._cell_plan.cache_info().hits
+    _check_refined(grid, again, n)
+    if ([r.beacon_pos for r in select_top4(reports)]
+            == [r.beacon_pos for r in select_top4(again)]):
+        assert estimator._cell_plan.cache_info().hits > hits
