@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Beacon, Point
+from .geometry import Beacon, Point, _check_kinds
 
 DEFAULT_A_DBM = -45.0
 DEFAULT_RSSI_OFFSET_DBM = -45.0
@@ -35,6 +35,7 @@ class ChannelParams:
     reception_radius_m: float = 30.0
 
     def __post_init__(self) -> None:
+        _check_kinds(self, lambda name, rule: ValueError(f"{name} {rule}"))
         # JSON may spell NaN and Infinity, which pass the range checks below.
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
@@ -70,7 +71,11 @@ def _inverse_range(rss: float, a_dbm: float, n_exp: float,
     that range many times and read only the distance."""
     if n_exp <= 0:
         raise ValueError("n_exp must be positive")
-    d = 10.0 ** ((a_dbm - rss) / (10.0 * n_exp))
+    try:
+        d = 10.0 ** ((a_dbm - rss) / (10.0 * n_exp))
+    except OverflowError:
+        # A level far below a_dbm at a small n_exp: beyond any d_max.
+        return d_max, True
     if d < D_MIN_M:
         return D_MIN_M, True
     if d > d_max:

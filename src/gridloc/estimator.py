@@ -322,12 +322,21 @@ def weighted_centroid(reports: Sequence[RssiReport]) -> Point:
     """Beacon positions averaged with linearized-power weights."""
     if not reports:
         raise ValueError("weighted_centroid needs at least one report")
-    wsum = wx = wy = 0.0
-    for r in reports:
-        w = 10.0 ** (r.avg_rssi_dbm / 10.0)
-        wsum += w
-        wx += w * r.beacon_pos[0]
-        wy += w * r.beacon_pos[1]
+    # Far from 0 dBm every weight can underflow to 0, or one overflow. Then
+    # each is taken relative to the strongest, which weighs 1; x - 0.0 is x,
+    # so every centroid that the absolute weights give keeps its bits.
+    for ref in (0.0, max(map(_strength, reports))):
+        wsum = wx = wy = 0.0
+        try:
+            for r in reports:
+                w = 10.0 ** ((r.avg_rssi_dbm - ref) / 10.0)
+                wsum += w
+                wx += w * r.beacon_pos[0]
+                wy += w * r.beacon_pos[1]
+        except OverflowError:
+            continue
+        if 0.0 < wsum < math.inf:
+            break
     return Point(wx / wsum, wy / wsum)
 
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, NamedTuple, Optional, Sequence
 
 # Coordinate equality tolerance in meters.
 COORD_TOL = 1e-6
@@ -39,6 +39,40 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
+def _is_number(v: object, types: type | tuple[type, ...] = (int, float)) -> bool:
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+# The one statement of a setting's type: by the type of a field's default (a
+# tuple is the calibration beacon pair), a test and the rules for a value read
+# from a file and for one given in code. A bool is no count or number, and a
+# pair is a tuple, never a list: settings are hashed.
+_KINDS: dict[type, tuple[Callable[[object], bool], str, str]] = {
+    bool: (lambda v: isinstance(v, bool), "expected true or false", "must be true or false"),
+    int: (lambda v: _is_number(v, int), "expected an integer", "must be an integer"),
+    float: (_is_number, "expected a number", "must be a number"),
+    Point: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_number, v)),
+            "expected [x, y]", "must be an (x, y) pair of numbers"),
+    tuple: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(_is_number(i, int) for i in v),
+            "expected [id, id]", "must be a pair of integer ids"),
+}
+
+
+def _check_kind(kind: type, value: object, path: str, error: Callable[..., Exception]) -> None:
+    """Raise error(path, rule) unless value is of the kind keyed by kind."""
+    test, _, must = _KINDS[kind]
+    if not test(value):
+        raise error(path, must)
+
+
+def _check_kinds(settings: object, error: Callable[..., Exception], prefix: str = "") -> None:
+    """_check_kind on each field of a settings dataclass, at prefix + its name,
+    but a section: a field whose default is a dataclass, checked on its own."""
+    for f in fields(settings):
+        if not is_dataclass(f.default):
+            _check_kind(type(f.default), getattr(settings, f.name), prefix + f.name, error)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform beacon lattice: cols x rows vertices, spacing_m apart."""
@@ -49,6 +83,7 @@ class GridSpec:
     rows: int = 3
 
     def __post_init__(self) -> None:
+        _check_kinds(self, lambda name, rule: GeometryError(f"{name} {rule}", name))
         if not (math.isfinite(self.origin[0]) and math.isfinite(self.origin[1])):
             raise GeometryError("origin must be finite", "origin")
         if not 0 < self.spacing_m < math.inf:
@@ -58,10 +93,7 @@ class GridSpec:
             raise GeometryError(f"spacing_m must be more than 2 * COORD_TOL, {2 * COORD_TOL:g} m",
                                 "spacing_m")
         for name in ("cols", "rows"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise GeometryError(f"{name} must be an integer", name)
-            if count < 2:
+            if getattr(self, name) < 2:
                 raise GeometryError("lattice needs at least 2 columns and 2 rows", name)
 
     def beacon_position(self, i: int, j: int) -> Point:

@@ -52,18 +52,6 @@ class ScenarioError(ValueError):
         self.path = path
 
 
-def _check_integer(path: str, value: object) -> None:
-    # A float count would build and then fail mid-run; bool is an int too.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(path, "must be an integer")
-
-
-def _check_bool(path: str, value: object) -> None:
-    # A truthy 1 or "no" would build and switch the feature on.
-    if not isinstance(value, bool):
-        raise ScenarioError(path, "must be true or false")
-
-
 @dataclass(frozen=True)
 class Static:
     point: geo.Point
@@ -113,19 +101,30 @@ class Scenario:
     quantize_rssi: bool = False
 
     def __post_init__(self) -> None:
-        _check_integer("rounds", self.rounds)
+        for section, prefix in ((self, ""), (self.estimator, "estimator."),
+                                (self.protocol, "protocol.")):
+            geo._check_kinds(section, ScenarioError, prefix)
+        t = self.trajectory
+        if isinstance(t, Static):
+            geo._check_kind(geo.Point, t.point, "trajectory.point", ScenarioError)
+        if isinstance(t, Waypoints):
+            if not t.points:
+                raise ScenarioError("trajectory.points", "must not be empty")
+            for i, (point, dwell) in enumerate(t.points):
+                geo._check_kind(geo.Point, point, f"trajectory.points[{i}].point", ScenarioError)
+                path = f"trajectory.points[{i}].dwell_rounds"
+                geo._check_kind(int, dwell, path, ScenarioError)
+                if dwell < 1:
+                    raise ScenarioError(path, "must be >= 1")
         if self.rounds < 1:
             raise ScenarioError("rounds", "must be >= 1")
         if self.rounds > MAX_ROUNDS:
             raise ScenarioError("rounds", f"must be at most {MAX_ROUNDS}")
-        _check_integer("seed", self.seed)
         if self.seed < 0:
             raise ScenarioError("seed", "must be >= 0")
-        _check_bool("quantize_rssi", self.quantize_rssi)
         p = self.protocol
         if not 0 < p.round_interval_ms < math.inf:
             raise ScenarioError("protocol.round_interval_ms", "must be positive and finite")
-        _check_integer("protocol.accum_count", p.accum_count)
         if p.accum_count < 1:
             raise ScenarioError("protocol.accum_count", "must be >= 1")
         if p.accum_count > MAX_ACCUM_COUNT:
@@ -152,36 +151,21 @@ class Scenario:
             raise ScenarioError("estimator.near_beacon_tau", "must be in (0, 1)")
         if not 0 < e.n_min <= e.n_max:
             raise ScenarioError("estimator.n_min", "need 0 < n_min <= n_max")
-        _check_bool("estimator.adapt", e.adapt)
-        pair = e.calibration_beacons
-        if (not isinstance(pair, tuple) or len(pair) != 2
-                or any(isinstance(i, bool) or not isinstance(i, int) for i in pair)):
-            raise ScenarioError("estimator.calibration_beacons", "must be a pair of integer ids")
         if e.adapt:
-            a, b = pair
+            a, b = e.calibration_beacons
             if a == b or not (0 <= a < n_beacons and 0 <= b < n_beacons):
                 raise ScenarioError("estimator.calibration_beacons",
                                     "need two distinct beacon ids on the lattice")
             if abs(_calibration_length(self) - 1.0) <= geo.COORD_TOL:
                 raise ScenarioError("estimator.calibration_beacons",
                                     "a 1 m link cannot calibrate the exponent")
-        t = self.trajectory
         if isinstance(t, LatticeSweep):
-            _check_integer("trajectory.nx", t.nx)
-            _check_integer("trajectory.ny", t.ny)
+            geo._check_kinds(t, ScenarioError, "trajectory.")
             if t.nx < 1 or t.ny < 1:
                 raise ScenarioError("trajectory", "sweep needs nx, ny >= 1")
             if self.rounds != t.nx * t.ny:
                 raise ScenarioError("rounds",
                                     f"must equal nx*ny = {t.nx * t.ny} for a lattice sweep")
-        if isinstance(t, Waypoints):
-            if not t.points:
-                raise ScenarioError("trajectory.points", "must not be empty")
-            for i, (_, dwell) in enumerate(t.points):
-                path = f"trajectory.points[{i}].dwell_rounds"
-                _check_integer(path, dwell)
-                if dwell < 1:
-                    raise ScenarioError(path, "must be >= 1")
         # Each distinct position is checked once, at the first round there.
         xmin, ymin, xmax, ymax = self.grid.bounds()
         checked: set[geo.Point] = set()
@@ -477,50 +461,33 @@ def _reject_unknown(d: dict, allowed: Container[str], path: str) -> None:
             raise ScenarioError(_join(path, key), "unknown key")
 
 
-def _point(v: object, path: str) -> geo.Point:
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)):
-        raise ScenarioError(path, "expected [x, y]")
-    return geo.Point(float(v[0]), float(v[1]))
-
-
-def _typed(default: object, v: object, path: str) -> object:
-    """v checked against, and converted to, the type of a field's default."""
-    if isinstance(default, (Static, Waypoints, LatticeSweep)):
+def _typed(kind: type, v: object, path: str) -> object:
+    """v as a setting whose default has type kind: a section, or a value checked
+    in the file's wording, lists read as tuples and numbers kept as floats."""
+    if kind in (Static, Waypoints, LatticeSweep):
         return _parse_trajectory(v)
-    if is_dataclass(default):
-        return _settings(type(default), v, path)
-    if isinstance(default, bool):
-        if not isinstance(v, bool):
-            raise ScenarioError(path, "expected true or false")
-        return v
-    if isinstance(default, int):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ScenarioError(path, "expected an integer")
-        return v
-    if isinstance(default, float):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(path, "expected a number")
-        return float(v)
-    if isinstance(default, geo.Point):
-        return _point(v, path)
-    # The calibration beacon pair.
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in v)):
-        raise ScenarioError(path, "expected [id, id]")
-    return tuple(v)
+    if is_dataclass(kind):
+        return _settings(kind, v, path)
+    if isinstance(v, list):
+        v = tuple(v)
+    test, expected, _ = geo._KINDS[kind]
+    if not test(v):
+        raise ScenarioError(path, expected)
+    if kind is geo.Point:
+        return geo.Point(float(v[0]), float(v[1]))
+    return float(v) if kind is float else v
 
 
 def _settings(cls: type, d: object, path: str):
     """An instance of the settings dataclass cls from one JSON object."""
     if not isinstance(d, dict):
         raise ScenarioError(path, "expected an object")
-    defaults = {f.name: f.default for f in fields(cls)}
-    _reject_unknown(d, defaults, path)
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    _reject_unknown(d, kinds, path)
     # Types are checked before the constructor runs, so only the
     # dataclass's own range checks are reported against the section.
-    values = {name: _typed(default, d[name], _join(path, name))
-              for name, default in defaults.items() if name in d}
+    values = {name: _typed(kind, d[name], _join(path, name))
+              for name, kind in kinds.items() if name in d}
     try:
         return cls(**values)
     except ScenarioError:
@@ -537,7 +504,7 @@ def _parse_trajectory(v: object) -> Trajectory:
         _reject_unknown(v, {"kind", "point"}, "trajectory")
         if "point" not in v:
             raise ScenarioError("trajectory.point", "required for static")
-        return Static(_point(v["point"], "trajectory.point"))
+        return Static(_typed(geo.Point, v["point"], "trajectory.point"))
     if kind == "waypoints":
         _reject_unknown(v, {"kind", "points"}, "trajectory")
         raw = v.get("points")
@@ -551,8 +518,8 @@ def _parse_trajectory(v: object) -> Trajectory:
             _reject_unknown(item, {"point", "dwell_rounds"}, where)
             if "point" not in item:
                 raise ScenarioError(f"{where}.point", "required")
-            dwell = _typed(1, item.get("dwell_rounds", 1), f"{where}.dwell_rounds")
-            points.append((_point(item["point"], f"{where}.point"), dwell))
+            dwell = _typed(int, item.get("dwell_rounds", 1), f"{where}.dwell_rounds")
+            points.append((_typed(geo.Point, item["point"], f"{where}.point"), dwell))
         return Waypoints(tuple(points))
     if kind == "lattice_sweep":
         return _settings(LatticeSweep,

@@ -80,6 +80,10 @@ class TestRssToDistance:
         assert d == 120.0
         assert clamped
 
+    def test_overflowing_inverse_clamps_high(self):
+        # 10 ** (20 / 0.02) is beyond a float.
+        assert rss_to_distance(-65.0, -45.0, 0.002, d_max=120.0) == (120.0, True)
+
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             rss_to_distance(-50.0, -45.0, 0.0)

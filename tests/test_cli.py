@@ -135,6 +135,34 @@ class TestLocate:
         assert main(["locate", str(reports), *flags]) == EXIT_ERROR
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_tiny_exponent_ranges_to_the_clamp(self, tmp_path, capsys):
+        # At n = 0.001 a level 4 dB below a_dbm ranges to 10**400 m, beyond
+        # a float; it clamps to d_max.
+        reports = tmp_path / "reports.csv"
+        write_reports(reports, (1.0, 1.0), GRID_3X3)
+        assert main(["locate", str(reports), "--n", "0.001"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and out.strip().split(",")[2:] == ["refined", "0", "0", "0.001"]
+
+    @pytest.mark.parametrize("levels,flags", [
+        # Every weight underflows to 0.
+        ((-4000, -4001, -4002, -4003), []),
+        # The strongest weight overflows.
+        ((3990, 3989, 3988, 3987), ["--a-dbm", "4000"]),
+    ])
+    def test_centroid_fallback_weighs_levels_far_from_0_dbm(self, tmp_path, capsys,
+                                                           levels, flags):
+        reports = tmp_path / "reports.csv"
+        reports.write_text("".join(f"{x},{y},{level},8\n" for (x, y), level
+                                   in zip([(0, 0), (4, 0), (0, 4), (8, 8)], levels)))
+        assert main(["locate", str(reports), *flags]) == EXIT_OK
+        x, y, method = capsys.readouterr().out.split(",")[:3]
+        # The same weights relative to the strongest, written out.
+        w = [10.0 ** (-k / 10.0) for k in range(4)]
+        assert (float(x), float(y), method) == (
+            pytest.approx((4 * w[1] + 8 * w[3]) / sum(w)),
+            pytest.approx((4 * w[2] + 8 * w[3]) / sum(w)), "pair_split")
+
     def test_bad_origin_flag(self, tmp_path, capsys):
         reports = tmp_path / "reports.csv"
         write_reports(reports, (1.0, 1.0), GRID_3X3)

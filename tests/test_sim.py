@@ -722,11 +722,19 @@ class TestTrajectories:
      "estimator.calibration_beacons", "must be a pair of integer ids"),
     (lambda: Scenario(estimator=EstimatorSettings(calibration_beacons=(0, 1, 2))),
      "estimator.calibration_beacons", "must be a pair of integer ids"),
+    # A point is a tuple of two numbers: a list cannot be hashed.
+    (lambda: Scenario(trajectory=Static([2.0, 2.0])),
+     "trajectory.point", "must be an (x, y) pair of numbers"),
+    (lambda: Scenario(trajectory=Waypoints(((Point(1.0, 1.0), 1), ([1.0, 3.0], 2))),
+                      rounds=3),
+     "trajectory.points[1].point", "must be an (x, y) pair of numbers"),
+    (lambda: Scenario(trajectory=Static(Point(2.0, "2"))),
+     "trajectory.point", "must be an (x, y) pair of numbers"),
 ], ids=["rounds-0", "rounds-1e15", "replace-seed", "replace-accum", "no-waypoints",
         "negative-dwell", "replace-outside", "rounds-float", "seed-float",
         "accum-float", "nx-float", "ny-bool", "dwell-float", "quantize-int",
         "adapt-str", "calibration-float", "calibration-bool", "calibration-list",
-        "calibration-triple"])
+        "calibration-triple", "static-list", "waypoint-list", "static-str"])
 def test_invalid_scenario_cannot_be_built(build, path, message):
     with pytest.raises(ScenarioError) as info:
         build()
@@ -1056,6 +1064,19 @@ def test_bundled_sweep_scenario_is_valid():
     assert s.rounds == 625
     assert isinstance(s.trajectory, LatticeSweep)
     assert s.channel.sigma_dbm == 0.0
+
+
+def test_a_tiny_exponent_ranges_to_the_clamp():
+    # At n_initial 0.002 a level 20 dB below a_dbm ranges to 10**1000 m,
+    # which overflowed a float mid-run; it clamps to d_max instead.
+    from importlib import resources
+    doc = json.loads(resources.files("gridloc.scenarios").joinpath(
+        "paper_sweep.json").read_text())
+    doc["channel"]["sigma_dbm"] = 3.0
+    doc["estimator"]["n_initial"] = 0.002
+    refined, baseline = run_with_baseline(scenario_from_dict(doc))
+    assert len(refined) == len(baseline) == 625
+    assert all(r.estimate.method is not FixMethod.NO_FIX for r in refined)
 
 
 @pytest.fixture(scope="module")
