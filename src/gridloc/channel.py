@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Beacon, Point, _check_kinds
+from .geometry import Beacon, Point, ScenarioError, _check_kinds
 
 DEFAULT_A_DBM = -45.0
 DEFAULT_RSSI_OFFSET_DBM = -45.0
@@ -35,17 +35,13 @@ class ChannelParams:
     reception_radius_m: float = 30.0
 
     def __post_init__(self) -> None:
-        _check_kinds(self, lambda name, rule: ValueError(f"{name} {rule}"))
-        # JSON may spell NaN and Infinity, which pass the range checks below.
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        _check_kinds(self)
         if self.n_exp <= 0:
-            raise ValueError("n_exp must be positive")
+            raise ScenarioError("n_exp", "must be positive")
         if self.sigma_dbm < 0:
-            raise ValueError("sigma_dbm must be >= 0")
+            raise ScenarioError("sigma_dbm", "must be >= 0")
         if self.reception_radius_m <= 0:
-            raise ValueError("reception_radius_m must be positive")
+            raise ScenarioError("reception_radius_m", "must be positive")
 
     @property
     def d_max_m(self) -> float:

@@ -11,10 +11,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import harness, sim
-from .channel import DEFAULT_A_DBM
+from .channel import DEFAULT_A_DBM, ChannelParams
 from .estimator import (EstimatorState, FixMethod, LocalizerConfig,
                         RssiReport, localize)
-from .geometry import GeometryError, GridSpec, Point
+from .geometry import GridSpec, Point
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -97,9 +97,10 @@ def _parse_reports(path: Path) -> list[RssiReport]:
     return reports
 
 
-# The locate flag that sets each GridSpec field.
-_GRID_FLAGS = {"origin": "--origin", "spacing_m": "--spacing",
-               "cols": "--cols", "rows": "--rows"}
+# The locate flag that sets each setting.
+_LOCATE_FLAGS = {"a_dbm": "--a-dbm", "n_initial": "--n", "near_beacon_tau": "--tau",
+                 "origin": "--origin", "spacing_m": "--spacing",
+                 "cols": "--cols", "rows": "--rows"}
 
 
 def _cmd_locate(args: argparse.Namespace) -> int:
@@ -110,24 +111,21 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         print("error: --origin: expects X,Y", file=sys.stderr)
         return EXIT_ERROR
     try:
-        # Checked as the scenario keys are; float() takes nan and inf.
-        for flag, ok, rule in (("--a-dbm", math.isfinite(args.a_dbm), "must be finite"),
-                               ("--n", 0 < args.n < math.inf, "must be positive and finite"),
-                               ("--tau", 0 < args.tau < 1, "must be in (0, 1)")):
-            if not ok:
-                raise ValueError(f"{flag}: {rule}")
+        # Each flag is checked by the settings its scenario key sets.
         try:
+            channel = ChannelParams(a_dbm=args.a_dbm)
+            settings = sim.EstimatorSettings(n_initial=args.n, near_beacon_tau=args.tau)
             grid = GridSpec(origin=origin, spacing_m=args.spacing,
                             cols=args.cols, rows=args.rows)
-        except GeometryError as exc:
-            raise ValueError(f"{_GRID_FLAGS[exc.field]}: {exc}") from exc
+        except sim.ScenarioError as exc:
+            raise ValueError(f"{_LOCATE_FLAGS[exc.path]}: {exc.rule}") from exc
         reports = _parse_reports(Path(args.reports))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    config = LocalizerConfig(grid=grid, a_dbm=args.a_dbm,
-                             near_beacon_tau=args.tau)
-    estimate, _ = localize(reports, EstimatorState(n_current=args.n), config)
+    config = LocalizerConfig(grid=grid, a_dbm=channel.a_dbm,
+                             near_beacon_tau=settings.near_beacon_tau)
+    estimate, _ = localize(reports, EstimatorState(n_current=settings.n_initial), config)
     if estimate.method is FixMethod.NO_FIX:
         print(",,no_fix,,,%s" % format(estimate.n_used, ".9g"))
         return EXIT_NO_FIX
@@ -198,15 +196,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_VARY_KEYS = ("sigma", "spacing", "n_prime")
+# The section and field each --vary key sets.
+_VARY_KEYS = {"sigma": ("channel", "sigma_dbm"), "spacing": ("grid", "spacing_m"),
+              "n_prime": ("estimator", "n_initial")}
 
 
 def _variant(scenario: sim.Scenario, key: str, value: float) -> sim.Scenario:
-    if key == "sigma":
-        return replace(scenario, channel=replace(scenario.channel, sigma_dbm=value))
-    if key == "spacing":
-        return replace(scenario, grid=replace(scenario.grid, spacing_m=value))
-    return replace(scenario, estimator=replace(scenario.estimator, n_initial=value))
+    section, name = _VARY_KEYS[key]
+    return replace(scenario, **{section: replace(getattr(scenario, section), **{name: value})})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -237,8 +234,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 tag = repr(value)
             try:
                 variants.append((tag, _variant(base, key, value)))
-            except ValueError as exc:
-                raise ValueError(f"--vary {key}={tag}: {exc}") from exc
+            except sim.ScenarioError as exc:
+                # The flag names the key; a rule that joins sections keeps its path.
+                rule = exc.rule if exc.path == _VARY_KEYS[key][1] else str(exc)
+                raise ValueError(f"--vary {key}={tag}: {rule}") from exc
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         summary = ["vary_key,value,system,records,no_fix,"

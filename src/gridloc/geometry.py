@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -11,12 +12,16 @@ COORD_TOL = 1e-6
 
 
 class GeometryError(ValueError):
-    """A coordinate set violates a lattice precondition; field names the
-    GridSpec field at fault, when there is one."""
+    """A coordinate set violates a lattice precondition."""
 
-    def __init__(self, message: str, field: Optional[str] = None):
-        super().__init__(message)
-        self.field = field
+
+class ScenarioError(ValueError):
+    """A setting breaks its rule. path names the key: <section>.<key> in a
+    scenario file, the bare field name for a section built alone in code."""
+
+    def __init__(self, path: str, rule: str):
+        super().__init__(f"{path}: {rule}" if path else rule)
+        self.path, self.rule = path, rule
 
 
 class OutOfRegionError(GeometryError):
@@ -39,38 +44,45 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def _is_number(v: object, types: type | tuple[type, ...] = (int, float)) -> bool:
-    return isinstance(v, types) and not isinstance(v, bool)
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: object) -> bool:
+    # One comparison rejects NaN, the infinities and ints too large for a
+    # float, without converting them.
+    return ((_is_int(v) or isinstance(v, float))
+            and -sys.float_info.max <= v <= sys.float_info.max)
 
 
 # The one statement of a setting's type: by the type of a field's default (a
-# tuple is the calibration beacon pair), a test and the rules for a value read
-# from a file and for one given in code. A bool is no count or number, and a
-# pair is a tuple, never a list: settings are hashed.
-_KINDS: dict[type, tuple[Callable[[object], bool], str, str]] = {
-    bool: (lambda v: isinstance(v, bool), "expected true or false", "must be true or false"),
-    int: (lambda v: _is_number(v, int), "expected an integer", "must be an integer"),
-    float: (_is_number, "expected a number", "must be a number"),
+# tuple is the calibration beacon pair), a test and its rule. A bool is no
+# count or number, a number is finite, and a pair is a tuple, never a list:
+# settings are hashed.
+_KINDS: dict[type, tuple[Callable[[object], bool], str]] = {
+    bool: (lambda v: isinstance(v, bool), "must be true or false"),
+    int: (_is_int, "must be an integer"),
+    float: (_is_number, "must be a finite number"),
     Point: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_number, v)),
-            "expected [x, y]", "must be an (x, y) pair of numbers"),
-    tuple: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(_is_number(i, int) for i in v),
-            "expected [id, id]", "must be a pair of integer ids"),
+            "must be an (x, y) pair of finite numbers"),
+    tuple: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v)),
+            "must be a pair of integer ids"),
 }
 
 
-def _check_kind(kind: type, value: object, path: str, error: Callable[..., Exception]) -> None:
-    """Raise error(path, rule) unless value is of the kind keyed by kind."""
-    test, _, must = _KINDS[kind]
+def _check_kind(kind: type, value: object, path: str) -> None:
+    """Raise ScenarioError(path, rule) unless value is of the kind keyed by kind."""
+    test, rule = _KINDS[kind]
     if not test(value):
-        raise error(path, must)
+        raise ScenarioError(path, rule)
 
 
-def _check_kinds(settings: object, error: Callable[..., Exception], prefix: str = "") -> None:
-    """_check_kind on each field of a settings dataclass, at prefix + its name,
-    but a section: a field whose default is a dataclass, checked on its own."""
+def _check_kinds(settings: object) -> None:
+    """_check_kind on each field of a settings dataclass but a section, a
+    field whose default is a dataclass, which checks itself."""
     for f in fields(settings):
         if not is_dataclass(f.default):
-            _check_kind(type(f.default), getattr(settings, f.name), prefix + f.name, error)
+            _check_kind(type(f.default), getattr(settings, f.name), f.name)
 
 
 @dataclass(frozen=True)
@@ -83,18 +95,16 @@ class GridSpec:
     rows: int = 3
 
     def __post_init__(self) -> None:
-        _check_kinds(self, lambda name, rule: GeometryError(f"{name} {rule}", name))
-        if not (math.isfinite(self.origin[0]) and math.isfinite(self.origin[1])):
-            raise GeometryError("origin must be finite", "origin")
-        if not 0 < self.spacing_m < math.inf:
-            raise GeometryError("spacing_m must be positive and finite", "spacing_m")
+        _check_kinds(self)
+        if self.spacing_m <= 0:
+            raise ScenarioError("spacing_m", "must be positive")
         # Closer lines leave a coordinate within COORD_TOL of two of them.
         if self.spacing_m <= 2 * COORD_TOL:
-            raise GeometryError(f"spacing_m must be more than 2 * COORD_TOL, {2 * COORD_TOL:g} m",
-                                "spacing_m")
+            raise ScenarioError("spacing_m",
+                                f"must be more than 2 * COORD_TOL, {2 * COORD_TOL:g} m")
         for name in ("cols", "rows"):
             if getattr(self, name) < 2:
-                raise GeometryError("lattice needs at least 2 columns and 2 rows", name)
+                raise ScenarioError(name, "lattice needs at least 2 columns and 2 rows")
 
     def beacon_position(self, i: int, j: int) -> Point:
         return Point(self.origin[0] + i * self.spacing_m,

@@ -5,13 +5,14 @@ acknowledgement, fires a fixed count of strength-test packets at a fixed
 gap, asks every beacon for its accumulated average, then computes. Beacons
 accumulate per-blind sample buffers and answer average requests.
 
-ProtocolSettings is the one statement of a round's timings: it is a
-scenario's protocol section, and the blind machine holds it whole. The
-machines are the protocol's reference. The oracle in tests/test_sim.py
-drives them packet by packet, and gridloc.sim plays the fixed schedule they
-follow over a lossless, zero-delay channel. format_trace_line is the one
-statement of a trace line; gridloc.sim builds its lines' fixed text with
-it, and the oracle checks the two writers' traces are equal.
+ProtocolSettings is the one statement of a round's timings and their
+rules: it is a scenario's protocol section, and the blind machine holds it
+whole. The machines are the protocol's reference. The oracle in
+tests/test_sim.py drives them packet by packet, and gridloc.sim plays the
+fixed schedule they follow over a lossless, zero-delay channel.
+format_trace_line is the one statement of a trace line; gridloc.sim builds
+its lines' fixed text with it, and the oracle checks the two writers'
+traces are equal.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from enum import Enum
 from typing import Union
 
 from .estimator import RssiReport
-from .geometry import Point
+from .geometry import Point, ScenarioError, _check_kinds
 
 BROADCAST = "*"
 # Format specs of a trace line's time in ms, and of its positions and levels.
 TIME_SPEC = ".3f"
 VALUE_SPEC = ".9g"
+# Most tests a round may take; its block holds accum_count + 4 levels a beacon.
+MAX_ACCUM_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,28 @@ class ProtocolSettings:
     response_window_ms: float = 50.0
     ack_timeout_ms: float = 100.0
     round_interval_ms: float = 1000.0
+
+    def __post_init__(self) -> None:
+        _check_kinds(self)
+        if self.accum_count < 1:
+            raise ScenarioError("accum_count", "must be >= 1")
+        # Before the round length below, which a huge count would overflow.
+        if self.accum_count > MAX_ACCUM_COUNT:
+            raise ScenarioError("accum_count", f"must be at most {MAX_ACCUM_COUNT}")
+        # A zero wait fires with the packets it waits for and drops them,
+        # and a negative gap runs the clock backwards.
+        for key in ("ack_timeout_ms", "response_window_ms"):
+            if getattr(self, key) <= 0:
+                raise ScenarioError(key, "must be positive")
+        if self.inter_test_gap_ms < 0:
+            raise ScenarioError("inter_test_gap_ms", "must be >= 0")
+        if self.round_interval_ms <= 0:
+            raise ScenarioError("round_interval_ms", "must be positive")
+        # A round ends when its collect window closes.
+        round_ms = self.accum_count * self.inter_test_gap_ms + self.response_window_ms
+        if self.round_interval_ms < round_ms:
+            raise ScenarioError("round_interval_ms",
+                                f"must be at least one round, {round_ms:g} ms")
 
 
 @dataclass(frozen=True)
@@ -103,10 +128,6 @@ class BlindNodeMachine:
     phase: Phase = Phase.IDLE
     tests_sent: int = 0
     collected: tuple[RssiReport, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.settings.accum_count < 1:
-            raise ValueError("accum_count must be >= 1")
 
 
 def blind_step(machine: BlindNodeMachine,

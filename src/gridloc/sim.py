@@ -41,20 +41,16 @@ from . import channel as chan
 from . import estimator as est
 from . import geometry as geo
 from . import protocol as proto
+from .geometry import ScenarioError
 from .protocol import ProtocolSettings
-
-
-class ScenarioError(ValueError):
-    """Invalid scenario description; the message names the offending field."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}" if path else message)
-        self.path = path
 
 
 @dataclass(frozen=True)
 class Static:
     point: geo.Point
+
+    def __post_init__(self) -> None:
+        geo._check_kind(geo.Point, self.point, "point")
 
 
 @dataclass(frozen=True)
@@ -62,11 +58,26 @@ class Waypoints:
     # (position, dwell in whole rounds); the node is frozen within a round.
     points: tuple[tuple[geo.Point, int], ...]
 
+    def __post_init__(self) -> None:
+        if not self.points:
+            raise ScenarioError("points", "must not be empty")
+        for i, (point, dwell) in enumerate(self.points):
+            geo._check_kind(geo.Point, point, f"points[{i}].point")
+            geo._check_kind(int, dwell, f"points[{i}].dwell_rounds")
+            if dwell < 1:
+                raise ScenarioError(f"points[{i}].dwell_rounds", "must be >= 1")
+
 
 @dataclass(frozen=True)
 class LatticeSweep:
     nx: int = 25
     ny: int = 25
+
+    def __post_init__(self) -> None:
+        geo._check_kinds(self)
+        for name in ("nx", "ny"):
+            if getattr(self, name) < 1:
+                raise ScenarioError(name, "must be >= 1")
 
 
 Trajectory = Union[Static, Waypoints, LatticeSweep]
@@ -75,8 +86,6 @@ Trajectory = Union[Static, Waypoints, LatticeSweep]
 MAX_BEACONS = 10_000
 # Most rounds a scenario may run; a run keeps about 1 kB of records a round.
 MAX_ROUNDS = 10**6
-# Most tests a round may take; its block holds accum_count + 4 levels a beacon.
-MAX_ACCUM_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,15 @@ class EstimatorSettings:
     calibration_beacons: tuple[int, int] = (0, 1)
     n_min: float = 1.0
     n_max: float = 6.0
+
+    def __post_init__(self) -> None:
+        geo._check_kinds(self)
+        if self.n_initial <= 0:
+            raise ScenarioError("n_initial", "must be positive")
+        if not 0 < self.near_beacon_tau < 1:
+            raise ScenarioError("near_beacon_tau", "must be in (0, 1)")
+        if not 0 < self.n_min <= self.n_max:
+            raise ScenarioError("n_min", "need 0 < n_min <= n_max")
 
 
 @dataclass(frozen=True)
@@ -101,56 +119,17 @@ class Scenario:
     quantize_rssi: bool = False
 
     def __post_init__(self) -> None:
-        for section, prefix in ((self, ""), (self.estimator, "estimator."),
-                                (self.protocol, "protocol.")):
-            geo._check_kinds(section, ScenarioError, prefix)
-        t = self.trajectory
-        if isinstance(t, Static):
-            geo._check_kind(geo.Point, t.point, "trajectory.point", ScenarioError)
-        if isinstance(t, Waypoints):
-            if not t.points:
-                raise ScenarioError("trajectory.points", "must not be empty")
-            for i, (point, dwell) in enumerate(t.points):
-                geo._check_kind(geo.Point, point, f"trajectory.points[{i}].point", ScenarioError)
-                path = f"trajectory.points[{i}].dwell_rounds"
-                geo._check_kind(int, dwell, path, ScenarioError)
-                if dwell < 1:
-                    raise ScenarioError(path, "must be >= 1")
+        geo._check_kinds(self)
         if self.rounds < 1:
             raise ScenarioError("rounds", "must be >= 1")
         if self.rounds > MAX_ROUNDS:
             raise ScenarioError("rounds", f"must be at most {MAX_ROUNDS}")
         if self.seed < 0:
             raise ScenarioError("seed", "must be >= 0")
-        p = self.protocol
-        if not 0 < p.round_interval_ms < math.inf:
-            raise ScenarioError("protocol.round_interval_ms", "must be positive and finite")
-        if p.accum_count < 1:
-            raise ScenarioError("protocol.accum_count", "must be >= 1")
-        if p.accum_count > MAX_ACCUM_COUNT:
-            raise ScenarioError("protocol.accum_count", f"must be at most {MAX_ACCUM_COUNT}")
-        # A zero wait fires with the packets it waits for and drops them,
-        # and a negative gap runs the clock backwards.
-        for key in ("ack_timeout_ms", "response_window_ms"):
-            if not getattr(p, key) > 0:
-                raise ScenarioError(f"protocol.{key}", "must be positive")
-        if not p.inter_test_gap_ms >= 0:
-            raise ScenarioError("protocol.inter_test_gap_ms", "must be >= 0")
-        # A round ends when its collect window closes.
-        round_ms = p.accum_count * p.inter_test_gap_ms + p.response_window_ms
-        if p.round_interval_ms < round_ms:
-            raise ScenarioError("protocol.round_interval_ms",
-                                f"must be at least one round, {round_ms:g} ms")
         n_beacons = self.grid.cols * self.grid.rows
         if n_beacons > MAX_BEACONS:
             raise ScenarioError("grid", f"cols * rows must be at most {MAX_BEACONS}")
         e = self.estimator
-        if not 0 < e.n_initial < math.inf:
-            raise ScenarioError("estimator.n_initial", "must be positive and finite")
-        if not 0 < e.near_beacon_tau < 1:
-            raise ScenarioError("estimator.near_beacon_tau", "must be in (0, 1)")
-        if not 0 < e.n_min <= e.n_max:
-            raise ScenarioError("estimator.n_min", "need 0 < n_min <= n_max")
         if e.adapt:
             a, b = e.calibration_beacons
             if a == b or not (0 <= a < n_beacons and 0 <= b < n_beacons):
@@ -159,13 +138,10 @@ class Scenario:
             if abs(_calibration_length(self) - 1.0) <= geo.COORD_TOL:
                 raise ScenarioError("estimator.calibration_beacons",
                                     "a 1 m link cannot calibrate the exponent")
-        if isinstance(t, LatticeSweep):
-            geo._check_kinds(t, ScenarioError, "trajectory.")
-            if t.nx < 1 or t.ny < 1:
-                raise ScenarioError("trajectory", "sweep needs nx, ny >= 1")
-            if self.rounds != t.nx * t.ny:
-                raise ScenarioError("rounds",
-                                    f"must equal nx*ny = {t.nx * t.ny} for a lattice sweep")
+        t = self.trajectory
+        if isinstance(t, LatticeSweep) and self.rounds != t.nx * t.ny:
+            raise ScenarioError("rounds",
+                                f"must equal nx*ny = {t.nx * t.ny} for a lattice sweep")
         # Each distinct position is checked once, at the first round there.
         xmin, ymin, xmax, ymax = self.grid.bounds()
         checked: set[geo.Point] = set()
@@ -183,6 +159,7 @@ class Scenario:
         # Every message time stays below twice rounds * round_interval_ms,
         # so a wait longer than one step of the clock there always ends
         # after the packets it waits for.
+        p = self.protocol
         tick = math.ulp(self.rounds * p.round_interval_ms)
         for key in ("ack_timeout_ms", "response_window_ms"):
             if getattr(p, key) <= tick:
@@ -448,11 +425,13 @@ def _trace_round(tails: _TraceTails, gap_ms: float, links: list[chan.Link],
 
 # Scenario files are JSON. Each object is one settings dataclass: its keys
 # are the field names, a missing key keeps the field's default and a value
-# must have the type of that default. Unknown keys are rejected.
+# must have the type of that default. Unknown keys are rejected. Paths are
+# named within their section, and a section's name is put before them as its
+# error leaves it.
 
 
 def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+    return f"{path}.{key}" if path and key else path or key
 
 
 def _reject_unknown(d: dict, allowed: Container[str], path: str) -> None:
@@ -461,71 +440,63 @@ def _reject_unknown(d: dict, allowed: Container[str], path: str) -> None:
             raise ScenarioError(_join(path, key), "unknown key")
 
 
-def _typed(kind: type, v: object, path: str) -> object:
-    """v as a setting whose default has type kind: a section, or a value checked
-    in the file's wording, lists read as tuples and numbers kept as floats."""
-    if kind in (Static, Waypoints, LatticeSweep):
-        return _parse_trajectory(v)
+def _typed(kind: type, v: object, key: str) -> object:
+    """v, read at key, as a setting whose default has type kind: a section,
+    or a value with lists read as tuples and numbers kept as floats. A value
+    of another kind is passed on as it is, for the dataclass to reject."""
     if is_dataclass(kind):
-        return _settings(kind, v, path)
+        try:
+            trajectory = kind in (Static, Waypoints, LatticeSweep)
+            return _parse_trajectory(v) if trajectory else _settings(kind, v)
+        except ScenarioError as exc:
+            raise ScenarioError(_join(key, exc.path), exc.rule) from None
     if isinstance(v, list):
         v = tuple(v)
-    test, expected, _ = geo._KINDS[kind]
-    if not test(v):
-        raise ScenarioError(path, expected)
+    if not geo._KINDS[kind][0](v):
+        return v
     if kind is geo.Point:
         return geo.Point(float(v[0]), float(v[1]))
     return float(v) if kind is float else v
 
 
-def _settings(cls: type, d: object, path: str):
+def _settings(cls: type, d: object):
     """An instance of the settings dataclass cls from one JSON object."""
     if not isinstance(d, dict):
-        raise ScenarioError(path, "expected an object")
+        raise ScenarioError("", "expected an object")
     kinds = {f.name: type(f.default) for f in fields(cls)}
-    _reject_unknown(d, kinds, path)
-    # Types are checked before the constructor runs, so only the
-    # dataclass's own range checks are reported against the section.
-    values = {name: _typed(kind, d[name], _join(path, name))
-              for name, kind in kinds.items() if name in d}
-    try:
-        return cls(**values)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
+    _reject_unknown(d, kinds, "")
+    return cls(**{name: _typed(kind, d[name], name)
+                  for name, kind in kinds.items() if name in d})
 
 
 def _parse_trajectory(v: object) -> Trajectory:
     if not isinstance(v, dict):
-        raise ScenarioError("trajectory", "expected an object")
+        raise ScenarioError("", "expected an object")
     kind = v.get("kind")
     if kind == "static":
-        _reject_unknown(v, {"kind", "point"}, "trajectory")
+        _reject_unknown(v, {"kind", "point"}, "")
         if "point" not in v:
-            raise ScenarioError("trajectory.point", "required for static")
-        return Static(_typed(geo.Point, v["point"], "trajectory.point"))
+            raise ScenarioError("point", "required for static")
+        return Static(_typed(geo.Point, v["point"], "point"))
     if kind == "waypoints":
-        _reject_unknown(v, {"kind", "points"}, "trajectory")
+        _reject_unknown(v, {"kind", "points"}, "")
         raw = v.get("points")
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError("trajectory.points", "expected a non-empty list")
+        if not isinstance(raw, list):
+            raise ScenarioError("points", "expected a list")
         points = []
         for i, item in enumerate(raw):
-            where = f"trajectory.points[{i}]"
+            where = f"points[{i}]"
             if not isinstance(item, dict):
                 raise ScenarioError(where, "expected an object")
             _reject_unknown(item, {"point", "dwell_rounds"}, where)
             if "point" not in item:
                 raise ScenarioError(f"{where}.point", "required")
-            dwell = _typed(int, item.get("dwell_rounds", 1), f"{where}.dwell_rounds")
-            points.append((_typed(geo.Point, item["point"], f"{where}.point"), dwell))
+            points.append((_typed(geo.Point, item["point"], f"{where}.point"),
+                           item.get("dwell_rounds", 1)))
         return Waypoints(tuple(points))
     if kind == "lattice_sweep":
-        return _settings(LatticeSweep,
-                         {k: x for k, x in v.items() if k != "kind"}, "trajectory")
-    raise ScenarioError("trajectory.kind",
-                        "expected static, waypoints or lattice_sweep")
+        return _settings(LatticeSweep, {k: x for k, x in v.items() if k != "kind"})
+    raise ScenarioError("kind", "expected static, waypoints or lattice_sweep")
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -537,7 +508,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("rng", "only pcg64 is supported")
     if "trajectory" not in data:
         raise ScenarioError("trajectory", "required")
-    return _settings(Scenario, data, "")
+    return _settings(Scenario, data)
 
 
 def parse_scenario(text: str) -> Scenario:

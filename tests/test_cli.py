@@ -111,23 +111,24 @@ class TestLocate:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,message", [
-        (["--n", "0"], "--n: must be positive and finite"),
-        (["--n", "-2"], "--n: must be positive and finite"),
-        (["--n", "nan"], "--n: must be positive and finite"),
-        (["--n", "inf"], "--n: must be positive and finite"),
-        (["--a-dbm", "nan"], "--a-dbm: must be finite"),
-        (["--a-dbm=-inf"], "--a-dbm: must be finite"),
+        (["--n", "0"], "--n: must be positive"),
+        (["--n", "-2"], "--n: must be positive"),
+        (["--n", "nan"], "--n: must be a finite number"),
+        (["--n", "inf"], "--n: must be a finite number"),
+        (["--a-dbm", "nan"], "--a-dbm: must be a finite number"),
+        (["--a-dbm=-inf"], "--a-dbm: must be a finite number"),
         (["--tau", "0"], "--tau: must be in (0, 1)"),
         (["--tau", "1"], "--tau: must be in (0, 1)"),
         (["--tau", "-0.5"], "--tau: must be in (0, 1)"),
-        (["--tau", "nan"], "--tau: must be in (0, 1)"),
+        (["--tau", "nan"], "--tau: must be a finite number"),
         # The lattice's own rules, named by the flag that set the field.
-        (["--spacing", "nan"], "--spacing: spacing_m must be positive and finite"),
-        (["--spacing", "1e-6"], "--spacing: spacing_m must be more than 2 * COORD_TOL, 2e-06 m"),
+        (["--spacing", "nan"], "--spacing: must be a finite number"),
+        (["--spacing", "1e-6"], "--spacing: must be more than 2 * COORD_TOL, 2e-06 m"),
         (["--cols", "1"], "--cols: lattice needs at least 2 columns and 2 rows"),
         (["--rows", "0"], "--rows: lattice needs at least 2 columns and 2 rows"),
-        (["--origin", "inf,0"], "--origin: origin must be finite"),
+        (["--origin", "inf,0"], "--origin: must be an (x, y) pair of finite numbers"),
         (["--origin", "0,0,0"], "--origin: expects X,Y"),
+        (["--spacing", "0"], "--spacing: must be positive"),
     ])
     def test_bad_model_flag_rejected(self, tmp_path, capsys, flags, message):
         reports = tmp_path / "reports.csv"
@@ -277,7 +278,12 @@ class TestSimulate:
         ({"grid": {"spacing_m": 1e308},
           "trajectory": {"kind": "lattice_sweep", "nx": 2, "ny": 2}, "rounds": 4},
          "trajectory: cannot lay out 4 rounds: cannot convert float infinity to integer"),
-    ], ids=["rounds-2e70", "rounds-1e15", "accum-1e12", "sweep-wider-than-float"])
+        # JSON integers too large for a float.
+        ({"channel": {"sigma_dbm": 10**400}}, "channel.sigma_dbm: must be a finite number"),
+        ({"trajectory": {"kind": "static", "point": [10**400, 0]}},
+         "trajectory.point: must be an (x, y) pair of finite numbers"),
+    ], ids=["rounds-2e70", "rounds-1e15", "accum-1e12", "sweep-wider-than-float",
+            "sigma-1e400", "point-1e400"])
     def test_overflowing_scenario_fails_cleanly(self, tmp_path, capsys, overrides,
                                                 message):
         scenario = tmp_path / "s.json"
@@ -385,7 +391,7 @@ class TestSweep:
         assert main(["sweep", str(scenario), "--vary", "spacing=1e-6",
                      "--out", str(tmp_path / "out")]) == EXIT_ERROR
         assert (capsys.readouterr().err == "error: --vary spacing=1e-06: "
-                "spacing_m must be more than 2 * COORD_TOL, 2e-06 m\n")
+                "must be more than 2 * COORD_TOL, 2e-06 m\n")
 
     def test_every_value_checked_before_the_first_round(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
@@ -394,7 +400,7 @@ class TestSweep:
         assert main(["sweep", str(scenario), "--vary", "sigma=0,nan",
                      "--out", str(out)]) == EXIT_ERROR
         captured = capsys.readouterr()
-        assert captured.err == "error: --vary sigma=nan: sigma_dbm must be finite\n"
+        assert captured.err == "error: --vary sigma=nan: must be a finite number\n"
         assert captured.out == ""
         assert not out.exists() or list(out.iterdir()) == []
 

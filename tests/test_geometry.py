@@ -6,9 +6,9 @@ import math
 import pytest
 
 from gridloc.geometry import (Beacon, CellId, GeometryError, GridSpec,
-                              OutOfRegionError, Point, build_lattice,
-                              cell_of_corners, containing_cell, dist,
-                              is_rectangle)
+                              OutOfRegionError, Point, ScenarioError,
+                              build_lattice, cell_of_corners, containing_cell,
+                              dist, is_rectangle)
 
 
 @pytest.fixture
@@ -57,17 +57,17 @@ class TestGridSpec:
         {"spacing_m": 2e-6},
     ])
     def test_invalid_spec_rejected(self, kwargs):
-        with pytest.raises(GeometryError) as info:
+        with pytest.raises(ScenarioError) as info:
             GridSpec(**kwargs)
         [field] = kwargs
-        assert info.value.field == field
+        assert info.value.path == field
 
     @pytest.mark.parametrize("field,value", [
         ("cols", 2.5), ("cols", True), ("rows", 3.0), ("rows", "3")])
     def test_non_integer_count_rejected(self, field, value):
-        with pytest.raises(GeometryError) as info:
+        with pytest.raises(ScenarioError) as info:
             GridSpec(**{field: value})
-        assert (info.value.field, str(info.value)) == (field, f"{field} must be an integer")
+        assert (info.value.path, str(info.value)) == (field, f"{field}: must be an integer")
 
     def test_bounds_and_cells(self, grid):
         assert grid.bounds() == (0.0, 0.0, 8.0, 8.0)

@@ -18,7 +18,7 @@ from gridloc.channel import ChannelParams, distance_to_rss
 from gridloc.estimator import (EstimatorState, FixMethod, LocalizerConfig,
                                RssiReport, localize, refine_in_cell,
                                select_top4)
-from gridloc.geometry import (COORD_TOL, GeometryError, GridSpec, Point,
+from gridloc.geometry import (COORD_TOL, GridSpec, Point, ScenarioError,
                               build_lattice, cell_of_corners, dist)
 
 # sha256 of the corpus lines, one per localize call, each field as float.hex.
@@ -199,9 +199,9 @@ def test_fine_lattice_is_rejected(spacing):
     # On a lattice this fine a beacon coordinate can lie within COORD_TOL
     # of both sides of a cell, and one report's range would go to two
     # corners of it.
-    with pytest.raises(GeometryError) as info:
+    with pytest.raises(ScenarioError) as info:
         GridSpec(spacing_m=spacing)
-    assert str(info.value) == "spacing_m must be more than 2 * COORD_TOL, 2e-06 m"
+    assert str(info.value) == "spacing_m: must be more than 2 * COORD_TOL, 2e-06 m"
 
 
 @st.composite

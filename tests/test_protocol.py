@@ -7,7 +7,7 @@ import math
 import pytest
 
 from gridloc.estimator import RssiReport
-from gridloc.geometry import Point
+from gridloc.geometry import Point, ScenarioError
 from gridloc.protocol import (Ack, BeaconNodeMachine, BlindNodeMachine,
                               LocationStart, Phase, ProtocolSettings,
                               RssiAvgRequest, RssiAvgResponse, RssiTest,
@@ -154,8 +154,10 @@ class TestBlindMachine:
         assert [p.seq for p in tests] == [1, 2, 3]
 
     def test_rejects_zero_accum(self):
-        with pytest.raises(ValueError):
+        # The settings reject it, before a machine can hold them.
+        with pytest.raises(ScenarioError) as info:
             BlindNodeMachine(id="m0", settings=ProtocolSettings(accum_count=0))
+        assert info.value.path == "accum_count"
 
 
 class TestBeaconMachine:

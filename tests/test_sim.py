@@ -690,51 +690,67 @@ class TestTrajectories:
     (lambda: Scenario(rounds=10**15), "rounds", "must be at most 1000000"),
     (lambda: replace(Scenario(), seed=-1), "seed", "must be >= 0"),
     (lambda: replace(Scenario(), protocol=ProtocolSettings(accum_count=1001)),
-     "protocol.accum_count", "must be at most 1000"),
-    (lambda: Scenario(trajectory=Waypoints(())), "trajectory.points", "must not be empty"),
+     "accum_count", "must be at most 1000"),
+    (lambda: Scenario(trajectory=Waypoints(())), "points", "must not be empty"),
     (lambda: Scenario(trajectory=Waypoints(((Point(1.0, 1.0), -2),))),
-     "trajectory.points[0].dwell_rounds", "must be >= 1"),
+     "points[0].dwell_rounds", "must be >= 1"),
     (lambda: replace(Scenario(), trajectory=Static(Point(9.0, 1.0))),
      "trajectory", "point 0 at (9.0, 1.0) outside the lattice hull"),
     # Counts must be ints, not floats or bools.
     (lambda: Scenario(rounds=2.5), "rounds", "must be an integer"),
     (lambda: Scenario(seed=1.5), "seed", "must be an integer"),
     (lambda: Scenario(protocol=ProtocolSettings(accum_count=2.5)),
-     "protocol.accum_count", "must be an integer"),
+     "accum_count", "must be an integer"),
     (lambda: Scenario(trajectory=LatticeSweep(nx=2.0, ny=2), rounds=4),
-     "trajectory.nx", "must be an integer"),
+     "nx", "must be an integer"),
     (lambda: Scenario(trajectory=LatticeSweep(nx=1, ny=True), rounds=1),
-     "trajectory.ny", "must be an integer"),
+     "ny", "must be an integer"),
     (lambda: Scenario(trajectory=Waypoints(((Point(1.0, 1.0), 1),
                                             (Point(1.0, 3.0), 2.0))), rounds=3),
-     "trajectory.points[1].dwell_rounds", "must be an integer"),
+     "points[1].dwell_rounds", "must be an integer"),
     # Switches must be bools, and the calibration pair two int ids, with
     # adapt on or off.
     (lambda: Scenario(quantize_rssi=1), "quantize_rssi", "must be true or false"),
     (lambda: Scenario(estimator=EstimatorSettings(adapt="no"), rounds=2),
-     "estimator.adapt", "must be true or false"),
+     "adapt", "must be true or false"),
     (lambda: Scenario(estimator=EstimatorSettings(adapt=True,
                                                   calibration_beacons=(0.5, 1))),
-     "estimator.calibration_beacons", "must be a pair of integer ids"),
+     "calibration_beacons", "must be a pair of integer ids"),
     (lambda: Scenario(estimator=EstimatorSettings(calibration_beacons=(True, 2))),
-     "estimator.calibration_beacons", "must be a pair of integer ids"),
+     "calibration_beacons", "must be a pair of integer ids"),
     (lambda: Scenario(estimator=EstimatorSettings(calibration_beacons=[0, 1])),
-     "estimator.calibration_beacons", "must be a pair of integer ids"),
+     "calibration_beacons", "must be a pair of integer ids"),
     (lambda: Scenario(estimator=EstimatorSettings(calibration_beacons=(0, 1, 2))),
-     "estimator.calibration_beacons", "must be a pair of integer ids"),
+     "calibration_beacons", "must be a pair of integer ids"),
     # A point is a tuple of two numbers: a list cannot be hashed.
     (lambda: Scenario(trajectory=Static([2.0, 2.0])),
-     "trajectory.point", "must be an (x, y) pair of numbers"),
+     "point", "must be an (x, y) pair of finite numbers"),
     (lambda: Scenario(trajectory=Waypoints(((Point(1.0, 1.0), 1), ([1.0, 3.0], 2))),
                       rounds=3),
-     "trajectory.points[1].point", "must be an (x, y) pair of numbers"),
+     "points[1].point", "must be an (x, y) pair of finite numbers"),
     (lambda: Scenario(trajectory=Static(Point(2.0, "2"))),
-     "trajectory.point", "must be an (x, y) pair of numbers"),
+     "point", "must be an (x, y) pair of finite numbers"),
+    # Each section checks its own fields; a number is finite, and an int too
+    # large for a float is no number.
+    (lambda: ChannelParams(a_dbm=10**400), "a_dbm", "must be a finite number"),
+    (lambda: GridSpec(spacing_m=10**400), "spacing_m", "must be a finite number"),
+    (lambda: GridSpec(origin=(10**400, 0)), "origin",
+     "must be an (x, y) pair of finite numbers"),
+    (lambda: EstimatorSettings(n_initial=10**400), "n_initial", "must be a finite number"),
+    (lambda: Static(Point(10**400, 0.0)), "point", "must be an (x, y) pair of finite numbers"),
+    (lambda: Waypoints(((Point(1.0, 1.0), 1), (Point(0.0, 10**400), 1))),
+     "points[1].point", "must be an (x, y) pair of finite numbers"),
+    (lambda: EstimatorSettings(adapt=True, n_min=math.inf, n_max=math.inf),
+     "n_min", "must be a finite number"),
+    (lambda: ProtocolSettings(ack_timeout_ms=math.inf), "ack_timeout_ms",
+     "must be a finite number"),
 ], ids=["rounds-0", "rounds-1e15", "replace-seed", "replace-accum", "no-waypoints",
         "negative-dwell", "replace-outside", "rounds-float", "seed-float",
         "accum-float", "nx-float", "ny-bool", "dwell-float", "quantize-int",
         "adapt-str", "calibration-float", "calibration-bool", "calibration-list",
-        "calibration-triple", "static-list", "waypoint-list", "static-str"])
+        "calibration-triple", "static-list", "waypoint-list", "static-str",
+        "a-dbm-1e400", "spacing-1e400", "origin-1e400", "n-initial-1e400",
+        "static-1e400", "waypoint-1e400", "n-range-inf", "ack-timeout-inf"])
 def test_invalid_scenario_cannot_be_built(build, path, message):
     with pytest.raises(ScenarioError) as info:
         build()
@@ -742,7 +758,7 @@ def test_invalid_scenario_cannot_be_built(build, path, message):
 
 
 MINIMAL = {"trajectory": {"kind": "static", "point": [2.0, 2.0]}}
-SUB_TOLERANCE = "grid: spacing_m must be more than 2 * COORD_TOL, 2e-06 m"
+SUB_TOLERANCE = "grid.spacing_m: must be more than 2 * COORD_TOL, 2e-06 m"
 # The smallest spacing a lattice may have.
 ABOVE_TOLERANCE = math.nextafter(2 * COORD_TOL, math.inf)
 
@@ -797,15 +813,16 @@ class TestScenarioParsing:
             scenario_from_dict(data)
 
     @pytest.mark.parametrize("patch,message", [
-        ({"channel": {"sigma_dbm": True}}, "channel.sigma_dbm: expected a number"),
-        ({"rounds": 1.5}, "rounds: expected an integer"),
-        ({"quantize_rssi": 1}, "quantize_rssi: expected true or false"),
-        ({"grid": {"origin": [0, "x"]}}, "grid.origin: expected [x, y]"),
+        ({"channel": {"sigma_dbm": True}}, "channel.sigma_dbm: must be a finite number"),
+        ({"rounds": 1.5}, "rounds: must be an integer"),
+        ({"quantize_rssi": 1}, "quantize_rssi: must be true or false"),
+        ({"grid": {"origin": [0, "x"]}},
+         "grid.origin: must be an (x, y) pair of finite numbers"),
         ({"estimator": {"calibration_beacons": [0, 1.0]}},
-         "estimator.calibration_beacons: expected [id, id]"),
+         "estimator.calibration_beacons: must be a pair of integer ids"),
         ({"trajectory": {"kind": "lattice_sweep", "nx": 2.0}},
-         "trajectory.nx: expected an integer"),
-        ({"channel": {"n_exp": 0}}, "channel: n_exp must be positive"),
+         "trajectory.nx: must be an integer"),
+        ({"channel": {"n_exp": 0}}, "channel.n_exp: must be positive"),
         ({"protocol": {"ack_timeout_ms": 0.0}},
          "protocol.ack_timeout_ms: must be positive"),
         ({"protocol": {"response_window_ms": 0.0}},
@@ -813,34 +830,34 @@ class TestScenarioParsing:
         ({"protocol": {"inter_test_gap_ms": -5.0}},
          "protocol.inter_test_gap_ms: must be >= 0"),
         ({"protocol": {"inter_test_gap_ms": math.nan}},
-         "protocol.inter_test_gap_ms: must be >= 0"),
+         "protocol.inter_test_gap_ms: must be a finite number"),
         ({"protocol": {"round_interval_ms": math.nan}},
-         "protocol.round_interval_ms: must be positive and finite"),
+         "protocol.round_interval_ms: must be a finite number"),
         ({"protocol": {"round_interval_ms": math.inf}},
-         "protocol.round_interval_ms: must be positive and finite"),
+         "protocol.round_interval_ms: must be a finite number"),
         # The protocol's clock at t = 1000 ms cannot resolve a 1e-14 ms wait.
         ({"protocol": {"ack_timeout_ms": 1e-14}, "rounds": 2},
          "protocol.ack_timeout_ms: must be longer than one clock step, 2.27374e-13 ms"),
         ({"protocol": {"accum_count": 10**400}},
          "protocol.accum_count: must be at most 1000"),
         # JSON may spell NaN and Infinity, and they pass a plain range check.
-        ({"channel": {"sigma_dbm": math.nan}}, "channel: sigma_dbm must be finite"),
-        ({"channel": {"a_dbm": math.nan}}, "channel: a_dbm must be finite"),
-        ({"channel": {"n_exp": math.nan}}, "channel: n_exp must be finite"),
+        ({"channel": {"sigma_dbm": math.nan}}, "channel.sigma_dbm: must be a finite number"),
+        ({"channel": {"a_dbm": math.nan}}, "channel.a_dbm: must be a finite number"),
+        ({"channel": {"n_exp": math.nan}}, "channel.n_exp: must be a finite number"),
         ({"channel": {"rssi_offset_dbm": -math.inf}},
-         "channel: rssi_offset_dbm must be finite"),
+         "channel.rssi_offset_dbm: must be a finite number"),
         ({"channel": {"reception_radius_m": math.nan}},
-         "channel: reception_radius_m must be finite"),
+         "channel.reception_radius_m: must be a finite number"),
         ({"channel": {"reception_radius_m": math.inf}},
-         "channel: reception_radius_m must be finite"),
+         "channel.reception_radius_m: must be a finite number"),
         ({"grid": {"spacing_m": math.inf}},
-         "grid: spacing_m must be positive and finite"),
+         "grid.spacing_m: must be a finite number"),
         ({"grid": {"spacing_m": math.nan}},
-         "grid: spacing_m must be positive and finite"),
+         "grid.spacing_m: must be a finite number"),
         ({"estimator": {"n_initial": math.nan}},
-         "estimator.n_initial: must be positive and finite"),
+         "estimator.n_initial: must be a finite number"),
         ({"estimator": {"n_initial": math.inf}},
-         "estimator.n_initial: must be positive and finite"),
+         "estimator.n_initial: must be a finite number"),
         # Rejected before any beacon is laid out, with adapt on or off.
         ({"grid": {"cols": 2**70}}, "grid: cols * rows must be at most 10000"),
         ({"grid": {"cols": 2**70}, "estimator": {"adapt": True}},
@@ -905,6 +922,28 @@ class TestScenarioParsing:
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
             scenario_from_dict(dict(MINIMAL, **patch))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("patch,message", [
+        ({"channel": {"sigma_dbm": 10**400}}, "channel.sigma_dbm: must be a finite number"),
+        ({"grid": {"origin": [10**400, 0]}},
+         "grid.origin: must be an (x, y) pair of finite numbers"),
+        ({"trajectory": {"kind": "static", "point": [10**400, 0]}},
+         "trajectory.point: must be an (x, y) pair of finite numbers"),
+        ({"trajectory": {"kind": "waypoints", "points": [
+            {"point": [1.0, 1.0]}, {"point": [0, -10**400]}]}},
+         "trajectory.points[1].point: must be an (x, y) pair of finite numbers"),
+        # With adapt on, n would otherwise be clamped into [inf, inf].
+        ({"estimator": {"adapt": True, "n_min": math.inf, "n_max": math.inf}},
+         "estimator.n_min: must be a finite number"),
+        ({"protocol": {"ack_timeout_ms": math.inf}},
+         "protocol.ack_timeout_ms: must be a finite number"),
+    ], ids=["sigma-1e400", "origin-1e400", "static-1e400", "waypoint-1e400",
+            "n-range-inf", "ack-timeout-inf"])
+    def test_a_value_beyond_a_float_is_rejected(self, patch, message):
+        # As a file spells it: JSON integers of any length, and Infinity.
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(json.dumps(dict(MINIMAL, **patch)))
         assert str(info.value) == message
 
     def test_every_field_round_trips(self):
