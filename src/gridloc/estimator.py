@@ -26,8 +26,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
                       _inverse_range)
 from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec,
-                       OutOfRegionError, Point, _cell_of_axes,
-                       _rectangle_axes, containing_cell, is_rectangle)
+                       OutOfRegionError, Point, cell_of_corners,
+                       containing_cell, is_rectangle)
 
 # Distinct ranked top-4s whose cell plans localize keeps. A 625-round
 # paper_sweep run has at most a few hundred.
@@ -195,8 +195,9 @@ def _corner_plan(quad: Sequence[Point]) -> tuple[int, ...]:
     x, max x, min y and max y, then the first corner within COORD_TOL of
     (x_lo, y_hi), (x_hi, y_hi), (x_hi, y_lo) and (x_lo, y_lo).
 
-    The bounds are extreme corner coordinates, not the representatives
-    _rectangle_axes returns. Raises GeometryError for a missing corner.
+    The bounds are extreme corner coordinates, not the first of each
+    distinct x and y that cell_of_corners compares. Raises GeometryError for
+    a missing corner.
     """
     xs = [p[0] for p in quad]
     ys = [p[1] for p in quad]
@@ -239,11 +240,8 @@ def _cell_plan(quad: tuple[Point, ...], grid: GridSpec
     None covers four points that are no rectangle, a rectangle wider than
     a cell or off the lattice, and a missing corner.
     """
-    axes = _rectangle_axes(quad)
-    if axes is None:
-        return None
     try:
-        return _cell_of_axes(axes, grid), _corner_plan(quad)
+        return cell_of_corners(quad, grid), _corner_plan(quad)
     except GeometryError:
         return None
 

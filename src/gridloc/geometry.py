@@ -78,11 +78,17 @@ def _check_kind(kind: type, value: object, path: str) -> None:
 
 
 def _check_kinds(settings: object) -> None:
-    """_check_kind on each field of a settings dataclass but a section, a
-    field whose default is a dataclass, which checks itself."""
+    """_check_kind on each field of a settings dataclass. A section, a field
+    whose default is a dataclass, checks its own fields; here it need only
+    be of a class in the field's "kinds" metadata, or else its default's."""
     for f in fields(settings):
+        value = getattr(settings, f.name)
         if not is_dataclass(f.default):
-            _check_kind(type(f.default), getattr(settings, f.name), f.name)
+            _check_kind(type(f.default), value, f.name)
+            continue
+        kinds = f.metadata.get("kinds", (type(f.default),))
+        if not isinstance(value, kinds):
+            raise ScenarioError(f.name, "must be a " + " or ".join(k.__name__ for k in kinds))
 
 
 @dataclass(frozen=True)
@@ -199,12 +205,6 @@ def cell_of_corners(quad: Sequence[Point], spec: GridSpec) -> CellId:
     axes = _rectangle_axes(quad)
     if axes is None:
         raise GeometryError("corner set does not form a rectangle")
-    return _cell_of_axes(axes, spec)
-
-
-def _cell_of_axes(axes: tuple[list[float], list[float]], spec: GridSpec) -> CellId:
-    """The cell of a rectangle, given as the sorted distinct xs and ys that
-    _rectangle_axes returns for its corners."""
     xs, ys = axes
     if (abs((xs[1] - xs[0]) - spec.spacing_m) > COORD_TOL
             or abs((ys[1] - ys[0]) - spec.spacing_m) > COORD_TOL):

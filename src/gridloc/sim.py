@@ -17,10 +17,10 @@ k beacons in range: the start broadcast and the k acks at the round's
 start, accum_count test broadcasts one inter-test gap apart, then the
 request and the k responses one gap after the last test. _batched_round
 takes that schedule's k·(accum_count + 4) normals in one draw, in that
-order. When a trace is asked for, _trace_tails has
+order. When a trace is asked for, _trace_writer has
 protocol.format_trace_line write the text of each line after its time
-once per run, a beacon's the first time it is in range, and _trace_round
-adds the round's times and each response's level and count. The
+once per run, a beacon's the first time it is in range, and returns the
+function that adds a round's times and each response's level and count. The
 discrete-event simulator that drives the protocol machines packet by
 packet, and formats each of their messages whole, is the oracle in
 tests/test_sim.py.
@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Container, NamedTuple, Optional, Union
+from typing import Callable, Container, Optional, Union, get_args
 
 import numpy as np
 
@@ -59,9 +60,14 @@ class Waypoints:
     points: tuple[tuple[geo.Point, int], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.points, tuple):
+            raise ScenarioError("points", "must be a tuple of (point, dwell_rounds) pairs")
         if not self.points:
             raise ScenarioError("points", "must not be empty")
-        for i, (point, dwell) in enumerate(self.points):
+        for i, item in enumerate(self.points):
+            if not (isinstance(item, tuple) and len(item) == 2):
+                raise ScenarioError(f"points[{i}]", "must be a (point, dwell_rounds) pair")
+            point, dwell = item
             geo._check_kind(geo.Point, point, f"points[{i}].point")
             geo._check_kind(int, dwell, f"points[{i}].dwell_rounds")
             if dwell < 1:
@@ -113,7 +119,8 @@ class Scenario:
     channel: chan.ChannelParams = chan.ChannelParams()
     estimator: EstimatorSettings = EstimatorSettings()
     protocol: ProtocolSettings = ProtocolSettings()
-    trajectory: Trajectory = Static(geo.Point(2.0, 2.0))
+    trajectory: Trajectory = field(default=Static(geo.Point(2.0, 2.0)),
+                                   metadata={"kinds": get_args(Trajectory)})
     rounds: int = 1
     seed: int = 0
     quantize_rssi: bool = False
@@ -235,8 +242,9 @@ def _axis_samples(start: float, width: float, count: int, spacing: float) -> lis
         rel = (c - start) / spacing
         if abs(rel - round(rel)) * spacing <= geo.COORD_TOL:
             # Sample would sit exactly on a beacon line; pull it a quarter
-            # step into the lower cell to keep it cell-interior.
-            c -= 0.25 * step
+            # step, or of a cell when a step is wider, into the lower cell
+            # to keep it cell-interior.
+            c -= 0.25 * min(step, spacing)
         out.append(c)
     return out
 
@@ -298,7 +306,7 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     if cal_length is not None and chan.link_rss(cal_length, s.channel) is None:
         cal_length = None  # beyond the radius: no calibration draw
 
-    tails = _trace_tails(s.protocol, beacons) if trace is not None else None
+    write = _trace_writer(s.protocol, beacons) if trace is not None else None
 
     refined_records, baseline_records = [], []
     for idx, true_pos in enumerate(s.positions()):
@@ -310,9 +318,8 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
             state = est.EstimatorState(n_new, state.last_estimate)
         links = chan._links(beacons, true_pos, s.channel)
         reports = _batched_round(s, links, rng)
-        if tails is not None:
-            _trace_round(tails, s.protocol.inter_test_gap_ms, links, reports,
-                         idx * s.protocol.round_interval_ms, trace)
+        if write is not None:
+            write(links, reports, idx * s.protocol.round_interval_ms, trace)
         if baseline:
             estimate = est.centroid_estimate(reports, state.n_current, s.grid)
             baseline_records.append(_record(idx, true_pos, estimate))
@@ -344,83 +351,53 @@ def _batched_round(s: Scenario, links: list[chan.Link],
     return est.RssiReport.batch([b.pos for b, _ in links], avgs, n)
 
 
-class _Lazy(dict):
-    """A dict that fills a missing key with make(key) on first lookup."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[int], str]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: int) -> str:
-        value = self[key] = self.make(key)
-        return value
-
-
-class _TraceTails(NamedTuple):
-    """The text of a traced run's lines after their time, built by
-    protocol.format_trace_line. The tests' are indexed by seq - 1; a
-    beacon's ack tail and response head, keyed by its id, are built the
-    first time it is in range. A response's head stops before its level."""
-
-    start: str
-    tests: list[str]
-    request: str
-    acks: dict[int, str]
-    response_heads: dict[int, str]
-
-
-def _trace_tails(p: ProtocolSettings, beacons: list[geo.Beacon]) -> _TraceTails:
-    """The tails of the lines a run's rounds write; beacons are in
-    build_lattice order, so a beacon's id is its index."""
+def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..., None]:
+    """write(links, reports, t0, trace), which appends the lines of one
+    round's schedule, from t0 on, to trace. A run's line tails are built
+    once, a beacon's ack tail and response head the first time it is in
+    range; beacons are in build_lattice order, so a beacon's id is its index.
+    """
     blind, cut = "m0", len(format(0.0, proto.TIME_SPEC))
 
     def tail(src: str, dst: str, msg: proto.Message) -> str:
         # A line's time is its first field.
         return proto.format_trace_line(0.0, src, dst, msg)[cut:]
 
+    @cache
     def ack(i: int) -> str:
         return tail(f"b{i}", blind, proto.Ack(f"b{i}"))
 
+    @cache
     def response_head(i: int) -> str:
         # A response's last two fields are its level and count.
         msg = proto.RssiAvgResponse(f"b{i}", beacons[i].pos, 0.0, 0)
         return tail(f"b{i}", blind, msg).rsplit(",", 2)[0] + ","
 
-    return _TraceTails(
-        tail(blind, proto.BROADCAST, proto.LocationStart(blind)),
-        [tail(blind, proto.BROADCAST, proto.RssiTest(blind, seq))
-         for seq in range(1, p.accum_count + 1)],
-        tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind)),
-        _Lazy(ack), _Lazy(response_head))
+    start = tail(blind, proto.BROADCAST, proto.LocationStart(blind))
+    tests = [tail(blind, proto.BROADCAST, proto.RssiTest(blind, seq))
+             for seq in range(1, p.accum_count + 1)]
+    request = tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind))
+    gap_ms, time_spec, value_spec = p.inter_test_gap_ms, proto.TIME_SPEC, proto.VALUE_SPEC
 
+    def write(links: list[chan.Link], reports: list[est.RssiReport], t0: float,
+              trace: list[str]) -> None:
+        now = format(t0, time_spec)
+        trace.append(now + start)
+        if not links:
+            return
+        trace.extend([now + ack(b.id) for b, _ in links])
+        # The gap is added once per test, as the blind machine's timer adds
+        # it; t0 + j * gap can round differently.
+        t = t0
+        for test in tests:
+            trace.append(format(t, time_spec) + test)
+            t += gap_ms
+        now = format(t, time_spec)
+        trace.append(now + request)
+        trace.extend([f"{now}{response_head(b.id)}{format(level, value_spec)},{count}"
+                      for (b, _), (_, level, count) in zip(links, reports)])
 
-def _trace_round(tails: _TraceTails, gap_ms: float, links: list[chan.Link],
-                 reports: list[est.RssiReport], t0: float, trace: list[str]) -> None:
-    """Append the lines of one round's schedule, from t0 on, to trace.
-
-    Only the round's distinct times and each response's level and count
-    are formatted; the rest of each line is a tail of the run's.
-    """
-    time_spec, value_spec = proto.TIME_SPEC, proto.VALUE_SPEC
-    now = format(t0, time_spec)
-    trace.append(now + tails.start)
-    if not links:
-        return
-    acks = tails.acks
-    trace.extend([now + acks[b.id] for b, _ in links])
-    # The gap is added once per test, as the blind machine's timer adds it;
-    # t0 + j * gap can round differently.
-    t = t0
-    for test in tails.tests:
-        trace.append(format(t, time_spec) + test)
-        t += gap_ms
-    now = format(t, time_spec)
-    trace.append(now + tails.request)
-    heads = tails.response_heads
-    trace.extend([f"{now}{heads[b.id]}{format(level, value_spec)},{count}"
-                  for (b, _), (_, level, count) in zip(links, reports)])
+    return write
 
 
 # Scenario files are JSON. Each object is one settings dataclass: its keys

@@ -612,6 +612,27 @@ def test_trace_times_never_decrease_at_the_shortest_interval(protocol):
     assert times == sorted(times)
 
 
+def test_a_run_formats_each_beacon_tail_once_and_its_own(monkeypatch):
+    # 2 + accum_count tails are built when the run starts, and an ack tail
+    # and a response head the first time a beacon is in range; a second run
+    # builds its own.
+    calls = []
+
+    def counting_format(*args, _original=proto.format_trace_line):
+        calls.append(1)
+        return _original(*args)
+
+    monkeypatch.setattr(proto, "format_trace_line", counting_format)
+    s = Scenario(grid=GridSpec(cols=100, rows=100), rounds=2, trajectory=Waypoints(
+        ((Point(50.5, 50.5), 1), (Point(90.5, 90.5), 1))))
+    beacons = build_lattice(s.grid)
+    heard = {b.id for p in s.positions() for b, _ in _links(beacons, p, s.channel)}
+    run_scenario(s, [])
+    assert len(calls) == 2 + s.protocol.accum_count + 2 * len(heard) == 702
+    run_scenario(s, [])
+    assert len(calls) == 2 * 702
+
+
 class TestSweepPoints:
     GRID = GridSpec(origin=Point(0.0, 0.0), spacing_m=4.0, cols=3, rows=3)
 
@@ -641,6 +662,16 @@ class TestSweepPoints:
     def test_all_points_strictly_inside_hull(self):
         for p in sweep_points(self.GRID, 7, 3):
             assert 0.0 < p.x < 8.0 and 0.0 < p.y < 8.0
+
+    @pytest.mark.parametrize("spacing", [4.0, 2.0])
+    @pytest.mark.parametrize("rows", [5, 4])
+    def test_a_step_wider_than_a_cell_keeps_samples_off_lines(self, rows, spacing):
+        # The one sample sits on the middle column, and on the middle row
+        # when rows is odd; a quarter step back would reach another line.
+        grid = GridSpec(spacing_m=spacing, cols=5, rows=rows)
+        (p,) = Scenario(grid=grid, trajectory=LatticeSweep(1, 1)).positions()
+        for v, count in ((p.x, grid.cols), (p.y, grid.rows)):
+            assert all(abs(v - k * spacing) > COORD_TOL for k in range(count))
 
 
 class TestTrajectories:
@@ -744,13 +775,23 @@ class TestTrajectories:
      "n_min", "must be a finite number"),
     (lambda: ProtocolSettings(ack_timeout_ms=math.inf), "ack_timeout_ms",
      "must be a finite number"),
+    # A section is of its own class, and a waypoint a (point, dwell) pair.
+    (lambda: Scenario(trajectory="x"), "trajectory",
+     "must be a Static or Waypoints or LatticeSweep"),
+    (lambda: Scenario(grid=None), "grid", "must be a GridSpec"),
+    (lambda: Scenario(channel=EstimatorSettings()), "channel", "must be a ChannelParams"),
+    (lambda: Waypoints(((1, 2, 3),)), "points[0]", "must be a (point, dwell_rounds) pair"),
+    (lambda: Waypoints([(Point(1.0, 1.0), 1)]), "points",
+     "must be a tuple of (point, dwell_rounds) pairs"),
 ], ids=["rounds-0", "rounds-1e15", "replace-seed", "replace-accum", "no-waypoints",
         "negative-dwell", "replace-outside", "rounds-float", "seed-float",
         "accum-float", "nx-float", "ny-bool", "dwell-float", "quantize-int",
         "adapt-str", "calibration-float", "calibration-bool", "calibration-list",
         "calibration-triple", "static-list", "waypoint-list", "static-str",
         "a-dbm-1e400", "spacing-1e400", "origin-1e400", "n-initial-1e400",
-        "static-1e400", "waypoint-1e400", "n-range-inf", "ack-timeout-inf"])
+        "static-1e400", "waypoint-1e400", "n-range-inf", "ack-timeout-inf",
+        "trajectory-str", "grid-none", "channel-of-estimator", "waypoint-triple",
+        "waypoints-list"])
 def test_invalid_scenario_cannot_be_built(build, path, message):
     with pytest.raises(ScenarioError) as info:
         build()
