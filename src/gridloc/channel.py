@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -135,7 +136,7 @@ def _links(beacons: list[Beacon], blind_pos: Point,
 
 def sample_rss(d: float, params: ChannelParams, rng: np.random.Generator,
                quantize: bool = False) -> Optional[float]:
-    """One shadowed level at distance d, as receive_block gives it, or None
+    """One shadowed level at distance d, as receive_rounds gives it, or None
     beyond the reception radius.
 
     The Gaussian term is drawn even when sigma_dbm is zero so a scenario
@@ -148,17 +149,38 @@ def sample_rss(d: float, params: ChannelParams, rng: np.random.Generator,
     return float(round_half_away_array(rss)) if quantize else rss
 
 
-def receive_block(means: Sequence[float], rows: int, params: ChannelParams,
-                  rng: np.random.Generator, quantize: bool) -> np.ndarray:
-    """Levels of rows successive packets over the same links, as a rows x
-    len(means) array.
+def receive_rounds(rounds: Sequence[Sequence[float]], accum_count: int,
+                   cal_mean: Optional[float], params: ChannelParams,
+                   rng: np.random.Generator, quantize: bool
+                   ) -> tuple[list[float], list[list[float]]]:
+    """Each round's calibration level and per-link test averages, for
+    consecutive rounds whose link means rounds holds, from one draw.
 
-    Row i holds the levels of the i-th packet, one per link in the order
-    given: the shadowing terms come from one draw of rows * len(means)
-    normals, which takes the same stream positions and values as that many
-    sample_rss calls, row by row. With quantize, a level is the integer
-    register reading, as a float; otherwise it is the dBm value.
+    A round takes one level on a calibration link of mean cal_mean, unless
+    that is None, then accum_count + 4 packets over its links, row by row:
+    the start broadcast, the acks, the tests, the request, the responses.
+    The draw takes the same stream positions and values as that many
+    sample_rss calls in that order. Only calibration and test levels are
+    formed; with quantize, each is the integer register reading, as a float.
+    Each link's test levels are added left to right, as a beacon machine
+    adds them: np.sum may add pairwise, and sum() of floats is compensated
+    from Python 3.12 on.
     """
-    levels = (np.asarray(means, dtype=float)
-              + rng.normal(0.0, params.sigma_dbm, (rows, len(means))))
-    return round_half_away_array(levels) if quantize else levels
+    n, cal = accum_count, int(cal_mean is not None)
+    ks = [len(means) for means in rounds]
+    starts = list(accumulate((cal + k * (n + 4) for k in ks), initial=0))
+    firsts = list(accumulate(ks, initial=0))
+    draws = rng.normal(0.0, params.sigma_dbm, starts[-1])
+    # The i-th link of round r hears packet row j at starts[r] + cal + j·k_r + i.
+    base = (np.repeat(np.subtract(starts[:-1], firsts[:-1]) + cal, ks)
+            + np.arange(firsts[-1]))
+    tests = (draws[base + np.arange(2, n + 2)[:, None] * np.repeat(ks, ks)]
+             + np.fromiter(chain.from_iterable(rounds), float, firsts[-1]))
+    cals = draws[starts[:-1]] + cal_mean if cal else draws[:0]
+    if quantize:
+        tests, cals = round_half_away_array(tests), round_half_away_array(cals)
+    total = tests[0]
+    for row in tests[1:]:
+        total = total + row
+    avgs = (total / n).tolist()
+    return cals.tolist(), [avgs[a:b] for a, b in zip(firsts, firsts[1:])]

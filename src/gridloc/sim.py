@@ -5,19 +5,20 @@ rounds, every reception sampled through the channel from a single seeded
 stream. A round starts from the channel's link table: the beacons within
 the reception radius of the blind node, in lattice order, each with its
 mean RSS. The blind node is static within a round and a link is symmetric,
-so that mean serves every packet on the link in either direction. An
-adapting round first takes its calibration level from one sample_rss draw
-on the calibration link.
+so that mean serves every packet on the link in either direction.
 
 Every packet has zero delay and every packet within the radius arrives,
 and validation keeps every timer after the packets it waits for, so each
 round of the protocol in gridloc.protocol, timed by the scenario's
-protocol.ProtocolSettings, follows one fixed schedule. With
-k beacons in range: the start broadcast and the k acks at the round's
-start, accum_count test broadcasts one inter-test gap apart, then the
-request and the k responses one gap after the last test. _batched_round
-takes that schedule's k·(accum_count + 4) normals in one draw, in that
-order. When a trace is asked for, _trace_writer has
+protocol.ProtocolSettings, follows one fixed schedule. An adapting round
+first takes its calibration level on the calibration link. With k beacons
+in range: the start broadcast and the k acks at the round's start,
+accum_count test broadcasts one inter-test gap apart, then the request and
+the k responses one gap after the last test. _run gathers the link tables
+of consecutive rounds until they need CHUNK_DRAWS normals and has
+channel.receive_rounds take them in one draw, each round's in that order;
+the rest of a round, from its reports to its fix, is played round by round.
+When a trace is asked for, _trace_writer has
 protocol.format_trace_line write the text of each line after its time
 once per run, a beacon's the first time it is in range, and returns the
 function that adds a round's times and each response's level and count. The
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Container, Optional, Union, get_args
+from typing import Callable, Container, Iterator, Optional, Union, get_args
 
 import numpy as np
 
@@ -92,6 +93,8 @@ Trajectory = Union[Static, Waypoints, LatticeSweep]
 MAX_BEACONS = 10_000
 # Most rounds a scenario may run; a run keeps about 1 kB of records a round.
 MAX_ROUNDS = 10**6
+# Most normals a run takes in one draw, unless one round needs more.
+CHUNK_DRAWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -303,29 +306,32 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     )
     state = est.EstimatorState(n_current=s.estimator.n_initial)
     cal_length = _calibration_length(s) if s.estimator.adapt else None
-    if cal_length is not None and chan.link_rss(cal_length, s.channel) is None:
-        cal_length = None  # beyond the radius: no calibration draw
+    # None beyond the radius: no calibration draw.
+    cal_mean = chan.link_rss(cal_length, s.channel) if cal_length is not None else None
+    n = s.protocol.accum_count
 
     write = _trace_writer(s.protocol, beacons) if trace is not None else None
 
     refined_records, baseline_records = [], []
-    for idx, true_pos in enumerate(s.positions()):
-        if cal_length is not None:
-            rss = chan.sample_rss(cal_length, s.channel, rng, s.quantize_rssi)
-            n_new = est.adapt_n(rss, cal_length, state.n_current,
-                                s.channel.a_dbm, s.estimator.n_min,
-                                s.estimator.n_max)
-            state = est.EstimatorState(n_new, state.last_estimate)
-        links = chan._links(beacons, true_pos, s.channel)
-        reports = _batched_round(s, links, rng)
-        if write is not None:
-            write(links, reports, idx * s.protocol.round_interval_ms, trace)
-        if baseline:
-            estimate = est.centroid_estimate(reports, state.n_current, s.grid)
-            baseline_records.append(_record(idx, true_pos, estimate))
-        if refined:
-            estimate, state = est.localize(reports, state, cfg)
-            refined_records.append(_record(idx, true_pos, estimate))
+    for chunk in _chunks(s, beacons, cal_mean is not None):
+        means = [[mean for _, mean in links] for _, _, links in chunk]
+        cals, avgs = chan.receive_rounds(means, n, cal_mean, s.channel, rng,
+                                         s.quantize_rssi)
+        for i, (idx, true_pos, links) in enumerate(chunk):
+            if cal_mean is not None:
+                n_new = est.adapt_n(cals[i], cal_length, state.n_current,
+                                    s.channel.a_dbm, s.estimator.n_min,
+                                    s.estimator.n_max)
+                state = est.EstimatorState(n_new, state.last_estimate)
+            reports = est.RssiReport.batch([b.pos for b, _ in links], avgs[i], n)
+            if write is not None:
+                write(links, reports, idx * s.protocol.round_interval_ms, trace)
+            if baseline:
+                estimate = est.centroid_estimate(reports, state.n_current, s.grid)
+                baseline_records.append(_record(idx, true_pos, estimate))
+            if refined:
+                estimate, state = est.localize(reports, state, cfg)
+                refined_records.append(_record(idx, true_pos, estimate))
     return refined_records, baseline_records
 
 
@@ -334,21 +340,23 @@ def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecor
     return RoundRecord(idx, true_pos, estimate, err)
 
 
-def _batched_round(s: Scenario, links: list[chan.Link],
-                   rng: np.random.Generator) -> list[est.RssiReport]:
-    """The reports of one round over links, from one draw.
-
-    Rows of the block, in the schedule's order: the start broadcast, the
-    acks, accum_count test broadcasts, the request, the responses.
-    """
-    n = s.protocol.accum_count
-    block = chan.receive_block([mean for _, mean in links], n + 4, s.channel,
-                               rng, s.quantize_rssi)
-    # Each beacon's test levels added left to right, as beacon_step adds
-    # them: cumsum adds in row order, where np.sum may add pairwise, and
-    # sum() of floats is compensated from Python 3.12 on.
-    avgs = (block[2:n + 2].cumsum(axis=0)[-1] / n).tolist()
-    return est.RssiReport.batch([b.pos for b, _ in links], avgs, n)
+def _chunks(s: Scenario, beacons: list[geo.Beacon], cal: bool
+            ) -> Iterator[list[tuple[int, geo.Point, list[chan.Link]]]]:
+    """Consecutive rounds, as (index, position, link table), in runs whose
+    draws add up to at most CHUNK_DRAWS. A round larger than that is a run
+    of its own, and a round without draws counts as one, so a run holds at
+    most CHUNK_DRAWS rounds."""
+    rows = s.protocol.accum_count + 4
+    chunk, size = [], 0
+    for idx, pos in enumerate(s.positions()):
+        links = chan._links(beacons, pos, s.channel)
+        need = max(cal + len(links) * rows, 1)
+        if chunk and size + need > CHUNK_DRAWS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append((idx, pos, links))
+        size += need
+    yield chunk
 
 
 def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..., None]:

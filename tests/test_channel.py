@@ -1,12 +1,14 @@
 """Propagation model: forward RSS, inverse ranging, shadowing, quantization."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from gridloc.channel import (ChannelParams, distance_to_rss, link_rss,
-                             receive_block, round_half_away_array,
+                             receive_rounds, round_half_away_array,
                              rss_to_distance, sample_rss)
 
 PARAMS = ChannelParams(a_dbm=-45.0, n_exp=2.0, sigma_dbm=0.0)
@@ -152,22 +154,34 @@ class TestSampleRss:
 
 
 class TestReceive:
-    """One block draw must equal one sample_rss call per link, packet by packet."""
+    """One draw for consecutive rounds must equal one sample_rss call per
+    packet, in schedule order."""
 
     @pytest.mark.parametrize("sigma", [0.0, 3.0])
     @pytest.mark.parametrize("quantize", [False, True])
     @pytest.mark.parametrize("dists", [[1.5, 4.0, 5.7, 12.0, 29.9], []])
     def test_block_matches_successive_receive_calls(self, sigma, quantize, dists):
         params = ChannelParams(sigma_dbm=sigma)
-        means = [link_rss(d, params) for d in dists]
-        rng_a = np.random.default_rng(11)
-        rng_b = np.random.default_rng(11)
-        block = receive_block(means, 12, params, rng_a, quantize)
-        assert block.shape == (12, len(means))
-        want = [[sample_rss(d, params, rng_b, quantize) for d in dists]
-                for _ in range(12)]
-        assert block.tolist() == want
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        # Rounds hearing different numbers of links, one hearing none.
+        rounds = [dists, dists[1:4], [], dists[:1]]
+        means = [[link_rss(d, params) for d in r] for r in rounds]
+        for cal_d in (None, 7.5):
+            cal_mean = link_rss(cal_d, params) if cal_d is not None else None
+            rng_a = np.random.default_rng(11)
+            rng_b = np.random.default_rng(11)
+            cals, avgs = receive_rounds(means, 8, cal_mean, params, rng_a, quantize)
+            want_cals, want_avgs = [], []
+            for r in rounds:
+                if cal_d is not None:
+                    want_cals.append(sample_rss(cal_d, params, rng_b, quantize))
+                # Start, acks, 8 tests, request, responses; tests added in order.
+                rows = [[sample_rss(d, params, rng_b, quantize) for d in r]
+                        for _ in range(12)]
+                want_avgs.append([functools.reduce(operator.add, levels) / 8
+                                  for levels in zip(*rows[2:10])])
+            assert cals == want_cals
+            assert avgs == want_avgs
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_link_beyond_radius_is_none(self):
         assert link_rss(30.0, PARAMS) == distance_to_rss(30.0, PARAMS)

@@ -16,14 +16,14 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gridloc import channel as chan
-from gridloc import cli, estimator
+from gridloc import cli, estimator, sim
 from gridloc import protocol as proto
 from gridloc.channel import ChannelParams, _links, link_rss, sample_rss
 from gridloc.estimator import FixMethod
 from gridloc.geometry import COORD_TOL, GridSpec, Point, build_lattice, dist
 from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
                          Scenario, ScenarioError, Static, Waypoints,
-                         _batched_round, load_scenario, parse_scenario,
+                         load_scenario, parse_scenario,
                          run_baseline, run_scenario, run_with_baseline,
                          scenario_from_dict, sweep_points)
 
@@ -126,6 +126,29 @@ def report_fields(report_sets):
     # A report equals a plain tuple of its fields, so its type is recorded too.
     return [[(type(r), r.beacon_pos, type(r.avg_rssi_dbm), r.avg_rssi_dbm.hex(),
               r.sample_count) for r in reports] for reports in report_sets]
+
+
+def played_stream(run, s: Scenario) -> dict:
+    """The state of the generator run(s, []) draws from, after the run."""
+    made = []
+
+    def recording(seed, _original=np.random.PCG64):
+        made.append(_original(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "PCG64", recording)
+        run(s, [])
+    (bit_generator,) = made
+    return bit_generator.state
+
+
+def stream_after(seed: int, normals: int) -> dict:
+    """The state of a fresh PCG64(seed) after that many normal draws."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(normals):
+        rng.normal(0.0, 1.0)
+    return rng.bit_generator.state
 
 
 class TestRunScenario:
@@ -333,17 +356,17 @@ class TestByteIdentity:
         beacons = build_lattice(s.grid)
         links = _links(beacons, point, s.channel)
         k = sum(dist(point, b.pos) <= radius for b in beacons)
-        rng = np.random.Generator(np.random.PCG64(3))
         if engine == "des":
+            rng = np.random.Generator(np.random.PCG64(3))
             reports = _protocol_round(s, point, links, _machines(beacons), rng,
                                       0.0, None)
+            state = rng.bit_generator.state
         else:
-            reports = _batched_round(s, links, rng)
+            s = replace(s, seed=3)
+            (reports,) = engine_play(run_scenario, s)[2]["localize"]
+            state = played_stream(run_scenario, s)
         assert len(reports) == k
-        ref = np.random.Generator(np.random.PCG64(3))
-        for _ in range(k * (s.protocol.accum_count + 4)):
-            ref.normal(0.0, sigma)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert state == stream_after(3, k * (s.protocol.accum_count + 4))
 
 
 class TestRoundEngines:
@@ -399,23 +422,21 @@ class TestRoundEngines:
         assert len(links) == heard
         des = _protocol_round(s, self.POINT, links, _machines(beacons),
                               np.random.Generator(np.random.PCG64(11)), 0.0, None)
-        batched = _batched_round(s, links, np.random.Generator(np.random.PCG64(11)))
-        assert report_fields([batched]) == report_fields([des])
+        batched = engine_play(run_scenario, replace(s, seed=11))[2]["localize"]
+        assert report_fields(batched) == report_fields([des])
 
-    def test_batched_average_adds_left_to_right(self, monkeypatch):
+    def test_batched_average_adds_left_to_right(self):
         # Compensated, these test levels add to 2.0; in order, to 1.0.
         samples = [1e16, 1.0, -1e16, 1.0]
 
-        def block(means, rows, params, rng, quantize):
-            levels = np.zeros((rows, len(means)))
-            levels[2:rows - 2, 0] = samples
-            return levels
+        class Stream:
+            def normal(self, loc, scale, size):
+                # One link, no calibration: rows 2 to 5 are its tests.
+                return np.array([0.0, 0.0, *samples, 0.0, 0.0])
 
-        monkeypatch.setattr(chan, "receive_block", block)
-        s = Scenario(protocol=ProtocolSettings(accum_count=len(samples)))
-        links = _links(build_lattice(s.grid), Point(2.0, 2.0), s.channel)
-        first, *_ = _batched_round(s, links, None)
-        assert first.avg_rssi_dbm == 0.25
+        _, [[avg]] = chan.receive_rounds([[0.0]], len(samples), None,
+                                         ChannelParams(), Stream(), False)
+        assert avg == 0.25
 
 
 def sweep_scenario(seed, sigma, quantize, adapt, cols, radius, n=4, **sections):
@@ -469,6 +490,10 @@ ORACLE_CASES = [
     pytest.param(sweep_scenario(7, 2.0, False, False, 3, 30.0, protocol={
         "round_interval_ms": 123456.789, "inter_test_gap_ms": 0.37}),
                  id="interval-123456.789"),
+    # 16 rounds of 1 + 9 · 124 normals, 17,872 in all: the run crosses a
+    # boundary of the default chunk cap.
+    pytest.param(sweep_scenario(42, 3.0, True, True, 3, 30.0, protocol={
+        "accum_count": 120, "inter_test_gap_ms": 5.0}), id="accum-120"),
 ]
 
 
@@ -537,23 +562,41 @@ def test_round_with_no_beacon_in_range_traces_one_line():
     pytest.param(sweep_scenario(7, 3.0, True, True, 6, 9.0, estimator={
         "adapt": True, "calibration_beacons": [0, 35]}), False, id="cal-out-of-range"),
 ])
-def test_each_round_draws_one_block_and_one_calibration_level(s, cal_draws, run,
-                                                             monkeypatch):
-    lengths, blocks = [], []
+def test_each_round_draws_one_block_and_one_calibration_level(s, cal_draws, run):
+    # The run leaves its generator where a round-by-round play leaves it:
+    # per round, the calibration level, then k · (accum_count + 4) levels.
+    beacons = build_lattice(s.grid)
+    normals = sum(cal_draws + len(_links(beacons, pos, s.channel))
+                  * (s.protocol.accum_count + 4) for pos in s.positions())
+    assert played_stream(run, s) == stream_after(s.seed, normals)
 
-    def counting_sample_rss(d, *args, _original=chan.sample_rss):
-        lengths.append(d)
-        return _original(d, *args)
 
-    def counting_receive_block(*args, _original=chan.receive_block):
-        blocks.append(args[1])
-        return _original(*args)
+# Radius 2.5 m on the 4 m lattice: a cell's center hears no beacon, a
+# point near a beacon one, a point between two beacons two.
+SPARSE_ROUNDS = Scenario(
+    channel=ChannelParams(sigma_dbm=3.0, reception_radius_m=2.5),
+    trajectory=Waypoints(((Point(2.0, 2.0), 2), (Point(0.5, 0.5), 1),
+                          (Point(2.0, 0.1), 4), (Point(6.0, 2.0), 3),
+                          (Point(4.6, 3.7), 2), (Point(2.0, 6.0), 1))),
+    rounds=13, seed=5, quantize_rssi=True)
 
-    monkeypatch.setattr(chan, "sample_rss", counting_sample_rss)
-    monkeypatch.setattr(chan, "receive_block", counting_receive_block)
-    run(s, [])
-    assert lengths == ([calibration_length(s)] * s.rounds if cal_draws else [])
-    assert blocks == [s.protocol.accum_count + 4] * s.rounds
+
+@pytest.mark.parametrize("cap", [1, 97, 300, 2000, sim.CHUNK_DRAWS])
+@pytest.mark.parametrize("s", [
+    pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0), id="adapt-quantized"),
+    # Its rounds hear different numbers of beacons.
+    pytest.param(sweep_scenario(42, 3.0, False, False, 10, 30.0, n=3), id="10x10"),
+    pytest.param(SPARSE_ROUNDS, id="rounds-hearing-none"),
+    pytest.param(sweep_scenario(7, 3.0, True, True, 6, 9.0, estimator={
+        "adapt": True, "calibration_beacons": [0, 35]}), id="cal-out-of-range"),
+])
+def test_chunk_boundaries_change_no_output(s, cap, monkeypatch):
+    # A cap of 1 plays each round alone; smaller caps split the run between
+    # rounds that the default cap draws together.
+    records = run_with_baseline(s)
+    monkeypatch.setattr(sim, "CHUNK_DRAWS", cap)
+    assert_matches_the_des(s, run_with_baseline)
+    assert run_with_baseline(s) == records
 
 
 @st.composite
