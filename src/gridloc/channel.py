@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Beacon, Point, ScenarioError, _check_kinds
+from .geometry import Point, ScenarioError, _check_kinds
 
 DEFAULT_A_DBM = -45.0
 DEFAULT_RSSI_OFFSET_DBM = -45.0
@@ -18,6 +18,15 @@ DEFAULT_RSSI_OFFSET_DBM = -45.0
 # sub-reference distances; RSS far below it would map to absurd ranges.
 D_MIN_M = 0.1
 D_MAX_FACTOR = 4.0
+
+# Physical ranges of the propagation constants: a received power at 1 m in
+# dBm, measured path-loss exponents (about 1.5 to 6) and shadowing spreads
+# (about 2 to 14 dB), with room to spare. Within them a level is under 1e5
+# dBm in size at any link length a float holds, so the sum of a round's
+# tests, and every average, stays finite.
+A_DBM_RANGE = (-200.0, 100.0)
+N_EXP_MAX = 10.0
+SIGMA_DBM_MAX = 30.0
 
 
 @dataclass(frozen=True)
@@ -37,10 +46,17 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         _check_kinds(self)
+        low, high = A_DBM_RANGE
+        if not low <= self.a_dbm <= high:
+            raise ScenarioError("a_dbm", f"must be in [{low:g}, {high:g}]")
         if self.n_exp <= 0:
             raise ScenarioError("n_exp", "must be positive")
+        if self.n_exp > N_EXP_MAX:
+            raise ScenarioError("n_exp", f"must be at most {N_EXP_MAX:g}")
         if self.sigma_dbm < 0:
             raise ScenarioError("sigma_dbm", "must be >= 0")
+        if self.sigma_dbm > SIGMA_DBM_MAX:
+            raise ScenarioError("sigma_dbm", f"must be at most {SIGMA_DBM_MAX:g}")
         if self.reception_radius_m <= 0:
             raise ScenarioError("reception_radius_m", "must be positive")
 
@@ -108,30 +124,32 @@ def link_rss(d: float, params: ChannelParams) -> Optional[float]:
     return distance_to_rss(d, params)
 
 
-Link = tuple[Beacon, float]
+def _links(beacon_xy: np.ndarray, positions: Sequence[Point],
+           params: ChannelParams) -> tuple[list[int], list[float], list[int]]:
+    """The link tables of consecutive rounds, the blind node at each of
+    positions in turn: the index in beacon_xy, an array of beacon (x, y)
+    rows in lattice order, of each beacon in range and its mean RSS, flat,
+    round after round in lattice order, and each round's count of links.
+    Beacons beyond the radius hear nothing that round.
 
-
-def _links(beacons: list[Beacon], blind_pos: Point,
-           params: ChannelParams) -> list[Link]:
-    """(beacon, mean RSS) for each beacon in range of the blind node, in
-    lattice order; beacons beyond the radius hear nothing this round.
-
-    Each mean is link_rss(geometry.dist(blind_pos, b.pos), params), with
-    both calls' arithmetic written out in the same order.
+    Each mean is link_rss(geometry.dist(p, b.pos), params), with both
+    calls' arithmetic done in the same order: the differences and the cut
+    as array operations, which round each value as Python floats do, and
+    hypot and log10 through math, which numpy's can differ from.
     """
-    px, py = blind_pos
-    a_dbm, slope = params.a_dbm, 10.0 * params.n_exp
-    radius = params.reception_radius_m
-    links = []
-    for b in beacons:
-        bx, by = b.pos
-        d = math.hypot(px - bx, py - by)
-        if d > radius:
-            continue
-        if d <= 0:
-            raise ValueError("distance must be positive")
-        links.append((b, a_dbm - slope * math.log10(d)))
-    return links
+    xy = np.array(positions, dtype=float)
+    dx = (xy[:, :1] - beacon_xy[:, 0]).ravel().tolist()
+    dy = (xy[:, 1:] - beacon_xy[:, 1]).ravel().tolist()
+    d = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
+    heard = d <= params.reception_radius_m
+    flat = np.flatnonzero(heard)
+    d = d[flat]
+    if d.size and d.min() <= 0:
+        raise ValueError("distance must be positive")
+    log_d = np.fromiter(map(math.log10, d.tolist()), float, d.size)
+    means = params.a_dbm - 10.0 * params.n_exp * log_d
+    counts = np.count_nonzero(heard.reshape(len(xy), -1), axis=1)
+    return (flat % len(beacon_xy)).tolist(), means.tolist(), counts.tolist()
 
 
 def sample_rss(d: float, params: ChannelParams, rng: np.random.Generator,
@@ -149,12 +167,13 @@ def sample_rss(d: float, params: ChannelParams, rng: np.random.Generator,
     return float(round_half_away_array(rss)) if quantize else rss
 
 
-def receive_rounds(rounds: Sequence[Sequence[float]], accum_count: int,
+def receive_rounds(means: Sequence[float], counts: Sequence[int], accum_count: int,
                    cal_mean: Optional[float], params: ChannelParams,
                    rng: np.random.Generator, quantize: bool
-                   ) -> tuple[list[float], list[list[float]]]:
-    """Each round's calibration level and per-link test averages, for
-    consecutive rounds whose link means rounds holds, from one draw.
+                   ) -> tuple[list[float], list[float]]:
+    """Each round's calibration level, and each link's test average, flat,
+    for consecutive rounds of counts[r] links each, whose link means are
+    means, flat, from one draw.
 
     A round takes one level on a calibration link of mean cal_mean, unless
     that is None, then accum_count + 4 packets over its links, row by row:
@@ -167,20 +186,18 @@ def receive_rounds(rounds: Sequence[Sequence[float]], accum_count: int,
     from Python 3.12 on.
     """
     n, cal = accum_count, int(cal_mean is not None)
-    ks = [len(means) for means in rounds]
-    starts = list(accumulate((cal + k * (n + 4) for k in ks), initial=0))
-    firsts = list(accumulate(ks, initial=0))
+    starts = list(accumulate((cal + k * (n + 4) for k in counts), initial=0))
+    firsts = list(accumulate(counts, initial=0))
     draws = rng.normal(0.0, params.sigma_dbm, starts[-1])
     # The i-th link of round r hears packet row j at starts[r] + cal + j·k_r + i.
-    base = (np.repeat(np.subtract(starts[:-1], firsts[:-1]) + cal, ks)
+    base = (np.repeat(np.subtract(starts[:-1], firsts[:-1]) + cal, counts)
             + np.arange(firsts[-1]))
-    tests = (draws[base + np.arange(2, n + 2)[:, None] * np.repeat(ks, ks)]
-             + np.fromiter(chain.from_iterable(rounds), float, firsts[-1]))
+    tests = (draws[base + np.arange(2, n + 2)[:, None] * np.repeat(counts, counts)]
+             + np.array(means, dtype=float))
     cals = draws[starts[:-1]] + cal_mean if cal else draws[:0]
     if quantize:
         tests, cals = round_half_away_array(tests), round_half_away_array(cals)
     total = tests[0]
     for row in tests[1:]:
         total = total + row
-    avgs = (total / n).tolist()
-    return cals.tolist(), [avgs[a:b] for a, b in zip(firsts, firsts[1:])]
+    return cals.tolist(), (total / n).tolist()

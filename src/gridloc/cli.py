@@ -11,10 +11,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import harness, sim
-from .channel import DEFAULT_A_DBM, ChannelParams
+from .channel import DEFAULT_A_DBM
 from .estimator import (EstimatorState, FixMethod, LocalizerConfig,
                         RssiReport, localize)
-from .geometry import GridSpec, Point
+from .geometry import GridSpec, Point, _check_kind
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,9 +111,11 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         print("error: --origin: expects X,Y", file=sys.stderr)
         return EXIT_ERROR
     try:
-        # Each flag is checked by the settings its scenario key sets.
+        # Each flag is checked by the settings its scenario key sets, but
+        # the reference power only for its kind: locate simulates no
+        # channel, so the channel's physical range does not apply.
         try:
-            channel = ChannelParams(a_dbm=args.a_dbm)
+            _check_kind(float, args.a_dbm, "a_dbm")
             settings = sim.EstimatorSettings(n_initial=args.n, near_beacon_tau=args.tau)
             grid = GridSpec(origin=origin, spacing_m=args.spacing,
                             cols=args.cols, rows=args.rows)
@@ -123,7 +125,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    config = LocalizerConfig(grid=grid, a_dbm=channel.a_dbm,
+    config = LocalizerConfig(grid=grid, a_dbm=args.a_dbm,
                              near_beacon_tau=settings.near_beacon_tau)
     estimate, _ = localize(reports, EstimatorState(n_current=settings.n_initial), config)
     if estimate.method is FixMethod.NO_FIX:

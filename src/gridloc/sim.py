@@ -6,6 +6,8 @@ stream. A round starts from the channel's link table: the beacons within
 the reception radius of the blind node, in lattice order, each with its
 mean RSS. The blind node is static within a round and a link is symmetric,
 so that mean serves every packet on the link in either direction.
+channel._links builds the tables of a block of consecutive rounds in one
+pass, flat, with each round's count of links.
 
 Every packet has zero delay and every packet within the radius arrives,
 and validation keeps every timer after the packets it waits for, so each
@@ -152,20 +154,15 @@ class Scenario:
         if isinstance(t, LatticeSweep) and self.rounds != t.nx * t.ny:
             raise ScenarioError("rounds",
                                 f"must equal nx*ny = {t.nx * t.ny} for a lattice sweep")
-        # Each distinct position is checked once, at the first round there.
-        xmin, ymin, xmax, ymax = self.grid.bounds()
-        checked: set[geo.Point] = set()
-        for i, pos in self._stops():
-            if pos in checked:
-                continue
-            checked.add(pos)
-            if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
-                raise ScenarioError("trajectory",
-                                    f"point {i} at ({pos[0]}, {pos[1]}) outside the lattice hull")
-            beacon = _coincident_beacon(self.grid, pos)
-            if beacon is not None:
-                raise ScenarioError("trajectory",
-                                    f"point {i} coincides with beacon {beacon}")
+        if isinstance(t, LatticeSweep):
+            _check_sweep(self.grid, t, self.rounds)
+        else:
+            # Each distinct position is checked once, at the first round there.
+            checked: set[geo.Point] = set()
+            for i, pos in self._stops():
+                if pos not in checked:
+                    checked.add(pos)
+                    _check_stop(self.grid, i, pos)
         # Every message time stays below twice rounds * round_interval_ms,
         # so a wait longer than one step of the clock there always ends
         # after the packets it waits for.
@@ -184,11 +181,7 @@ class Scenario:
         if isinstance(t, Static):
             return [(0, t.point)]
         if isinstance(t, LatticeSweep):
-            try:
-                return list(enumerate(sweep_points(self.grid, t.nx, t.ny)))
-            except OverflowError as exc:
-                raise ScenarioError("trajectory",
-                                    f"cannot lay out {self.rounds} rounds: {exc}") from exc
+            return list(enumerate(sweep_points(self.grid, t.nx, t.ny)))
         starts = accumulate((dwell for _, dwell in t.points), initial=0)
         return [(i, p) for i, (p, _) in zip(starts, t.points) if i < self.rounds]
 
@@ -235,6 +228,45 @@ def _coincident_beacon(grid: geo.GridSpec, p: geo.Point) -> Optional[int]:
             if geo.dist(p, grid.beacon_position(i, j)) <= geo.COORD_TOL:
                 return grid.beacon_id(i, j)
     return None
+
+
+def _check_stop(grid: geo.GridSpec, i: int, pos: geo.Point) -> None:
+    """Reject a stop of the blind node, first at round i, outside the
+    lattice hull or on a beacon."""
+    xmin, ymin, xmax, ymax = grid.bounds()
+    if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
+        raise ScenarioError("trajectory",
+                            f"point {i} at ({pos[0]}, {pos[1]}) outside the lattice hull")
+    beacon = _coincident_beacon(grid, pos)
+    if beacon is not None:
+        raise ScenarioError("trajectory", f"point {i} coincides with beacon {beacon}")
+
+
+def _check_sweep(grid: geo.GridSpec, t: LatticeSweep, rounds: int) -> None:
+    """_check_stop on each point of a lattice sweep, in round order, made
+    an axis at a time: a point is in the hull when its x and its y are, and
+    _coincident_beacon finds a beacon only where its x is near a column and
+    its y near a row. The samples are laid out once an axis."""
+    xmin, ymin, xmax, ymax = grid.bounds()
+    (ox, oy), s = grid.origin, grid.spacing_m
+    try:
+        xs = _axis_samples(xmin, xmax - xmin, t.nx, s)
+        ys = _axis_samples(ymin, ymax - ymin, t.ny, s)
+    except OverflowError as exc:
+        raise ScenarioError("trajectory", f"cannot lay out {rounds} rounds: {exc}") from exc
+    # Every row fails at its first x outside the hull, if any; only the
+    # columns before it can meet a beacon first.
+    out = next((i for i, x in enumerate(xs) if not xmin <= x <= xmax), None)
+    near = [i for i in range(t.nx if out is None else out)
+            if _lines_near(xs[i], ox, s, grid.cols)]
+    for j, y in enumerate(ys):
+        if not ymin <= y <= ymax:
+            _check_stop(grid, j * t.nx, geo.Point(xs[0], y))
+        if near and _lines_near(y, oy, s, grid.rows):
+            for i in near:
+                _check_stop(grid, j * t.nx + i, geo.Point(xs[i], y))
+        if out is not None:
+            _check_stop(grid, j * t.nx + out, geo.Point(xs[out], y))
 
 
 def _axis_samples(start: float, width: float, count: int, spacing: float) -> list[float]:
@@ -311,21 +343,25 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     n = s.protocol.accum_count
 
     write = _trace_writer(s.protocol, beacons) if trace is not None else None
+    pos_of = [b.pos for b in beacons]
 
     refined_records, baseline_records = [], []
-    for chunk in _chunks(s, beacons, cal_mean is not None):
-        means = [[mean for _, mean in links] for _, _, links in chunk]
-        cals, avgs = chan.receive_rounds(means, n, cal_mean, s.channel, rng,
+    for first, positions, ids, means, counts in _chunks(s, beacons, cal_mean is not None):
+        cals, avgs = chan.receive_rounds(means, counts, n, cal_mean, s.channel, rng,
                                          s.quantize_rssi)
-        for i, (idx, true_pos, links) in enumerate(chunk):
+        a = 0
+        for i, (true_pos, k) in enumerate(zip(positions, counts)):
+            idx, b = first + i, a + k
             if cal_mean is not None:
                 n_new = est.adapt_n(cals[i], cal_length, state.n_current,
                                     s.channel.a_dbm, s.estimator.n_min,
                                     s.estimator.n_max)
                 state = est.EstimatorState(n_new, state.last_estimate)
-            reports = est.RssiReport.batch([b.pos for b, _ in links], avgs[i], n)
+            heard = ids[a:b]
+            reports = est.RssiReport.batch(map(pos_of.__getitem__, heard), avgs[a:b], n)
+            a = b
             if write is not None:
-                write(links, reports, idx * s.protocol.round_interval_ms, trace)
+                write(heard, reports, idx * s.protocol.round_interval_ms, trace)
             if baseline:
                 estimate = est.centroid_estimate(reports, state.n_current, s.grid)
                 baseline_records.append(_record(idx, true_pos, estimate))
@@ -341,29 +377,47 @@ def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecor
 
 
 def _chunks(s: Scenario, beacons: list[geo.Beacon], cal: bool
-            ) -> Iterator[list[tuple[int, geo.Point, list[chan.Link]]]]:
-    """Consecutive rounds, as (index, position, link table), in runs whose
-    draws add up to at most CHUNK_DRAWS. A round larger than that is a run
-    of its own, and a round without draws counts as one, so a run holds at
-    most CHUNK_DRAWS rounds."""
+            ) -> Iterator[tuple[int, list[geo.Point], list[int], list[float], list[int]]]:
+    """Consecutive rounds, as (first round index, positions, and their
+    link tables as channel._links gives them), in runs whose draws add up
+    to at most CHUNK_DRAWS. A round larger than that is a run of its own,
+    and a round without draws counts as one, so a run holds at most
+    CHUNK_DRAWS rounds. The tables are built a block of positions at a
+    time, at most CHUNK_DRAWS position-beacon pairs and at least one
+    position a block."""
     rows = s.protocol.accum_count + 4
-    chunk, size = [], 0
-    for idx, pos in enumerate(s.positions()):
-        links = chan._links(beacons, pos, s.channel)
-        need = max(cal + len(links) * rows, 1)
-        if chunk and size + need > CHUNK_DRAWS:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append((idx, pos, links))
-        size += need
-    yield chunk
+    xy = np.array([b.pos for b in beacons])
+    positions = s.positions()
+    step = max(CHUNK_DRAWS // len(beacons), 1)
+    first, ids, means, counts, size = 0, [], [], [], 0
+    for lo in range(0, len(positions), step):
+        block_ids, block_means, block_counts = chan._links(
+            xy, positions[lo:lo + step], s.channel)
+        # The block's first round, and its first link, not yet in the run.
+        r0 = f0 = f = 0
+        for r, k in enumerate(block_counts):
+            need = max(cal + k * rows, 1)
+            if size and size + need > CHUNK_DRAWS:
+                ids += block_ids[f0:f]
+                means += block_means[f0:f]
+                counts += block_counts[r0:r]
+                yield first, positions[first:lo + r], ids, means, counts
+                first, ids, means, counts, size = lo + r, [], [], [], 0
+                r0, f0 = r, f
+            size += need
+            f += k
+        ids += block_ids[f0:]
+        means += block_means[f0:]
+        counts += block_counts[r0:]
+    yield first, positions[first:], ids, means, counts
 
 
 def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..., None]:
-    """write(links, reports, t0, trace), which appends the lines of one
-    round's schedule, from t0 on, to trace. A run's line tails are built
-    once, a beacon's ack tail and response head the first time it is in
-    range; beacons are in build_lattice order, so a beacon's id is its index.
+    """write(ids, reports, t0, trace), which appends the lines of one
+    round's schedule, from t0 on, to trace, the beacons of ids in range. A
+    run's line tails are built once, a beacon's ack tail and response head
+    the first time it is in range; beacons are in build_lattice order, so a
+    beacon's id is its index.
     """
     blind, cut = "m0", len(format(0.0, proto.TIME_SPEC))
 
@@ -387,13 +441,13 @@ def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..
     request = tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind))
     gap_ms, time_spec, value_spec = p.inter_test_gap_ms, proto.TIME_SPEC, proto.VALUE_SPEC
 
-    def write(links: list[chan.Link], reports: list[est.RssiReport], t0: float,
+    def write(ids: list[int], reports: list[est.RssiReport], t0: float,
               trace: list[str]) -> None:
         now = format(t0, time_spec)
         trace.append(now + start)
-        if not links:
+        if not ids:
             return
-        trace.extend([now + ack(b.id) for b, _ in links])
+        trace.extend([now + ack(i) for i in ids])
         # The gap is added once per test, as the blind machine's timer adds
         # it; t0 + j * gap can round differently.
         t = t0
@@ -402,8 +456,8 @@ def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..
             t += gap_ms
         now = format(t, time_spec)
         trace.append(now + request)
-        trace.extend([f"{now}{response_head(b.id)}{format(level, value_spec)},{count}"
-                      for (b, _), (_, level, count) in zip(links, reports)])
+        trace.extend([f"{now}{response_head(i)}{format(level, value_spec)},{count}"
+                      for i, (_, level, count) in zip(ids, reports)])
 
     return write
 

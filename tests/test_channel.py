@@ -3,13 +3,16 @@
 import functools
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
 
-from gridloc.channel import (ChannelParams, distance_to_rss, link_rss,
+from gridloc.channel import (A_DBM_RANGE, N_EXP_MAX, SIGMA_DBM_MAX,
+                             ChannelParams, distance_to_rss, link_rss,
                              receive_rounds, round_half_away_array,
                              rss_to_distance, sample_rss)
+from gridloc.protocol import MAX_ACCUM_COUNT
 
 PARAMS = ChannelParams(a_dbm=-45.0, n_exp=2.0, sigma_dbm=0.0)
 
@@ -169,7 +172,9 @@ class TestReceive:
             cal_mean = link_rss(cal_d, params) if cal_d is not None else None
             rng_a = np.random.default_rng(11)
             rng_b = np.random.default_rng(11)
-            cals, avgs = receive_rounds(means, 8, cal_mean, params, rng_a, quantize)
+            cals, avgs = receive_rounds([m for r in means for m in r],
+                                        [len(r) for r in means], 8, cal_mean,
+                                        params, rng_a, quantize)
             want_cals, want_avgs = [], []
             for r in rounds:
                 if cal_d is not None:
@@ -177,11 +182,22 @@ class TestReceive:
                 # Start, acks, 8 tests, request, responses; tests added in order.
                 rows = [[sample_rss(d, params, rng_b, quantize) for d in r]
                         for _ in range(12)]
-                want_avgs.append([functools.reduce(operator.add, levels) / 8
+                want_avgs.extend([functools.reduce(operator.add, levels) / 8
                                   for levels in zip(*rows[2:10])])
             assert cals == want_cals
             assert avgs == want_avgs
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("a_dbm", A_DBM_RANGE)
+    def test_levels_stay_finite_at_the_bounds(self, a_dbm, quantize):
+        params = ChannelParams(a_dbm=a_dbm, n_exp=N_EXP_MAX, sigma_dbm=SIGMA_DBM_MAX,
+                               reception_radius_m=sys.float_info.max)
+        # The shortest and longest links a float holds, and a middling one.
+        means = [link_rss(d, params) for d in (5e-324, 4.0, sys.float_info.max)]
+        cals, avgs = receive_rounds(means, [3], MAX_ACCUM_COUNT, means[0], params,
+                                    np.random.default_rng(3), quantize)
+        assert all(abs(v) < 1e5 for v in cals + avgs)
 
     def test_link_beyond_radius_is_none(self):
         assert link_rss(30.0, PARAMS) == distance_to_rss(30.0, PARAMS)

@@ -104,8 +104,12 @@ RANGE = [
     ("grid", "spacing_m", 2e-6, "must be more than 2 * COORD_TOL, 2e-06 m"),
     ("grid", "cols", 1, "lattice needs at least 2 columns and 2 rows"),
     ("grid", "rows", 0, "lattice needs at least 2 columns and 2 rows"),
+    ("channel", "a_dbm", -200.5, "must be in [-200, 100]"),
+    ("channel", "a_dbm", 1e308, "must be in [-200, 100]"),
     ("channel", "n_exp", 0.0, "must be positive"),
+    ("channel", "n_exp", 10.5, "must be at most 10"),
     ("channel", "sigma_dbm", -1.0, "must be >= 0"),
+    ("channel", "sigma_dbm", 30.5, "must be at most 30"),
     ("channel", "reception_radius_m", 0.0, "must be positive"),
     ("estimator", "n_initial", 0.0, "must be positive"),
     ("estimator", "near_beacon_tau", 1.0, "must be in (0, 1)"),

@@ -79,6 +79,14 @@ def _protocol_round(s: Scenario, pos, links, machines, rng, t0: float, trace):
     return list(blind.collected)
 
 
+def links_at(beacons, pos, params):
+    """(beacon, mean RSS) for each beacon in range of pos, in lattice order:
+    a one-position block of channel._links."""
+    ids, means, counts = _links(np.array([b.pos for b in beacons]), [pos], params)
+    assert counts == [len(ids)]
+    return [(beacons[i], mean) for i, mean in zip(ids, means)]
+
+
 def _machines(beacons):
     return [proto.BeaconNodeMachine(f"b{b.id}", b.pos) for b in beacons]
 
@@ -95,7 +103,7 @@ def des_play(s: Scenario) -> tuple[list, list[str]]:
         if s.estimator.adapt:
             # None beyond the radius, with no draw.
             sample_rss(calibration_length(s), s.channel, rng)
-        sets.append(_protocol_round(s, pos, _links(beacons, pos, s.channel),
+        sets.append(_protocol_round(s, pos, links_at(beacons, pos, s.channel),
                                     machines, rng,
                                     idx * s.protocol.round_interval_ms, trace))
     return sets, trace
@@ -354,7 +362,7 @@ class TestByteIdentity:
                                            reception_radius_m=radius),
                      trajectory=Static(point))
         beacons = build_lattice(s.grid)
-        links = _links(beacons, point, s.channel)
+        links = links_at(beacons, point, s.channel)
         k = sum(dist(point, b.pos) <= radius for b in beacons)
         if engine == "des":
             rng = np.random.Generator(np.random.PCG64(3))
@@ -392,7 +400,7 @@ class TestRoundEngines:
         d = dist(self.POINT, beacons[57].pos)
         radius = d if edge == "at" else math.nextafter(d, 0.0)
         params = ChannelParams(a_dbm=-41.3, n_exp=n_exp, reception_radius_m=radius)
-        links = _links(beacons, self.POINT, params)
+        links = links_at(beacons, self.POINT, params)
         assert [(b, mean.hex()) for b, mean in links] == self.expected_links(params)
         assert (beacons[57] in [b for b, _ in links]) == (edge == "at")
 
@@ -400,13 +408,27 @@ class TestRoundEngines:
     @given(st.floats(1.0, 6.0), st.floats(-70.0, -30.0), st.floats(0.5, 60.0))
     def test_link_means_equal_link_rss_for_any_channel(self, n_exp, a_dbm, radius):
         params = ChannelParams(a_dbm=a_dbm, n_exp=n_exp, reception_radius_m=radius)
-        links = _links(build_lattice(self.GRID), self.POINT, params)
+        links = links_at(build_lattice(self.GRID), self.POINT, params)
         assert [(b, mean.hex()) for b, mean in links] == self.expected_links(params)
+
+    @pytest.mark.parametrize("radius,heard", [
+        (20.0, [0, 1, 2, 2, 2, 1, 0]), (40.0, [4, 3, 4, 6, 6, 3, 4])])
+    def test_a_block_of_positions_is_each_position_in_turn(self, radius, heard):
+        grid = GridSpec(spacing_m=30.0, cols=4, rows=3)
+        beacons = build_lattice(grid)
+        params = ChannelParams(n_exp=2.7, reception_radius_m=radius)
+        points = [Point(15.0, 15.0), Point(2.0, 1.0), Point(15.0, 1.0), Point(27.0, 16.0),
+                  Point(44.9, 33.35), Point(89.0, 59.5), Point(15.0, 15.0)]
+        ids, means, counts = _links(np.array([b.pos for b in beacons]), points, params)
+        tables = [links_at(beacons, p, params) for p in points]
+        assert counts == [len(t) for t in tables] == heard
+        assert ([(beacons[i], m.hex()) for i, m in zip(ids, means)]
+                == [(b, m.hex()) for t in tables for b, m in t])
 
     def test_blind_node_on_a_beacon_rejected(self):
         beacons = build_lattice(self.GRID)
         with pytest.raises(ValueError, match="distance must be positive"):
-            _links(beacons, beacons[12].pos, ChannelParams())
+            links_at(beacons, beacons[12].pos, ChannelParams())
 
     @pytest.mark.parametrize("quantize", [False, True])
     @pytest.mark.parametrize("accum", [1, 8, 20])
@@ -418,7 +440,7 @@ class TestRoundEngines:
                      channel=ChannelParams(sigma_dbm=3.0, reception_radius_m=radius),
                      protocol=ProtocolSettings(accum_count=accum),
                      quantize_rssi=quantize, trajectory=Static(self.POINT))
-        links = _links(beacons, self.POINT, s.channel)
+        links = links_at(beacons, self.POINT, s.channel)
         assert len(links) == heard
         des = _protocol_round(s, self.POINT, links, _machines(beacons),
                               np.random.Generator(np.random.PCG64(11)), 0.0, None)
@@ -434,8 +456,8 @@ class TestRoundEngines:
                 # One link, no calibration: rows 2 to 5 are its tests.
                 return np.array([0.0, 0.0, *samples, 0.0, 0.0])
 
-        _, [[avg]] = chan.receive_rounds([[0.0]], len(samples), None,
-                                         ChannelParams(), Stream(), False)
+        _, [avg] = chan.receive_rounds([0.0], [1], len(samples), None,
+                                       ChannelParams(), Stream(), False)
         assert avg == 0.25
 
 
@@ -566,7 +588,7 @@ def test_each_round_draws_one_block_and_one_calibration_level(s, cal_draws, run)
     # The run leaves its generator where a round-by-round play leaves it:
     # per round, the calibration level, then k · (accum_count + 4) levels.
     beacons = build_lattice(s.grid)
-    normals = sum(cal_draws + len(_links(beacons, pos, s.channel))
+    normals = sum(cal_draws + len(links_at(beacons, pos, s.channel))
                   * (s.protocol.accum_count + 4) for pos in s.positions())
     assert played_stream(run, s) == stream_after(s.seed, normals)
 
@@ -669,7 +691,7 @@ def test_a_run_formats_each_beacon_tail_once_and_its_own(monkeypatch):
     s = Scenario(grid=GridSpec(cols=100, rows=100), rounds=2, trajectory=Waypoints(
         ((Point(50.5, 50.5), 1), (Point(90.5, 90.5), 1))))
     beacons = build_lattice(s.grid)
-    heard = {b.id for p in s.positions() for b, _ in _links(beacons, p, s.channel)}
+    heard = {b.id for p in s.positions() for b, _ in links_at(beacons, p, s.channel)}
     run_scenario(s, [])
     assert len(calls) == 2 + s.protocol.accum_count + 2 * len(heard) == 702
     run_scenario(s, [])
@@ -1179,6 +1201,132 @@ class TestScenarioParsing:
         assert s.trajectory == Static(Point(2.0, 2.0))
 
 
+def sweep_error_per_point(grid, nx, ny):
+    """The error text a lattice sweep's points give when each distinct
+    point is checked on its own, in round order, or None: the reference
+    for the per-axis check."""
+    xmin, ymin, xmax, ymax = grid.bounds()
+    try:
+        points = sweep_points(grid, nx, ny)
+    except OverflowError as exc:
+        return f"trajectory: cannot lay out {nx * ny} rounds: {exc}"
+    checked = set()
+    for i, pos in enumerate(points):
+        if pos in checked:
+            continue
+        checked.add(pos)
+        if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
+            return f"trajectory: point {i} at ({pos[0]}, {pos[1]}) outside the lattice hull"
+        beacon = sim._coincident_beacon(grid, pos)
+        if beacon is not None:
+            return f"trajectory: point {i} coincides with beacon {beacon}"
+    return None
+
+
+@st.composite
+def sweep_grids(draw):
+    """(grid, nx, ny): spacings from just above 2 * COORD_TOL to 1e308,
+    origins to 1e12 either way, and steps narrower and wider than a cell,
+    some of whose raw samples fall on a lattice line."""
+    spacing = draw(st.one_of(
+        st.sampled_from([ABOVE_TOLERANCE, 2.5e-6, 3e-6, 4e-6, 0.25, 4.0, 1e154, 1e308]),
+        st.floats(2 * COORD_TOL, 1e308, exclude_min=True)))
+    origin = draw(st.tuples(*[st.one_of(st.sampled_from([0.0, 1e12, -1e12]),
+                                        st.floats(-1e12, 1e12))] * 2))
+    counts = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            # cells = 2 * per_step * steps: every sample's raw position is
+            # the middle of a step, on a line.
+            steps, per_step = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+            counts.append((2 * per_step * steps + 1, steps))
+        else:
+            counts.append((draw(st.integers(2, 12)), draw(st.integers(1, 40))))
+    (cols, nx), (rows, ny) = counts
+    grid = GridSpec(origin=Point(*origin), spacing_m=spacing, cols=cols, rows=rows)
+    return grid, nx, ny
+
+
+class TestSweepValidation:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sweep_grids())
+    def test_per_axis_check_gives_the_per_point_error(self, case):
+        grid, nx, ny = case
+        try:
+            Scenario(grid=grid, trajectory=LatticeSweep(nx, ny), rounds=nx * ny)
+            error = None
+        except ScenarioError as exc:
+            error = str(exc)
+        assert error == sweep_error_per_point(grid, nx, ny)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_any_samples_give_the_per_point_error(self, data):
+        # Samples no layout makes too: past the hull, NaN, near a beacon
+        # line, repeated. Each axis is told by its start.
+        grid = GridSpec(origin=Point(0.0, 100.0), spacing_m=4.0, cols=4, rows=3)
+
+        def axis(lo, hi):
+            return st.lists(st.sampled_from([lo - 1.0, lo, lo + 2.0, lo + 4.0 + 5e-7,
+                                             lo + 4.0 - 2e-6, hi, hi + 1e-6, math.nan]),
+                            min_size=1, max_size=6)
+
+        samples = {0.0: data.draw(axis(0.0, 12.0)), 100.0: data.draw(axis(100.0, 108.0))}
+        nx, ny = len(samples[0.0]), len(samples[100.0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_axis_samples", lambda start, *_: samples[start])
+            want = sweep_error_per_point(grid, nx, ny)
+            try:
+                Scenario(grid=grid, trajectory=LatticeSweep(nx, ny), rounds=nx * ny)
+                error = None
+            except ScenarioError as exc:
+                error = str(exc)
+        assert error == want
+
+    @pytest.mark.parametrize("origin,spacing,size,n,message", [
+        # Raw samples on the lines, pulled back less than COORD_TOL.
+        ((0.0, 0.0), ABOVE_TOLERANCE, 3, 1, "point 0 coincides with beacon 4"),
+        # At 1e12 the lattice is narrower than an ulp: every x sample is on
+        # the first column, and no y sample on a row.
+        ((1e12, 0.0), 3e-6, 9, 3, None),
+        ((0.0, 0.0), 1e308, 3, 2, "cannot lay out 4 rounds: "
+                                  "cannot convert float infinity to integer"),
+    ])
+    def test_error_cases_agree(self, origin, spacing, size, n, message):
+        grid = GridSpec(origin=Point(*origin), spacing_m=spacing, cols=size, rows=size)
+        want = sweep_error_per_point(grid, n, n)
+        if message is not None:
+            assert want == f"trajectory: {message}"
+        if want is None:
+            Scenario(grid=grid, trajectory=LatticeSweep(n, n), rounds=n * n)
+            return
+        with pytest.raises(ScenarioError) as info:
+            Scenario(grid=grid, trajectory=LatticeSweep(n, n), rounds=n * n)
+        assert str(info.value) == want
+
+    def test_a_sweep_is_checked_an_axis_at_a_time(self, monkeypatch):
+        calls = []
+
+        def counting(*args, _original=sim._lines_near):
+            calls.append(1)
+            return _original(*args)
+
+        grid, nx, ny = GridSpec(cols=10, rows=10), 1000, 1000
+        xmin, ymin, xmax, ymax = grid.bounds()
+        sp = grid.spacing_m
+        near = [sum(bool(sim._lines_near(v, o, sp, 10)) for v in vs)
+                for vs, o in ((sim._axis_samples(xmin, xmax - xmin, nx, sp), xmin),
+                              (sim._axis_samples(ymin, ymax - ymin, ny, sp), ymin))]
+        # _coincident_beacon looks for the lines of both axes again.
+        bound = nx + ny + 2 * near[0] * near[1]
+        monkeypatch.setattr(sim, "_lines_near", counting)
+        s = Scenario(grid=grid, trajectory=LatticeSweep(nx, ny), rounds=nx * ny)
+        assert len(calls) <= bound
+        calls.clear()
+        replace(s, seed=1)
+        assert len(calls) <= bound
+
+
 def test_bundled_sweep_scenario_is_valid():
     from importlib import resources
     text = resources.files("gridloc.scenarios").joinpath(
@@ -1200,6 +1348,36 @@ def test_a_tiny_exponent_ranges_to_the_clamp():
     refined, baseline = run_with_baseline(scenario_from_dict(doc))
     assert len(refined) == len(baseline) == 625
     assert all(r.estimate.method is not FixMethod.NO_FIX for r in refined)
+
+
+@pytest.mark.parametrize("channel", [
+    {"sigma_dbm": 1e308}, {"a_dbm": 1e308}, {"a_dbm": -1e308}, {"n_exp": 1e308}])
+def test_a_huge_channel_constant_is_rejected(channel):
+    # Each gave NaN fixes on this static point; the last three broke the
+    # baseline too.
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict({"seed": 0, "channel": channel, "rounds": 2,
+                            "trajectory": {"kind": "static", "point": [1.5, 0.5]}})
+    assert info.value.path == f"channel.{next(iter(channel))}"
+
+
+@pytest.mark.parametrize("channel", [
+    {"sigma_dbm": chan.SIGMA_DBM_MAX},
+    {"a_dbm": chan.A_DBM_RANGE[0], "n_exp": chan.N_EXP_MAX,
+     "sigma_dbm": chan.SIGMA_DBM_MAX},
+    {"a_dbm": chan.A_DBM_RANGE[1], "n_exp": chan.N_EXP_MAX,
+     "sigma_dbm": chan.SIGMA_DBM_MAX},
+])
+def test_fixes_stay_finite_at_the_channel_bounds(channel):
+    # The repro above, at the bounds and with the largest count of tests.
+    s = scenario_from_dict({
+        "seed": 0, "rounds": 2, "channel": channel,
+        "protocol": {"accum_count": 1000, "round_interval_ms": 30000.0},
+        "trajectory": {"kind": "static", "point": [1.5, 0.5]}})
+    for records in run_with_baseline(s):
+        for r in records:
+            assert r.estimate.pos is not None and r.error_m is not None
+            assert all(map(math.isfinite, (*r.estimate.pos, r.error_m)))
 
 
 @pytest.fixture(scope="module")
