@@ -8,9 +8,10 @@ dominating the ranking (near beacon).
 
 The coarse phase's answer depends only on the four beacon positions in
 rank order and the grid, so _cell_plan keeps it per process in a bounded
-cache. A plan holds the cell and indices into the four reports, never a
-coordinate: the fine phase reads every bound and range from the call's
-own reports, and a cached plan gives the same bits as a fresh one.
+cache: the cell and the report at each corner or, for four that frame no
+cell, the pairs of each pairing in position order that fix x and y, if
+any. A plan holds indices, never a coordinate: the fix reads positions,
+ranges and bounds from the call's own reports and grid, with their bits.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
                       _inverse_range)
-from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec,
-                       OutOfRegionError, Point, cell_of_corners,
-                       containing_cell, is_rectangle)
+from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec, Point,
+                       _cell_or_none, _clamp, cell_of_corners, is_rectangle)
 
 # Distinct ranked top-4s whose cell plans localize keeps. A 625-round
 # paper_sweep run has at most a few hundred.
@@ -232,23 +232,64 @@ def _solve_in_cell(quad: Sequence[Point], ranges: Sequence[float],
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _cell_plan(quad: tuple[Point, ...], grid: GridSpec
-               ) -> Optional[tuple[CellId, tuple[int, ...]]]:
+def _cell_plan(quad: tuple[Point, ...], grid: GridSpec) -> tuple[Optional[CellId], tuple]:
     """The cell the ranked top-4 positions frame on grid with their
-    _corner_plan, or None when they frame no cell.
-
-    None covers four points that are no rectangle, a rectangle wider than
-    a cell or off the lattice, and a missing corner.
-    """
+    _corner_plan, or None with their _split_plan when they frame no cell:
+    four points that are no rectangle, a rectangle wider than a cell or off
+    the lattice, or a missing corner."""
     try:
         return cell_of_corners(quad, grid), _corner_plan(quad)
     except GeometryError:
-        return None
+        return None, _split_plan(quad)
 
 
 # The three perfect matchings of four items, applied after sorting reports
 # by beacon position.
 _PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+
+def _pair_axis(pa: Point, pb: Point) -> Optional[int]:
+    """0 when two positions share a y coordinate but not an x, so that their
+    ranges fix x; 1 when they share an x but not a y and fix y; else None."""
+    dx, dy = abs(pa[0] - pb[0]), abs(pa[1] - pb[1])
+    return 0 if dy <= COORD_TOL < dx else 1 if dx <= COORD_TOL < dy else None
+
+
+def _split_plan(quad: Sequence[Point]) -> tuple[tuple, ...]:
+    """Each of _PAIRINGS on the sorted positions: its two pairs as indices
+    into quad, then the pairs that fix x and y, or None if they do not."""
+    order = sorted(range(4), key=quad.__getitem__)
+    plan = []
+    for (a, b), (i, j) in _PAIRINGS:
+        a, b, i, j = order[a], order[b], order[i], order[j]
+        axes = (_pair_axis(quad[a], quad[b]), _pair_axis(quad[i], quad[j]))
+        plan.append((a, b, i, j, (a, b, i, j) if axes == (0, 1)
+                     else (i, j, a, b) if axes == (1, 0) else None))
+    return tuple(plan)
+
+
+def _laterate(pa: Point, pb: Point, da: float, db: float, k: int) -> float:
+    """Coordinate k of a point da from pa and db from pb, which differ in k only."""
+    return 0.5 * (pa[k] + pb[k]) + (da * da - db * db) / (2.0 * (pb[k] - pa[k]))
+
+
+def _pair_split(reports: Sequence[RssiReport], split: tuple[tuple, ...],
+                d0: float, n_used: float, config: LocalizerConfig) -> Optional[Point]:
+    """The pair-split fix of four reports from their _split_plan and the
+    range d0 of the first, or None when the chosen pairs leave an axis unfixed."""
+    levels = list(map(_strength, reports))
+    best_cost, axes = math.inf, split[0][4]
+    for a, b, i, j, fix in split:
+        cost = abs(levels[a] - levels[b]) + abs(levels[i] - levels[j])
+        if cost < best_cost:
+            best_cost, axes = cost, fix
+    if axes is None:
+        return None
+    rng = config.range_of
+    d = (d0, rng(levels[1], n_used), rng(levels[2], n_used), rng(levels[3], n_used))
+    xa, xb, ya, yb = axes
+    return Point(_laterate(reports[xa].beacon_pos, reports[xb].beacon_pos, d[xa], d[xb], 0),
+                 _laterate(reports[ya].beacon_pos, reports[yb].beacon_pos, d[ya], d[yb], 1))
 
 
 def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
@@ -263,33 +304,19 @@ def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
     """
     if len(reports) != 4:
         raise ValueError("pair_split_estimate needs exactly four reports")
-    ordered = sorted(reports, key=lambda r: r.beacon_pos)
-    best_cost = math.inf
-    best = _PAIRINGS[0]
-    for pairing in _PAIRINGS:
-        cost = sum(abs(ordered[a].avg_rssi_dbm - ordered[b].avg_rssi_dbm)
-                   for a, b in pairing)
-        if cost < best_cost:
-            best_cost = cost
-            best = pairing
-    x_est: Optional[float] = None
-    y_est: Optional[float] = None
-    for a, b in best:
-        ra, rb = ordered[a], ordered[b]
-        da = config.range_of(ra.avg_rssi_dbm, n_used)
-        db = config.range_of(rb.avg_rssi_dbm, n_used)
-        pa, pb = ra.beacon_pos, rb.beacon_pos
-        if abs(pa[1] - pb[1]) <= COORD_TOL and abs(pa[0] - pb[0]) > COORD_TOL:
-            est = 0.5 * (pa[0] + pb[0]) + (da * da - db * db) / (2.0 * (pb[0] - pa[0]))
-            if x_est is None:
-                x_est = est
-        elif abs(pa[0] - pb[0]) <= COORD_TOL and abs(pa[1] - pb[1]) > COORD_TOL:
-            est = 0.5 * (pa[1] + pb[1]) + (da * da - db * db) / (2.0 * (pb[1] - pa[1]))
-            if y_est is None:
-                y_est = est
-    if x_est is None or y_est is None:
-        return None
-    return Point(x_est, y_est)
+    return _pair_split(reports, _split_plan(tuple(map(_position, reports))),
+                       config.range_of(reports[0].avg_rssi_dbm, n_used), n_used, config)
+
+
+def _near_beacon(anchor: Point, r: float, target: Optional[Point],
+                 bounds: Sequence[float]) -> Point:
+    """The point r from anchor toward target, clamped to the grid bounds;
+    anchor itself, clamped, with no target or one at the anchor."""
+    vx, vy = (0.0, 0.0) if target is None else (target[0] - anchor[0], target[1] - anchor[1])
+    norm = math.hypot(vx, vy)
+    if norm <= COORD_TOL:
+        return _clamp(anchor, bounds)
+    return _clamp(Point(anchor[0] + r * vx / norm, anchor[1] + r * vy / norm), bounds)
 
 
 def near_beacon_estimate(max_report: RssiReport, state: EstimatorState,
@@ -301,19 +328,9 @@ def near_beacon_estimate(max_report: RssiReport, state: EstimatorState,
     it. With no earlier fix there is no direction, and the beacon position
     itself is the fix. Always lands inside the region.
     """
-    grid = config.grid
-    r = config.range_of(max_report.avg_rssi_dbm, n_used)
-    anchor = max_report.beacon_pos
-    target = state.last_estimate
-    if target is None:
-        return grid.clamp(anchor)
-    vx = target[0] - anchor[0]
-    vy = target[1] - anchor[1]
-    norm = math.hypot(vx, vy)
-    if norm <= COORD_TOL:
-        return grid.clamp(anchor)
-    return grid.clamp(Point(anchor[0] + r * vx / norm,
-                            anchor[1] + r * vy / norm))
+    return _near_beacon(max_report.beacon_pos,
+                        config.range_of(max_report.avg_rssi_dbm, n_used),
+                        state.last_estimate, config.grid.bounds())
 
 
 def weighted_centroid(reports: Sequence[RssiReport]) -> Point:
@@ -338,13 +355,6 @@ def weighted_centroid(reports: Sequence[RssiReport]) -> Point:
     return Point(wx / wsum, wy / wsum)
 
 
-def _cell_or_none(p: Point, grid: GridSpec) -> Optional[CellId]:
-    try:
-        return containing_cell(p, grid)
-    except OutOfRegionError:
-        return None
-
-
 def centroid_estimate(reports: Sequence[RssiReport], n_current: float,
                       grid: GridSpec) -> Estimate:
     """Baseline fix: the weighted centroid of the four strongest reports."""
@@ -352,7 +362,7 @@ def centroid_estimate(reports: Sequence[RssiReport], n_current: float,
     if top4 is None:
         return Estimate(None, FixMethod.NO_FIX, None, n_current)
     pos = weighted_centroid(top4)
-    return Estimate(pos, FixMethod.CENTROID, _cell_or_none(pos, grid), n_current)
+    return Estimate(pos, FixMethod.CENTROID, _cell_or_none(pos, grid, grid.bounds()), n_current)
 
 
 def localize(reports: Sequence[RssiReport], state: EstimatorState,
@@ -366,10 +376,10 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
     centroid as the safety net. Degenerate geometry degrades, it never
     aborts.
 
-    Whether the top-4 frames a cell, and which report is which corner, is
-    worked out once per distinct ranked top-4 and grid, and kept in a cache
-    of at most PLAN_CACHE_SIZE plans per process; the fix is computed from
-    this call's reports each time, so outputs are unchanged bit for bit.
+    Whether the top-4 frames a cell, and which reports fix which corner or
+    axis, is worked out once per distinct ranked top-4 and grid, and kept in
+    a cache of at most PLAN_CACHE_SIZE plans per process; the fix is read
+    from this call's reports each time, so outputs keep their bits.
     """
     n = state.n_current
     top4 = select_top4(reports)
@@ -378,24 +388,21 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
 
     grid = config.grid
     quad = tuple(map(_position, top4))
-    plan = _cell_plan(quad, grid)
-    if plan is not None:
-        cell, corners = plan
-        pos = _solve_in_cell(quad, [config.range_of(r.avg_rssi_dbm, n) for r in top4],
-                             corners)
+    cell, plan = _cell_plan(quad, grid)
+    if cell is not None:
+        pos = _solve_in_cell(quad, [config.range_of(r.avg_rssi_dbm, n) for r in top4], plan)
         return Estimate(pos, FixMethod.REFINED, cell, n), EstimatorState(n, pos)
 
-    strongest = top4[0]
-    fallback = False
-    if config.range_of(strongest.avg_rssi_dbm, n) < config.near_beacon_tau * grid.spacing_m:
-        method = FixMethod.NEAR_BEACON
-        pos = near_beacon_estimate(strongest, state, n, config)
+    # The strongest report's range serves the near-beacon test and either fix.
+    d0 = config.range_of(top4[0].avg_rssi_dbm, n)
+    bounds = grid.bounds()
+    if d0 < config.near_beacon_tau * grid.spacing_m:
+        method, fallback = FixMethod.NEAR_BEACON, False
+        pos = _near_beacon(top4[0].beacon_pos, d0, state.last_estimate, bounds)
     else:
-        method = FixMethod.PAIR_SPLIT
-        pos = pair_split_estimate(top4, n, config)
-        if pos is None:
+        method, pos = FixMethod.PAIR_SPLIT, _pair_split(top4, plan, d0, n, config)
+        fallback = pos is None
+        if fallback:
             pos = weighted_centroid(top4)
-            fallback = True
-    cell = _cell_or_none(pos, grid)
-    est = Estimate(pos, method, cell, n, fallback_centroid=fallback)
-    return est, EstimatorState(n, pos)
+    cell = _cell_or_none(pos, grid, bounds)
+    return Estimate(pos, method, cell, n, fallback), EstimatorState(n, pos)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import astuple, dataclass, fields, is_dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 # Coordinate equality tolerance in meters.
@@ -111,6 +111,11 @@ class GridSpec:
         for name in ("cols", "rows"):
             if getattr(self, name) < 2:
                 raise ScenarioError(name, "lattice needs at least 2 columns and 2 rows")
+        # localize keys its plans on the grid: hashed once here, not per lookup.
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def beacon_position(self, i: int, j: int) -> Point:
         return Point(self.origin[0] + i * self.spacing_m,
@@ -139,8 +144,13 @@ class GridSpec:
         return (x0, y0, x0 + self.spacing_m, y0 + self.spacing_m)
 
     def clamp(self, p: Point) -> Point:
-        xmin, ymin, xmax, ymax = self.bounds()
-        return Point(min(max(p[0], xmin), xmax), min(max(p[1], ymin), ymax))
+        return _clamp(p, self.bounds())
+
+
+def _clamp(p: Point, bounds: Sequence[float]) -> Point:
+    """GridSpec.clamp, given the grid's bounds()."""
+    xmin, ymin, xmax, ymax = bounds
+    return Point(min(max(p[0], xmin), xmax), min(max(p[1], ymin), ymax))
 
 
 @dataclass(frozen=True)
@@ -176,7 +186,7 @@ def _rectangle_axes(quad: Sequence[Point]
     if len(quad) != 4:
         raise GeometryError("a rectangle needs exactly four points")
     xs = _distinct([p[0] for p in quad])
-    ys = _distinct([p[1] for p in quad])
+    ys = _distinct([p[1] for p in quad]) if len(xs) == 2 else []
     if len(xs) != 2 or len(ys) != 2:
         return None
     corners = {(abs(p[0] - xs[0]) > COORD_TOL, abs(p[1] - ys[0]) > COORD_TOL)
@@ -222,18 +232,25 @@ def cell_of_corners(quad: Sequence[Point], spec: GridSpec) -> CellId:
 
 def _axis_cell(offset: float, spacing: float, n_cells: int) -> int:
     # Points on a lattice line belong to the lower-index cell.
-    k = round(offset / spacing)
-    if abs(offset - k * spacing) <= COORD_TOL:
-        return min(max(int(k) - 1, 0), n_cells - 1)
-    return min(max(int(math.floor(offset / spacing)), 0), n_cells - 1)
+    q = offset / spacing
+    k = round(q)
+    cell = k - 1 if abs(offset - k * spacing) <= COORD_TOL else math.floor(q)
+    return 0 if cell < 0 else n_cells - 1 if cell >= n_cells else cell
 
 
 def containing_cell(p: Point, spec: GridSpec) -> CellId:
     """Cell whose closed bounds contain p; boundary points go to the lower-index cell."""
-    xmin, ymin, xmax, ymax = spec.bounds()
+    cell = _cell_or_none(p, spec, spec.bounds())
+    if cell is None:
+        raise OutOfRegionError(f"point ({p[0]}, {p[1]}) outside lattice hull")
+    return cell
+
+
+def _cell_or_none(p: Point, spec: GridSpec, bounds: Sequence[float]) -> Optional[CellId]:
+    """containing_cell given spec.bounds(), or None for a point outside them."""
+    xmin, ymin, xmax, ymax = bounds
     if not (xmin - COORD_TOL <= p[0] <= xmax + COORD_TOL
             and ymin - COORD_TOL <= p[1] <= ymax + COORD_TOL):
-        raise OutOfRegionError(f"point ({p[0]}, {p[1]}) outside lattice hull")
-    col = _axis_cell(p[0] - xmin, spec.spacing_m, spec.cols - 1)
-    row = _axis_cell(p[1] - ymin, spec.spacing_m, spec.rows - 1)
-    return CellId(col, row)
+        return None
+    return CellId(_axis_cell(p[0] - xmin, spec.spacing_m, spec.cols - 1),
+                  _axis_cell(p[1] - ymin, spec.spacing_m, spec.rows - 1))

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from gridloc import estimator, sim
 from gridloc.channel import ChannelParams, distance_to_rss
 from gridloc.estimator import (EstimatorState, FixMethod, LocalizerConfig,
-                               RssiReport, localize, refine_in_cell,
-                               select_top4)
+                               RssiReport, localize, near_beacon_estimate,
+                               pair_split_estimate, refine_in_cell,
+                               select_top4, weighted_centroid)
 from gridloc.geometry import (COORD_TOL, GridSpec, Point, ScenarioError,
                               build_lattice, cell_of_corners, dist)
 
@@ -153,11 +154,25 @@ _CELL_SPELLINGS = {
 # Ranges the solve clamps to (x_lo, y_lo), so the fix is a corner's own
 # coordinate, with that coordinate's sign and type.
 _CELL_RANGES = (1.0, 5.0, 5.5, 7.0)
+# Four beacons straddling two cells, ranked strongest first, in the same
+# spellings: they frame no cell, and pair in position order into a pair
+# that fixes y and one that fixes x.
+_STRADDLE_SPELLINGS = {
+    "float": [(0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (8.0, 0.0)],
+    "minus_zero": [(-0.0, -0.0), (-0.0, 4.0), (4.0, -0.0), (8.0, -0.0)],
+    "int": [(0, 0), (0, 4), (4, 0), (8, 0)],
+    "mixed": [(0, -0.0), (-0.0, 4), (4.0, 0), (8, 0.0)],
+}
+# The strongest ranged under near_beacon_tau spacings: with no history the
+# fix is its position clamped to the lattice, which keeps its sign and type.
+_NEAR_RANGES = (0.5, 1.6, 3.0, 3.1)
+# The same four heard as two pairs of similar strength: a pair-split fix.
+_SPLIT_RANGES = (1.5, 1.6, 3.0, 3.1)
 
 
-def _spelled_reports(name: str, config: LocalizerConfig, n: float) -> list[RssiReport]:
+def _spelled_reports(positions, ranges, config: LocalizerConfig, n: float) -> list[RssiReport]:
     return [RssiReport(Point(*p), config.a_dbm - 10.0 * n * math.log10(d))
-            for p, d in zip(_CELL_SPELLINGS[name], _CELL_RANGES)]
+            for p, d in zip(positions, ranges)]
 
 
 def _bits(p) -> tuple:
@@ -167,18 +182,33 @@ def _bits(p) -> tuple:
 @pytest.mark.parametrize("first, second", [
     (a, b) for a in _CELL_SPELLINGS for b in _CELL_SPELLINGS if a != b])
 def test_equal_keys_with_other_bits_give_their_own_fix(first, second):
-    config, n = LocalizerConfig(grid=GridSpec()), 2.0
+    config, state = LocalizerConfig(grid=GridSpec()), EstimatorState(n_current=2.0)
+    n = state.n_current
     estimator._cell_plan.cache_clear()
     for k, name in enumerate((first, second)):
-        reports = _spelled_reports(name, config, n)
-        est, _ = localize(reports, EstimatorState(n_current=n), config)
+        reports = _spelled_reports(_CELL_SPELLINGS[name], _CELL_RANGES, config, n)
+        est, _ = localize(reports, state, config)
         # The second spelling finds the first one's plan.
-        assert estimator._cell_plan.cache_info().hits == k
+        assert estimator._cell_plan.cache_info().hits == 2 * k
         assert est.method is FixMethod.REFINED
         fix = refine_in_cell([(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
                               for r in reports])
         assert _bits(est.pos) == _bits(fix)
         assert _bits(est.pos) == _bits(reports[0].beacon_pos)
+
+        near = _spelled_reports(_STRADDLE_SPELLINGS[name], _NEAR_RANGES, config, n)
+        est, _ = localize(near, state, config)
+        assert estimator._cell_plan.cache_info().hits == 3 * k
+        assert est.method is FixMethod.NEAR_BEACON
+        assert _bits(est.pos) == _bits(near_beacon_estimate(near[0], state, n, config))
+        assert _bits(est.pos) == _bits(near[0].beacon_pos)
+
+        # The same top four at other levels: the plan of the straddle above.
+        split = _spelled_reports(_STRADDLE_SPELLINGS[name], _SPLIT_RANGES, config, n)
+        est, _ = localize(split, state, config)
+        assert estimator._cell_plan.cache_info().hits == 3 * k + 1
+        assert est.method is FixMethod.PAIR_SPLIT and not est.fallback_centroid
+        assert _bits(est.pos) == _bits(pair_split_estimate(split, n, config))
 
 
 def test_plan_cache_is_bounded():
@@ -244,6 +274,39 @@ def _check_refined(grid, reports, n) -> None:
                           for r in top4])
     assert (est.pos[0].hex(), est.pos[1].hex()) == (fix[0].hex(), fix[1].hex())
     assert state == EstimatorState(n, est.pos)
+
+
+def _check_degenerate(grid, reports, state) -> None:
+    """A near-beacon or pair-split fix from localize is, bit for bit, the
+    public handler's fix for the same top four."""
+    config, n = LocalizerConfig(grid=grid), state.n_current
+    est, _ = localize(reports, state, config)
+    top4 = select_top4(reports)
+    if est.method is FixMethod.NEAR_BEACON:
+        fix = near_beacon_estimate(top4[0], state, n, config)
+    elif est.method is FixMethod.PAIR_SPLIT:
+        fix = pair_split_estimate(top4, n, config)
+        assert est.fallback_centroid == (fix is None)
+        if fix is None:
+            fix = weighted_centroid(top4)
+    else:
+        return
+    assert _bits(est.pos) == _bits(fix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_sets(), st.one_of(st.none(), st.tuples(st.floats(-60.0, 60.0),
+                                                     st.floats(-60.0, 60.0))))
+def test_degenerate_fixes_are_pair_split_and_near_beacon_estimates(case, last):
+    grid, reports, again, n = case
+    state = EstimatorState(n, None if last is None else Point(*last))
+    # From an emptied plan cache, then from the plans that call left.
+    estimator._cell_plan.cache_clear()
+    _check_degenerate(grid, reports, state)
+    _check_degenerate(grid, again, state)
+    hits = estimator._cell_plan.cache_info().hits
+    _check_degenerate(grid, reports, state)
+    assert estimator._cell_plan.cache_info().hits == hits + 1
 
 
 @settings(max_examples=300, deadline=None)
