@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ D_MAX_FACTOR = 4.0
 A_DBM_RANGE = (-200.0, 100.0)
 N_EXP_MAX = 10.0
 SIGMA_DBM_MAX = 30.0
+# Far beyond any radio's reach, and small enough that a sum of squared
+# ranges up to d_max_m (4 radii) stays finite in the in-cell solve.
+RECEPTION_RADIUS_MAX_M = 1e150
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,9 @@ class ChannelParams:
             raise ScenarioError("sigma_dbm", f"must be at most {SIGMA_DBM_MAX:g}")
         if self.reception_radius_m <= 0:
             raise ScenarioError("reception_radius_m", "must be positive")
+        if self.reception_radius_m > RECEPTION_RADIUS_MAX_M:
+            raise ScenarioError("reception_radius_m",
+                                f"must be at most {RECEPTION_RADIUS_MAX_M:g}")
 
     @property
     def d_max_m(self) -> float:
@@ -78,22 +84,28 @@ def distance_to_rss(d: float, params: ChannelParams) -> float:
     return params.a_dbm - 10.0 * params.n_exp * math.log10(d)
 
 
-def _inverse_range(rss: float, a_dbm: float, n_exp: float,
-                   d_max: float) -> tuple[float, bool]:
-    """rss_to_distance as a plain (distance_m, clamped) tuple, for callers
-    that range many times and read only the distance."""
+def _inverse_ranges(levels: Iterable[float], a_dbm: float, n_exp: float,
+                    d_max: float) -> tuple[list[float], int]:
+    """Each level's distance by the inverted log-distance model, clamped to
+    [D_MIN_M, d_max], and how many of them the clamp changed. Every range
+    in gridloc is computed here."""
     if n_exp <= 0:
         raise ValueError("n_exp must be positive")
-    try:
-        d = 10.0 ** ((a_dbm - rss) / (10.0 * n_exp))
-    except OverflowError:
-        # A level far below a_dbm at a small n_exp: beyond any d_max.
-        return d_max, True
-    if d < D_MIN_M:
-        return D_MIN_M, True
-    if d > d_max:
-        return d_max, True
-    return d, False
+    scale = 10.0 * n_exp
+    out, clamped = [], 0
+    for rss in levels:
+        try:
+            d = 10.0 ** ((a_dbm - rss) / scale)
+        except OverflowError:
+            # A level far below a_dbm at a small n_exp: beyond any d_max.
+            d, clamped = d_max, clamped + 1
+        else:
+            if d < D_MIN_M:
+                d, clamped = D_MIN_M, clamped + 1
+            elif d > d_max:
+                d, clamped = d_max, clamped + 1
+        out.append(d)
+    return out, clamped
 
 
 def rss_to_distance(rss: float, a_dbm: float, n_exp: float,
@@ -103,7 +115,8 @@ def rss_to_distance(rss: float, a_dbm: float, n_exp: float,
 
     The clamped flag records whether the raw inverse fell outside the window.
     """
-    return RangeEstimate(*_inverse_range(rss, a_dbm, n_exp, d_max))
+    (d,), clamped = _inverse_ranges((rss,), a_dbm, n_exp, d_max)
+    return RangeEstimate(d, clamped > 0)
 
 
 def round_half_away_array(values: np.ndarray) -> np.ndarray:

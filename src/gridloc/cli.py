@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     locate.add_argument("reports", help="CSV file: beacon_x,beacon_y,avg_rssi_dbm,sample_count")
     locate.add_argument("--a-dbm", type=float, default=DEFAULT_A_DBM,
                         help="reference power at 1 m (default %(default)s)")
-    locate.add_argument("--n", type=float, default=EstimatorState.n_current,
+    locate.add_argument("--n", type=float, default=EstimatorState().n_current,
                         help="path-loss exponent used for ranging (default %(default)s)")
     locate.add_argument("--tau", type=float, default=LocalizerConfig.near_beacon_tau,
                         help="near-beacon trigger in cell spacings (default %(default)s)")

@@ -11,7 +11,10 @@ rank order and the grid, so _cell_plan keeps it per process in a bounded
 cache: the cell and the report at each corner or, for four that frame no
 cell, the pairs of each pairing in position order that fix x and y, if
 any. A plan holds indices, never a coordinate: the fix reads positions,
-ranges and bounds from the call's own reports and grid, with their bits.
+levels and bounds from the call's own reports and grid, with their bits,
+and ranges the four levels in one channel._inverse_ranges call. Reports,
+states and estimates are named tuples; localize builds its own with
+tuple.__new__, from fields already checked.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
-                      _inverse_range)
+                      _inverse_ranges)
 from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec, Point,
                        _cell_or_none, _clamp, cell_of_corners, is_rectangle)
 
@@ -41,6 +44,12 @@ class FixMethod(Enum):
     NO_FIX = "no_fix"
     # Produced only by baseline runs, never by localize().
     CENTROID = "centroid"
+
+
+# In declaration order: on Python 3.11 each FixMethod.X is a descriptor call.
+_REFINED, _PAIR_SPLIT, _NEAR_BEACON, _NO_FIX, _CENTROID = FixMethod
+# A named tuple from fields already checked, without its __new__.
+_new = tuple.__new__
 
 
 def _check_count(sample_count: int) -> None:
@@ -86,21 +95,36 @@ class RssiReport(_ReportFields):
                         zip(positions, levels, repeat(sample_count))))
 
 
-@dataclass(frozen=True)
-class EstimatorState:
-    """Per-blind-node history carried between rounds: the working path-loss
-    exponent and the last position fix, which localize sets on every fix."""
+def _check_n(n_current: float) -> None:
+    if n_current <= 0:
+        raise ValueError("n_current must be positive")
 
+
+class _StateFields(NamedTuple):
     n_current: float = 2.0
     last_estimate: Optional[Point] = None
 
-    def __post_init__(self) -> None:
-        if self.n_current <= 0:
-            raise ValueError("n_current must be positive")
+
+class EstimatorState(_StateFields):
+    """Per-blind-node history carried between rounds, as an immutable named
+    tuple: the working path-loss exponent, which the constructor, _make and
+    _replace check is positive, and the last fix, which localize sets."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_current: float = 2.0,
+                last_estimate: Optional[Point] = None) -> EstimatorState:
+        _check_n(n_current)
+        return tuple.__new__(cls, (n_current, last_estimate))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> EstimatorState:
+        state = super()._make(iterable)
+        _check_n(state.n_current)
+        return state
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     pos: Optional[Point]
     method: FixMethod
     cell: Optional[CellId] = None
@@ -118,7 +142,7 @@ class LocalizerConfig:
     range_d_max: float = D_MAX_FACTOR * ChannelParams.reception_radius_m
 
     def range_of(self, rss_dbm: float, n_exp: float) -> float:
-        return _inverse_range(rss_dbm, self.a_dbm, n_exp, self.range_d_max)[0]
+        return _inverse_ranges((rss_dbm,), self.a_dbm, n_exp, self.range_d_max)[0][0]
 
 
 _strength = attrgetter("avg_rssi_dbm")
@@ -274,9 +298,9 @@ def _laterate(pa: Point, pb: Point, da: float, db: float, k: int) -> float:
 
 
 def _pair_split(reports: Sequence[RssiReport], split: tuple[tuple, ...],
-                d0: float, n_used: float, config: LocalizerConfig) -> Optional[Point]:
-    """The pair-split fix of four reports from their _split_plan and the
-    range d0 of the first, or None when the chosen pairs leave an axis unfixed."""
+                d: Sequence[float]) -> Optional[Point]:
+    """The pair-split fix of four reports from their _split_plan and their
+    ranges, or None when the chosen pairs leave an axis unfixed."""
     levels = list(map(_strength, reports))
     best_cost, axes = math.inf, split[0][4]
     for a, b, i, j, fix in split:
@@ -285,8 +309,6 @@ def _pair_split(reports: Sequence[RssiReport], split: tuple[tuple, ...],
             best_cost, axes = cost, fix
     if axes is None:
         return None
-    rng = config.range_of
-    d = (d0, rng(levels[1], n_used), rng(levels[2], n_used), rng(levels[3], n_used))
     xa, xb, ya, yb = axes
     return Point(_laterate(reports[xa].beacon_pos, reports[xb].beacon_pos, d[xa], d[xb], 0),
                  _laterate(reports[ya].beacon_pos, reports[yb].beacon_pos, d[ya], d[yb], 1))
@@ -305,7 +327,8 @@ def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
     if len(reports) != 4:
         raise ValueError("pair_split_estimate needs exactly four reports")
     return _pair_split(reports, _split_plan(tuple(map(_position, reports))),
-                       config.range_of(reports[0].avg_rssi_dbm, n_used), n_used, config)
+                       _inverse_ranges(map(_strength, reports), config.a_dbm, n_used,
+                                       config.range_d_max)[0])
 
 
 def _near_beacon(anchor: Point, r: float, target: Optional[Point],
@@ -360,9 +383,10 @@ def centroid_estimate(reports: Sequence[RssiReport], n_current: float,
     """Baseline fix: the weighted centroid of the four strongest reports."""
     top4 = select_top4(reports)
     if top4 is None:
-        return Estimate(None, FixMethod.NO_FIX, None, n_current)
+        return _new(Estimate, (None, _NO_FIX, None, n_current, False))
     pos = weighted_centroid(top4)
-    return Estimate(pos, FixMethod.CENTROID, _cell_or_none(pos, grid, grid.bounds()), n_current)
+    return _new(Estimate, (pos, _CENTROID, _cell_or_none(pos, grid, grid.bounds()),
+                           n_current, False))
 
 
 def localize(reports: Sequence[RssiReport], state: EstimatorState,
@@ -384,25 +408,26 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
     n = state.n_current
     top4 = select_top4(reports)
     if top4 is None:
-        return Estimate(None, FixMethod.NO_FIX, None, n), state
+        return _new(Estimate, (None, _NO_FIX, None, n, False)), state
 
     grid = config.grid
     quad = tuple(map(_position, top4))
     cell, plan = _cell_plan(quad, grid)
+    d = _inverse_ranges(map(_strength, top4), config.a_dbm, n, config.range_d_max)[0]
     if cell is not None:
-        pos = _solve_in_cell(quad, [config.range_of(r.avg_rssi_dbm, n) for r in top4], plan)
-        return Estimate(pos, FixMethod.REFINED, cell, n), EstimatorState(n, pos)
+        pos = _solve_in_cell(quad, d, plan)
+        return _new(Estimate, (pos, _REFINED, cell, n, False)), _new(EstimatorState, (n, pos))
 
-    # The strongest report's range serves the near-beacon test and either fix.
-    d0 = config.range_of(top4[0].avg_rssi_dbm, n)
+    # The strongest report's range decides the near-beacon test.
     bounds = grid.bounds()
-    if d0 < config.near_beacon_tau * grid.spacing_m:
-        method, fallback = FixMethod.NEAR_BEACON, False
-        pos = _near_beacon(top4[0].beacon_pos, d0, state.last_estimate, bounds)
+    if d[0] < config.near_beacon_tau * grid.spacing_m:
+        method, fallback = _NEAR_BEACON, False
+        pos = _near_beacon(top4[0].beacon_pos, d[0], state.last_estimate, bounds)
     else:
-        method, pos = FixMethod.PAIR_SPLIT, _pair_split(top4, plan, d0, n, config)
+        method, pos = _PAIR_SPLIT, _pair_split(top4, plan, d)
         fallback = pos is None
         if fallback:
             pos = weighted_centroid(top4)
     cell = _cell_or_none(pos, grid, bounds)
-    return Estimate(pos, method, cell, n, fallback), EstimatorState(n, pos)
+    return (_new(Estimate, (pos, method, cell, n, fallback)),
+            _new(EstimatorState, (n, pos)))

@@ -140,20 +140,19 @@ def _g(value: float) -> str:
     return format(value, ".9g")
 
 
+# One records row with a fix and one without; "%.9g" % v is format(v, ".9g").
+_FIX_ROW = "%d,%.9g,%.9g,%.9g,%.9g,%s,%.9g,%.9g"
+_NO_FIX_ROW = "%d,%.9g,%.9g,,,%s,,%.9g"
+
+
 def write_records_csv(records: Sequence[RoundRecord],
                       path: Union[str, Path]) -> None:
     lines = ["round,true_x,true_y,est_x,est_y,method,error_m,n_used"]
-    for r in records:
-        if r.estimate.pos is None:
-            est_x = est_y = err = ""
+    for idx, (x, y), (pos, method, _, n_used, _), err in records:
+        if pos is None:
+            lines.append(_NO_FIX_ROW % (idx, x, y, method.value, n_used))
         else:
-            est_x = _g(r.estimate.pos[0])
-            est_y = _g(r.estimate.pos[1])
-            err = _g(r.error_m)
-        lines.append(",".join([
-            str(r.round_index), _g(r.true_pos[0]), _g(r.true_pos[1]),
-            est_x, est_y, r.estimate.method.value, err, _g(r.estimate.n_used),
-        ]))
+            lines.append(_FIX_ROW % (idx, x, y, pos[0], pos[1], method.value, err, n_used))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Container, Iterator, Optional, Union, get_args
+from typing import Callable, Container, Iterator, NamedTuple, Optional, Union, get_args
 
 import numpy as np
 
@@ -292,8 +292,7 @@ def sweep_points(grid: geo.GridSpec, nx: int, ny: int) -> list[geo.Point]:
     return [geo.Point(x, y) for y in ys for x in xs]
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     round_index: int
     true_pos: geo.Point
     estimate: est.Estimate

@@ -8,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from gridloc.channel import (A_DBM_RANGE, N_EXP_MAX, SIGMA_DBM_MAX,
-                             ChannelParams, distance_to_rss, link_rss,
-                             receive_rounds, round_half_away_array,
-                             rss_to_distance, sample_rss)
+from gridloc.channel import (A_DBM_RANGE, N_EXP_MAX, RECEPTION_RADIUS_MAX_M,
+                             SIGMA_DBM_MAX, ChannelParams, distance_to_rss, link_rss,
+                             _inverse_ranges, receive_rounds,
+                             round_half_away_array, rss_to_distance, sample_rss)
 from gridloc.protocol import MAX_ACCUM_COUNT
 
 PARAMS = ChannelParams(a_dbm=-45.0, n_exp=2.0, sigma_dbm=0.0)
@@ -92,6 +92,97 @@ class TestRssToDistance:
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             rss_to_distance(-50.0, -45.0, 0.0)
+
+
+# rss_to_distance(rss, -45.0, n, d_max) before the ranging was batched, as
+# (rss, n, d_max, distance_m.hex(), clamped).
+RANGE_TABLE = [
+    # Above a_dbm: the D_MIN_M clamp, and on its bound at -25 (10 ** -1.0).
+    (-44.999, 2.0, 120.0, '0x1.fff0e92028d1ap-1', False),
+    (-25.0, 2.0, 120.0, '0x1.999999999999ap-4', False),
+    (-24.5, 2.0, 120.0, '0x1.999999999999ap-4', True),
+    (10.0, 2.0, 120.0, '0x1.999999999999ap-4', True),
+    (55.0, 2.0, 120.0, '0x1.999999999999ap-4', True),
+    # Far below a_dbm at n 0.005: past d_max, and from -65 on past a float.
+    (-46.6, 0.005, 120.0, '0x1.e000000000000p+6', True),
+    (-47.0, 0.005, 120.0, '0x1.e000000000000p+6', True),
+    (-65.0, 0.005, 120.0, '0x1.e000000000000p+6', True),
+    (-145.0, 0.005, 120.0, '0x1.e000000000000p+6', True),
+    (-100000.0, 0.005, 120.0, '0x1.e000000000000p+6', True),
+    # At the d_max boundary: 10 ** 2.0 is exactly 100.0, unclamped.
+    (-84.99999999, 2.0, 100.0, '0x1.8ffffff846189p+6', False),
+    (-85.0, 2.0, 100.0, '0x1.9000000000000p+6', False),
+    (-85.00000001, 2.0, 100.0, '0x1.9000000000000p+6', True),
+    # Ordinary levels, and at n 1.6 two past d_max.
+    (-46.0, 1.6, 120.0, '0x1.279fcaca404e6p+0', False),
+    (-46.0, 2.0, 120.0, '0x1.1f3c99f6bc436p+0', False),
+    (-46.0, 3.3, 120.0, '0x1.12801acb1b6b9p+0', False),
+    (-49.37, 1.6, 120.0, '0x1.e02303452f7e2p+0', False),
+    (-49.37, 2.0, 120.0, '0x1.a763aeba99539p+0', False),
+    (-49.37, 3.3, 120.0, '0x1.5b447e669cadap+0', False),
+    (-52.74, 1.6, 120.0, '0x1.85e7f2a31057dp+1', False),
+    (-52.74, 2.0, 120.0, '0x1.380a2f555d490p+1', False),
+    (-52.74, 3.3, 120.0, '0x1.b7531231f781bp+0', False),
+    (-56.11, 1.6, 120.0, '0x1.3ca1d2dde4223p+2', False),
+    (-56.11, 2.0, 120.0, '0x1.cbf305d6cc447p+1', False),
+    (-56.11, 3.3, 120.0, '0x1.15e472eed5568p+1', False),
+    (-59.48, 1.6, 120.0, '0x1.0120dc24560e5p+3', False),
+    (-59.48, 2.0, 120.0, '0x1.52fc0f0380e58p+2', False),
+    (-59.48, 3.3, 120.0, '0x1.5f8f06e337f74p+1', False),
+    (-62.85, 1.6, 120.0, '0x1.a19d2a9f6652ep+3', False),
+    (-62.85, 2.0, 120.0, '0x1.f3aa8c319f9e6p+2', False),
+    (-62.85, 3.3, 120.0, '0x1.bcc0d04efa003p+1', False),
+    (-66.22, 1.6, 120.0, '0x1.532208c111779p+4', False),
+    (-66.22, 2.0, 120.0, '0x1.7041915f6cf02p+3', False),
+    (-66.22, 3.3, 120.0, '0x1.195385f5d3ea2p+2', False),
+    (-69.59, 1.6, 120.0, '0x1.13669214b9a2fp+5', False),
+    (-69.59, 2.0, 120.0, '0x1.0f6805a8e84e2p+4', False),
+    (-69.59, 3.3, 120.0, '0x1.63e7226ed0ef4p+2', False),
+    (-72.96, 1.6, 120.0, '0x1.bf4a735075660p+5', False),
+    (-72.96, 2.0, 120.0, '0x1.900e25613ea21p+4', False),
+    (-72.96, 3.3, 120.0, '0x1.c23fbaae78199p+2', False),
+    (-76.33, 1.6, 120.0, '0x1.6b3b9519413bdp+6', False),
+    (-76.33, 2.0, 120.0, '0x1.26d7a9b87e2cbp+5', False),
+    (-76.33, 3.3, 120.0, '0x1.1ccd75d17dfcep+3', False),
+    (-79.7, 1.6, 120.0, '0x1.e000000000000p+6', True),
+    (-79.7, 2.0, 120.0, '0x1.b299aafad0ed9p+5', False),
+    (-79.7, 3.3, 120.0, '0x1.684cfbfa46452p+3', False),
+    (-83.07, 1.6, 120.0, '0x1.e000000000000p+6', True),
+    (-83.07, 2.0, 120.0, '0x1.404d605911ae7p+6', False),
+    (-83.07, 3.3, 120.0, '0x1.c7d007a36855bp+3', False),
+]
+
+
+class TestInverseRanges:
+    """_inverse_ranges, the one ranging function, bit for bit."""
+
+    @pytest.mark.parametrize("rss,n,d_max,want,clamped", RANGE_TABLE)
+    def test_one_level_matches_the_table(self, rss, n, d_max, want, clamped):
+        (d,), count = _inverse_ranges([rss], -45.0, n, d_max)
+        assert (d.hex(), count) == (want, int(clamped))
+        r = rss_to_distance(rss, -45.0, n, d_max)
+        assert (r.distance_m.hex(), r.clamped) == (want, clamped)
+
+    def test_a_sequence_is_each_level_in_turn(self):
+        groups = {}
+        for rss, n, d_max, want, clamped in RANGE_TABLE:
+            groups.setdefault((n, d_max), []).append((rss, want, clamped))
+        for (n, d_max), rows in groups.items():
+            ranges, count = _inverse_ranges((r[0] for r in rows), -45.0, n, d_max)
+            assert [d.hex() for d in ranges] == [r[1] for r in rows]
+            assert count == sum(r[2] for r in rows)
+        assert _inverse_ranges([], -45.0, 2.0, 120.0) == ([], 0)
+
+    def test_the_overflow_path_is_taken(self):
+        with pytest.raises(OverflowError):
+            10.0 ** ((-45.0 - -65.0) / (10.0 * 0.005))
+        assert _inverse_ranges([-65.0, -46.0], -45.0, 0.005, 7.5)[0][0] == 7.5
+
+    @pytest.mark.parametrize("n", [0.0, -1.0, -math.inf])
+    @pytest.mark.parametrize("levels", [[-50.0], [], [-50.0, -60.0, -70.0, -80.0]])
+    def test_a_nonpositive_exponent_is_rejected(self, n, levels):
+        with pytest.raises(ValueError, match="n_exp must be positive"):
+            _inverse_ranges(levels, -45.0, n, 120.0)
 
 
 class TestRoundHalfAway:
@@ -192,9 +283,10 @@ class TestReceive:
     @pytest.mark.parametrize("a_dbm", A_DBM_RANGE)
     def test_levels_stay_finite_at_the_bounds(self, a_dbm, quantize):
         params = ChannelParams(a_dbm=a_dbm, n_exp=N_EXP_MAX, sigma_dbm=SIGMA_DBM_MAX,
-                               reception_radius_m=sys.float_info.max)
+                               reception_radius_m=RECEPTION_RADIUS_MAX_M)
         # The shortest and longest links a float holds, and a middling one.
-        means = [link_rss(d, params) for d in (5e-324, 4.0, sys.float_info.max)]
+        # No radius reaches the longest, so its mean is the model's level.
+        means = [distance_to_rss(d, params) for d in (5e-324, 4.0, sys.float_info.max)]
         cals, avgs = receive_rounds(means, [3], MAX_ACCUM_COUNT, means[0], params,
                                     np.random.default_rng(3), quantize)
         assert all(abs(v) < 1e5 for v in cals + avgs)

@@ -417,3 +417,65 @@ class TestRssiReport:
         r = RssiReport(self.P, -50.0, 8)
         back = pickle.loads(pickle.dumps(r))
         assert back == r and type(back) is RssiReport
+
+
+class TestEstimatorState:
+    @pytest.mark.parametrize("build", [
+        lambda: EstimatorState(0.0),
+        lambda: EstimatorState(n_current=-2.0),
+        lambda: EstimatorState._make((0.0, None)),
+        lambda: EstimatorState(2.0)._replace(n_current=-1.0),
+    ], ids=["constructor", "keyword", "_make", "_replace"])
+    def test_every_constructor_rejects_a_nonpositive_exponent(self, build):
+        with pytest.raises(ValueError, match="n_current must be positive"):
+            build()
+
+    def test_fields_by_name_and_defaults(self):
+        state = EstimatorState()
+        assert (state.n_current, state.last_estimate) == (2.0, None)
+        assert EstimatorState._field_defaults == {"n_current": 2.0, "last_estimate": None}
+        moved = state._replace(last_estimate=Point(1.0, 2.0))
+        assert moved == EstimatorState(2.0, Point(1.0, 2.0)) == (2.0, Point(1.0, 2.0))
+        assert type(moved) is EstimatorState and moved._fields == ("n_current", "last_estimate")
+
+    def test_immutable(self):
+        state = EstimatorState(3.0, Point(1.0, 2.0))
+        with pytest.raises(AttributeError):
+            state.n_current = 1.0
+        with pytest.raises(AttributeError):
+            state.note = "x"
+
+    def test_pickle_round_trip(self):
+        state = EstimatorState(3.0, Point(1.0, 2.0))
+        back = pickle.loads(pickle.dumps(state))
+        assert back == state and type(back) is EstimatorState
+
+
+class TestEstimate:
+    FIX = Estimate(Point(1.5, 2.5), FixMethod.PAIR_SPLIT, CellId(0, 0), 2.5, True)
+
+    def test_fields_by_name_and_defaults(self):
+        e = self.FIX
+        assert (e.pos, e.method, e.cell, e.n_used, e.fallback_centroid) == (
+            Point(1.5, 2.5), FixMethod.PAIR_SPLIT, CellId(0, 0), 2.5, True)
+        assert Estimate._fields == ("pos", "method", "cell", "n_used", "fallback_centroid")
+        assert Estimate(None, FixMethod.NO_FIX) == (None, FixMethod.NO_FIX, None, 2.0, False)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.FIX.pos = None
+        with pytest.raises(AttributeError):
+            self.FIX.note = "x"
+
+    def test_pickle_round_trip(self):
+        back = pickle.loads(pickle.dumps(self.FIX))
+        assert back == self.FIX and type(back) is Estimate
+        assert back.method is FixMethod.PAIR_SPLIT
+
+    def test_localize_returns_the_named_types(self):
+        estimate, state = localize(reports_for(Point(1.5, 2.5)), EstimatorState(), CONFIG)
+        assert type(estimate) is Estimate and type(state) is EstimatorState
+        assert estimate.method is FixMethod.REFINED
+        assert state == EstimatorState(2.0, estimate.pos)
+        none, same = localize([], state, CONFIG)
+        assert none == Estimate(None, FixMethod.NO_FIX) and same is state

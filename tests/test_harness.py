@@ -163,6 +163,19 @@ class TestCsvWriters:
         assert lines[1] == "0,1,1,1.12345679,1,refined,0.123456789,2"
         assert lines[2] == "1,2,1,,,no_fix,,2"
 
+    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, -2.5e-308, 1e-7, 2 / 3,
+                                   123456789.5, -1e300, math.inf, -math.inf, math.nan])
+    def test_records_csv_fields_are_nine_significant_digits(self, tmp_path, v):
+        recs = [RoundRecord(7, Point(v, -v), Estimate(Point(v, 1.0), FixMethod.PAIR_SPLIT,
+                                                      None, v), v),
+                RoundRecord(8, Point(1.0, v), Estimate(None, FixMethod.NO_FIX, n_used=v), None)]
+        path = tmp_path / "records.csv"
+        write_records_csv(recs, path)
+        g = [format(x, ".9g") for x in (v, -v, 1.0)]
+        assert path.read_text().splitlines()[1:] == [
+            f"7,{g[0]},{g[1]},{g[0]},{g[2]},pair_split,{g[0]},{g[0]}",
+            f"8,{g[2]},{g[0]},,,no_fix,,{g[0]}"]
+
     def test_method_tags_match_estimates(self, tmp_path):
         recs = [record(0, (1.0, 1.0), 0.1, m)
                 for m in (FixMethod.PAIR_SPLIT, FixMethod.NEAR_BEACON,

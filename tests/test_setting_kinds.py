@@ -111,6 +111,8 @@ RANGE = [
     ("channel", "sigma_dbm", -1.0, "must be >= 0"),
     ("channel", "sigma_dbm", 30.5, "must be at most 30"),
     ("channel", "reception_radius_m", 0.0, "must be positive"),
+    ("channel", "reception_radius_m", math.nextafter(1e150, math.inf), "must be at most 1e+150"),
+    ("channel", "reception_radius_m", 1e308, "must be at most 1e+150"),
     ("estimator", "n_initial", 0.0, "must be positive"),
     ("estimator", "near_beacon_tau", 1.0, "must be in (0, 1)"),
     ("estimator", "n_min", 7.0, "need 0 < n_min <= n_max"),

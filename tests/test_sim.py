@@ -8,6 +8,7 @@ import heapq
 import itertools
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -1378,6 +1379,65 @@ def test_fixes_stay_finite_at_the_channel_bounds(channel):
         for r in records:
             assert r.estimate.pos is not None and r.error_m is not None
             assert all(map(math.isfinite, (*r.estimate.pos, r.error_m)))
+
+
+def two_by_two(spacing: float, channel: dict) -> dict:
+    """A static point inside the one cell of a 2 x 2 lattice, as a file."""
+    return {"seed": 0, "rounds": 2, "channel": channel,
+            "grid": {"spacing_m": spacing, "cols": 2, "rows": 2},
+            "trajectory": {"kind": "static", "point": [0.375 * spacing, 0.125 * spacing]}}
+
+
+@pytest.mark.parametrize("spacing,channel", [
+    (1e160, {"reception_radius_m": 1e300}),
+    (1e150, {"reception_radius_m": 1e308, "n_exp": 10.0})])
+def test_a_radius_too_large_to_square_its_ranges_is_rejected(spacing, channel):
+    # Each gave refined fixes at (nan, nan): every range clamped to d_max,
+    # 4 radii, whose square is inf in the in-cell solve.
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(two_by_two(spacing, channel))
+    assert (info.value.path, info.value.rule) == ("channel.reception_radius_m",
+                                                  "must be at most 1e+150")
+
+
+def test_fixes_stay_finite_at_the_radius_bound():
+    # The repros at the largest radius: ranged at n 2 from levels of n 10,
+    # every range clamps to d_max, and the fix is the cell's centre.
+    radius = chan.RECEPTION_RADIUS_MAX_M
+    s = scenario_from_dict(two_by_two(radius / 10, {"reception_radius_m": radius,
+                                                    "n_exp": chan.N_EXP_MAX}))
+    refined, baseline = run_with_baseline(s)
+    assert [r.estimate.method for r in refined] == [FixMethod.REFINED] * 2
+    assert all(r.estimate.pos == Point(radius / 20, radius / 20) for r in refined)
+    for r in refined + baseline:
+        assert all(map(math.isfinite, (*r.estimate.pos, r.error_m)))
+
+
+class TestRoundRecord:
+    RECORD = sim.RoundRecord(3, Point(1.0, 2.0),
+                             estimator.Estimate(Point(1.5, 2.0), FixMethod.REFINED), 0.5)
+
+    def test_fields_by_name(self):
+        r = self.RECORD
+        assert (r.round_index, r.true_pos, r.error_m) == (3, Point(1.0, 2.0), 0.5)
+        assert r.estimate.method is FixMethod.REFINED
+        assert sim.RoundRecord._fields == ("round_index", "true_pos", "estimate", "error_m")
+        assert r == (3, Point(1.0, 2.0), r.estimate, 0.5)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.RECORD.error_m = None
+        with pytest.raises(AttributeError):
+            self.RECORD.note = "x"
+
+    def test_pickle_round_trip(self):
+        back = pickle.loads(pickle.dumps(self.RECORD))
+        assert back == self.RECORD and type(back) is sim.RoundRecord
+        assert type(back.estimate) is estimator.Estimate
+
+    def test_a_run_returns_the_named_types(self):
+        for r in run_scenario(noiseless(rounds=2)):
+            assert type(r) is sim.RoundRecord and type(r.estimate) is estimator.Estimate
 
 
 @pytest.fixture(scope="module")
