@@ -30,6 +30,8 @@ SIGMA_DBM_MAX = 30.0
 # Far beyond any radio's reach, and small enough that a sum of squared
 # ranges up to d_max_m (4 radii) stays finite in the in-cell solve.
 RECEPTION_RADIUS_MAX_M = 1e150
+# Below this radius d_max_m would fall under D_MIN_M and invert the clamp.
+RECEPTION_RADIUS_MIN_M = D_MIN_M / D_MAX_FACTOR
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,9 @@ class ChannelParams:
             raise ScenarioError("sigma_dbm", f"must be at most {SIGMA_DBM_MAX:g}")
         if self.reception_radius_m <= 0:
             raise ScenarioError("reception_radius_m", "must be positive")
+        if self.reception_radius_m < RECEPTION_RADIUS_MIN_M:
+            raise ScenarioError("reception_radius_m",
+                                f"must be at least {RECEPTION_RADIUS_MIN_M:g}")
         if self.reception_radius_m > RECEPTION_RADIUS_MAX_M:
             raise ScenarioError("reception_radius_m",
                                 f"must be at most {RECEPTION_RADIUS_MAX_M:g}")
@@ -138,11 +143,12 @@ def link_rss(d: float, params: ChannelParams) -> Optional[float]:
 
 
 def _links(beacon_xy: np.ndarray, positions: Sequence[Point],
-           params: ChannelParams) -> tuple[list[int], list[float], list[int]]:
+           params: ChannelParams) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The link tables of consecutive rounds, the blind node at each of
     positions in turn: the index in beacon_xy, an array of beacon (x, y)
-    rows in lattice order, of each beacon in range and its mean RSS, flat,
-    round after round in lattice order, and each round's count of links.
+    rows in lattice order, of each beacon in range and its mean RSS, as
+    flat arrays, round after round in lattice order, and each round's count
+    of links.
     Beacons beyond the radius hear nothing that round.
 
     Each mean is link_rss(geometry.dist(p, b.pos), params), with both
@@ -162,7 +168,7 @@ def _links(beacon_xy: np.ndarray, positions: Sequence[Point],
     log_d = np.fromiter(map(math.log10, d.tolist()), float, d.size)
     means = params.a_dbm - 10.0 * params.n_exp * log_d
     counts = np.count_nonzero(heard.reshape(len(xy), -1), axis=1)
-    return (flat % len(beacon_xy)).tolist(), means.tolist(), counts.tolist()
+    return flat % len(beacon_xy), means, counts.tolist()
 
 
 def sample_rss(d: float, params: ChannelParams, rng: np.random.Generator,
@@ -183,10 +189,10 @@ def sample_rss(d: float, params: ChannelParams, rng: np.random.Generator,
 def receive_rounds(means: Sequence[float], counts: Sequence[int], accum_count: int,
                    cal_mean: Optional[float], params: ChannelParams,
                    rng: np.random.Generator, quantize: bool
-                   ) -> tuple[list[float], list[float]]:
-    """Each round's calibration level, and each link's test average, flat,
-    for consecutive rounds of counts[r] links each, whose link means are
-    means, flat, from one draw.
+                   ) -> tuple[list[float], np.ndarray]:
+    """Each round's calibration level, and each link's test average as a
+    flat array, for consecutive rounds of counts[r] links each, whose link
+    means are means, flat, from one draw.
 
     A round takes one level on a calibration link of mean cal_mean, unless
     that is None, then accum_count + 4 packets over its links, row by row:
@@ -206,11 +212,11 @@ def receive_rounds(means: Sequence[float], counts: Sequence[int], accum_count: i
     base = (np.repeat(np.subtract(starts[:-1], firsts[:-1]) + cal, counts)
             + np.arange(firsts[-1]))
     tests = (draws[base + np.arange(2, n + 2)[:, None] * np.repeat(counts, counts)]
-             + np.array(means, dtype=float))
+             + np.asarray(means, dtype=float))
     cals = draws[starts[:-1]] + cal_mean if cal else draws[:0]
     if quantize:
         tests, cals = round_half_away_array(tests), round_half_away_array(cals)
     total = tests[0]
     for row in tests[1:]:
         total = total + row
-    return cals.tolist(), (total / n).tolist()
+    return cals.tolist(), total / n

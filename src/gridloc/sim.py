@@ -18,8 +18,11 @@ in range: the start broadcast and the k acks at the round's start,
 accum_count test broadcasts one inter-test gap apart, then the request and
 the k responses one gap after the last test. _run gathers the link tables
 of consecutive rounds until they need CHUNK_DRAWS normals and has
-channel.receive_rounds take them in one draw, each round's in that order;
-the rest of a round, from its reports to its fix, is played round by round.
+channel.receive_rounds take them in one draw, each round's in that order.
+Both fixers read only a round's four strongest reports, so _contenders
+picks, from the chunk's averages, each round's levels at least as strong
+as its fourth strongest, and reports are built for those alone; the rest
+of a round, from its calibration to its fix, is played round by round.
 When a trace is asked for, _trace_writer has
 protocol.format_trace_line write the text of each line after its time
 once per run, a beacon's the first time it is in range, and returns the
@@ -348,26 +351,59 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     for first, positions, ids, means, counts in _chunks(s, beacons, cal_mean is not None):
         cals, avgs = chan.receive_rounds(means, counts, n, cal_mean, s.channel, rng,
                                          s.quantize_rssi)
-        a = 0
-        for i, (true_pos, k) in enumerate(zip(positions, counts)):
-            idx, b = first + i, a + k
+        ends = list(accumulate(counts, initial=0))
+        if write is not None:
+            heard, levels = ids.tolist(), avgs.tolist()
+        # Reports only for each round's contenders, round i's from cuts[i].
+        keep = _contenders(avgs, counts)
+        cuts = np.searchsorted(keep, ends).tolist()
+        reports = est.RssiReport.batch(map(pos_of.__getitem__, ids[keep].tolist()),
+                                       avgs[keep].tolist(), n)
+        for i, true_pos in enumerate(positions):
+            idx = first + i
             if cal_mean is not None:
                 n_new = est.adapt_n(cals[i], cal_length, state.n_current,
                                     s.channel.a_dbm, s.estimator.n_min,
                                     s.estimator.n_max)
                 state = est.EstimatorState(n_new, state.last_estimate)
-            heard = ids[a:b]
-            reports = est.RssiReport.batch(map(pos_of.__getitem__, heard), avgs[a:b], n)
-            a = b
             if write is not None:
-                write(heard, reports, idx * s.protocol.round_interval_ms, trace)
+                a, b = ends[i], ends[i + 1]
+                write(heard[a:b], levels[a:b], idx * s.protocol.round_interval_ms, trace)
+            contenders = reports[cuts[i]:cuts[i + 1]]
             if baseline:
-                estimate = est.centroid_estimate(reports, state.n_current, s.grid)
+                estimate = est.centroid_estimate(contenders, state.n_current, s.grid)
                 baseline_records.append(_record(idx, true_pos, estimate))
             if refined:
-                estimate, state = est.localize(reports, state, cfg)
+                estimate, state = est.localize(contenders, state, cfg)
                 refined_records.append(_record(idx, true_pos, estimate))
     return refined_records, baseline_records
+
+
+def _contenders(levels: np.ndarray, counts: list[int]) -> np.ndarray:
+    """Indices into levels, in order, of each round's contenders for its
+    top four, the rounds' finite levels flat with counts[r] each: every
+    level at least as strong as its round's fourth strongest, every one
+    tied with that fourth included, and each level of a round with at most
+    four.
+
+    est.select_top4 reads no report weaker than the fourth strongest, so
+    it returns the same four, in the same order, from the contenders as
+    from all of a round's reports, and still None from fewer than four.
+    """
+    k = np.array(counts)
+    big = np.flatnonzero(k > 4)
+    if not big.size:
+        return np.arange(levels.size)
+    # The larger rounds' levels, a row each, padded with -inf: each takes
+    # at least 5 * (accum_count + 4) draws of a chunk, so the rows are few.
+    width = k[big].max()
+    cols = np.arange(width)
+    starts = np.cumsum(k) - k
+    rows = levels.take(starts[big, None] + cols, mode="clip")
+    rows[cols >= k[big, None]] = -np.inf
+    fourth = np.full(k.size, -np.inf)
+    fourth[big] = np.partition(rows, width - 4, axis=1)[:, width - 4]
+    return np.flatnonzero(levels >= np.repeat(fourth, k))
 
 
 def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecord:
@@ -376,7 +412,7 @@ def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecor
 
 
 def _chunks(s: Scenario, beacons: list[geo.Beacon], cal: bool
-            ) -> Iterator[tuple[int, list[geo.Point], list[int], list[float], list[int]]]:
+            ) -> Iterator[tuple[int, list[geo.Point], np.ndarray, np.ndarray, list[int]]]:
     """Consecutive rounds, as (first round index, positions, and their
     link tables as channel._links gives them), in runs whose draws add up
     to at most CHUNK_DRAWS. A round larger than that is a run of its own,
@@ -397,23 +433,25 @@ def _chunks(s: Scenario, beacons: list[geo.Beacon], cal: bool
         for r, k in enumerate(block_counts):
             need = max(cal + k * rows, 1)
             if size and size + need > CHUNK_DRAWS:
-                ids += block_ids[f0:f]
-                means += block_means[f0:f]
+                ids.append(block_ids[f0:f])
+                means.append(block_means[f0:f])
                 counts += block_counts[r0:r]
-                yield first, positions[first:lo + r], ids, means, counts
+                yield (first, positions[first:lo + r], np.concatenate(ids),
+                       np.concatenate(means), counts)
                 first, ids, means, counts, size = lo + r, [], [], [], 0
                 r0, f0 = r, f
             size += need
             f += k
-        ids += block_ids[f0:]
-        means += block_means[f0:]
+        ids.append(block_ids[f0:])
+        means.append(block_means[f0:])
         counts += block_counts[r0:]
-    yield first, positions[first:], ids, means, counts
+    yield first, positions[first:], np.concatenate(ids), np.concatenate(means), counts
 
 
 def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..., None]:
-    """write(ids, reports, t0, trace), which appends the lines of one
-    round's schedule, from t0 on, to trace, the beacons of ids in range. A
+    """write(ids, levels, t0, trace), which appends the lines of one
+    round's schedule, from t0 on, to trace, the beacons of ids in range
+    and each response carrying its level and p.accum_count. A
     run's line tails are built once, a beacon's ack tail and response head
     the first time it is in range; beacons are in build_lattice order, so a
     beacon's id is its index.
@@ -439,9 +477,9 @@ def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..
              for seq in range(1, p.accum_count + 1)]
     request = tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind))
     gap_ms, time_spec, value_spec = p.inter_test_gap_ms, proto.TIME_SPEC, proto.VALUE_SPEC
+    count = f",{p.accum_count}"
 
-    def write(ids: list[int], reports: list[est.RssiReport], t0: float,
-              trace: list[str]) -> None:
+    def write(ids: list[int], levels: list[float], t0: float, trace: list[str]) -> None:
         now = format(t0, time_spec)
         trace.append(now + start)
         if not ids:
@@ -455,8 +493,8 @@ def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..
             t += gap_ms
         now = format(t, time_spec)
         trace.append(now + request)
-        trace.extend([f"{now}{response_head(i)}{format(level, value_spec)},{count}"
-                      for i, (_, level, count) in zip(ids, reports)])
+        trace.extend([f"{now}{response_head(i)}{format(level, value_spec)}{count}"
+                      for i, level in zip(ids, levels)])
 
     return write
 

@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from gridloc.channel import (A_DBM_RANGE, N_EXP_MAX, RECEPTION_RADIUS_MAX_M,
-                             SIGMA_DBM_MAX, ChannelParams, distance_to_rss, link_rss,
-                             _inverse_ranges, receive_rounds,
+from gridloc.channel import (A_DBM_RANGE, D_MIN_M, N_EXP_MAX, RECEPTION_RADIUS_MAX_M,
+                             RECEPTION_RADIUS_MIN_M, SIGMA_DBM_MAX, ChannelParams,
+                             distance_to_rss, link_rss, _inverse_ranges, receive_rounds,
                              round_half_away_array, rss_to_distance, sample_rss)
 from gridloc.protocol import MAX_ACCUM_COUNT
 
@@ -33,6 +33,14 @@ class TestParams:
 
     def test_ranging_clamp_scales_with_radius(self):
         assert ChannelParams(reception_radius_m=30.0).d_max_m == 120.0
+
+    def test_smallest_radius_keeps_the_clamp_window(self):
+        # Any smaller radius would put d_max_m under D_MIN_M.
+        params = ChannelParams(reception_radius_m=RECEPTION_RADIUS_MIN_M)
+        assert RECEPTION_RADIUS_MIN_M == 0.025
+        assert params.d_max_m == D_MIN_M
+        with pytest.raises(ValueError, match="must be at least 0.025"):
+            ChannelParams(reception_radius_m=0.02)
 
 
 class TestDistanceToRss:
@@ -276,7 +284,7 @@ class TestReceive:
                 want_avgs.extend([functools.reduce(operator.add, levels) / 8
                                   for levels in zip(*rows[2:10])])
             assert cals == want_cals
-            assert avgs == want_avgs
+            assert avgs.tolist() == want_avgs
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("quantize", [False, True])
@@ -289,7 +297,7 @@ class TestReceive:
         means = [distance_to_rss(d, params) for d in (5e-324, 4.0, sys.float_info.max)]
         cals, avgs = receive_rounds(means, [3], MAX_ACCUM_COUNT, means[0], params,
                                     np.random.default_rng(3), quantize)
-        assert all(abs(v) < 1e5 for v in cals + avgs)
+        assert all(abs(v) < 1e5 for v in cals + avgs.tolist())
 
     def test_link_beyond_radius_is_none(self):
         assert link_rss(30.0, PARAMS) == distance_to_rss(30.0, PARAMS)

@@ -9,6 +9,7 @@ import math
 import random
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,8 @@ def _sweep_calls(sigma: float, quantize: bool) -> list[tuple[list, EstimatorStat
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator, "localize", recording)
+        # Every report of a round: _jittered draws for each in turn.
+        mp.setattr(sim, "_contenders", lambda levels, counts: np.arange(levels.size))
         sim.run_scenario(s)
     return calls
 

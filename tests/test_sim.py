@@ -115,12 +115,15 @@ def calibration_length(s: Scenario) -> float:
     return dist(s.grid.position_of(a), s.grid.position_of(b))
 
 
-def engine_play(run, s: Scenario):
+def engine_play(run, s: Scenario, keep_all: bool = True):
     """run(s, trace)'s result and trace, and the report sets the run passes
-    to localize and to centroid_estimate."""
+    to localize and to centroid_estimate: with keep_all, every report of
+    each round, as sim._contenders is made to keep every level."""
     sets = {"localize": [], "centroid_estimate": []}
     trace: list[str] = []
     with pytest.MonkeyPatch.context() as mp:
+        if keep_all:
+            mp.setattr(sim, "_contenders", lambda levels, counts: np.arange(levels.size))
         for name, calls in sets.items():
             def recording(reports, *args, _original=getattr(estimator, name),
                           _calls=calls):
@@ -129,6 +132,15 @@ def engine_play(run, s: Scenario):
             mp.setattr(estimator, name, recording)
         result = run(s, trace)
     return result, trace, sets
+
+
+def contenders(reports):
+    """The reports at least as strong as the fourth strongest, in their
+    order; every report when there are fewer than four."""
+    if len(reports) < 4:
+        return list(reports)
+    fourth = sorted((r.avg_rssi_dbm for r in reports), reverse=True)[3]
+    return [r for r in reports if r.avg_rssi_dbm >= fourth]
 
 
 def report_fields(report_sets):
@@ -337,6 +349,11 @@ class TestByteIdentity:
         (7, 3.0, True, True, 6, 9.0):
             ('99c010e8e06c517d65e480ade1ca5a01b87fb9e69ecd60ac4ee26e58537f4dc3',
              '53821170989979e215c1ba10c680a6aa5204ee26497ecc74d57894e323a3ca08'),
+        # Rounds of 71 to 99 links; in two of them the fourth strongest
+        # level ties the fifth.
+        (42, 3.0, True, True, 10, 30.0):
+            ('433fbf0781f1006efe67efb9acb01a9b4cf44203a6e9252bd23bb44eaceea3d7',
+             '87f34bab7109d7bb2a883edf0d66e5f40308bf094162b41f7227e951b9ddb70b'),
     }
 
     @pytest.mark.parametrize("case", list(PINS), ids=lambda c: "-".join(map(str, c)))
@@ -521,16 +538,50 @@ ORACLE_CASES = [
 
 
 def assert_matches_the_des(s: Scenario, run) -> None:
-    """run(s, trace) passes the DES's report sets to each localizer it
-    calls and writes the DES's trace; its records are those of run(s)."""
+    """run(s, trace), keeping every report, passes the DES's report sets to
+    each localizer it calls and writes the DES's trace; as it is, it passes
+    their contenders and gives the same records and trace. Its records are
+    those of run(s)."""
     des_sets, des_trace = des_play(s)
-    result, trace, sets = engine_play(run, s)
-    assert trace == des_trace
-    if run is not run_baseline:
-        assert report_fields(sets["localize"]) == report_fields(des_sets)
-    if run is not run_scenario:
-        assert report_fields(sets["centroid_estimate"]) == report_fields(des_sets)
-    assert result == run(s)
+    records = run(s)
+    for keep_all, passed in ((True, des_sets), (False, map(contenders, des_sets))):
+        result, trace, sets = engine_play(run, s, keep_all)
+        want = report_fields(passed)
+        assert trace == des_trace
+        if run is not run_baseline:
+            assert report_fields(sets["localize"]) == want
+        if run is not run_scenario:
+            assert report_fields(sets["centroid_estimate"]) == want
+        assert result == records
+
+
+# Levels with heavy ties: a few flat values, quantized ones, both zeros.
+TIED_LEVELS = st.one_of(st.sampled_from([-61.25, -55.5, -50.0]),
+                        st.integers(-70, -40).map(float),
+                        st.sampled_from([0.0, -0.0]),
+                        st.floats(-90.0, -30.0))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(TIED_LEVELS, max_size=12), min_size=1, max_size=8))
+def test_each_fixer_reads_the_same_from_the_contenders(rounds):
+    grid = GridSpec(cols=4, rows=3)
+    beacons = build_lattice(grid)
+    levels = np.array([v for r in rounds for v in r], dtype=float)
+    keep = sim._contenders(levels, [len(r) for r in rounds]).tolist()
+    a = 0
+    for r in rounds:
+        reports = [estimator.RssiReport(b.pos, v, 4) for b, v in zip(beacons, r)]
+        kept = [reports[i - a] for i in keep if a <= i < a + len(r)]
+        a += len(r)
+        # The same report objects, in lattice order.
+        assert list(map(id, kept)) == list(map(id, contenders(reports)))
+        top4 = estimator.select_top4(kept)
+        want = estimator.select_top4(reports)
+        assert (top4 is want is None
+                or list(map(id, top4)) == list(map(id, want)))
+        assert (estimator.centroid_estimate(kept, 2.0, grid)
+                == estimator.centroid_estimate(reports, 2.0, grid))
 
 
 @pytest.mark.parametrize("run", [run_scenario, run_baseline, run_with_baseline],
