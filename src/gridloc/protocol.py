@@ -28,7 +28,7 @@ BROADCAST = "*"
 # Format specs of a trace line's time in ms, and of its positions and levels.
 TIME_SPEC = ".3f"
 VALUE_SPEC = ".9g"
-# Most tests a round may take; its block holds accum_count + 4 levels a beacon.
+# Most tests a round may take; it draws accum_count + 4 levels a beacon in range.
 MAX_ACCUM_COUNT = 1000
 
 

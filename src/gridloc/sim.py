@@ -6,7 +6,7 @@ stream. A round starts from the channel's link table: the beacons within
 the reception radius of the blind node, in lattice order, each with its
 mean RSS. The blind node is static within a round and a link is symmetric,
 so that mean serves every packet on the link in either direction.
-channel._links builds the tables of a block of consecutive rounds in one
+channel._links builds the tables of a step of consecutive rounds in one
 pass, flat, with each round's count of links.
 
 Every packet has zero delay and every packet within the radius arrives,
@@ -16,13 +16,14 @@ protocol.ProtocolSettings, follows one fixed schedule. An adapting round
 first takes its calibration level on the calibration link. With k beacons
 in range: the start broadcast and the k acks at the round's start,
 accum_count test broadcasts one inter-test gap apart, then the request and
-the k responses one gap after the last test. _run gathers the link tables
-of consecutive rounds until they need CHUNK_DRAWS normals and has
-channel.receive_rounds take them in one draw, each round's in that order.
-Both fixers read only a round's four strongest reports, so _contenders
-picks, from the chunk's averages, each round's levels at least as strong
-as its fourth strongest, and reports are built for those alone; the rest
-of a round, from its calibration to its fix, is played round by round.
+the k responses one gap after the last test. _run plays a run in fixed
+steps of rounds: a step builds at most CHUNK_DRAWS position-beacon pairs,
+and needs at most CHUNK_DRAWS normals if each round hears the most beacons
+it can, unless it is one round. channel.receive_rounds draws its levels
+at once, each round's in that order. Both fixers read only a round's four
+strongest reports, so _contenders picks, from the step's averages, each
+round's levels at least as strong as its fourth strongest, and reports are
+built for those alone; the rest of a round is played round by round.
 When a trace is asked for, _trace_writer has
 protocol.format_trace_line write the text of each line after its time
 once per run, a beacon's the first time it is in range, and returns the
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Container, Iterator, NamedTuple, Optional, Union, get_args
+from typing import Callable, Container, NamedTuple, Optional, Union, get_args
 
 import numpy as np
 
@@ -346,9 +347,20 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
 
     write = _trace_writer(s.protocol, beacons) if trace is not None else None
     pos_of = [b.pos for b in beacons]
+    xy = np.array(pos_of)
+    positions = s.positions()
+    # A beacon in range owns the spacing_m square around it, which lies in the
+    # disc of radius r + spacing_m/√2, so a round hears at most that area in
+    # squares. x * x overflows to inf on the largest radii, and min drops it.
+    x = s.channel.reception_radius_m / s.grid.spacing_m + math.sqrt(0.5)
+    most = int(min(len(beacons), math.pi * x * x + 1))
+    step = max(min(CHUNK_DRAWS // len(beacons),
+                   CHUNK_DRAWS // ((cal_mean is not None) + most * (n + 4))), 1)
 
     refined_records, baseline_records = [], []
-    for first, positions, ids, means, counts in _chunks(s, beacons, cal_mean is not None):
+    for first in range(0, len(positions), step):
+        chunk = positions[first:first + step]
+        ids, means, counts = chan._links(xy, chunk, s.channel)
         cals, avgs = chan.receive_rounds(means, counts, n, cal_mean, s.channel, rng,
                                          s.quantize_rssi)
         ends = list(accumulate(counts, initial=0))
@@ -359,7 +371,7 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
         cuts = np.searchsorted(keep, ends).tolist()
         reports = est.RssiReport.batch(map(pos_of.__getitem__, ids[keep].tolist()),
                                        avgs[keep].tolist(), n)
-        for i, true_pos in enumerate(positions):
+        for i, true_pos in enumerate(chunk):
             idx = first + i
             if cal_mean is not None:
                 n_new = est.adapt_n(cals[i], cal_length, state.n_current,
@@ -409,43 +421,6 @@ def _contenders(levels: np.ndarray, counts: list[int]) -> np.ndarray:
 def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecord:
     err = geo.dist(estimate.pos, true_pos) if estimate.pos is not None else None
     return RoundRecord(idx, true_pos, estimate, err)
-
-
-def _chunks(s: Scenario, beacons: list[geo.Beacon], cal: bool
-            ) -> Iterator[tuple[int, list[geo.Point], np.ndarray, np.ndarray, list[int]]]:
-    """Consecutive rounds, as (first round index, positions, and their
-    link tables as channel._links gives them), in runs whose draws add up
-    to at most CHUNK_DRAWS. A round larger than that is a run of its own,
-    and a round without draws counts as one, so a run holds at most
-    CHUNK_DRAWS rounds. The tables are built a block of positions at a
-    time, at most CHUNK_DRAWS position-beacon pairs and at least one
-    position a block."""
-    rows = s.protocol.accum_count + 4
-    xy = np.array([b.pos for b in beacons])
-    positions = s.positions()
-    step = max(CHUNK_DRAWS // len(beacons), 1)
-    first, ids, means, counts, size = 0, [], [], [], 0
-    for lo in range(0, len(positions), step):
-        block_ids, block_means, block_counts = chan._links(
-            xy, positions[lo:lo + step], s.channel)
-        # The block's first round, and its first link, not yet in the run.
-        r0 = f0 = f = 0
-        for r, k in enumerate(block_counts):
-            need = max(cal + k * rows, 1)
-            if size and size + need > CHUNK_DRAWS:
-                ids.append(block_ids[f0:f])
-                means.append(block_means[f0:f])
-                counts += block_counts[r0:r]
-                yield (first, positions[first:lo + r], np.concatenate(ids),
-                       np.concatenate(means), counts)
-                first, ids, means, counts, size = lo + r, [], [], [], 0
-                r0, f0 = r, f
-            size += need
-            f += k
-        ids.append(block_ids[f0:])
-        means.append(block_means[f0:])
-        counts += block_counts[r0:]
-    yield first, positions[first:], np.concatenate(ids), np.concatenate(means), counts
 
 
 def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..., None]:

@@ -663,6 +663,13 @@ SPARSE_ROUNDS = Scenario(
     pytest.param(SPARSE_ROUNDS, id="rounds-hearing-none"),
     pytest.param(sweep_scenario(7, 3.0, True, True, 6, 9.0, estimator={
         "adapt": True, "calibration_beacons": [0, 35]}), id="cal-out-of-range"),
+    # A round hears at most 28 of the 144 beacons; the rounds at the corner
+    # hear fewer than the rest.
+    pytest.param(sweep_scenario(3, 3.0, True, True, 12, 9.0, rounds=6, trajectory={
+        "kind": "waypoints", "points": [
+            {"point": [21.0, 22.5], "dwell_rounds": 2}, {"point": [1.3, 0.7]},
+            {"point": [42.5, 17.0], "dwell_rounds": 2}, {"point": [30.1, 41.9]}]}),
+                 id="12x12-waypoints"),
 ])
 def test_chunk_boundaries_change_no_output(s, cap, monkeypatch):
     # A cap of 1 plays each round alone; smaller caps split the run between
@@ -671,6 +678,50 @@ def test_chunk_boundaries_change_no_output(s, cap, monkeypatch):
     monkeypatch.setattr(sim, "CHUNK_DRAWS", cap)
     assert_matches_the_des(s, run_with_baseline)
     assert run_with_baseline(s) == records
+
+
+@pytest.mark.parametrize("s,rounds_a_chunk", [
+    pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0, n=25), 150,
+                 id="3x3-adapt"),
+    pytest.param(sweep_scenario(42, 3.0, False, False, 10, 30.0, n=10), None,
+                 id="10x10"),
+    # A round hears at most 28 of the 900 beacons.
+    pytest.param(sweep_scenario(42, 3.0, True, True, 30, 9.0, n=12,
+                                protocol={"accum_count": 60, "round_interval_ms": 2000.0}),
+                 None, id="30x30"),
+    # 10,000 beacons: no two rounds fit in CHUNK_DRAWS position-beacon pairs.
+    pytest.param(sweep_scenario(42, 3.0, False, False, 100, 3.0, n=3), 1,
+                 id="100x100"),
+    # The disc of the radius, in squares of the spacing, overflows a float.
+    pytest.param(sweep_scenario(42, 3.0, True, True, 4, 1e150, n=5, grid={
+        "spacing_m": 1e-5, "cols": 4, "rows": 4}), None, id="radius-1e150"),
+])
+def test_each_chunk_keeps_to_the_draw_caps(s, rounds_a_chunk, monkeypatch):
+    # A chunk is one call of receive_rounds on the tables of one _links call.
+    links, draws = [], []
+
+    def record(calls, original):
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+        return recording
+
+    monkeypatch.setattr(chan, "_links", record(links, chan._links))
+    monkeypatch.setattr(chan, "receive_rounds", record(draws, chan.receive_rounds))
+    run_with_baseline(s)
+    assert len(links) == len(draws)
+    assert [p for _, positions, _ in links for p in positions] == s.positions()
+    sizes = []
+    for (xy, positions, _), (_, counts, n, cal_mean, *_) in zip(links, draws):
+        sizes.append(len(positions))
+        assert len(counts) == len(positions)
+        normals = sum((cal_mean is not None) + k * (n + 4) for k in counts)
+        if len(positions) > 1:
+            assert len(positions) * len(xy) <= sim.CHUNK_DRAWS
+            assert normals <= sim.CHUNK_DRAWS
+    assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+    if rounds_a_chunk is not None:
+        assert sizes[0] == rounds_a_chunk
 
 
 @st.composite
