@@ -42,7 +42,7 @@ class FixMethod(Enum):
     PAIR_SPLIT = "pair_split"
     NEAR_BEACON = "near_beacon"
     NO_FIX = "no_fix"
-    # Produced only by baseline runs, never by localize().
+    # Produced only by the centroid_estimate fixer, never by localize().
     CENTROID = "centroid"
 
 
@@ -378,15 +378,16 @@ def weighted_centroid(reports: Sequence[RssiReport]) -> Point:
     return Point(wx / wsum, wy / wsum)
 
 
-def centroid_estimate(reports: Sequence[RssiReport], n_current: float,
-                      grid: GridSpec) -> Estimate:
-    """Baseline fix: the weighted centroid of the four strongest reports."""
+def centroid_estimate(reports: Sequence[RssiReport], state: EstimatorState,
+                      config: LocalizerConfig) -> tuple[Estimate, EstimatorState]:
+    """Baseline fix: the weighted centroid of the four strongest reports,
+    called as localize is; state comes back unchanged."""
     top4 = select_top4(reports)
     if top4 is None:
-        return _new(Estimate, (None, _NO_FIX, None, n_current, False))
-    pos = weighted_centroid(top4)
+        return _new(Estimate, (None, _NO_FIX, None, state.n_current, False)), state
+    pos, grid = weighted_centroid(top4), config.grid
     return _new(Estimate, (pos, _CENTROID, _cell_or_none(pos, grid, grid.bounds()),
-                           n_current, False))
+                           state.n_current, False)), state
 
 
 def localize(reports: Sequence[RssiReport], state: EstimatorState,

@@ -20,7 +20,7 @@ the k responses one gap after the last test. _run plays a run in fixed
 steps of rounds: a step builds at most CHUNK_DRAWS position-beacon pairs,
 and needs at most CHUNK_DRAWS normals if each round hears the most beacons
 it can, unless it is one round. channel.receive_rounds draws its levels
-at once, each round's in that order. Both fixers read only a round's four
+at once, each round's in that order. Every fixer reads only a round's four
 strongest reports, so _contenders picks, from the step's averages, each
 round's levels at least as strong as its fourth strongest, and reports are
 built for those alone; the rest of a round is played round by round.
@@ -311,26 +311,28 @@ def _calibration_length(s: Scenario) -> float:
 def run_scenario(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
     """Play every round, localize each report set, and append each round's
     messages to trace when a list is given."""
-    return _run(s, trace, refined=True, baseline=False)[0]
+    return _run(s, trace, (est.localize,))[0]
 
 
 def run_baseline(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
     """Same rounds and RNG stream, but each fix is the weighted centroid
     of the four strongest reports. Comparison curve only."""
-    return _run(s, trace, refined=False, baseline=True)[1]
+    return _run(s, trace, (est.centroid_estimate,))[0]
 
 
 def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None
                       ) -> tuple[list[RoundRecord], list[RoundRecord]]:
     """(run_scenario(s), run_baseline(s)) from one play of the rounds, and
-    the trace run_scenario writes. localize never changes n_current, and
-    only the round and calibration draws move the stream, so both lists
-    are exact."""
-    return _run(s, trace, refined=True, baseline=True)
+    the trace run_scenario writes."""
+    return tuple(_run(s, trace, (est.localize, est.centroid_estimate)))
 
 
-def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
-         baseline: bool) -> tuple[list[RoundRecord], list[RoundRecord]]:
+def _run(s: Scenario, trace: Optional[list[str]],
+         fixers: tuple[Callable[..., tuple[est.Estimate, est.EstimatorState]], ...]
+         ) -> list[list[RoundRecord]]:
+    """One play of the rounds: each fixer, called as localize is, fixes every
+    round's contenders from its own state, all states sharing the adapted n,
+    into its own list of records, the same as it gives played alone."""
     rng = np.random.Generator(np.random.PCG64(s.seed))
     beacons = geo.build_lattice(s.grid)
     cfg = est.LocalizerConfig(
@@ -339,7 +341,8 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
         near_beacon_tau=s.estimator.near_beacon_tau,
         range_d_max=s.channel.d_max_m,
     )
-    state = est.EstimatorState(n_current=s.estimator.n_initial)
+    n_exp = s.estimator.n_initial
+    states = [est.EstimatorState(n_exp)] * len(fixers)
     cal_length = _calibration_length(s) if s.estimator.adapt else None
     # None beyond the radius: no calibration draw.
     cal_mean = chan.link_rss(cal_length, s.channel) if cal_length is not None else None
@@ -357,7 +360,7 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
     step = max(min(CHUNK_DRAWS // len(beacons),
                    CHUNK_DRAWS // ((cal_mean is not None) + most * (n + 4))), 1)
 
-    refined_records, baseline_records = [], []
+    records = [[] for _ in fixers]
     for first in range(0, len(positions), step):
         chunk = positions[first:first + step]
         ids, means, counts = chan._links(xy, chunk, s.channel)
@@ -374,21 +377,17 @@ def _run(s: Scenario, trace: Optional[list[str]], refined: bool,
         for i, true_pos in enumerate(chunk):
             idx = first + i
             if cal_mean is not None:
-                n_new = est.adapt_n(cals[i], cal_length, state.n_current,
-                                    s.channel.a_dbm, s.estimator.n_min,
-                                    s.estimator.n_max)
-                state = est.EstimatorState(n_new, state.last_estimate)
+                n_exp = est.adapt_n(cals[i], cal_length, n_exp, s.channel.a_dbm,
+                                    s.estimator.n_min, s.estimator.n_max)
+                states = [est.EstimatorState(n_exp, st.last_estimate) for st in states]
             if write is not None:
                 a, b = ends[i], ends[i + 1]
                 write(heard[a:b], levels[a:b], idx * s.protocol.round_interval_ms, trace)
             contenders = reports[cuts[i]:cuts[i + 1]]
-            if baseline:
-                estimate = est.centroid_estimate(contenders, state.n_current, s.grid)
-                baseline_records.append(_record(idx, true_pos, estimate))
-            if refined:
-                estimate, state = est.localize(contenders, state, cfg)
-                refined_records.append(_record(idx, true_pos, estimate))
-    return refined_records, baseline_records
+            for k, fix in enumerate(fixers):
+                estimate, states[k] = fix(contenders, states[k], cfg)
+                records[k].append(_record(idx, true_pos, estimate))
+    return records
 
 
 def _contenders(levels: np.ndarray, counts: list[int]) -> np.ndarray:

@@ -567,6 +567,7 @@ TIED_LEVELS = st.one_of(st.sampled_from([-61.25, -55.5, -50.0]),
 def test_each_fixer_reads_the_same_from_the_contenders(rounds):
     grid = GridSpec(cols=4, rows=3)
     beacons = build_lattice(grid)
+    state, config = estimator.EstimatorState(2.0), estimator.LocalizerConfig(grid)
     levels = np.array([v for r in rounds for v in r], dtype=float)
     keep = sim._contenders(levels, [len(r) for r in rounds]).tolist()
     a = 0
@@ -580,8 +581,8 @@ def test_each_fixer_reads_the_same_from_the_contenders(rounds):
         want = estimator.select_top4(reports)
         assert (top4 is want is None
                 or list(map(id, top4)) == list(map(id, want)))
-        assert (estimator.centroid_estimate(kept, 2.0, grid)
-                == estimator.centroid_estimate(reports, 2.0, grid))
+        for fix in (estimator.localize, estimator.centroid_estimate):
+            assert fix(kept, state, config) == fix(reports, state, config)
 
 
 @pytest.mark.parametrize("run", [run_scenario, run_baseline, run_with_baseline],
@@ -592,6 +593,9 @@ def test_batched_engine_matches_the_des(s, run):
     if run is run_with_baseline:
         # One play of the rounds gives both systems' records.
         assert run(s) == (run_scenario(s), run_baseline(s))
+        # In either order: each fixer keeps its own state, and all share n.
+        assert (sim._run(s, None, (estimator.centroid_estimate, estimator.localize))
+                == [run_baseline(s), run_scenario(s)])
 
 
 @pytest.mark.parametrize("s", [
