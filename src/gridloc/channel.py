@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,10 @@ SIGMA_DBM_MAX = 30.0
 RECEPTION_RADIUS_MAX_M = 1e150
 # Below this radius d_max_m would fall under D_MIN_M and invert the clamp.
 RECEPTION_RADIUS_MIN_M = D_MIN_M / D_MAX_FACTOR
+
+# Most a screened mean, from numpy's hypot and log10, may be from link_rss,
+# in dB; tests/test_channel.py checks a hundredth of it on the host.
+SCREEN_DB = 1e-6
 
 
 @dataclass(frozen=True)
@@ -142,38 +146,46 @@ def link_rss(d: float, params: ChannelParams) -> Optional[float]:
     return distance_to_rss(d, params)
 
 
-def _links(beacon_xy: np.ndarray, positions: Sequence[Point],
-           params: ChannelParams) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The link tables of consecutive rounds, the blind node at each of
-    positions in turn: the index in beacon_xy, an array of beacon (x, y)
-    rows in lattice order, of each beacon in range and its mean RSS, as
-    flat arrays, round after round in lattice order, and each round's count
-    of links.
-    Beacons beyond the radius hear nothing that round.
+def _links(beacon_xy: np.ndarray, positions: Sequence[Point], params: ChannelParams
+           ) -> tuple[np.ndarray, np.ndarray, list[int], Callable[[np.ndarray], np.ndarray]]:
+    """The links of consecutive rounds, the blind node at each of positions
+    in turn: the index in beacon_xy, an array of beacon (x, y) rows in
+    lattice order, of each beacon in range and its screened mean RSS, as
+    flat arrays, round after round in lattice order; each round's count of
+    links; and exact(links), the exact means of the links at those indices.
 
-    Each mean is link_rss(geometry.dist(p, b.pos), params), with both
-    calls' arithmetic done in the same order: the differences and the cut
-    as array operations, which round each value as Python floats do, and
-    hypot and log10 through math, which numpy's can differ from.
+    An exact mean is link_rss(geometry.dist(p, b.pos), params), with both
+    calls' arithmetic done in the same order: the differences as array
+    operations, which round each value as Python floats do, and hypot and
+    log10 through math; a screened one takes numpy's, within SCREEN_DB. math
+    makes the cut, measuring again each length within 1e-9 of the radius.
     """
-    xy = np.array(positions, dtype=float)
-    dx = (xy[:, :1] - beacon_xy[:, 0]).ravel().tolist()
-    dy = (xy[:, 1:] - beacon_xy[:, 1]).ravel().tolist()
-    d = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
-    heard = d <= params.reception_radius_m
+    # fromiter reads the coordinates about five times as fast as np.array.
+    xy = np.fromiter(chain.from_iterable(positions), float, 2 * len(positions)).reshape(-1, 2)
+    dx = (xy[:, :1] - beacon_xy[:, 0]).ravel()
+    dy = (xy[:, 1:] - beacon_xy[:, 1]).ravel()
+    d, r = np.hypot(dx, dy), params.reception_radius_m
+    heard = d <= r
+    edge = np.flatnonzero(abs(d - r) <= 1e-9 * r)
+    heard[edge] = [math.hypot(x, y) <= r for x, y in zip(dx[edge].tolist(), dy[edge].tolist())]
     flat = np.flatnonzero(heard)
-    d = d[flat]
+    dx, dy, d = dx[flat], dy[flat], d[flat]
     if d.size and d.min() <= 0:
         raise ValueError("distance must be positive")
-    log_d = np.fromiter(map(math.log10, d.tolist()), float, d.size)
-    means = params.a_dbm - 10.0 * params.n_exp * log_d
-    counts = np.count_nonzero(heard.reshape(len(xy), -1), axis=1)
-    return flat % len(beacon_xy), means, counts.tolist()
+
+    def exact(links: np.ndarray) -> np.ndarray:
+        lengths = map(math.hypot, dx[links].tolist(), dy[links].tolist())
+        log_d = np.fromiter(map(math.log10, lengths), float, len(links))
+        return params.a_dbm - 10.0 * params.n_exp * log_d
+
+    counts = np.count_nonzero(heard.reshape(len(xy), -1), axis=1).tolist()
+    return (flat % len(beacon_xy), params.a_dbm - 10.0 * params.n_exp * np.log10(d),
+            counts, exact)
 
 
 def sample_rss(d: float, params: ChannelParams, rng: np.random.Generator,
                quantize: bool = False) -> Optional[float]:
-    """One shadowed level at distance d, as receive_rounds gives it, or None
+    """One shadowed level at distance d, as receive_rounds draws it, or None
     beyond the reception radius.
 
     The Gaussian term is drawn even when sigma_dbm is zero so a scenario
@@ -186,23 +198,20 @@ def sample_rss(d: float, params: ChannelParams, rng: np.random.Generator,
     return float(round_half_away_array(rss)) if quantize else rss
 
 
-def receive_rounds(means: Sequence[float], counts: Sequence[int], accum_count: int,
-                   cal_mean: Optional[float], params: ChannelParams,
-                   rng: np.random.Generator, quantize: bool
+def receive_rounds(counts: Sequence[int], accum_count: int, cal_mean: Optional[float],
+                   params: ChannelParams, rng: np.random.Generator, quantize: bool
                    ) -> tuple[list[float], np.ndarray]:
-    """Each round's calibration level, and each link's test average as a
-    flat array, for consecutive rounds of counts[r] links each, whose link
-    means are means, flat, from one draw.
+    """Each round's calibration level, and each link's test draws, a column
+    of accum_count rows, for consecutive rounds of counts[r] links each,
+    from one draw; average_levels forms the test averages of chosen links.
 
     A round takes one level on a calibration link of mean cal_mean, unless
     that is None, then accum_count + 4 packets over its links, row by row:
     the start broadcast, the acks, the tests, the request, the responses.
     The draw takes the same stream positions and values as that many
-    sample_rss calls in that order. Only calibration and test levels are
-    formed; with quantize, each is the integer register reading, as a float.
-    Each link's test levels are added left to right, as a beacon machine
-    adds them: np.sum may add pairwise, and sum() of floats is compensated
-    from Python 3.12 on.
+    sample_rss calls in that order. Only calibration levels and test draws
+    are kept; with quantize, a calibration level is the integer register
+    reading, as a float.
     """
     n, cal = accum_count, int(cal_mean is not None)
     starts = list(accumulate((cal + k * (n + 4) for k in counts), initial=0))
@@ -211,12 +220,20 @@ def receive_rounds(means: Sequence[float], counts: Sequence[int], accum_count: i
     # The i-th link of round r hears packet row j at starts[r] + cal + j·k_r + i.
     base = (np.repeat(np.subtract(starts[:-1], firsts[:-1]) + cal, counts)
             + np.arange(firsts[-1]))
-    tests = (draws[base + np.arange(2, n + 2)[:, None] * np.repeat(counts, counts)]
-             + np.asarray(means, dtype=float))
     cals = draws[starts[:-1]] + cal_mean if cal else draws[:0]
+    return ((round_half_away_array(cals) if quantize else cals).tolist(),
+            draws[base + np.arange(2, n + 2)[:, None] * np.repeat(counts, counts)])
+
+
+def average_levels(tests: np.ndarray, means: np.ndarray, quantize: bool) -> np.ndarray:
+    """Each link's test average from its column of test draws and its mean,
+    each level the integer register reading, as a float, with quantize; the
+    levels are added left to right, as a beacon machine adds them: np.sum
+    may add pairwise, and sum() of floats is compensated from Python 3.12 on."""
+    levels = tests + means
     if quantize:
-        tests, cals = round_half_away_array(tests), round_half_away_array(cals)
-    total = tests[0]
-    for row in tests[1:]:
+        levels = round_half_away_array(levels)
+    total = levels[0]
+    for row in levels[1:]:
         total = total + row
-    return cals.tolist(), total / n
+    return total / len(levels)

@@ -360,10 +360,11 @@ def weighted_centroid(reports: Sequence[RssiReport]) -> Point:
     """Beacon positions averaged with linearized-power weights."""
     if not reports:
         raise ValueError("weighted_centroid needs at least one report")
-    # Far from 0 dBm every weight can underflow to 0, or one overflow. Then
-    # each is taken relative to the strongest, which weighs 1; x - 0.0 is x,
-    # so every centroid that the absolute weights give keeps its bits.
-    for ref in (0.0, max(map(_strength, reports))):
+    # Far from 0 dBm every weight can underflow to 0, or one overflow. Only
+    # then is each taken relative to the strongest, which weighs 1; x - 0.0
+    # is x, so every centroid that the absolute weights give keeps its bits.
+    for strongest in (False, True):
+        ref = max(map(_strength, reports)) if strongest else 0.0
         wsum = wx = wy = 0.0
         try:
             for r in reports:

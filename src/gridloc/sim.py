@@ -7,7 +7,8 @@ the reception radius of the blind node, in lattice order, each with its
 mean RSS. The blind node is static within a round and a link is symmetric,
 so that mean serves every packet on the link in either direction.
 channel._links builds the tables of a step of consecutive rounds in one
-pass, flat, with each round's count of links.
+pass, flat, with each round's count of links; numpy screens each mean,
+and math decides which links are heard and every mean a record reads.
 
 Every packet has zero delay and every packet within the radius arrives,
 and validation keeps every timer after the packets it waits for, so each
@@ -19,11 +20,17 @@ accum_count test broadcasts one inter-test gap apart, then the request and
 the k responses one gap after the last test. _run plays a run in fixed
 steps of rounds: a step builds at most CHUNK_DRAWS position-beacon pairs,
 and needs at most CHUNK_DRAWS normals if each round hears the most beacons
-it can, unless it is one round. channel.receive_rounds draws its levels
+it can, unless it is one round. channel.receive_rounds draws its normals
 at once, each round's in that order. Every fixer reads only a round's four
-strongest reports, so _contenders picks, from the step's averages, each
-round's levels at least as strong as its fourth strongest, and reports are
-built for those alone; the rest of a round is played round by round.
+strongest reports. A screened level, the screened mean plus the mean test
+draw, is within eps of the exact level: SCREEN_DB for the mean, as much
+again for adding in another order (which moves it under 2e-9 dB), and
+half a step with quantize. So only links within 2 * eps of their round's
+fourth strongest screened level can reach its top four, and only they get
+exact levels (every link does when a trace writes every level); from
+those _contenders picks each round's levels at least as strong as its
+fourth strongest, and reports are built for those alone. The rest of a
+round is played round by round.
 When a trace is asked for, _trace_writer has
 protocol.format_trace_line write the text of each line after its time
 once per run, a beacon's the first time it is in range, and returns the
@@ -41,7 +48,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Container, NamedTuple, Optional, Union, get_args
+from typing import Callable, Container, NamedTuple, Optional, Sequence, Union, get_args
 
 import numpy as np
 
@@ -360,20 +367,25 @@ def _run(s: Scenario, trace: Optional[list[str]],
     step = max(min(CHUNK_DRAWS // len(beacons),
                    CHUNK_DRAWS // ((cal_mean is not None) + most * (n + 4))), 1)
 
+    eps = 2 * chan.SCREEN_DB + 0.5 * s.quantize_rssi
     records = [[] for _ in fixers]
     for first in range(0, len(positions), step):
         chunk = positions[first:first + step]
-        ids, means, counts = chan._links(xy, chunk, s.channel)
-        cals, avgs = chan.receive_rounds(means, counts, n, cal_mean, s.channel, rng,
-                                         s.quantize_rssi)
+        ids, screen, counts, exact = chan._links(xy, chunk, s.channel)
+        cals, tests = chan.receive_rounds(counts, n, cal_mean, s.channel, rng, s.quantize_rssi)
         ends = list(accumulate(counts, initial=0))
+        # Exact levels only for links that can reach a top four; a trace writes all.
+        links = (np.arange(ids.size) if write is not None
+                 else _contenders(screen + tests.mean(axis=0), counts, 2 * eps))
+        avgs = chan.average_levels(tests[:, links], exact(links), s.quantize_rssi)
         if write is not None:
             heard, levels = ids.tolist(), avgs.tolist()
         # Reports only for each round's contenders, round i's from cuts[i].
-        keep = _contenders(avgs, counts)
-        cuts = np.searchsorted(keep, ends).tolist()
-        reports = est.RssiReport.batch(map(pos_of.__getitem__, ids[keep].tolist()),
-                                       avgs[keep].tolist(), n)
+        firsts = np.searchsorted(links, ends)
+        keep = _contenders(avgs, np.diff(firsts))
+        links, avgs, cuts = links[keep], avgs[keep], np.searchsorted(keep, firsts).tolist()
+        reports = est.RssiReport.batch(map(pos_of.__getitem__, ids[links].tolist()),
+                                       avgs.tolist(), n)
         for i, true_pos in enumerate(chunk):
             idx = first + i
             if cal_mean is not None:
@@ -390,16 +402,16 @@ def _run(s: Scenario, trace: Optional[list[str]],
     return records
 
 
-def _contenders(levels: np.ndarray, counts: list[int]) -> np.ndarray:
+def _contenders(levels: np.ndarray, counts: Sequence[int], margin: float = 0.0) -> np.ndarray:
     """Indices into levels, in order, of each round's contenders for its
     top four, the rounds' finite levels flat with counts[r] each: every
-    level at least as strong as its round's fourth strongest, every one
-    tied with that fourth included, and each level of a round with at most
-    four.
+    level at least as strong as its round's fourth strongest less margin,
+    every one tied with that included, and each level of a round with at
+    most four.
 
-    est.select_top4 reads no report weaker than the fourth strongest, so
-    it returns the same four, in the same order, from the contenders as
-    from all of a round's reports, and still None from fewer than four.
+    At no margin est.select_top4, which reads no report weaker than the
+    fourth strongest, returns the same four in the same order from the
+    contenders as from all of a round's reports, and None from fewer than four.
     """
     k = np.array(counts)
     big = np.flatnonzero(k > 4)
@@ -413,7 +425,7 @@ def _contenders(levels: np.ndarray, counts: list[int]) -> np.ndarray:
     rows = levels.take(starts[big, None] + cols, mode="clip")
     rows[cols >= k[big, None]] = -np.inf
     fourth = np.full(k.size, -np.inf)
-    fourth[big] = np.partition(rows, width - 4, axis=1)[:, width - 4]
+    fourth[big] = np.partition(rows, width - 4, axis=1)[:, width - 4] - margin
     return np.flatnonzero(levels >= np.repeat(fourth, k))
 
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from gridloc.channel import (A_DBM_RANGE, D_MIN_M, N_EXP_MAX, RECEPTION_RADIUS_MAX_M,
-                             RECEPTION_RADIUS_MIN_M, SIGMA_DBM_MAX, ChannelParams,
-                             distance_to_rss, link_rss, _inverse_ranges, receive_rounds,
+                             RECEPTION_RADIUS_MIN_M, SCREEN_DB, SIGMA_DBM_MAX,
+                             ChannelParams, average_levels, distance_to_rss, link_rss,
+                             _inverse_ranges, _links, receive_rounds,
                              round_half_away_array, rss_to_distance, sample_rss)
 from gridloc.protocol import MAX_ACCUM_COUNT
 
@@ -271,9 +272,10 @@ class TestReceive:
             cal_mean = link_rss(cal_d, params) if cal_d is not None else None
             rng_a = np.random.default_rng(11)
             rng_b = np.random.default_rng(11)
-            cals, avgs = receive_rounds([m for r in means for m in r],
-                                        [len(r) for r in means], 8, cal_mean,
-                                        params, rng_a, quantize)
+            cals, tests = receive_rounds([len(r) for r in means], 8, cal_mean,
+                                         params, rng_a, quantize)
+            avgs = average_levels(tests, np.array([m for r in means for m in r]),
+                                  quantize)
             want_cals, want_avgs = [], []
             for r in rounds:
                 if cal_d is not None:
@@ -295,8 +297,9 @@ class TestReceive:
         # The shortest and longest links a float holds, and a middling one.
         # No radius reaches the longest, so its mean is the model's level.
         means = [distance_to_rss(d, params) for d in (5e-324, 4.0, sys.float_info.max)]
-        cals, avgs = receive_rounds(means, [3], MAX_ACCUM_COUNT, means[0], params,
-                                    np.random.default_rng(3), quantize)
+        cals, tests = receive_rounds([3], MAX_ACCUM_COUNT, means[0], params,
+                                     np.random.default_rng(3), quantize)
+        avgs = average_levels(tests, np.array(means), quantize)
         assert all(abs(v) < 1e5 for v in cals + avgs.tolist())
 
     def test_link_beyond_radius_is_none(self):
@@ -306,6 +309,39 @@ class TestReceive:
     def test_nonpositive_link_rejected(self):
         with pytest.raises(ValueError):
             link_rss(0.0, PARAMS)
+
+
+class TestScreen:
+    """numpy's hypot and log10 can differ from math's in the last bits, and
+    by CPU. A run screens links with them, and reads only math's."""
+
+    def test_screened_means_stay_near_link_rss(self):
+        # The screen assumes SCREEN_DB; the host must keep to a hundredth.
+        params = ChannelParams(n_exp=N_EXP_MAX, reception_radius_m=1e3)
+        rng = np.random.default_rng(5)
+        lengths = rng.uniform(0.01, 4 * ChannelParams.reception_radius_m, 200_000)
+        angles = rng.uniform(0.0, 2 * math.pi, lengths.size)
+        beacon_xy = np.column_stack([lengths * np.cos(angles), lengths * np.sin(angles)])
+        ids, screen, counts, exact = _links(beacon_xy, [(0.0, 0.0)], params)
+        assert counts == [lengths.size]
+        want = [link_rss(math.hypot(x, y), params) for x, y in beacon_xy.tolist()]
+        assert np.abs(screen - want).max() <= SCREEN_DB / 100
+        assert exact(ids).tolist() == want
+
+    def test_math_makes_the_cut(self):
+        # Where numpy's length differs from math's, a radius at either one,
+        # or a float either side of math's, hears the link as math says.
+        rng = np.random.default_rng(1)
+        beacon_xy = rng.uniform(-30.0, 30.0, (200_000, 2))
+        d_np = np.hypot(beacon_xy[:, 0], beacon_xy[:, 1]).tolist()
+        d_math = [math.hypot(x, y) for x, y in beacon_xy.tolist()]
+        differ = [i for i, (a, b) in enumerate(zip(d_np, d_math)) if a != b]
+        for i in differ[:20] + [0, 1]:
+            d = d_math[i]
+            for radius in (d_np[i], d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+                params = ChannelParams(reception_radius_m=radius)
+                _, _, counts, _ = _links(beacon_xy[i:i + 1], [(0.0, 0.0)], params)
+                assert counts == [int(d <= radius)]
 
 
 def test_quantization_ranging_error_bound():

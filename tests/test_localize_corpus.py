@@ -60,7 +60,8 @@ def _sweep_calls(sigma: float, quantize: bool) -> list[tuple[list, EstimatorStat
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator, "localize", recording)
         # Every report of a round: _jittered draws for each in turn.
-        mp.setattr(sim, "_contenders", lambda levels, counts: np.arange(levels.size))
+        mp.setattr(sim, "_contenders",
+                   lambda levels, counts, margin=0.0: np.arange(levels.size))
         sim.run_scenario(s)
     return calls
 

@@ -83,9 +83,9 @@ def _protocol_round(s: Scenario, pos, links, machines, rng, t0: float, trace):
 def links_at(beacons, pos, params):
     """(beacon, mean RSS) for each beacon in range of pos, in lattice order:
     a one-position block of channel._links."""
-    ids, means, counts = _links(np.array([b.pos for b in beacons]), [pos], params)
+    ids, _, counts, exact = _links(np.array([b.pos for b in beacons]), [pos], params)
     assert counts == [len(ids)]
-    return [(beacons[i], mean) for i, mean in zip(ids, means)]
+    return [(beacons[i], mean) for i, mean in zip(ids, exact(np.arange(ids.size)))]
 
 
 def _machines(beacons):
@@ -123,7 +123,8 @@ def engine_play(run, s: Scenario, keep_all: bool = True):
     trace: list[str] = []
     with pytest.MonkeyPatch.context() as mp:
         if keep_all:
-            mp.setattr(sim, "_contenders", lambda levels, counts: np.arange(levels.size))
+            mp.setattr(sim, "_contenders",
+                       lambda levels, counts, margin=0.0: np.arange(levels.size))
         for name, calls in sets.items():
             def recording(reports, *args, _original=getattr(estimator, name),
                           _calls=calls):
@@ -437,7 +438,8 @@ class TestRoundEngines:
         params = ChannelParams(n_exp=2.7, reception_radius_m=radius)
         points = [Point(15.0, 15.0), Point(2.0, 1.0), Point(15.0, 1.0), Point(27.0, 16.0),
                   Point(44.9, 33.35), Point(89.0, 59.5), Point(15.0, 15.0)]
-        ids, means, counts = _links(np.array([b.pos for b in beacons]), points, params)
+        ids, _, counts, exact = _links(np.array([b.pos for b in beacons]), points, params)
+        means = exact(np.arange(ids.size))
         tables = [links_at(beacons, p, params) for p in points]
         assert counts == [len(t) for t in tables] == heard
         assert ([(beacons[i], m.hex()) for i, m in zip(ids, means)]
@@ -474,8 +476,9 @@ class TestRoundEngines:
                 # One link, no calibration: rows 2 to 5 are its tests.
                 return np.array([0.0, 0.0, *samples, 0.0, 0.0])
 
-        _, [avg] = chan.receive_rounds([0.0], [1], len(samples), None,
-                                       ChannelParams(), Stream(), False)
+        _, tests = chan.receive_rounds([1], len(samples), None, ChannelParams(),
+                                       Stream(), False)
+        [avg] = chan.average_levels(tests, np.array([0.0]), False)
         assert avg == 0.25
 
 
@@ -716,7 +719,7 @@ def test_each_chunk_keeps_to_the_draw_caps(s, rounds_a_chunk, monkeypatch):
     assert len(links) == len(draws)
     assert [p for _, positions, _ in links for p in positions] == s.positions()
     sizes = []
-    for (xy, positions, _), (_, counts, n, cal_mean, *_) in zip(links, draws):
+    for (xy, positions, _), (counts, n, cal_mean, *_) in zip(links, draws):
         sizes.append(len(positions))
         assert len(counts) == len(positions)
         normals = sum((cal_mean is not None) + k * (n + 4) for k in counts)
@@ -726,6 +729,94 @@ def test_each_chunk_keeps_to_the_draw_caps(s, rounds_a_chunk, monkeypatch):
     assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
     if rounds_a_chunk is not None:
         assert sizes[0] == rounds_a_chunk
+
+
+@st.composite
+def tied_scenarios(draw):
+    """Lattice sweeps whose rounds often tie: noiseless or quantized levels,
+    points at cell centres or midway between, and radii that cut the
+    lattice, one of them at a cell's diagonal."""
+    cols = draw(st.integers(3, 8))
+    return sweep_scenario(
+        draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.5, 3.0])),
+        draw(st.booleans()), draw(st.booleans()), cols,
+        draw(st.sampled_from([4.0, 4.0 * math.sqrt(2.0), 7.0, 12.0, 30.0])),
+        n=draw(st.sampled_from([2, 3, cols - 1, 2 * cols - 2])),
+        protocol={"accum_count": draw(st.sampled_from([1, 2, 8]))})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tied_scenarios())
+def test_screened_engine_gives_the_records_of_keeping_every_link(s):
+    assert engine_play(run_with_baseline, s)[0] == run_with_baseline(s)
+
+
+@pytest.mark.parametrize("edge", ["at", "beyond"])
+def test_screened_engine_with_a_beacon_at_the_radius(edge):
+    # The fifth nearest beacon sits at the radius or a float beyond it.
+    grid, point = TestRoundEngines.GRID, TestRoundEngines.POINT
+    beacons = build_lattice(grid)
+    fifth = sorted(beacons, key=lambda b: dist(point, b.pos))[4]
+    d = dist(point, fifth.pos)
+    radius = d if edge == "at" else math.nextafter(d, 0.0)
+    s = Scenario(grid=grid, channel=ChannelParams(sigma_dbm=3.0, reception_radius_m=radius),
+                 trajectory=Static(point), rounds=6, seed=3)
+    assert_matches_the_des(s, run_with_baseline)
+    sets = engine_play(run_scenario, s)[2]["localize"]
+    assert [len(reports) for reports in sets] == [5 if edge == "at" else 4] * 6
+
+
+def wrap_links(monkeypatch, shift=lambda size: 0.0):
+    """Patch channel._links to add shift(size) to a step's screened means;
+    returns (heard, ranged), to which each step adds its count of links and
+    each exact(links) call its count of links ranged exactly."""
+    heard, ranged = [], []
+    original = chan._links
+
+    def wrapped(*args):
+        ids, screen, counts, exact = original(*args)
+        heard.append(ids.size)
+
+        def counted(links):
+            ranged.append(len(links))
+            return exact(links)
+        return ids, screen + shift(screen.size), counts, counted
+
+    monkeypatch.setattr(chan, "_links", wrapped)
+    return heard, ranged
+
+
+@pytest.mark.parametrize("s", [
+    # Beacons (0, 0), (4, 0), (0, 8) and (4, 8) tie for third to sixth, and
+    # select_top4 takes the first two in position order.
+    noiseless(Point(2.0, 4.0), rounds=20),
+    sweep_scenario(42, 0.0, False, False, 5, 30.0, n=4),
+    sweep_scenario(42, 0.0, True, True, 5, 4.0 * math.sqrt(2.0), n=8),
+    sweep_scenario(7, 3.0, False, False, 10, 30.0, n=6),
+    sweep_scenario(7, 3.0, True, True, 10, 30.0, n=6),
+])
+def test_screen_holds_with_every_mean_off_by_screen_db(s, monkeypatch):
+    want = run_with_baseline(s)
+    rng = np.random.default_rng(0)
+    wrap_links(monkeypatch, lambda size: rng.choice([-1.0, 1.0], size) * chan.SCREEN_DB)
+    assert run_with_baseline(s) == want
+
+
+def test_only_the_contenders_are_ranged_exactly_unless_traced(monkeypatch):
+    # A 10 x 10 sweep at sigma=3 hears 83.75 links a round; an untraced run
+    # ranges about four of them, a few more when quantized.
+    heard, ranged = wrap_links(monkeypatch)
+    for quantize, most in ((False, 4.1), (True, 6.0)):
+        s = sweep_scenario(42, 3.0, quantize, False, 10, 30.0, n=15)
+        ranged.clear()
+        heard.clear()
+        run_scenario(s)
+        assert sum(heard) == 18_844
+        assert sum(ranged) <= most * s.rounds
+    ranged.clear()
+    heard.clear()
+    run_scenario(s, [])
+    assert sum(ranged) == sum(heard) == 18_844
 
 
 @st.composite
