@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Point, ScenarioError, _check_kinds
+from .geometry import ScenarioError, _check_kinds
 
 DEFAULT_A_DBM = -45.0
 DEFAULT_RSSI_OFFSET_DBM = -45.0
@@ -146,13 +146,16 @@ def link_rss(d: float, params: ChannelParams) -> Optional[float]:
     return distance_to_rss(d, params)
 
 
-def _links(beacon_xy: np.ndarray, positions: Sequence[Point], params: ChannelParams
+def _links(beacon_xy: np.ndarray, positions: np.ndarray, params: ChannelParams,
+           candidates: Optional[np.ndarray] = None
            ) -> tuple[np.ndarray, np.ndarray, list[int], Callable[[np.ndarray], np.ndarray]]:
-    """The links of consecutive rounds, the blind node at each of positions
-    in turn: the index in beacon_xy, an array of beacon (x, y) rows in
-    lattice order, of each beacon in range and its screened mean RSS, as
-    flat arrays, round after round in lattice order; each round's count of
-    links; and exact(links), the exact means of the links at those indices.
+    """The links of consecutive rounds, the blind node at each (x, y) row of
+    positions in turn: the index in beacon_xy, an array of beacon (x, y)
+    rows in lattice order, of each beacon in range and its screened mean
+    RSS, as flat arrays, round after round in lattice order; each round's
+    count of links; and exact(links), the exact means of the links at those
+    indices. Only the beacons of candidates[i], a row of increasing indices
+    per position, are measured at position i; every beacon is by default.
 
     An exact mean is link_rss(geometry.dist(p, b.pos), params), with both
     calls' arithmetic done in the same order: the differences as array
@@ -160,10 +163,11 @@ def _links(beacon_xy: np.ndarray, positions: Sequence[Point], params: ChannelPar
     log10 through math; a screened one takes numpy's, within SCREEN_DB. math
     makes the cut, measuring again each length within 1e-9 of the radius.
     """
-    # fromiter reads the coordinates about five times as fast as np.array.
-    xy = np.fromiter(chain.from_iterable(positions), float, 2 * len(positions)).reshape(-1, 2)
-    dx = (xy[:, :1] - beacon_xy[:, 0]).ravel()
-    dy = (xy[:, 1:] - beacon_xy[:, 1]).ravel()
+    xy = np.asarray(positions, float).reshape(-1, 2)
+    if candidates is None:
+        candidates = np.broadcast_to(np.arange(len(beacon_xy)), (len(xy), len(beacon_xy)))
+    dx = (xy[:, :1] - beacon_xy[candidates, 0]).ravel()
+    dy = (xy[:, 1:] - beacon_xy[candidates, 1]).ravel()
     d, r = np.hypot(dx, dy), params.reception_radius_m
     heard = d <= r
     edge = np.flatnonzero(abs(d - r) <= 1e-9 * r)
@@ -178,8 +182,8 @@ def _links(beacon_xy: np.ndarray, positions: Sequence[Point], params: ChannelPar
         log_d = np.fromiter(map(math.log10, lengths), float, len(links))
         return params.a_dbm - 10.0 * params.n_exp * log_d
 
-    counts = np.count_nonzero(heard.reshape(len(xy), -1), axis=1).tolist()
-    return (flat % len(beacon_xy), params.a_dbm - 10.0 * params.n_exp * np.log10(d),
+    counts = np.count_nonzero(heard.reshape(candidates.shape), axis=1).tolist()
+    return (candidates.ravel()[flat], params.a_dbm - 10.0 * params.n_exp * np.log10(d),
             counts, exact)
 
 

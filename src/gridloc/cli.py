@@ -6,6 +6,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,6 +22,8 @@ EXIT_ERROR = 1
 EXIT_NO_FIX = 2
 
 
+# Built once a process: parse_args leaves the parser as it found it.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridloc",
@@ -182,8 +185,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trace: Optional[list[str]] = [] if args.trace else None
         records = sim.run_scenario(scenario, trace)
         harness.write_records_csv(records, out_dir / "records.csv")
-        harness.write_buckets_csv(harness.bucketize(records, edges),
-                                  out_dir / "buckets.csv")
+        buckets = harness.bucketize(records, edges)
+        harness.write_buckets_csv(buckets, out_dir / "buckets.csv")
         if isinstance(scenario.trajectory, sim.LatticeSweep):
             rows = harness.error_surface(records, scenario.trajectory.nx)
             harness.write_surface_csv(rows, out_dir / "surface.csv")
@@ -193,8 +196,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except (sim.ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(_summary_line("simulate", harness.bucketize(records),
-                        harness.median_error(records)))
+    if args.buckets is not None:
+        buckets = harness.bucketize(records)
+    print(_summary_line("simulate", buckets, harness.median_error(records)))
     return EXIT_OK
 
 

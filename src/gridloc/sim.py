@@ -9,6 +9,13 @@ so that mean serves every packet on the link in either direction.
 channel._links builds the tables of a step of consecutive rounds in one
 pass, flat, with each round's count of links; numpy screens each mean,
 and math decides which links are heard and every mean a record reads.
+_run lays out the beacon table once, with GridSpec.beacon_position's
+arithmetic, and measures each position only against its window of lattice
+indices: the 2 * ceil(r / spacing) + 3 columns and rows around its nearest
+vertex, shifted inside the lattice. A beacon outside it is more than the
+radius r away along one axis, and a faithfully rounded hypot is never below
+either axis, so the window hears what the whole lattice would; the spare
+index each side covers the rounding of the nearest vertex.
 
 Every packet has zero delay and every packet within the radius arrives,
 and validation keeps every timer after the packets it waits for, so each
@@ -18,7 +25,7 @@ first takes its calibration level on the calibration link. With k beacons
 in range: the start broadcast and the k acks at the round's start,
 accum_count test broadcasts one inter-test gap apart, then the request and
 the k responses one gap after the last test. _run plays a run in fixed
-steps of rounds: a step builds at most CHUNK_DRAWS position-beacon pairs,
+steps of rounds: a step builds at most CHUNK_DRAWS position-candidate pairs,
 and needs at most CHUNK_DRAWS normals if each round hears the most beacons
 it can, unless it is one round. channel.receive_rounds draws its normals
 at once, each round's in that order. Every fixer reads only a round's four
@@ -46,7 +53,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Container, NamedTuple, Optional, Sequence, Union, get_args
 
@@ -107,7 +114,7 @@ MAX_BEACONS = 10_000
 # Most rounds a scenario may run; a run keeps about 1 kB of records a round.
 MAX_ROUNDS = 10**6
 # Most normals a run takes in one draw, unless one round needs more.
-CHUNK_DRAWS = 2**14
+CHUNK_DRAWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -341,9 +348,20 @@ def _run(s: Scenario, trace: Optional[list[str]],
     round's contenders from its own state, all states sharing the adapted n,
     into its own list of records, the same as it gives played alone."""
     rng = np.random.Generator(np.random.PCG64(s.seed))
-    beacons = geo.build_lattice(s.grid)
+    g, r = s.grid, s.channel.reception_radius_m
+    (ox, oy), spacing = g.origin, g.spacing_m
+    # The beacon table, by GridSpec.beacon_position's arithmetic, in id order.
+    xs, ys = ox + np.arange(g.cols) * spacing, oy + np.arange(g.rows) * spacing
+    xy = np.column_stack([np.tile(xs, g.rows), np.repeat(ys, g.cols)])
+
+    @cache
+    def beacon_pos(i: int) -> geo.Point:
+        # One Point a beacon, made when it is first in range and shared by
+        # its reports: a Point per report cost 2 MB of peak RSS in a sweep.
+        return geo.Point._make(xy[i].tolist())
+
     cfg = est.LocalizerConfig(
-        grid=s.grid,
+        grid=g,
         a_dbm=s.channel.a_dbm,
         near_beacon_tau=s.estimator.near_beacon_tau,
         range_d_max=s.channel.d_max_m,
@@ -355,23 +373,31 @@ def _run(s: Scenario, trace: Optional[list[str]],
     cal_mean = chan.link_rss(cal_length, s.channel) if cal_length is not None else None
     n = s.protocol.accum_count
 
-    write = _trace_writer(s.protocol, beacons) if trace is not None else None
-    pos_of = [b.pos for b in beacons]
-    xy = np.array(pos_of)
+    write = _trace_writer(s.protocol, beacon_pos) if trace is not None else None
     positions = s.positions()
-    # A beacon in range owns the spacing_m square around it, which lies in the
-    # disc of radius r + spacing_m/√2, so a round hears at most that area in
+    # A position's window: the columns and rows within half of its nearest
+    # vertex, shifted inside the lattice (half is capped where that spans it).
+    half = min(math.ceil(r / spacing), MAX_BEACONS) + 1
+    wx, wy = min(2 * half + 1, g.cols), min(2 * half + 1, g.rows)
+    window = (np.arange(wy)[:, None] * g.cols + np.arange(wx)).ravel()
+    far = (g.cols - wx, g.rows - wy)
+    # A beacon in range owns the spacing square around it, which lies in the
+    # disc of radius r + spacing/√2, so a round hears at most that area in
     # squares. x * x overflows to inf on the largest radii, and min drops it.
-    x = s.channel.reception_radius_m / s.grid.spacing_m + math.sqrt(0.5)
-    most = int(min(len(beacons), math.pi * x * x + 1))
-    step = max(min(CHUNK_DRAWS // len(beacons),
+    x = r / spacing + math.sqrt(0.5)
+    most = int(min(window.size, math.pi * x * x + 1))
+    step = max(min(CHUNK_DRAWS // window.size,
                    CHUNK_DRAWS // ((cal_mean is not None) + most * (n + 4))), 1)
 
     eps = 2 * chan.SCREEN_DB + 0.5 * s.quantize_rssi
     records = [[] for _ in fixers]
     for first in range(0, len(positions), step):
         chunk = positions[first:first + step]
-        ids, screen, counts, exact = chan._links(xy, chunk, s.channel)
+        # fromiter reads the coordinates about five times as fast as np.array.
+        pts = np.fromiter(chain.from_iterable(chunk), float, 2 * len(chunk)).reshape(-1, 2)
+        lo = np.clip(((pts - g.origin) / spacing).round() - half, 0, far).astype(int)
+        windows = lo[:, :1] + lo[:, 1:] * g.cols + window
+        ids, screen, counts, exact = chan._links(xy, pts, s.channel, windows)
         cals, tests = chan.receive_rounds(counts, n, cal_mean, s.channel, rng, s.quantize_rssi)
         ends = list(accumulate(counts, initial=0))
         # Exact levels only for links that can reach a top four; a trace writes all.
@@ -384,7 +410,7 @@ def _run(s: Scenario, trace: Optional[list[str]],
         firsts = np.searchsorted(links, ends)
         keep = _contenders(avgs, np.diff(firsts))
         links, avgs, cuts = links[keep], avgs[keep], np.searchsorted(keep, firsts).tolist()
-        reports = est.RssiReport.batch(map(pos_of.__getitem__, ids[links].tolist()),
+        reports = est.RssiReport.batch(map(beacon_pos, ids[links].tolist()),
                                        avgs.tolist(), n)
         for i, true_pos in enumerate(chunk):
             idx = first + i
@@ -434,13 +460,13 @@ def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecor
     return RoundRecord(idx, true_pos, estimate, err)
 
 
-def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..., None]:
+def _trace_writer(p: ProtocolSettings, beacon_pos: Callable[[int], geo.Point]
+                  ) -> Callable[..., None]:
     """write(ids, levels, t0, trace), which appends the lines of one
     round's schedule, from t0 on, to trace, the beacons of ids in range
     and each response carrying its level and p.accum_count. A
     run's line tails are built once, a beacon's ack tail and response head
-    the first time it is in range; beacons are in build_lattice order, so a
-    beacon's id is its index.
+    the first time it is in range, at beacon_pos(id).
     """
     blind, cut = "m0", len(format(0.0, proto.TIME_SPEC))
 
@@ -455,7 +481,7 @@ def _trace_writer(p: ProtocolSettings, beacons: list[geo.Beacon]) -> Callable[..
     @cache
     def response_head(i: int) -> str:
         # A response's last two fields are its level and count.
-        msg = proto.RssiAvgResponse(f"b{i}", beacons[i].pos, 0.0, 0)
+        msg = proto.RssiAvgResponse(f"b{i}", beacon_pos(i), 0.0, 0)
         return tail(f"b{i}", blind, msg).rsplit(",", 2)[0] + ","
 
     start = tail(blind, proto.BROADCAST, proto.LocationStart(blind))

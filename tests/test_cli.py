@@ -5,10 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gridloc
 from gridloc import estimator, harness
 from gridloc.channel import DEFAULT_A_DBM, ChannelParams
 from gridloc.cli import (EXIT_ERROR, EXIT_NO_FIX, EXIT_OK, _build_parser,
@@ -470,6 +474,33 @@ class TestSweepByteIdentity:
         assert main(["sweep", str(scenario), "--vary", "sigma=0,2,3",
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert len(calls) == 3 * 9
+
+
+def written(out):
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+
+
+def test_back_to_back_calls_each_write_what_a_first_call_writes(tmp_path, capsys):
+    # One parser serves every call in a process; a call that fails leaves
+    # nothing behind for the next.
+    scenario = tmp_path / "s.json"
+    write_scenario(scenario, trajectory={"kind": "lattice_sweep", "nx": 3, "ny": 3})
+    calls = [["simulate", str(scenario), "--trace"],
+             ["sweep", str(scenario), "--vary", "spacing=4,0"],
+             ["simulate", str(scenario)],
+             ["simulate", str(scenario), "--seed", "7"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gridloc.__file__)))
+    for i, argv in enumerate(calls):
+        first, again = tmp_path / f"first{i}", tmp_path / f"again{i}"
+        alone = subprocess.run(
+            [sys.executable, "-c", "import sys; from gridloc.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv, "--out", str(first)],
+            env=env, capture_output=True, text=True, check=False)
+        code = main([*argv, "--out", str(again)])
+        captured = capsys.readouterr()
+        assert ((code, captured.out, captured.err, written(again))
+                == (alone.returncode, alone.stdout, alone.stderr, written(first)))
+        assert code == (EXIT_ERROR if "--vary" in argv else EXIT_OK)
 
 
 def test_locate_defaults_are_their_owners_defaults():

@@ -662,7 +662,7 @@ SPARSE_ROUNDS = Scenario(
     rounds=13, seed=5, quantize_rssi=True)
 
 
-@pytest.mark.parametrize("cap", [1, 97, 300, 2000, sim.CHUNK_DRAWS])
+@pytest.mark.parametrize("cap", [1, 97, 300, 2000, 2**14, sim.CHUNK_DRAWS])
 @pytest.mark.parametrize("s", [
     pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0), id="adapt-quantized"),
     # Its rounds hear different numbers of beacons.
@@ -688,7 +688,7 @@ def test_chunk_boundaries_change_no_output(s, cap, monkeypatch):
 
 
 @pytest.mark.parametrize("s,rounds_a_chunk", [
-    pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0, n=25), 150,
+    pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0, n=25), 300,
                  id="3x3-adapt"),
     pytest.param(sweep_scenario(42, 3.0, False, False, 10, 30.0, n=10), None,
                  id="10x10"),
@@ -696,8 +696,9 @@ def test_chunk_boundaries_change_no_output(s, cap, monkeypatch):
     pytest.param(sweep_scenario(42, 3.0, True, True, 30, 9.0, n=12,
                                 protocol={"accum_count": 60, "round_interval_ms": 2000.0}),
                  None, id="30x30"),
-    # 10,000 beacons: no two rounds fit in CHUNK_DRAWS position-beacon pairs.
-    pytest.param(sweep_scenario(42, 3.0, False, False, 100, 3.0, n=3), 1,
+    # 10,000 beacons, but a window of 5 x 5 at a 3 m radius: a round hears
+    # at most 7 beacons, so the normals cap a step at 390 of its 400 rounds.
+    pytest.param(sweep_scenario(42, 3.0, False, False, 100, 3.0, n=20), 390,
                  id="100x100"),
     # The disc of the radius, in squares of the spacing, overflows a float.
     pytest.param(sweep_scenario(42, 3.0, True, True, 4, 1e150, n=5, grid={
@@ -717,14 +718,14 @@ def test_each_chunk_keeps_to_the_draw_caps(s, rounds_a_chunk, monkeypatch):
     monkeypatch.setattr(chan, "receive_rounds", record(draws, chan.receive_rounds))
     run_with_baseline(s)
     assert len(links) == len(draws)
-    assert [p for _, positions, _ in links for p in positions] == s.positions()
+    assert [Point(*p) for _, positions, *_ in links for p in positions.tolist()] == s.positions()
     sizes = []
-    for (xy, positions, _), (counts, n, cal_mean, *_) in zip(links, draws):
+    for (_, positions, _, candidates), (counts, n, cal_mean, *_) in zip(links, draws):
         sizes.append(len(positions))
-        assert len(counts) == len(positions)
+        assert len(counts) == len(positions) == len(candidates)
         normals = sum((cal_mean is not None) + k * (n + 4) for k in counts)
         if len(positions) > 1:
-            assert len(positions) * len(xy) <= sim.CHUNK_DRAWS
+            assert candidates.size <= sim.CHUNK_DRAWS
             assert normals <= sim.CHUNK_DRAWS
     assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
     if rounds_a_chunk is not None:
@@ -855,6 +856,87 @@ def small_scenarios(draw):
 def test_batched_engine_matches_the_des_on_any_valid_scenario(s):
     assert_matches_the_des(s, run_with_baseline)
     assert run_with_baseline(s) == (run_scenario(s), run_baseline(s))
+
+
+@st.composite
+def windowed_scenarios(draw):
+    """Lattices up to 40 x 40 wider than a position's window of lattice
+    indices, at radii of whole spacings or an ulp either side, and
+    waypoints that jump across the lattice, some on a beacon column or an
+    ulp either side of it."""
+    spacing = draw(st.sampled_from([0.1, 3.7, 1.3, 25.0]))
+    radius = draw(st.sampled_from([1.0, 2.0, 3.0])) * spacing
+    radius = draw(st.sampled_from([radius, math.nextafter(radius, 0.0),
+                                   math.nextafter(radius, math.inf)]))
+    narrowest = 2 * (math.ceil(radius / spacing) + 1) + 2
+    cols = draw(st.integers(narrowest, 40))
+    rows = draw(st.integers(2, 40))
+    origin = [draw(st.sampled_from([-0.0, 1e6 * spacing, -17.3])) for _ in range(2)]
+    grid = GridSpec(Point(*origin), spacing, cols, rows)
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        i, j = draw(st.integers(0, cols - 2)), draw(st.integers(0, rows - 2))
+        u = draw(st.floats(0.05, 0.95))
+        x, y = grid.beacon_position(i, j)
+        x = draw(st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf),
+                                  x + u * spacing]))
+        points.append((Point(x, y + draw(st.floats(0.05, 0.95)) * spacing),
+                       draw(st.integers(1, 2))))
+    try:
+        return Scenario(
+            grid=grid,
+            channel=ChannelParams(sigma_dbm=draw(st.sampled_from([0.0, 3.0])),
+                                  reception_radius_m=radius),
+            estimator=EstimatorSettings(adapt=draw(st.booleans())),
+            trajectory=Waypoints(tuple(points)), rounds=sum(d for _, d in points),
+            seed=draw(st.integers(0, 2**32 - 1)), quantize_rssi=draw(st.booleans()))
+    except ScenarioError:
+        reject()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(windowed_scenarios())
+def test_windowed_runs_match_the_des(s):
+    # The DES measures every beacon at every position.
+    assert_matches_the_des(s, run_with_baseline)
+
+
+def test_a_position_measures_only_its_window(monkeypatch):
+    # At a 9 m radius on the 4 m lattice a window is 9 columns by 9 rows.
+    s = sweep_scenario(42, 3.0, False, False, 100, 9.0, n=7)
+    widths = []
+
+    def measured(beacon_xy, positions, params, candidates):
+        widths.append(candidates.shape[1])
+        return original(beacon_xy, positions, params, candidates)
+
+    original = chan._links
+    monkeypatch.setattr(chan, "_links", measured)
+    records = run_scenario(s)
+    assert widths and max(widths) <= 81
+    assert all(r.estimate.method is not FixMethod.NO_FIX for r in records)
+
+
+@pytest.mark.parametrize("origin", [Point(-0.0, -0.0), Point(-1.1e7, 3.3e9)])
+@pytest.mark.parametrize("spacing", [0.1, 3.7, 250.0])
+def test_beacon_table_and_reports_have_the_lattice_positions(origin, spacing, monkeypatch):
+    grid = GridSpec(origin, spacing, 5, 4)
+    s = Scenario(grid=grid, channel=ChannelParams(sigma_dbm=3.0, reception_radius_m=9 * spacing),
+                 trajectory=Static(grid.beacon_position(1, 2)._replace(
+                     y=grid.beacon_position(1, 2).y + spacing / 3)), rounds=2)
+    lattice = [tuple(map(float.hex, b.pos)) for b in build_lattice(grid)]
+    tables = []
+
+    def recording(beacon_xy, *args):
+        tables.append([tuple(map(float.hex, row)) for row in beacon_xy.tolist()])
+        return original(beacon_xy, *args)
+
+    original = chan._links
+    monkeypatch.setattr(chan, "_links", recording)
+    sets = engine_play(run_scenario, s)[2]["localize"]
+    assert tables == [lattice]
+    assert ([[tuple(map(float.hex, r.beacon_pos)) for r in reports] for reports in sets]
+            == [lattice] * 2)
 
 
 @pytest.mark.parametrize("protocol", [
