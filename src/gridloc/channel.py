@@ -147,7 +147,7 @@ def link_rss(d: float, params: ChannelParams) -> Optional[float]:
 
 
 def _links(beacon_xy: np.ndarray, positions: np.ndarray, params: ChannelParams,
-           candidates: Optional[np.ndarray] = None
+           candidates: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, list[int], Callable[[np.ndarray], np.ndarray]]:
     """The links of consecutive rounds, the blind node at each (x, y) row of
     positions in turn: the index in beacon_xy, an array of beacon (x, y)
@@ -155,7 +155,7 @@ def _links(beacon_xy: np.ndarray, positions: np.ndarray, params: ChannelParams,
     RSS, as flat arrays, round after round in lattice order; each round's
     count of links; and exact(links), the exact means of the links at those
     indices. Only the beacons of candidates[i], a row of increasing indices
-    per position, are measured at position i; every beacon is by default.
+    per position, are measured at position i.
 
     An exact mean is link_rss(geometry.dist(p, b.pos), params), with both
     calls' arithmetic done in the same order: the differences as array
@@ -164,8 +164,6 @@ def _links(beacon_xy: np.ndarray, positions: np.ndarray, params: ChannelParams,
     makes the cut, measuring again each length within 1e-9 of the radius.
     """
     xy = np.asarray(positions, float).reshape(-1, 2)
-    if candidates is None:
-        candidates = np.broadcast_to(np.arange(len(beacon_xy)), (len(xy), len(beacon_xy)))
     dx = (xy[:, :1] - beacon_xy[candidates, 0]).ravel()
     dy = (xy[:, 1:] - beacon_xy[candidates, 1]).ravel()
     d, r = np.hypot(dx, dy), params.reception_radius_m

@@ -14,8 +14,9 @@ arithmetic, and measures each position only against its window of lattice
 indices: the 2 * ceil(r / spacing) + 3 columns and rows around its nearest
 vertex, shifted inside the lattice. A beacon outside it is more than the
 radius r away along one axis, and a faithfully rounded hypot is never below
-either axis, so the window hears what the whole lattice would; the spare
-index each side covers the rounding of the nearest vertex.
+either axis, so the window hears what the whole lattice would. The spare
+index each side covers the rounding of the vertex and the table; where
+that nears half a spacing, far from the origin, the window widens by it.
 
 Every packet has zero delay and every packet within the radius arrives,
 and validation keeps every timer after the packets it waits for, so each
@@ -350,8 +351,10 @@ def _run(s: Scenario, trace: Optional[list[str]],
     rng = np.random.Generator(np.random.PCG64(s.seed))
     g, r = s.grid, s.channel.reception_radius_m
     (ox, oy), spacing = g.origin, g.spacing_m
-    # The beacon table, by GridSpec.beacon_position's arithmetic, in id order.
-    xs, ys = ox + np.arange(g.cols) * spacing, oy + np.arange(g.rows) * spacing
+    # The beacon table, by GridSpec.beacon_position's Python arithmetic (numpy's
+    # warns where a far edge overflows to inf), in id order.
+    xs, ys = (np.array([o + i * spacing for i in range(k)])
+              for o, k in ((ox, g.cols), (oy, g.rows)))
     xy = np.column_stack([np.tile(xs, g.rows), np.repeat(ys, g.cols)])
 
     @cache
@@ -377,7 +380,10 @@ def _run(s: Scenario, trace: Optional[list[str]],
     positions = s.positions()
     # A position's window: the columns and rows within half of its nearest
     # vertex, shifted inside the lattice (half is capped where that spans it).
-    half = min(math.ceil(r / spacing), MAX_BEACONS) + 1
+    # slack bounds the rounding of the table, the vertex and r / spacing; the
+    # spare index covers it below half a spacing, and more indices above.
+    slack = 4 * math.ulp(abs(ox) + abs(oy) + (g.cols + g.rows) * spacing + r) / spacing
+    half = min(math.ceil(r / spacing), MAX_BEACONS) + 1 + round(min(slack, MAX_BEACONS))
     wx, wy = min(2 * half + 1, g.cols), min(2 * half + 1, g.rows)
     window = (np.arange(wy)[:, None] * g.cols + np.arange(wx)).ravel()
     far = (g.cols - wx, g.rows - wy)

@@ -322,7 +322,8 @@ class TestScreen:
         lengths = rng.uniform(0.01, 4 * ChannelParams.reception_radius_m, 200_000)
         angles = rng.uniform(0.0, 2 * math.pi, lengths.size)
         beacon_xy = np.column_stack([lengths * np.cos(angles), lengths * np.sin(angles)])
-        ids, screen, counts, exact = _links(beacon_xy, [(0.0, 0.0)], params)
+        ids, screen, counts, exact = _links(beacon_xy, [(0.0, 0.0)], params,
+                                            np.arange(lengths.size)[None])
         assert counts == [lengths.size]
         want = [link_rss(math.hypot(x, y), params) for x, y in beacon_xy.tolist()]
         assert np.abs(screen - want).max() <= SCREEN_DB / 100
@@ -340,7 +341,8 @@ class TestScreen:
             d = d_math[i]
             for radius in (d_np[i], d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
                 params = ChannelParams(reception_radius_m=radius)
-                _, _, counts, _ = _links(beacon_xy[i:i + 1], [(0.0, 0.0)], params)
+                _, _, counts, _ = _links(beacon_xy[i:i + 1], [(0.0, 0.0)], params,
+                                         np.zeros((1, 1), int))
                 assert counts == [int(d <= radius)]
 
 
