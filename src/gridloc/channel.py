@@ -164,9 +164,11 @@ def _links(beacon_xy: np.ndarray, positions: np.ndarray, params: ChannelParams,
     makes the cut, measuring again each length within 1e-9 of the radius.
     """
     xy = np.asarray(positions, float).reshape(-1, 2)
-    dx = (xy[:, :1] - beacon_xy[candidates, 0]).ravel()
-    dy = (xy[:, 1:] - beacon_xy[candidates, 1]).ravel()
-    d, r = np.hypot(dx, dy), params.reception_radius_m
+    # A length past the largest float is inf, as in math, and never heard.
+    with np.errstate(over="ignore"):
+        dx = (xy[:, :1] - beacon_xy[candidates, 0]).ravel()
+        dy = (xy[:, 1:] - beacon_xy[candidates, 1]).ravel()
+        d, r = np.hypot(dx, dy), params.reception_radius_m
     heard = d <= r
     edge = np.flatnonzero(abs(d - r) <= 1e-9 * r)
     heard[edge] = [math.hypot(x, y) <= r for x, y in zip(dx[edge].tolist(), dy[edge].tolist())]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from functools import cache
 from importlib import resources
@@ -175,6 +176,7 @@ def _summary_line(tag: str, buckets: harness.ErrorBuckets,
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    partial = None
     try:
         scenario = _resolve_scenario(args.scenario)
         if args.seed is not None:
@@ -182,20 +184,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         edges = _parse_edges(args.buckets)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        trace: Optional[list[str]] = [] if args.trace else None
-        records = sim.run_scenario(scenario, trace)
+        # The trace is written step by step as the run goes, and named trace.txt
+        # once every other output is written; a run that fails leaves none.
+        partial = out_dir / "trace.txt.partial" if args.trace else None
+        with partial.open("w", encoding="utf-8") if partial else nullcontext() as fh:
+            records = sim.run_scenario(scenario, fh.write if fh else None)
         harness.write_records_csv(records, out_dir / "records.csv")
         buckets = harness.bucketize(records, edges)
         harness.write_buckets_csv(buckets, out_dir / "buckets.csv")
         if isinstance(scenario.trajectory, sim.LatticeSweep):
             rows = harness.error_surface(records, scenario.trajectory.nx)
             harness.write_surface_csv(rows, out_dir / "surface.csv")
-        if trace is not None:
-            (out_dir / "trace.txt").write_text("\n".join(trace) + "\n",
-                                               encoding="utf-8")
+        if partial:
+            partial.replace(out_dir / "trace.txt")
     except (sim.ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if partial:
+            partial.unlink(missing_ok=True)
     if args.buckets is not None:
         buckets = harness.bucketize(records)
     print(_summary_line("simulate", buckets, harness.median_error(records)))

@@ -39,10 +39,8 @@ exact levels (every link does when a trace writes every level); from
 those _contenders picks each round's levels at least as strong as its
 fourth strongest, and reports are built for those alone. The rest of a
 round is played round by round.
-When a trace is asked for, _trace_writer has
-protocol.format_trace_line write the text of each line after its time
-once per run, a beacon's the first time it is in range, and returns the
-function that adds a round's times and each response's level and count. The
+When a trace is asked for, a step's lines go to it at once, each round's
+from one template that _trace_writer keeps for the beacons last heard. The
 discrete-event simulator that drives the protocol machines packet by
 packet, and formats each of their messages whole, is the oracle in
 tests/test_sim.py.
@@ -54,7 +52,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from pathlib import Path
 from typing import Callable, Container, NamedTuple, Optional, Sequence, Union, get_args
 
@@ -166,7 +164,11 @@ class Scenario:
             if a == b or not (0 <= a < n_beacons and 0 <= b < n_beacons):
                 raise ScenarioError("estimator.calibration_beacons",
                                     "need two distinct beacon ids on the lattice")
-            if abs(_calibration_length(self) - 1.0) <= geo.COORD_TOL:
+            length = _calibration_length(self)
+            if length <= geo.COORD_TOL:
+                raise ScenarioError("estimator.calibration_beacons",
+                                    "the calibration beacons coincide")
+            if abs(length - 1.0) <= geo.COORD_TOL:
                 raise ScenarioError("estimator.calibration_beacons",
                                     "a 1 m link cannot calibrate the exponent")
         t = self.trajectory
@@ -323,31 +325,42 @@ def _calibration_length(s: Scenario) -> float:
     return geo.dist(s.grid.position_of(a), s.grid.position_of(b))
 
 
-def run_scenario(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
+Trace = Union[list[str], Callable[[str], None]]
+
+
+def run_scenario(s: Scenario, trace: Optional[Trace] = None) -> list[RoundRecord]:
     """Play every round, localize each report set, and append each round's
-    messages to trace when a list is given."""
-    return _run(s, trace, (est.localize,))[0]
+    messages to trace when a list is given; a function is called instead
+    with each step's lines, each ending in a newline."""
+    return _run(s, _sink(trace), (est.localize,))[0]
 
 
-def run_baseline(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
+def run_baseline(s: Scenario, trace: Optional[Trace] = None) -> list[RoundRecord]:
     """Same rounds and RNG stream, but each fix is the weighted centroid
     of the four strongest reports. Comparison curve only."""
-    return _run(s, trace, (est.centroid_estimate,))[0]
+    return _run(s, _sink(trace), (est.centroid_estimate,))[0]
 
 
-def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None
+def run_with_baseline(s: Scenario, trace: Optional[Trace] = None
                       ) -> tuple[list[RoundRecord], list[RoundRecord]]:
     """(run_scenario(s), run_baseline(s)) from one play of the rounds, and
     the trace run_scenario writes."""
-    return tuple(_run(s, trace, (est.localize, est.centroid_estimate)))
+    return tuple(_run(s, _sink(trace), (est.localize, est.centroid_estimate)))
 
 
-def _run(s: Scenario, trace: Optional[list[str]],
+def _sink(trace: Optional[Trace]) -> Optional[Callable[[str], None]]:
+    """trace if it is a function, else one that adds each step's lines to it."""
+    return (trace if trace is None or callable(trace)
+            else lambda text: trace.extend(text[:-1].split("\n")))
+
+
+def _run(s: Scenario, trace: Optional[Callable[[str], None]],
          fixers: tuple[Callable[..., tuple[est.Estimate, est.EstimatorState]], ...]
          ) -> list[list[RoundRecord]]:
     """One play of the rounds: each fixer, called as localize is, fixes every
     round's contenders from its own state, all states sharing the adapted n,
-    into its own list of records, the same as it gives played alone."""
+    into its own list of records, the same as it gives played alone; then
+    each step's trace lines, each ending in a newline, go to trace if given."""
     rng = np.random.Generator(np.random.PCG64(s.seed))
     g, r = s.grid, s.channel.reception_radius_m
     (ox, oy), spacing = g.origin, g.spacing_m
@@ -374,7 +387,7 @@ def _run(s: Scenario, trace: Optional[list[str]],
     cal_length = _calibration_length(s) if s.estimator.adapt else None
     # None beyond the radius: no calibration draw.
     cal_mean = chan.link_rss(cal_length, s.channel) if cal_length is not None else None
-    n = s.protocol.accum_count
+    n, interval = s.protocol.accum_count, s.protocol.round_interval_ms
 
     write = _trace_writer(s.protocol, beacon_pos) if trace is not None else None
     positions = s.positions()
@@ -401,7 +414,9 @@ def _run(s: Scenario, trace: Optional[list[str]],
         chunk = positions[first:first + step]
         # fromiter reads the coordinates about five times as fast as np.array.
         pts = np.fromiter(chain.from_iterable(chunk), float, 2 * len(chunk)).reshape(-1, 2)
-        lo = np.clip(((pts - g.origin) / spacing).round() - half, 0, far).astype(int)
+        # An index past the largest float is clipped as any far one is.
+        with np.errstate(over="ignore"):
+            lo = np.clip(((pts - g.origin) / spacing).round() - half, 0, far).astype(int)
         windows = lo[:, :1] + lo[:, 1:] * g.cols + window
         ids, screen, counts, exact = chan._links(xy, pts, s.channel, windows)
         cals, tests = chan.receive_rounds(counts, n, cal_mean, s.channel, rng, s.quantize_rssi)
@@ -424,13 +439,13 @@ def _run(s: Scenario, trace: Optional[list[str]],
                 n_exp = est.adapt_n(cals[i], cal_length, n_exp, s.channel.a_dbm,
                                     s.estimator.n_min, s.estimator.n_max)
                 states = [est.EstimatorState(n_exp, st.last_estimate) for st in states]
-            if write is not None:
-                a, b = ends[i], ends[i + 1]
-                write(heard[a:b], levels[a:b], idx * s.protocol.round_interval_ms, trace)
             contenders = reports[cuts[i]:cuts[i + 1]]
             for k, fix in enumerate(fixers):
                 estimate, states[k] = fix(contenders, states[k], cfg)
                 records[k].append(_record(idx, true_pos, estimate))
+        if write is not None:
+            trace("\n".join([write(heard[a:b], levels[a:b], (first + i) * interval)
+                             for i, (a, b) in enumerate(pairwise(ends))]) + "\n")
     return records
 
 
@@ -467,52 +482,53 @@ def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecor
 
 
 def _trace_writer(p: ProtocolSettings, beacon_pos: Callable[[int], geo.Point]
-                  ) -> Callable[..., None]:
-    """write(ids, levels, t0, trace), which appends the lines of one
-    round's schedule, from t0 on, to trace, the beacons of ids in range
-    and each response carrying its level and p.accum_count. A
-    run's line tails are built once, a beacon's ack tail and response head
-    the first time it is in range, at beacon_pos(id).
-    """
+                  ) -> Callable[[list[int], list[float], float], str]:
+    """write(ids, levels, t0), the lines of one round's schedule from t0 on,
+    joined by newlines: the beacons of ids in range, each response carrying
+    its level and p.accum_count. Each line's text after its time comes from
+    protocol.format_trace_line once a run, a beacon's the first time it is in
+    range, at beacon_pos(id). The lines are one % template, kept for the last
+    ids, that takes the round's times and levels."""
     blind, cut = "m0", len(format(0.0, proto.TIME_SPEC))
+    time_spec, value_spec = "%" + proto.TIME_SPEC, "%" + proto.VALUE_SPEC
 
     def tail(src: str, dst: str, msg: proto.Message) -> str:
-        # A line's time is its first field.
-        return proto.format_trace_line(0.0, src, dst, msg)[cut:]
+        # A line's time is its first field, filled in each round.
+        return "%s" + proto.format_trace_line(0.0, src, dst, msg)[cut:].replace("%", "%%")
 
     @cache
     def ack(i: int) -> str:
         return tail(f"b{i}", blind, proto.Ack(f"b{i}"))
 
     @cache
-    def response_head(i: int) -> str:
+    def response(i: int) -> str:
         # A response's last two fields are its level and count.
-        msg = proto.RssiAvgResponse(f"b{i}", beacon_pos(i), 0.0, 0)
-        return tail(f"b{i}", blind, msg).rsplit(",", 2)[0] + ","
+        msg = proto.RssiAvgResponse(f"b{i}", beacon_pos(i), 0.0, p.accum_count)
+        head, _, count = tail(f"b{i}", blind, msg).rsplit(",", 2)
+        return f"{head},{value_spec},{count}"
 
     start = tail(blind, proto.BROADCAST, proto.LocationStart(blind))
     tests = [tail(blind, proto.BROADCAST, proto.RssiTest(blind, seq))
              for seq in range(1, p.accum_count + 1)]
     request = tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind))
-    gap_ms, time_spec, value_spec = p.inter_test_gap_ms, proto.TIME_SPEC, proto.VALUE_SPEC
-    count = f",{p.accum_count}"
+    gaps = [p.inter_test_gap_ms] * p.accum_count
+    heard = template = None
 
-    def write(ids: list[int], levels: list[float], t0: float, trace: list[str]) -> None:
-        now = format(t0, time_spec)
-        trace.append(now + start)
+    def write(ids: list[int], levels: list[float], t0: float) -> str:
+        nonlocal heard, template
         if not ids:
-            return
-        trace.extend([now + ack(i) for i in ids])
-        # The gap is added once per test, as the blind machine's timer adds
-        # it; t0 + j * gap can round differently.
-        t = t0
-        for test in tests:
-            trace.append(format(t, time_spec) + test)
-            t += gap_ms
-        now = format(t, time_spec)
-        trace.append(now + request)
-        trace.extend([f"{now}{response_head(i)}{format(level, value_spec)}{count}"
-                      for i, level in zip(ids, levels)])
+            return start % (time_spec % t0)
+        if ids != heard:
+            heard, template = ids, "\n".join(
+                [start, *map(ack, ids), *tests, request, *map(response, ids)])
+        # Each test's time, then the request's. The gap is added once per
+        # test, as the blind machine's timer adds it; t0 + j * gap can round
+        # differently.
+        times = [time_spec % t for t in accumulate(gaps, initial=t0)]
+        # The start and the acks are at t0, each response at the request.
+        responses = [times[-1]] * (2 * len(ids))
+        responses[1::2] = levels
+        return template % (*[times[0]] * (len(ids) + 1), *times, *responses)
 
     return write
 

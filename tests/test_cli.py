@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -201,6 +202,49 @@ class TestSimulate:
         assert sum(",rssi_test," in ln for ln in lines) == 8
         assert sum(",ack," in ln for ln in lines) == 9
         assert sum(",rssi_avg_response," in ln for ln in lines) == 9
+
+    def test_a_run_that_fails_leaves_no_trace(self, tmp_path, capsys, monkeypatch):
+        # The 400th fix fails in the run's second step, when the first
+        # step's trace is already on disk.
+        out = tmp_path / "out"
+        fixes, on_disk = [], []
+
+        def failing(*args, _original=estimator.localize):
+            fixes.append(1)
+            if len(fixes) == 400:
+                on_disk.extend(f.stat().st_size for f in out.iterdir())
+                raise ValueError("fix 400 failed")
+            return _original(*args)
+
+        monkeypatch.setattr(estimator, "localize", failing)
+        assert main(["simulate", "paper_sweep", "--out", str(out), "--trace"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: fix 400 failed\n"
+        assert sum(on_disk) > 0
+        assert list(out.iterdir()) == []
+
+    def test_a_traced_run_into_a_file_fails_cleanly(self, tmp_path, capsys):
+        # The output directory cannot be made, so there is no trace to remove.
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert main(["simulate", "paper_sweep", "--out", str(out), "--trace"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists: ")
+        assert out.read_text() == "not a directory"
+
+    def test_a_traced_run_holds_at_most_a_step_of_its_trace(self, tmp_path, capsys):
+        # 1,000 rounds of 126 lines each, held whole, peaked at 24-38 MB.
+        scenario = tmp_path / "s.json"
+        write_scenario(scenario, grid={"cols": 10, "rows": 10}, rounds=1000,
+                       trajectory={"kind": "static", "point": [2.0, 2.0]})
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", str(scenario), "--out", str(out), "--trace"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with (out / "trace.txt").open() as fh:
+            assert sum(1 for _ in fh) == 126_000
+        assert peak < 8e6
 
     def test_seed_override_is_reproducible(self, tmp_path):
         scenario = tmp_path / "s.json"

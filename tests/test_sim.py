@@ -897,10 +897,9 @@ def windowed_scenarios(draw):
             grid=grid,
             channel=ChannelParams(sigma_dbm=draw(st.sampled_from([0.0, 3.0])),
                                   reception_radius_m=radius),
-            # Where columns merge, calibration beacons 0 and 1 can coincide, and
-            # a run with adapt raises; that is no window's doing.
-            estimator=EstimatorSettings(adapt=draw(st.booleans()) and grid.beacon_position(
-                0, 0) != grid.beacon_position(1, 0)),
+            # Where columns merge, calibration beacons 0 and 1 can coincide,
+            # which validation rejects.
+            estimator=EstimatorSettings(adapt=draw(st.booleans())),
             trajectory=Waypoints(tuple(points)), rounds=sum(d for _, d in points),
             seed=draw(st.integers(0, 2**32 - 1)), quantize_rssi=draw(st.booleans()))
     except ScenarioError:
@@ -960,6 +959,22 @@ def test_a_lattice_past_the_largest_float_runs_as_the_des_does():
     assert_matches_the_des(s, run_with_baseline)
 
 
+@pytest.mark.parametrize("run", [run_scenario, run_baseline, run_with_baseline],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("origin,point", [
+    # Lengths past the largest float: hypot overflows.
+    (Point(-1e308, -1e308), Point(0.5e308, 0.5e308)),
+    # Offsets past it: the window index and the links' differences overflow.
+    (Point(-1e308, 0.0), Point(1e308, 0.5e308)),
+], ids=["hypot", "subtract"])
+def test_a_length_past_the_largest_float_is_never_heard(origin, point, run):
+    # Each warned, which pytest's warnings-as-errors made an error; the DES's
+    # math makes those lengths inf too.
+    s = Scenario(grid=GridSpec(origin, 1e308, 3, 3), trajectory=Static(point),
+                 channel=ChannelParams(sigma_dbm=3.0), rounds=2)
+    assert_matches_the_des(s, run)
+
+
 @pytest.mark.parametrize("protocol", [
     {"round_interval_ms": 210.0},
     {"accum_count": 3, "inter_test_gap_ms": 10.0, "response_window_ms": 5.0,
@@ -997,6 +1012,67 @@ def test_a_run_formats_each_beacon_tail_once_and_its_own(monkeypatch):
     assert len(calls) == 2 + s.protocol.accum_count + 2 * len(heard) == 702
     run_scenario(s, [])
     assert len(calls) == 2 * 702
+
+
+def schedule_lines(p: ProtocolSettings, pos, ids, levels, t0: float) -> list[str]:
+    """A round's trace, each message object formatted whole at its time on
+    the fixed schedule, as the DES formats it."""
+    def line(t, src, dst, msg):
+        return proto.format_trace_line(t, src, dst, msg)
+
+    lines = [line(t0, "m0", proto.BROADCAST, proto.LocationStart("m0"))]
+    if not ids:
+        return lines
+    lines += [line(t0, f"b{i}", "m0", proto.Ack(f"b{i}")) for i in ids]
+    t = t0
+    for seq in range(1, p.accum_count + 1):
+        lines.append(line(t, "m0", proto.BROADCAST, proto.RssiTest("m0", seq)))
+        t += p.inter_test_gap_ms
+    lines.append(line(t, "m0", proto.BROADCAST, proto.RssiAvgRequest("m0")))
+    return lines + [line(t, f"b{i}", "m0", proto.RssiAvgResponse(f"b{i}", pos(i), v, p.accum_count))
+                    for i, v in zip(ids, levels)]
+
+
+WRITER_GRID = GridSpec(Point(-17.3, 1e6 / 3), 3.7, 4, 3)
+TRACE_LEVELS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e5, -1e5, 5e-324, -2.2250738585072014e-308,
+                     -61.123456789012345, -44.999999999999996]),
+    st.floats(-1e5, 1e5))
+TRACE_TIMES = st.one_of(st.sampled_from([0.0, 1e12, 999999999999.9995, 0.0005, 2.5e-4]),
+                        st.floats(0.0, 1e12))
+
+
+@st.composite
+def trace_rounds(draw):
+    """Back-to-back rounds, each (ids, levels, t0), whose ids change, repeat
+    or are empty."""
+    pool = [[], [0], [1, 2, 5, 11], list(range(12))]
+    pool.append(draw(st.lists(st.integers(0, 11), unique=True).map(sorted)))
+    rounds = []
+    for ids in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)):
+        levels = draw(st.lists(TRACE_LEVELS, min_size=len(ids), max_size=len(ids)))
+        rounds.append((list(ids), levels, draw(TRACE_TIMES)))
+    return rounds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rounds=trace_rounds(), accum=st.sampled_from([1, 12]),
+       gap=st.sampled_from([0.0, 0.1]), percent=st.booleans())
+def test_a_written_round_is_its_messages_formatted_whole(rounds, accum, gap, percent):
+    # With percent, every line's text after its time holds a '%', which the
+    # writer's template must keep as it is.
+    def format_line(*args, _original=proto.format_trace_line):
+        line = _original(*args)
+        return line.replace(",", ",%s%%", 1) if percent else line
+
+    p = ProtocolSettings(accum_count=accum, inter_test_gap_ms=gap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proto, "format_trace_line", format_line)
+        write = sim._trace_writer(p, WRITER_GRID.position_of)
+        for ids, levels, t0 in rounds:
+            block = write(ids, levels, t0)
+            assert block.split("\n") == schedule_lines(p, WRITER_GRID.position_of,
+                                                        ids, levels, t0)
 
 
 class TestSweepPoints:
@@ -1325,6 +1401,12 @@ class TestScenarioParsing:
             {"point": [1.0, 1.0], "dwell_rounds": 3}, {"point": [9.0, 1.0]},
             {"point": [1.0, 1.0]}]}, "rounds": 6},
          "trajectory: point 3 at (9.0, 1.0) outside the lattice hull"),
+        # Columns 0 and 1 both round to x = 1e20, so the calibration link
+        # has no length; a run with adapt raised "distance must be positive".
+        ({"grid": {"origin": [1e20, 0.0], "spacing_m": 0.1},
+          "estimator": {"adapt": True},
+          "trajectory": {"kind": "static", "point": [1e20, 0.05]}},
+         "estimator.calibration_beacons: the calibration beacons coincide"),
     ])
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
