@@ -40,7 +40,7 @@ those _contenders picks each round's levels at least as strong as its
 fourth strongest, and reports are built for those alone. The rest of a
 round is played round by round.
 When a trace is asked for, a step's lines go to it at once, each round's
-from one template that _trace_writer keeps for the beacons last heard. The
+from one template that _trace_writer joins from the beacons it heard. The
 discrete-event simulator that drives the protocol machines packet by
 packet, and formats each of their messages whole, is the oracle in
 tests/test_sim.py.
@@ -325,30 +325,29 @@ def _calibration_length(s: Scenario) -> float:
     return geo.dist(s.grid.position_of(a), s.grid.position_of(b))
 
 
-Trace = Union[list[str], Callable[[str], None]]
-
-
-def run_scenario(s: Scenario, trace: Optional[Trace] = None) -> list[RoundRecord]:
+def run_scenario(s: Scenario, trace: Union[list[str], Callable[[str], None], None] = None
+                 ) -> list[RoundRecord]:
     """Play every round, localize each report set, and append each round's
     messages to trace when a list is given; a function is called instead
     with each step's lines, each ending in a newline."""
     return _run(s, _sink(trace), (est.localize,))[0]
 
 
-def run_baseline(s: Scenario, trace: Optional[Trace] = None) -> list[RoundRecord]:
+def run_baseline(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
     """Same rounds and RNG stream, but each fix is the weighted centroid
     of the four strongest reports. Comparison curve only."""
     return _run(s, _sink(trace), (est.centroid_estimate,))[0]
 
 
-def run_with_baseline(s: Scenario, trace: Optional[Trace] = None
+def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None
                       ) -> tuple[list[RoundRecord], list[RoundRecord]]:
     """(run_scenario(s), run_baseline(s)) from one play of the rounds, and
     the trace run_scenario writes."""
     return tuple(_run(s, _sink(trace), (est.localize, est.centroid_estimate)))
 
 
-def _sink(trace: Optional[Trace]) -> Optional[Callable[[str], None]]:
+def _sink(trace: Union[list[str], Callable[[str], None], None]
+          ) -> Optional[Callable[[str], None]]:
     """trace if it is a function, else one that adds each step's lines to it."""
     return (trace if trace is None or callable(trace)
             else lambda text: trace.extend(text[:-1].split("\n")))
@@ -487,8 +486,8 @@ def _trace_writer(p: ProtocolSettings, beacon_pos: Callable[[int], geo.Point]
     joined by newlines: the beacons of ids in range, each response carrying
     its level and p.accum_count. Each line's text after its time comes from
     protocol.format_trace_line once a run, a beacon's the first time it is in
-    range, at beacon_pos(id). The lines are one % template, kept for the last
-    ids, that takes the round's times and levels."""
+    range, at beacon_pos(id). The lines are one % template, joined each round
+    from those texts, that takes the round's times and levels."""
     blind, cut = "m0", len(format(0.0, proto.TIME_SPEC))
     time_spec, value_spec = "%" + proto.TIME_SPEC, "%" + proto.VALUE_SPEC
 
@@ -508,19 +507,16 @@ def _trace_writer(p: ProtocolSettings, beacon_pos: Callable[[int], geo.Point]
         return f"{head},{value_spec},{count}"
 
     start = tail(blind, proto.BROADCAST, proto.LocationStart(blind))
-    tests = [tail(blind, proto.BROADCAST, proto.RssiTest(blind, seq))
-             for seq in range(1, p.accum_count + 1)]
-    request = tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind))
+    # The tests and the request, the same every round.
+    middle = "\n".join([tail(blind, proto.BROADCAST, proto.RssiTest(blind, seq))
+                        for seq in range(1, p.accum_count + 1)]
+                       + [tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind))])
     gaps = [p.inter_test_gap_ms] * p.accum_count
-    heard = template = None
 
     def write(ids: list[int], levels: list[float], t0: float) -> str:
-        nonlocal heard, template
         if not ids:
             return start % (time_spec % t0)
-        if ids != heard:
-            heard, template = ids, "\n".join(
-                [start, *map(ack, ids), *tests, request, *map(response, ids)])
+        template = "\n".join([start, *map(ack, ids), middle, *map(response, ids)])
         # Each test's time, then the request's. The gap is added once per
         # test, as the blind machine's timer adds it; t0 + j * gap can round
         # differently.

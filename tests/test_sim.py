@@ -897,9 +897,10 @@ def windowed_scenarios(draw):
             grid=grid,
             channel=ChannelParams(sigma_dbm=draw(st.sampled_from([0.0, 3.0])),
                                   reception_radius_m=radius),
-            # Where columns merge, calibration beacons 0 and 1 can coincide,
-            # which validation rejects.
-            estimator=EstimatorSettings(adapt=draw(st.booleans())),
+            # Where columns merge, calibration beacons 0 and 1 can coincide, and
+            # validation rejects adapt; that is no window's doing.
+            estimator=EstimatorSettings(adapt=draw(st.booleans()) and grid.beacon_position(
+                0, 0) != grid.beacon_position(1, 0)),
             trajectory=Waypoints(tuple(points)), rounds=sum(d for _, d in points),
             seed=draw(st.integers(0, 2**32 - 1)), quantize_rssi=draw(st.booleans()))
     except ScenarioError:
