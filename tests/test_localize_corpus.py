@@ -1,5 +1,5 @@
-"""localize pinned bit for bit on a fixed corpus, and its refined branch
-checked against the public cell and refine functions."""
+"""localize pinned bit for bit on a fixed corpus, and each branch checked
+against cell_of_corners and its reference in oracles.py."""
 
 from __future__ import annotations
 
@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from gridloc import estimator, sim
 from gridloc.channel import ChannelParams, distance_to_rss
 from gridloc.estimator import (EstimatorState, FixMethod, LocalizerConfig,
-                               RssiReport, localize, near_beacon_estimate,
-                               pair_split_estimate, refine_in_cell,
-                               select_top4, weighted_centroid)
+                               RssiReport, localize, select_top4,
+                               weighted_centroid)
 from gridloc.geometry import (COORD_TOL, GridSpec, Point, ScenarioError,
-                              build_lattice, cell_of_corners, dist)
+                              cell_of_corners, dist)
+from oracles import (build_lattice, near_beacon_estimate, pair_split_estimate,
+                     range_of, refine_in_cell)
 
 # sha256 of the corpus lines, one per localize call, each field as float.hex.
 CORPUS_SHA256 = "0d0045cd5a3cb5875dc86b2cf3a0c1614ee5fa1f3aff4cfdac8272e0cf5f8ffb"
@@ -195,7 +196,7 @@ def test_equal_keys_with_other_bits_give_their_own_fix(first, second):
         # The second spelling finds the first one's plan.
         assert estimator._cell_plan.cache_info().hits == 2 * k
         assert est.method is FixMethod.REFINED
-        fix = refine_in_cell([(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
+        fix = refine_in_cell([(r.beacon_pos, range_of(config, r.avg_rssi_dbm, n))
                               for r in reports])
         assert _bits(est.pos) == _bits(fix)
         assert _bits(est.pos) == _bits(reports[0].beacon_pos)
@@ -274,15 +275,15 @@ def _check_refined(grid, reports, n) -> None:
         return
     top4 = select_top4(reports)
     assert est.cell == cell_of_corners([r.beacon_pos for r in top4], grid)
-    fix = refine_in_cell([(r.beacon_pos, config.range_of(r.avg_rssi_dbm, n))
+    fix = refine_in_cell([(r.beacon_pos, range_of(config, r.avg_rssi_dbm, n))
                           for r in top4])
     assert (est.pos[0].hex(), est.pos[1].hex()) == (fix[0].hex(), fix[1].hex())
     assert state == EstimatorState(n, est.pos)
 
 
 def _check_degenerate(grid, reports, state) -> None:
-    """A near-beacon or pair-split fix from localize is, bit for bit, the
-    public handler's fix for the same top four."""
+    """A near-beacon or pair-split fix from localize is, bit for bit, its
+    branch reference's fix for the same top four."""
     config, n = LocalizerConfig(grid=grid), state.n_current
     est, _ = localize(reports, state, config)
     top4 = select_top4(reports)

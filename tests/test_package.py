@@ -1,6 +1,14 @@
 """The package's public names."""
 
+import ast
+from collections import defaultdict
+from pathlib import Path
+
 import gridloc
+from test_bench_names import attribute_names, traced_names
+
+SRC = Path(gridloc.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 
 def test_every_export_resolves():
@@ -12,3 +20,48 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from gridloc import *", namespace)
     assert set(gridloc.__all__) <= namespace.keys()
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each public function or class at module level, and
+    (Class.method, node) of each public method of a public class."""
+    out = []
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            out.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out.extend((f"{node.name}.{item.name}", item) for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not item.name.startswith("_"))
+    return out
+
+
+def _acceptance_imports() -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gridloc")
+            for alias in node.names}
+
+
+def test_every_public_definition_has_a_reader():
+    """A public function, class or method of a module is referenced in
+    src/gridloc outside its own definition (not counting __init__), read
+    by the benchmark, or imported by the acceptance checks."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    references = defaultdict(set)  # a name -> the ids of the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references[node.id].add(id(node))
+            elif isinstance(node, ast.Attribute):
+                references[node.attr].add(id(node))
+    benchmark_reads = traced_names() | attribute_names()
+    accepted = _acceptance_imports()
+    unread = []
+    for module, tree in trees.items():
+        for name, definition in _public_definitions(tree):
+            outside = references[name.rpartition(".")[2]] - set(map(id, ast.walk(definition)))
+            if not (outside or f"{module}.{name}" in benchmark_reads or name in accepted):
+                unread.append(f"{module}.{name}")
+    assert unread == []

@@ -21,12 +21,13 @@ from gridloc import cli, estimator, sim
 from gridloc import protocol as proto
 from gridloc.channel import ChannelParams, _links, link_rss, sample_rss
 from gridloc.estimator import FixMethod
-from gridloc.geometry import COORD_TOL, GridSpec, Point, build_lattice, dist
+from gridloc.geometry import COORD_TOL, GridSpec, Point, _clamp, dist
 from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
                          Scenario, ScenarioError, Static, Waypoints,
                          load_scenario, parse_scenario,
                          run_baseline, run_scenario, run_with_baseline,
                          scenario_from_dict, sweep_points)
+from oracles import build_lattice
 
 
 def noiseless(point=Point(2.0, 2.0), rounds=1, **kwargs) -> Scenario:
@@ -1505,7 +1506,6 @@ class TestScenarioParsing:
         calls = []
         real = geometry.dist
         monkeypatch.setattr(geometry, "dist", lambda p, q: calls.append(1) or real(p, q))
-        monkeypatch.setattr(geometry, "build_lattice", None)
         # Within COORD_TOL of beacon (1, 1) along each axis, but not in distance.
         near = {"kind": "static", "point": [4.0 + 8e-7, 4.0 + 8e-7]}
         counts = []
@@ -1541,7 +1541,8 @@ class TestScenarioParsing:
             return
         grid = GridSpec(origin=Point(*origin), spacing_m=spacing, cols=cols, rows=rows)
         near = grid.beacon_position(min(vertex[0], cols - 1), min(vertex[1], rows - 1))
-        point = grid.clamp(Point(near[0] + offset[0] * 1e-6, near[1] + offset[1] * 1e-6))
+        point = _clamp(Point(near[0] + offset[0] * 1e-6, near[1] + offset[1] * 1e-6),
+                       grid.bounds())
         want = next((b.id for b in build_lattice(grid) if dist(point, b.pos) <= 1e-6),
                     None)
         data = dict(MINIMAL, grid=grid_doc,
