@@ -6,7 +6,7 @@ from .estimator import (Estimate, EstimatorState, FixMethod, LocalizerConfig,
                         RssiReport, adapt_n, localize, select_top4,
                         weighted_centroid)
 from .geometry import (CellId, GeometryError, GridSpec, OutOfRegionError,
-                       Point, cell_of_corners, containing_cell)
+                       Point, containing_cell)
 from .harness import (Comparison, ErrorBuckets, bucketize, compare,
                       error_surface, write_buckets_csv, write_records_csv,
                       write_surface_csv)
@@ -22,7 +22,7 @@ __all__ = [
     "LatticeSweep", "LocalizerConfig", "OutOfRegionError", "Point",
     "RangeEstimate", "RoundRecord", "RssiReport",
     "Scenario", "ScenarioError", "Static", "Waypoints", "adapt_n",
-    "bucketize", "cell_of_corners", "compare", "containing_cell",
+    "bucketize", "compare", "containing_cell",
     "distance_to_rss", "error_surface", "load_scenario", "localize",
     "parse_scenario", "rss_to_distance", "run_baseline", "run_scenario",
     "run_with_baseline", "sample_rss", "select_top4", "sweep_points",

@@ -7,14 +7,15 @@ strongest beacons straddling two cells (pair split) and one beacon
 dominating the ranking (near beacon).
 
 The coarse phase's answer depends only on the four beacon positions in
-rank order and the grid, so _cell_plan keeps it per process in a bounded
-cache: the cell and the report at each corner or, for four that frame no
-cell, the pairs of each pairing in position order that fix x and y, if
-any. A plan holds indices, never a coordinate: the fix reads positions,
-levels and bounds from the call's own reports and grid, with their bits,
-and ranges the four levels in one channel._inverse_ranges call. Reports,
-states and estimates are named tuples; localize builds its own with
-tuple.__new__, from fields already checked.
+rank order and the grid, so _cell_plan works it out in one pass over the
+four and keeps it per process in a bounded cache: the cell and the report
+at each corner or, for four that frame no cell, the pairs of each pairing
+in position order that fix x and y, if any. A plan holds indices, never a
+coordinate: the fix reads positions, levels and bounds from the call's own
+reports and grid, with their bits, and ranges the four levels in one
+channel._inverse_ranges call. Reports, states and estimates are named
+tuples; localize builds its own with tuple.__new__, from fields already
+checked.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
                       _inverse_ranges)
-from .geometry import (COORD_TOL, CellId, GeometryError, GridSpec, Point,
-                       _cell_or_none, _clamp, cell_of_corners)
+from .geometry import (COORD_TOL, CellId, GridSpec, Point, _cell_or_none,
+                       _clamp)
 
 # Distinct ranked top-4s whose cell plans localize keeps. A 625-round
 # paper_sweep run has at most a few hundred.
@@ -193,39 +194,14 @@ def adapt_n(rss_between_beacons: float, true_dist_m: float, n_prime: float,
     return min(max(n, n_min), n_max)
 
 
-def _corner_plan(quad: Sequence[Point]) -> tuple[int, ...]:
-    """Indices into the four corners of a rectangle: the first of the min
-    x, max x, min y and max y, then the first corner within COORD_TOL of
-    (x_lo, y_hi), (x_hi, y_hi), (x_hi, y_lo) and (x_lo, y_lo).
-
-    The bounds are extreme corner coordinates, not the first of each
-    distinct x and y that cell_of_corners compares. Raises GeometryError for
-    a missing corner.
-    """
-    xs = [p[0] for p in quad]
-    ys = [p[1] for p in quad]
-    # index finds the element min and max return: the first extreme one.
-    bounds = (xs.index(min(xs)), xs.index(max(xs)),
-              ys.index(min(ys)), ys.index(max(ys)))
-    lo_x, hi_x, lo_y, hi_y = bounds
-
-    def corner(px: float, py: float) -> int:
-        for i, p in enumerate(quad):
-            if abs(p[0] - px) <= COORD_TOL and abs(p[1] - py) <= COORD_TOL:
-                return i
-        raise GeometryError("missing corner")
-
-    x_lo, x_hi, y_lo, y_hi = xs[lo_x], xs[hi_x], ys[lo_y], ys[hi_y]
-    return bounds + (corner(x_lo, y_hi), corner(x_hi, y_hi),
-                     corner(x_hi, y_lo), corner(x_lo, y_lo))
-
-
 def _solve_in_cell(quad: Sequence[Point], ranges: Sequence[float],
                    plan: Sequence[int]) -> Point:
     """The closed-form fix from the corners, their ranges in the same
-    order, and _corner_plan's indices into both. Each column pair gives one
-    x and each row pair one y; their mean is exact when the four ranges
-    agree. The fix is clamped to the rectangle."""
+    order, and _cell_plan's indices into both: the first of the min x, max
+    x, min y and max y, then the corners at (x_lo, y_hi), (x_hi, y_hi),
+    (x_hi, y_lo) and (x_lo, y_lo). Each column pair gives one x and each
+    row pair one y; their mean is exact when the four ranges agree. The fix
+    is clamped to the rectangle."""
     lo_x, hi_x, lo_y, hi_y, c1, c2, c3, c4 = plan
     x_lo, x_hi, y_lo, y_hi = quad[lo_x][0], quad[hi_x][0], quad[lo_y][1], quad[hi_y][1]
     d1, d2, d3, d4 = ranges[c1], ranges[c2], ranges[c3], ranges[c4]
@@ -238,14 +214,42 @@ def _solve_in_cell(quad: Sequence[Point], ranges: Sequence[float],
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _cell_plan(quad: tuple[Point, ...], grid: GridSpec) -> tuple[Optional[CellId], tuple]:
-    """The cell the ranked top-4 positions frame on grid with their
-    _corner_plan, or None with their _split_plan when they frame no cell:
-    four points that are no rectangle, a rectangle wider than a cell or off
-    the lattice, or a missing corner."""
-    try:
-        return cell_of_corners(quad, grid), _corner_plan(quad)
-    except GeometryError:
-        return None, _split_plan(quad)
+    """The cell whose corners the ranked top-4 positions are on grid, with
+    the indices _solve_in_cell reads, or None with their _split_plan when
+    they frame no cell: four points that are no rectangle, or a rectangle
+    wider than a cell or off the lattice. In one pass: each point is in the
+    first point's column or not and in its row or not, by COORD_TOL. Each
+    of the four combinations must come once, the two points off the column
+    must agree in x within COORD_TOL and the two off the row in y. The
+    first point's x and y and the first of those others give the sides and
+    the lower-left corner, checked against the spacing and the lattice, and
+    the same bits name the corners.
+    """
+    (x0, y0), spacing = quad[0], grid.spacing_m
+    off = [(abs(x - x0) > COORD_TOL, abs(y - y0) > COORD_TOL) for x, y in quad]
+    if len(set(off)) == 4:
+        x1, x2 = [p[0] for p, o in zip(quad, off) if o[0]]
+        y1, y2 = [p[1] for p, o in zip(quad, off) if o[1]]
+        (x_lo, x_hi), (y_lo, y_hi) = sorted((x0, x1)), sorted((y0, y1))
+        if (abs(x2 - x1) <= COORD_TOL and abs(y2 - y1) <= COORD_TOL
+                and abs((x_hi - x_lo) - spacing) <= COORD_TOL
+                and abs((y_hi - y_lo) - spacing) <= COORD_TOL):
+            col = (x_lo - grid.origin[0]) / spacing
+            row = (y_lo - grid.origin[1]) / spacing
+            ci, ri = round(col), round(row)
+            if (abs(col - ci) * spacing <= COORD_TOL
+                    and abs(row - ri) * spacing <= COORD_TOL
+                    and 0 <= ci < grid.cols - 1 and 0 <= ri < grid.rows - 1):
+                # Each point's index by whether it is at the high x and y.
+                at = {(ox != (x1 < x0), oy != (y1 < y0)): i
+                      for i, (ox, oy) in enumerate(off)}
+                xs, ys = [p[0] for p in quad], [p[1] for p in quad]
+                # index finds the element min and max return: the first extreme one.
+                return CellId(ci, ri), (xs.index(min(xs)), xs.index(max(xs)),
+                                        ys.index(min(ys)), ys.index(max(ys)),
+                                        at[False, True], at[True, True],
+                                        at[True, False], at[False, False])
+    return None, _split_plan(quad)
 
 
 # The three perfect matchings of four items, applied after sorting reports

@@ -1,4 +1,4 @@
-"""Beacon lattice geometry: grid cells, rectangle tests, cell resolution."""
+"""Beacon lattice geometry: the grid, its cells, the cell of a point."""
 
 from __future__ import annotations
 
@@ -142,58 +142,6 @@ def _clamp(p: Point, bounds: Sequence[float]) -> Point:
     bounds() gives them, nearest to p."""
     xmin, ymin, xmax, ymax = bounds
     return Point(min(max(p[0], xmin), xmax), min(max(p[1], ymin), ymax))
-
-
-def _distinct(values: Sequence[float]) -> list[float]:
-    reps: list[float] = []
-    for v in values:
-        for r in reps:
-            if abs(v - r) <= COORD_TOL:
-                break
-        else:
-            reps.append(v)
-    return reps
-
-
-def _rectangle_axes(quad: Sequence[Point]
-                    ) -> Optional[tuple[list[float], list[float]]]:
-    """The sorted distinct xs and ys of four points that are the distinct
-    corners of an axis-aligned rectangle, or None for any other four."""
-    if len(quad) != 4:
-        raise GeometryError("a rectangle needs exactly four points")
-    xs = _distinct([p[0] for p in quad])
-    ys = _distinct([p[1] for p in quad]) if len(xs) == 2 else []
-    if len(xs) != 2 or len(ys) != 2:
-        return None
-    corners = {(abs(p[0] - xs[0]) > COORD_TOL, abs(p[1] - ys[0]) > COORD_TOL)
-               for p in quad}
-    if len(corners) != 4:
-        return None
-    return sorted(xs), sorted(ys)
-
-
-def cell_of_corners(quad: Sequence[Point], spec: GridSpec) -> CellId:
-    """Resolve the grid cell whose corners the four points are.
-
-    The points must form an axis-aligned square of side spacing_m whose
-    corners sit on the lattice; anything else raises GeometryError.
-    """
-    axes = _rectangle_axes(quad)
-    if axes is None:
-        raise GeometryError("corner set does not form a rectangle")
-    xs, ys = axes
-    if (abs((xs[1] - xs[0]) - spec.spacing_m) > COORD_TOL
-            or abs((ys[1] - ys[0]) - spec.spacing_m) > COORD_TOL):
-        raise GeometryError("corners are not adjacent lattice vertices")
-    col = (xs[0] - spec.origin[0]) / spec.spacing_m
-    row = (ys[0] - spec.origin[1]) / spec.spacing_m
-    ci, ri = round(col), round(row)
-    if (abs(col - ci) * spec.spacing_m > COORD_TOL
-            or abs(row - ri) * spec.spacing_m > COORD_TOL):
-        raise GeometryError("corners do not lie on the lattice")
-    if not (0 <= ci < spec.cols - 1 and 0 <= ri < spec.rows - 1):
-        raise GeometryError("corners lie outside the lattice")
-    return CellId(int(ci), int(ri))
 
 
 def _axis_cell(offset: float, spacing: float, n_cells: int) -> int:

@@ -2,7 +2,9 @@
 
 localize is the one statement of both phases. Each function here calls one
 of its branches on its own, through the same private helpers, so a test can
-compare a localize fix with its branch bit for bit.
+compare a localize fix with its branch bit for bit. cell_of_corners and
+_corner_plan are the partition phase as it once ran, in two passes: the
+reference that estimator._cell_plan's one pass is checked against.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from typing import Optional, Sequence
 
 from gridloc.channel import _inverse_ranges
 from gridloc.estimator import (EstimatorState, LocalizerConfig, RssiReport,
-                               _corner_plan, _near_beacon, _pair_split,
-                               _solve_in_cell, _split_plan)
-from gridloc.geometry import GeometryError, GridSpec, Point, _rectangle_axes
+                               _near_beacon, _pair_split, _solve_in_cell,
+                               _split_plan)
+from gridloc.geometry import COORD_TOL, CellId, GeometryError, GridSpec, Point
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,85 @@ def build_lattice(spec: GridSpec) -> list[Beacon]:
     """All lattice vertices as beacons, ids assigned row-major from the origin."""
     return [Beacon(spec.beacon_id(i, j), spec.beacon_position(i, j))
             for j in range(spec.rows) for i in range(spec.cols)]
+
+
+def _distinct(values: Sequence[float]) -> list[float]:
+    reps: list[float] = []
+    for v in values:
+        for r in reps:
+            if abs(v - r) <= COORD_TOL:
+                break
+        else:
+            reps.append(v)
+    return reps
+
+
+def _rectangle_axes(quad: Sequence[Point]
+                    ) -> Optional[tuple[list[float], list[float]]]:
+    """The sorted distinct xs and ys of four points that are the distinct
+    corners of an axis-aligned rectangle, or None for any other four."""
+    if len(quad) != 4:
+        raise GeometryError("a rectangle needs exactly four points")
+    xs = _distinct([p[0] for p in quad])
+    ys = _distinct([p[1] for p in quad]) if len(xs) == 2 else []
+    if len(xs) != 2 or len(ys) != 2:
+        return None
+    corners = {(abs(p[0] - xs[0]) > COORD_TOL, abs(p[1] - ys[0]) > COORD_TOL)
+               for p in quad}
+    if len(corners) != 4:
+        return None
+    return sorted(xs), sorted(ys)
+
+
+def cell_of_corners(quad: Sequence[Point], spec: GridSpec) -> CellId:
+    """Resolve the grid cell whose corners the four points are.
+
+    The points must form an axis-aligned square of side spacing_m whose
+    corners sit on the lattice; anything else raises GeometryError.
+    """
+    axes = _rectangle_axes(quad)
+    if axes is None:
+        raise GeometryError("corner set does not form a rectangle")
+    xs, ys = axes
+    if (abs((xs[1] - xs[0]) - spec.spacing_m) > COORD_TOL
+            or abs((ys[1] - ys[0]) - spec.spacing_m) > COORD_TOL):
+        raise GeometryError("corners are not adjacent lattice vertices")
+    col = (xs[0] - spec.origin[0]) / spec.spacing_m
+    row = (ys[0] - spec.origin[1]) / spec.spacing_m
+    ci, ri = round(col), round(row)
+    if (abs(col - ci) * spec.spacing_m > COORD_TOL
+            or abs(row - ri) * spec.spacing_m > COORD_TOL):
+        raise GeometryError("corners do not lie on the lattice")
+    if not (0 <= ci < spec.cols - 1 and 0 <= ri < spec.rows - 1):
+        raise GeometryError("corners lie outside the lattice")
+    return CellId(int(ci), int(ri))
+
+
+def _corner_plan(quad: Sequence[Point]) -> tuple[int, ...]:
+    """Indices into the four corners of a rectangle: the first of the min
+    x, max x, min y and max y, then the first corner within COORD_TOL of
+    (x_lo, y_hi), (x_hi, y_hi), (x_hi, y_lo) and (x_lo, y_lo).
+
+    The bounds are extreme corner coordinates, not the first of each
+    distinct x and y that cell_of_corners compares. Raises GeometryError for
+    a missing corner.
+    """
+    xs = [p[0] for p in quad]
+    ys = [p[1] for p in quad]
+    # index finds the element min and max return: the first extreme one.
+    bounds = (xs.index(min(xs)), xs.index(max(xs)),
+              ys.index(min(ys)), ys.index(max(ys)))
+    lo_x, hi_x, lo_y, hi_y = bounds
+
+    def corner(px: float, py: float) -> int:
+        for i, p in enumerate(quad):
+            if abs(p[0] - px) <= COORD_TOL and abs(p[1] - py) <= COORD_TOL:
+                return i
+        raise GeometryError("missing corner")
+
+    x_lo, x_hi, y_lo, y_hi = xs[lo_x], xs[hi_x], ys[lo_y], ys[hi_y]
+    return bounds + (corner(x_lo, y_hi), corner(x_hi, y_hi),
+                     corner(x_hi, y_lo), corner(x_lo, y_lo))
 
 
 def is_rectangle(quad: Sequence[Point]) -> bool:

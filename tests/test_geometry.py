@@ -5,10 +5,17 @@ import math
 
 import pytest
 
+from gridloc.estimator import _cell_plan
 from gridloc.geometry import (CellId, GeometryError, GridSpec,
                               OutOfRegionError, Point, ScenarioError,
-                              cell_of_corners, containing_cell, dist)
-from oracles import Beacon, build_lattice, is_rectangle
+                              containing_cell, dist)
+from oracles import Beacon, build_lattice, cell_of_corners, is_rectangle
+
+
+def one_pass_cell(quad, grid):
+    """The cell localize's partition phase finds the four points frame, or
+    None where cell_of_corners raises."""
+    return _cell_plan.__wrapped__(tuple(quad), grid)[0]
 
 
 @pytest.fixture
@@ -75,6 +82,7 @@ class TestGridSpec:
         outside = [grid.beacon_position(i, j) for i in (2, 3) for j in (0, 1)]
         with pytest.raises(GeometryError, match="outside the lattice"):
             cell_of_corners(outside, grid)
+        assert one_pass_cell(outside, grid) is None
 
     def test_cell_corners_round_trip(self, grid):
         for col in range(grid.cols - 1):
@@ -84,6 +92,7 @@ class TestGridSpec:
                                       grid.beacon_position(col + 1, row + 1))
                 corners = [Point(x0, y0), Point(x1, y0), Point(x0, y1), Point(x1, y1)]
                 assert cell_of_corners(corners, grid) == cell
+                assert one_pass_cell(corners, grid) == cell
 
 
 class TestIsRectangle:
@@ -120,25 +129,30 @@ class TestCellOfCorners:
     def test_first_cell(self, grid):
         quad = [Point(0, 0), Point(4, 0), Point(0, 4), Point(4, 4)]
         assert cell_of_corners(quad, grid) == CellId(0, 0)
+        assert one_pass_cell(quad, grid) == CellId(0, 0)
 
     def test_diagonal_cell(self, grid):
         quad = [Point(4, 4), Point(8, 4), Point(4, 8), Point(8, 8)]
         assert cell_of_corners(quad, grid) == CellId(1, 1)
+        assert one_pass_cell(quad, grid) == CellId(1, 1)
 
     def test_oversized_rectangle_rejected(self, grid):
         quad = [Point(0, 0), Point(8, 0), Point(0, 8), Point(8, 8)]
         with pytest.raises(GeometryError):
             cell_of_corners(quad, grid)
+        assert one_pass_cell(quad, grid) is None
 
     def test_off_lattice_rejected(self, grid):
         quad = [Point(1, 1), Point(5, 1), Point(1, 5), Point(5, 5)]
         with pytest.raises(GeometryError):
             cell_of_corners(quad, grid)
+        assert one_pass_cell(quad, grid) is None
 
     def test_non_rectangle_rejected(self, grid):
         quad = [Point(0, 0), Point(4, 0), Point(8, 0), Point(4, 4)]
         with pytest.raises(GeometryError):
             cell_of_corners(quad, grid)
+        assert one_pass_cell(quad, grid) is None
 
 
 class TestContainingCell:

@@ -1,5 +1,7 @@
-"""localize pinned bit for bit on a fixed corpus, and each branch checked
-against cell_of_corners and its reference in oracles.py."""
+"""localize pinned bit for bit on a fixed corpus; each branch checked
+against its reference in oracles.py, and the partition phase's one pass,
+estimator._cell_plan, against the two-pass reference there
+(cell_of_corners, then _corner_plan)."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridloc import estimator, sim
@@ -19,10 +21,11 @@ from gridloc.channel import ChannelParams, distance_to_rss
 from gridloc.estimator import (EstimatorState, FixMethod, LocalizerConfig,
                                RssiReport, localize, select_top4,
                                weighted_centroid)
-from gridloc.geometry import (COORD_TOL, GridSpec, Point, ScenarioError,
-                              cell_of_corners, dist)
-from oracles import (build_lattice, near_beacon_estimate, pair_split_estimate,
-                     range_of, refine_in_cell)
+from gridloc.geometry import (COORD_TOL, GeometryError, GridSpec, Point,
+                              ScenarioError, dist)
+from oracles import (_corner_plan, build_lattice, cell_of_corners,
+                     near_beacon_estimate, pair_split_estimate, range_of,
+                     refine_in_cell)
 
 # sha256 of the corpus lines, one per localize call, each field as float.hex.
 CORPUS_SHA256 = "0d0045cd5a3cb5875dc86b2cf3a0c1614ee5fa1f3aff4cfdac8272e0cf5f8ffb"
@@ -324,3 +327,78 @@ def test_refined_fix_is_cell_of_corners_and_refine_in_cell(case):
     if ([r.beacon_pos for r in select_top4(reports)]
             == [r.beacon_pos for r in select_top4(again)]):
         assert estimator._cell_plan.cache_info().hits > hits
+
+
+def _reference_plan(quad, grid):
+    """The partition phase as two passes: cell_of_corners, then the corner
+    search by tolerance, or the split plan where either raises."""
+    try:
+        return cell_of_corners(quad, grid), _corner_plan(quad)
+    except GeometryError:
+        return None, estimator._split_plan(quad)
+
+
+@st.composite
+def quads(draw):
+    """A 4×4 grid and four points, in any order: a cell's corners, most
+    often, or those of a cell outside the lattice, a wider rectangle, an
+    off-lattice one, a non-rectangle or one with a repeated point; each
+    coordinate moved by up to 3·COORD_TOL."""
+    origin = draw(st.sampled_from([0.0, 1e6]))
+    spacing = draw(st.sampled_from([4.0, 0.37, 1e-5, 3e-6]))
+    grid = GridSpec(origin=Point(origin, origin), spacing_m=spacing, cols=4, rows=4)
+    kind = draw(st.sampled_from(["cell"] * 4
+                                + ["outside", "wide", "off", "other", "repeat"]))
+    w, h = draw(st.sampled_from([(2, 1), (1, 2), (2, 2)])) if kind == "wide" else (1, 1)
+    col, row = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if kind == "outside":
+        col, row = draw(st.sampled_from([(-1, row), (3, row), (col, -1), (col, 3)]))
+    if kind == "off":
+        col += draw(st.floats(0.05, 0.95))
+    points = [(col, row), (col + w, row), (col, row + h), (col + w, row + h)]
+    k = draw(st.integers(0, 3))
+    if kind == "other":
+        points[k] = (draw(st.integers(-1, 4)), draw(st.integers(-1, 4)))
+    elif kind == "repeat":
+        points[k] = points[(k + draw(st.integers(1, 3))) % 4]
+    scale = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])) * COORD_TOL
+    jitter = st.integers(-8, 8).map(lambda k: k / 8)
+    quad = tuple(Point(origin + i * spacing + draw(jitter) * scale,
+                       origin + j * spacing + draw(jitter) * scale)
+                 for i, j in draw(st.permutations(points)))
+    return quad, grid
+
+
+# Cell corners exactly COORD_TOL apart in x and in y: from the first point,
+# and within the other column and row.
+_AT_TOL = ((Point(0.0, 0.0), Point(1e-6, 4.0), Point(4.0, 1e-6), Point(4.0, 4.0)),
+           (Point(4.0, 4.0), Point(0.0, 0.0), Point(1e-6, 4.0), Point(4.0, 1e-6)))
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(quads())
+@example((_AT_TOL[0], GridSpec()))
+@example((_AT_TOL[1], GridSpec()))
+def test_one_pass_cell_plan_is_the_two_pass_reference(case):
+    quad, grid = case
+    cell, plan = estimator._cell_plan.__wrapped__(quad, grid)
+    reference = _reference_plan(quad, grid)
+    # Where the reference names one report for two corners, see below.
+    if reference[0] is None or len(set(reference[1][4:])) == 4:
+        assert (cell, plan) == reference
+
+
+def test_a_fine_lattice_puts_a_report_at_one_corner():
+    """On a lattice spaced 2.1 µm a coordinate can lie within COORD_TOL of
+    two lattice lines. The two-pass corner search named one report for two
+    corners of this top four; the one pass names each report once."""
+    grid = GridSpec(spacing_m=2.1e-6, cols=4, rows=4)
+    quad = (Point(2.2127369907435536e-06, 4.862899786694976e-07),
+            Point(4.786494867340147e-06, -4.994116063667415e-07),
+            Point(4.3305938076785595e-06, -6.207372128334647e-07),
+            Point(1.4078957348922212e-06, -5.252952719275614e-07))
+    reference_cell, reference_plan = _reference_plan(quad, grid)
+    assert reference_plan[4:] == (0, 1, 1, 3)
+    cell, plan = estimator._cell_plan.__wrapped__(quad, grid)
+    assert (cell, plan[:4]) == (reference_cell, reference_plan[:4])
+    assert sorted(plan[4:]) == [0, 1, 2, 3]

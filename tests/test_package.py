@@ -43,19 +43,30 @@ def _acceptance_imports() -> set[str]:
             for alias in node.names}
 
 
-def test_every_public_definition_has_a_reader():
-    """A public function, class or method of a module is referenced in
-    src/gridloc outside its own definition (not counting __init__), read
-    by the benchmark, or imported by the acceptance checks."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
-    references = defaultdict(set)  # a name -> the ids of the nodes that read it
+def _modules() -> dict[str, ast.Module]:
+    """The parsed modules of src/gridloc, by name, but for __init__."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+
+
+def _references(trees) -> defaultdict:
+    """Each name read in the modules -> the ids of the nodes that read it."""
+    references = defaultdict(set)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 references[node.id].add(id(node))
             elif isinstance(node, ast.Attribute):
                 references[node.attr].add(id(node))
+    return references
+
+
+def test_every_public_definition_has_a_reader():
+    """A public function, class or method of a module is referenced in
+    src/gridloc outside its own definition (not counting __init__), read
+    by the benchmark, or imported by the acceptance checks."""
+    trees = _modules()
+    references = _references(trees)
     benchmark_reads = traced_names() | attribute_names()
     accepted = _acceptance_imports()
     unread = []
@@ -64,4 +75,17 @@ def test_every_public_definition_has_a_reader():
             outside = references[name.rpartition(".")[2]] - set(map(id, ast.walk(definition)))
             if not (outside or f"{module}.{name}" in benchmark_reads or name in accepted):
                 unread.append(f"{module}.{name}")
+    assert unread == []
+
+
+def test_every_private_definition_has_a_reader():
+    """A private function or class at module level is referenced in
+    src/gridloc outside its own definition (not counting __init__), so a
+    helper that only tests call leaves src/ with its last caller there."""
+    trees = _modules()
+    references = _references(trees)
+    unread = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_")
+              and not references[node.name] - set(map(id, ast.walk(node)))]
     assert unread == []
