@@ -22,6 +22,7 @@ from gridloc import protocol as proto
 from gridloc.channel import ChannelParams, _links, link_rss, sample_rss
 from gridloc.estimator import FixMethod
 from gridloc.geometry import COORD_TOL, GridSpec, Point, _clamp, dist
+from gridloc.harness import write_records_csv
 from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
                          Scenario, ScenarioError, Static, Waypoints,
                          load_scenario, parse_scenario,
@@ -302,12 +303,9 @@ class TestBaseline:
         assert [r.true_pos for r in full] == [r.true_pos for r in base]
 
 
-def simulate_digests(tmp_path, seed, sigma, quantize=False, adapt=False,
-                     cols=3, radius=30.0, trace=True):
-    """sha256 of records.csv and trace.txt from `gridloc simulate --trace`
-    on a 4 x 4 lattice sweep; of records.csv alone without a trace."""
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({
+def digest_scenario(seed, sigma, quantize=False, adapt=False, cols=3, radius=30.0):
+    """The scenario file of a 4 x 4 lattice sweep that the digest pins run."""
+    return {
         "seed": seed,
         "grid": {"spacing_m": 4.0, "cols": cols, "rows": cols},
         "channel": {"sigma_dbm": sigma, "reception_radius_m": radius},
@@ -315,7 +313,14 @@ def simulate_digests(tmp_path, seed, sigma, quantize=False, adapt=False,
         "quantize_rssi": quantize,
         "trajectory": {"kind": "lattice_sweep", "nx": 4, "ny": 4},
         "rounds": 16,
-    }))
+    }
+
+
+def simulate_digests(tmp_path, *case, trace=True):
+    """sha256 of records.csv and trace.txt from `gridloc simulate --trace`
+    on digest_scenario(*case); of records.csv alone without a trace."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(digest_scenario(*case)))
     out = tmp_path / "out"
     flags = ["--trace"] if trace else []
     assert cli.main(["simulate", str(path), "--out", str(out), *flags]) == 0
@@ -373,6 +378,36 @@ class TestByteIdentity:
     def test_untraced_records_match_pinned_digest(self, tmp_path, case):
         # Writing the trace leaves the records as they are.
         assert simulate_digests(tmp_path, *case, trace=False) == self.PINS[case][:1]
+
+    # case -> sha256 of run_baseline's records, written by write_records_csv.
+    BASELINE_PINS = {
+        (42, 0.0, False, False, 3, 30.0):
+            '597c224decd10dbadbc3cafae12d88a614b41b926fecaee86429782ad968a63a',
+        (42, 3.0, False, False, 3, 30.0):
+            '7ab1a95b2171ef5b4fbfc37270a52158c756a869eace801556093a571dc8686b',
+        (7, 3.0, False, False, 3, 30.0):
+            '7bd88885f031970ebb67c1336a15297dc17fae8b0195b160b769155a71bb03c0',
+        (42, 3.0, True, False, 3, 30.0):
+            '102b66a50801bbddfccd76a11bfd3367568f32ccb8f2b0a73cdee1f2ece840ce',
+        (7, 3.0, False, True, 3, 30.0):
+            'dcc2b21b416ee5619b593aeab3e51a570f2906397bbcce04debd414308a60f3d',
+        (7, 3.0, True, True, 3, 30.0):
+            '31516da91c17d5d5a8c7351c7535ad71d6ab40084eec7bd7fd17230b77f12489',
+        (42, 0.0, True, True, 3, 30.0):
+            '91c9321348e083cdc4f4e9842cdbd90537e22d1fc860f542bf26a01c833670e5',
+        (42, 3.0, False, False, 6, 9.0):
+            'aab45ae592b687ea25a2f5bf9e39561ace09b1e666c93ef80ecacd2f2d3d9829',
+        (7, 3.0, True, True, 6, 9.0):
+            '4bdd7a942b6e55fb2ccd23fc9222f66ab0299a7aad3c9b17a17c0b90fa65626b',
+        (42, 3.0, True, True, 10, 30.0):
+            '52e5a1540815e1091b0efd0f863367055d1e0554997da27f39b5d98973f93133',
+    }
+
+    @pytest.mark.parametrize("case", list(PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_baseline_records_match_pinned_digest(self, tmp_path, case):
+        path = tmp_path / "baseline.csv"
+        write_records_csv(run_baseline(scenario_from_dict(digest_scenario(*case))), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.BASELINE_PINS[case]
 
     # The DES cases keep the ids they had before the batched engine existed.
     @pytest.mark.parametrize("cols,radius,sigma,engine", [
