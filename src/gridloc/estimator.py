@@ -28,10 +28,12 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
                       _inverse_ranges)
 from .geometry import (COORD_TOL, CellId, GridSpec, Point, _cell_or_none,
-                       _clamp)
+                       _cells_or_none, _clamp)
 
 # Distinct ranked top-4s whose cell plans localize keeps. A 625-round
 # paper_sweep run has at most a few hundred.
@@ -43,7 +45,8 @@ class FixMethod(Enum):
     PAIR_SPLIT = "pair_split"
     NEAR_BEACON = "near_beacon"
     NO_FIX = "no_fix"
-    # Produced only by the centroid_estimate fixer, never by localize().
+    # Produced only by the baseline, centroid_estimate and centroid_step,
+    # never by localize().
     CENTROID = "centroid"
 
 
@@ -236,7 +239,8 @@ def _cell_plan(quad: tuple[Point, ...], grid: GridSpec) -> tuple[Optional[CellId
                 and abs((y_hi - y_lo) - spacing) <= COORD_TOL):
             col = (x_lo - grid.origin[0]) / spacing
             row = (y_lo - grid.origin[1]) / spacing
-            ci, ri = round(col), round(row)
+            # A quotient past the largest float is off the lattice; round() would raise.
+            ci, ri = (round(col), round(row)) if math.isfinite(col + row) else (-1, -1)
             if (abs(col - ci) * spacing <= COORD_TOL
                     and abs(row - ri) * spacing <= COORD_TOL
                     and 0 <= ci < grid.cols - 1 and 0 <= ri < grid.rows - 1):
@@ -344,6 +348,53 @@ def centroid_estimate(reports: Sequence[RssiReport], state: EstimatorState,
     pos, grid = weighted_centroid(top4), config.grid
     return _new(Estimate, (pos, _CENTROID, _cell_or_none(pos, grid, grid.bounds()),
                            state.n_current, False)), state
+
+
+def centroid_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np.ndarray,
+                  xy: np.ndarray, ns: Sequence[float],
+                  config: LocalizerConfig) -> list[Estimate]:
+    """centroid_estimate's estimate of each round of a step, with every bit:
+    round i's reports are reports[cuts[i]:cuts[i + 1]], their levels and
+    positions the same rows of the arrays levels and xy, and its n_current
+    is ns[i].
+
+    The rounds are ranked at once, each in select_top4's order. Each weight
+    is Python's float power (numpy's can round otherwise, and differently
+    on another host) and the sums are added a column at a time, from 0.0,
+    in weighted_centroid's order. A round whose absolute weights sum to 0
+    or inf, as every round of a step with a weight past the largest float
+    does, goes to centroid_estimate.
+    """
+    counts = np.diff(cuts)
+    fixed = np.flatnonzero(counts >= 4)
+    # A row of contenders for each such round, padded past its count with
+    # the weakest level, which ranks last.
+    cols = np.arange(max(counts.max(initial=0), 4))
+    row = np.asarray(cuts)[fixed, None] + cols
+    weakest = -levels.take(row, mode="clip")
+    weakest[cols >= counts[fixed, None]] = np.inf
+    rank = np.lexsort((xy[:, 1].take(row, mode="clip"), xy[:, 0].take(row, mode="clip"),
+                       weakest), axis=-1)
+    top = np.take_along_axis(row, rank[:, :4], 1)
+    try:
+        w = np.array([10.0 ** e for e in (levels[top] / 10.0).ravel().tolist()]).reshape(-1, 4)
+    except OverflowError:
+        w = np.zeros((fixed.size, 4))
+    xs, ys = xy[top, 0], xy[top, 1]
+    wsum = wx = wy = 0.0
+    px, py = np.full((2, counts.size), np.nan)
+    ok = np.zeros(counts.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(4):
+            wsum, wx, wy = wsum + w[:, k], wx + w[:, k] * xs[:, k], wy + w[:, k] * ys[:, k]
+        px[fixed], py[fixed] = wx / wsum, wy / wsum
+    ok[fixed] = (0.0 < wsum) & (wsum < math.inf)
+    return [_new(Estimate, (_new(Point, (x, y)), _CENTROID, cell, n, False)) if good
+            else _new(Estimate, (None, _NO_FIX, None, n, False)) if k < 4
+            else centroid_estimate(reports[a:b], _new(EstimatorState, (n, None)), config)[0]
+            for x, y, cell, good, k, n, a, b in zip(
+                px.tolist(), py.tolist(), _cells_or_none(px, py, config.grid),
+                ok.tolist(), counts.tolist(), ns, cuts, cuts[1:])]
 
 
 def localize(reports: Sequence[RssiReport], state: EstimatorState,

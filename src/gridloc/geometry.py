@@ -7,6 +7,8 @@ import sys
 from dataclasses import astuple, dataclass, fields, is_dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 # Coordinate equality tolerance in meters.
 COORD_TOL = 1e-6
 
@@ -147,6 +149,8 @@ def _clamp(p: Point, bounds: Sequence[float]) -> Point:
 def _axis_cell(offset: float, spacing: float, n_cells: int) -> int:
     # Points on a lattice line belong to the lower-index cell.
     q = offset / spacing
+    if q == math.inf:  # past the largest float, as far as any far value
+        return n_cells - 1
     k = round(q)
     cell = k - 1 if abs(offset - k * spacing) <= COORD_TOL else math.floor(q)
     return 0 if cell < 0 else n_cells - 1 if cell >= n_cells else cell
@@ -168,3 +172,25 @@ def _cell_or_none(p: Point, spec: GridSpec, bounds: Sequence[float]) -> Optional
         return None
     return CellId(_axis_cell(p[0] - xmin, spec.spacing_m, spec.cols - 1),
                   _axis_cell(p[1] - ymin, spec.spacing_m, spec.rows - 1))
+
+
+def _axis_cells(offset: np.ndarray, spacing: float, n_cells: int) -> np.ndarray:
+    """_axis_cell of each offset, by its arithmetic on an array."""
+    q = offset / spacing
+    k = np.rint(q)
+    cell = np.where(np.abs(offset - k * spacing) <= COORD_TOL, k - 1, np.floor(q))
+    return np.clip(cell, 0, n_cells - 1).astype(int)
+
+
+def _cells_or_none(xs: np.ndarray, ys: np.ndarray, spec: GridSpec) -> list[Optional[CellId]]:
+    """_cell_or_none of each point (xs[i], ys[i]), by its arithmetic on arrays."""
+    xmin, ymin, xmax, ymax = spec.bounds()
+    # Offsets past the largest float, and the infinities they bring, clip
+    # to the last cell as _axis_cell's do; a point outside has no cell.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = ((xmin - COORD_TOL <= xs) & (xs <= xmax + COORD_TOL)
+                  & (ymin - COORD_TOL <= ys) & (ys <= ymax + COORD_TOL))
+        cols = _axis_cells(xs - xmin, spec.spacing_m, spec.cols - 1)
+        rows = _axis_cells(ys - ymin, spec.spacing_m, spec.rows - 1)
+    return [tuple.__new__(CellId, (c, r)) if ok else None
+            for ok, c, r in zip(inside.tolist(), cols.tolist(), rows.tolist())]

@@ -37,8 +37,10 @@ half a step with quantize. So only links within 2 * eps of their round's
 fourth strongest screened level can reach its top four, and only they get
 exact levels (every link does when a trace writes every level); from
 those _contenders picks each round's levels at least as strong as its
-fourth strongest, and reports are built for those alone. The rest of a
-round is played round by round.
+fourth strongest, and reports are built for those alone. Each fixer
+then takes the whole step: _localize_rounds calls localize once a round,
+in order, and _centroid_rounds fixes all of the step's rounds with one
+est.centroid_step call.
 When a trace is asked for, a step's lines go to it at once, each round's
 from one template that _trace_writer joins from the beacons it heard. The
 discrete-event simulator that drives the protocol machines packet by
@@ -330,20 +332,20 @@ def run_scenario(s: Scenario, trace: Union[list[str], Callable[[str], None], Non
     """Play every round, localize each report set, and append each round's
     messages to trace when a list is given; a function is called instead
     with each step's lines, each ending in a newline."""
-    return _run(s, _sink(trace), (est.localize,))[0]
+    return _run(s, _sink(trace), (_localize_rounds,))[0]
 
 
 def run_baseline(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
     """Same rounds and RNG stream, but each fix is the weighted centroid
     of the four strongest reports. Comparison curve only."""
-    return _run(s, _sink(trace), (est.centroid_estimate,))[0]
+    return _run(s, _sink(trace), (_centroid_rounds,))[0]
 
 
 def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None
                       ) -> tuple[list[RoundRecord], list[RoundRecord]]:
     """(run_scenario(s), run_baseline(s)) from one play of the rounds, and
     the trace run_scenario writes."""
-    return tuple(_run(s, _sink(trace), (est.localize, est.centroid_estimate)))
+    return tuple(_run(s, _sink(trace), (_localize_rounds, _centroid_rounds)))
 
 
 def _sink(trace: Union[list[str], Callable[[str], None], None]
@@ -353,13 +355,53 @@ def _sink(trace: Union[list[str], Callable[[str], None], None]
             else lambda text: trace.extend(text[:-1].split("\n")))
 
 
+class _Step(NamedTuple):
+    """A step of rounds as a fixer reads it: the first round's index, each
+    round's true position, the contenders' reports, round i's from
+    reports[cuts[i]] to reports[cuts[i + 1]], their levels and positions as
+    arrays, and each round's adapted n, or None without adaptation."""
+
+    first: int
+    truth: list[geo.Point]
+    reports: list[est.RssiReport]
+    cuts: list[int]
+    levels: np.ndarray
+    xy: np.ndarray
+    ns: Optional[list[float]]
+
+
+def _localize_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerConfig
+                     ) -> tuple[list[RoundRecord], est.EstimatorState]:
+    """The step's records from est.localize, looked up on the module, so
+    that a patched one is called, once a round, and the state after them."""
+    localize, reports, cuts, ns = est.localize, step.reports, step.cuts, step.ns
+    records = []
+    for i, true_pos in enumerate(step.truth):
+        if ns is not None:
+            state = est.EstimatorState(ns[i], state.last_estimate)
+        estimate, state = localize(reports[cuts[i]:cuts[i + 1]], state, cfg)
+        records.append(_record(step.first + i, true_pos, estimate))
+    return records, state
+
+
+def _centroid_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerConfig
+                     ) -> tuple[list[RoundRecord], est.EstimatorState]:
+    """The step's records from est.centroid_step, which keeps no state."""
+    estimates = est.centroid_step(step.reports, step.cuts, step.levels, step.xy,
+                                  step.ns or [state.n_current] * len(step.truth), cfg)
+    return [tuple.__new__(RoundRecord, (step.first + i, p, e, None if e.pos is None else
+                                        math.hypot(e.pos[0] - p[0], e.pos[1] - p[1])))
+            for i, (p, e) in enumerate(zip(step.truth, estimates))], state
+
+
 def _run(s: Scenario, trace: Optional[Callable[[str], None]],
-         fixers: tuple[Callable[..., tuple[est.Estimate, est.EstimatorState]], ...]
+         fixers: tuple[Callable[[_Step, est.EstimatorState, est.LocalizerConfig],
+                                tuple[list[RoundRecord], est.EstimatorState]], ...]
          ) -> list[list[RoundRecord]]:
-    """One play of the rounds: each fixer, called as localize is, fixes every
-    round's contenders from its own state, all states sharing the adapted n,
-    into its own list of records, the same as it gives played alone; then
-    each step's trace lines, each ending in a newline, go to trace if given."""
+    """One play of the rounds: each fixer fixes every step's contenders from
+    its own state, all states sharing the adapted n, into its own list of
+    records, the same as it gives played alone; then each step's trace
+    lines, each ending in a newline, go to trace if given."""
     rng = np.random.Generator(np.random.PCG64(s.seed))
     g, r = s.grid, s.channel.reception_radius_m
     (ox, oy), spacing = g.origin, g.spacing_m
@@ -430,18 +472,19 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
         firsts = np.searchsorted(links, ends)
         keep = _contenders(avgs, np.diff(firsts))
         links, avgs, cuts = links[keep], avgs[keep], np.searchsorted(keep, firsts).tolist()
-        reports = est.RssiReport.batch(map(beacon_pos, ids[links].tolist()),
-                                       avgs.tolist(), n)
-        for i, true_pos in enumerate(chunk):
-            idx = first + i
-            if cal_mean is not None:
+        ids = ids[links]
+        reports = est.RssiReport.batch(map(beacon_pos, ids.tolist()), avgs.tolist(), n)
+        ns = None
+        if cal_mean is not None:
+            ns = []
+            for i in range(len(chunk)):
                 n_exp = est.adapt_n(cals[i], cal_length, n_exp, s.channel.a_dbm,
                                     s.estimator.n_min, s.estimator.n_max)
-                states = [est.EstimatorState(n_exp, st.last_estimate) for st in states]
-            contenders = reports[cuts[i]:cuts[i + 1]]
-            for k, fix in enumerate(fixers):
-                estimate, states[k] = fix(contenders, states[k], cfg)
-                records[k].append(_record(idx, true_pos, estimate))
+                ns.append(n_exp)
+        played = _Step(first, chunk, reports, cuts, avgs, xy[ids], ns)
+        for k, fix in enumerate(fixers):
+            done, states[k] = fix(played, states[k], cfg)
+            records[k] += done
         if write is not None:
             trace("\n".join([write(heard[a:b], levels[a:b], (first + i) * interval)
                              for i, (a, b) in enumerate(pairwise(ends))]) + "\n")

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from gridloc.channel import D_MIN_M, ChannelParams, distance_to_rss, rss_to_distance
 from gridloc.estimator import (Estimate, EstimatorState, FixMethod,
-                               LocalizerConfig, RssiReport, adapt_n, localize,
-                               select_top4, weighted_centroid)
+                               LocalizerConfig, RssiReport, _cell_plan, adapt_n,
+                               localize, select_top4, weighted_centroid)
 from gridloc.geometry import (CellId, GeometryError, GridSpec, Point,
                               containing_cell, dist)
 from oracles import (build_lattice, near_beacon_estimate, pair_split_estimate,
@@ -340,6 +340,18 @@ class TestLocalizeDispatch:
         assert est.method is FixMethod.PAIR_SPLIT
         assert est.fallback_centroid
         assert est.pos == pytest.approx((4.0, 2.0))
+
+    def test_a_cell_offset_past_the_largest_float_frames_no_cell(self):
+        # The four frame a cell whose offset from the origin, 2**1024, overflows.
+        grid = GridSpec(origin=Point(-2.0**1023, 0.0), spacing_m=2.0**1000)
+        x, s = 2.0**1023, 2.0**1000
+        reports = [RssiReport(Point(*p), level) for p, level in
+                   zip([(x, 0.0), (x + s, 0.0), (x, s), (x + s, s)], (-50.0, -51.0, -52.0, -53.0))]
+        assert _cell_plan.__wrapped__(tuple(r.beacon_pos for r in reports), grid)[0] is None
+        est, _ = localize(reports, EstimatorState(), LocalizerConfig(grid))
+        # The strongest is ranged well inside a cell, and the hull clamps its beacon.
+        assert est.method is FixMethod.NEAR_BEACON
+        assert est.pos == Point(-2.0**1023 + 2.0**1001, 0.0) and est.cell == CellId(1, 0)
 
     def test_history_cleared_only_by_new_fixes(self):
         state = EstimatorState(last_estimate=Point(5, 5))

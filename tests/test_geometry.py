@@ -3,12 +3,15 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridloc.estimator import _cell_plan
 from gridloc.geometry import (CellId, GeometryError, GridSpec,
                               OutOfRegionError, Point, ScenarioError,
-                              containing_cell, dist)
+                              _cell_or_none, _cells_or_none, containing_cell, dist)
 from oracles import Beacon, build_lattice, cell_of_corners, is_rectangle
 
 
@@ -175,6 +178,11 @@ class TestContainingCell:
         with pytest.raises(OutOfRegionError):
             containing_cell(Point(0.0, -0.5), grid)
 
+    def test_an_offset_past_the_largest_float_is_in_the_last_cell(self):
+        # 1e308 - -1e308 overflows to inf, as the hull's far edge does.
+        spec = GridSpec(origin=Point(-1e308, 0.0), spacing_m=1e308)
+        assert containing_cell(Point(1e308, 1.0), spec) == CellId(1, 0)
+
     def test_matches_brute_force_over_dense_grid(self):
         spec = GridSpec(origin=Point(-2.0, 1.0), spacing_m=2.5, cols=4, rows=3)
         for i in range(40):
@@ -185,6 +193,37 @@ class TestContainingCell:
                                       spec.beacon_position(col + 1, row + 1))
                 assert x0 - 1e-9 <= p.x <= x1 + 1e-9
                 assert y0 - 1e-9 <= p.y <= y1 + 1e-9
+
+
+@st.composite
+def points_about_a_lattice(draw):
+    """A lattice, from one at the origin to one whose far edge overflows,
+    and points on or about its lines, far off it, infinite or NaN."""
+    coord = st.sampled_from([0.0, -1e308, 1e20]) | st.floats(-1e308, 1e308)
+    spec = GridSpec(origin=Point(draw(coord), draw(coord)),
+                    spacing_m=draw(st.sampled_from([0.1, 4.0, 1e308])
+                                   | st.floats(2.1e-6, 1e308)),
+                    cols=draw(st.integers(2, 6)), rows=draw(st.integers(2, 6)))
+
+    def axis(origin, count):
+        jitter = st.sampled_from([0.0, 1e-6, -1e-6, 2e-6, -2e-6, 0.25])
+        return (st.builds(lambda k, d: origin + k * spec.spacing_m + d,
+                          st.integers(-1, count), jitter)
+                | st.floats(allow_nan=True, allow_infinity=True))
+
+    points = draw(st.lists(st.tuples(axis(spec.origin[0], spec.cols),
+                                     axis(spec.origin[1], spec.rows)), max_size=12))
+    return spec, points
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(points_about_a_lattice())
+def test_the_array_lookup_is_the_cell_or_none_of_each_point(case):
+    spec, points = case
+    xs, ys = (np.array(v, dtype=float) for v in (zip(*points) if points else ((), ())))
+    # repr tells an int from a numpy integer.
+    assert repr(_cells_or_none(xs, ys, spec)) == repr(
+        [_cell_or_none(Point(x, y), spec, spec.bounds()) for x, y in points])
 
 
 def test_dist():

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from gridloc import channel as chan
@@ -126,22 +126,33 @@ def calibration_length(s: Scenario) -> float:
 
 def engine_play(run, s: Scenario, keep_all: bool = True):
     """run(s, trace)'s result and trace, and the report sets the run passes
-    to localize and to centroid_estimate: with keep_all, every report of
-    each round, as sim._contenders is made to keep every level."""
-    sets = {"localize": [], "centroid_estimate": []}
+    to localize: with keep_all, every report of each round, as
+    sim._contenders is made to keep every level."""
+    sets: list[list] = []
     trace: list[str] = []
+
+    def recording(reports, *args, _original=estimator.localize):
+        sets.append(list(reports))
+        return _original(reports, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         if keep_all:
             mp.setattr(sim, "_contenders",
                        lambda levels, counts, margin=0.0: np.arange(levels.size))
-        for name, calls in sets.items():
-            def recording(reports, *args, _original=getattr(estimator, name),
-                          _calls=calls):
-                _calls.append(list(reports))
-                return _original(reports, *args)
-            mp.setattr(estimator, name, recording)
+        mp.setattr(estimator, "localize", recording)
         result = run(s, trace)
     return result, trace, sets
+
+
+def centroid_records(s: Scenario, report_sets, ns) -> list[sim.RoundRecord]:
+    """The baseline's records as centroid_estimate fixes each round's
+    report set, round i's with n_current ns[i]."""
+    config = estimator.LocalizerConfig(s.grid)
+    records = []
+    for i, (pos, reports, n) in enumerate(zip(s.positions(), report_sets, ns)):
+        e, _ = estimator.centroid_estimate(reports, estimator.EstimatorState(n), config)
+        records.append(sim.RoundRecord(i, pos, e, None if e.pos is None else dist(e.pos, pos)))
+    return records
 
 
 def contenders(reports):
@@ -433,7 +444,7 @@ class TestByteIdentity:
             state = rng.bit_generator.state
         else:
             s = replace(s, seed=3)
-            (reports,) = engine_play(run_scenario, s)[2]["localize"]
+            (reports,) = engine_play(run_scenario, s)[2]
             state = played_stream(run_scenario, s)
         assert len(reports) == k
         assert state == stream_after(3, k * (s.protocol.accum_count + 4))
@@ -508,7 +519,7 @@ class TestRoundEngines:
         assert len(links) == heard
         des = _protocol_round(s, self.POINT, links, _machines(beacons),
                               np.random.Generator(np.random.PCG64(11)), 0.0, None)
-        batched = engine_play(run_scenario, replace(s, seed=11))[2]["localize"]
+        batched = engine_play(run_scenario, replace(s, seed=11))[2]
         assert report_fields(batched) == report_fields([des])
 
     def test_batched_average_adds_left_to_right(self):
@@ -586,19 +597,22 @@ ORACLE_CASES = [
 
 def assert_matches_the_des(s: Scenario, run) -> None:
     """run(s, trace), keeping every report, passes the DES's report sets to
-    each localizer it calls and writes the DES's trace; as it is, it passes
-    their contenders and gives the same records and trace. Its records are
-    those of run(s)."""
+    localize, gives the baseline's records centroid_estimate gives from
+    them, bit for bit, and writes the DES's trace; as it is, the same from
+    their contenders. Its records are those of run(s)."""
     des_sets, des_trace = des_play(s)
     records = run(s)
-    for keep_all, passed in ((True, des_sets), (False, map(contenders, des_sets))):
+    # Every fixer's n is the adapted n of the round.
+    ns = [r.estimate.n_used for r in run_scenario(s)]
+    for keep_all, passed in ((True, des_sets), (False, list(map(contenders, des_sets)))):
         result, trace, sets = engine_play(run, s, keep_all)
-        want = report_fields(passed)
         assert trace == des_trace
         if run is not run_baseline:
-            assert report_fields(sets["localize"]) == want
+            assert report_fields(sets) == report_fields(passed)
         if run is not run_scenario:
-            assert report_fields(sets["centroid_estimate"]) == want
+            baseline = result if run is run_baseline else result[1]
+            # repr tells -0.0 from 0.0 and a numpy float from a float.
+            assert repr(baseline) == repr(centroid_records(s, passed, ns))
         assert result == records
 
 
@@ -607,17 +621,28 @@ TIED_LEVELS = st.one_of(st.sampled_from([-61.25, -55.5, -50.0]),
                         st.integers(-70, -40).map(float),
                         st.sampled_from([0.0, -0.0]),
                         st.floats(-90.0, -30.0))
+# Far below 0 dBm a weight is subnormal: the least one at -3233 dBm, 0 from
+# -3240 dBm down. A round of them can have every weight 0.
+FAR_LEVELS = st.one_of(st.sampled_from([-3300.0, -3240.0, -3233.0]),
+                       st.floats(-3300.0, -3000.0))
+# Every beacon within half a metre below 0: the least weight times its
+# coordinate is -0.0, which the sums, from 0.0, add up to 0.0.
+NEAR_ZERO = GridSpec(origin=Point(-0.35, -0.35), spacing_m=0.1, cols=4, rows=3)
+# Every beacon at (1e20, 1e20): 0.1 m is under an ulp there.
+FAR_ORIGIN = GridSpec(origin=Point(1e20, 1e20), spacing_m=0.1, cols=4, rows=3)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.lists(TIED_LEVELS, max_size=12), min_size=1, max_size=8))
-def test_each_fixer_reads_the_same_from_the_contenders(rounds):
-    grid = GridSpec(cols=4, rows=3)
+@given(st.lists(st.lists(TIED_LEVELS, max_size=12) | st.lists(FAR_LEVELS, max_size=12),
+                min_size=1, max_size=8),
+       st.sampled_from([GridSpec(cols=4, rows=3), NEAR_ZERO, FAR_ORIGIN]))
+@example(rounds=[[-3233.0, -3240.0, -3240.0, -3240.0]], grid=NEAR_ZERO)
+def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid):
     beacons = build_lattice(grid)
     state, config = estimator.EstimatorState(2.0), estimator.LocalizerConfig(grid)
     levels = np.array([v for r in rounds for v in r], dtype=float)
     keep = sim._contenders(levels, [len(r) for r in rounds]).tolist()
-    a = 0
+    a, every, step = 0, [], []
     for r in rounds:
         reports = [estimator.RssiReport(b.pos, v, 4) for b, v in zip(beacons, r)]
         kept = [reports[i - a] for i in keep if a <= i < a + len(r)]
@@ -630,6 +655,16 @@ def test_each_fixer_reads_the_same_from_the_contenders(rounds):
                 or list(map(id, top4)) == list(map(id, want)))
         for fix in (estimator.localize, estimator.centroid_estimate):
             assert fix(kept, state, config) == fix(reports, state, config)
+        every.append(reports)
+        step += kept
+    # The baseline of every round's contenders at once is the per-round
+    # reference from all of each round's reports, bit for bit.
+    cuts = list(itertools.accumulate((len(contenders(r)) for r in every), initial=0))
+    xy = np.array([r.beacon_pos for r in step], dtype=float).reshape(-1, 2)
+    estimates = estimator.centroid_step(step, cuts, levels[keep], xy, [2.0] * len(rounds),
+                                        config)
+    assert repr(estimates) == repr([estimator.centroid_estimate(r, state, config)[0]
+                                    for r in every])
 
 
 @pytest.mark.parametrize("run", [run_scenario, run_baseline, run_with_baseline],
@@ -641,7 +676,7 @@ def test_batched_engine_matches_the_des(s, run):
         # One play of the rounds gives both systems' records.
         assert run(s) == (run_scenario(s), run_baseline(s))
         # In either order: each fixer keeps its own state, and all share n.
-        assert (sim._run(s, None, (estimator.centroid_estimate, estimator.localize))
+        assert (sim._run(s, None, (sim._centroid_rounds, sim._localize_rounds))
                 == [run_baseline(s), run_scenario(s)])
 
 
@@ -807,7 +842,7 @@ def test_screened_engine_with_a_beacon_at_the_radius(edge):
     s = Scenario(grid=grid, channel=ChannelParams(sigma_dbm=3.0, reception_radius_m=radius),
                  trajectory=Static(point), rounds=6, seed=3)
     assert_matches_the_des(s, run_with_baseline)
-    sets = engine_play(run_scenario, s)[2]["localize"]
+    sets = engine_play(run_scenario, s)[2]
     assert [len(reports) for reports in sets] == [5 if edge == "at" else 4] * 6
 
 
@@ -982,7 +1017,7 @@ def test_beacon_table_and_reports_have_the_lattice_positions(origin, spacing, mo
 
     original = chan._links
     monkeypatch.setattr(chan, "_links", recording)
-    sets = engine_play(run_scenario, s)[2]["localize"]
+    sets = engine_play(run_scenario, s)[2]
     assert tables == [lattice]
     assert ([[tuple(map(float.hex, r.beacon_pos)) for r in reports] for reports in sets]
             == [lattice] * 2)
