@@ -18,6 +18,8 @@ DEFAULT_RSSI_OFFSET_DBM = -45.0
 # sub-reference distances; RSS far below it would map to absurd ranges.
 D_MIN_M = 0.1
 D_MAX_FACTOR = 4.0
+# A run's and locate's shortest range in lattice spacings: D_MIN_M at 4 m.
+D_MIN_SPACINGS = 0.025
 
 # Physical ranges of the propagation constants: a received power at 1 m in
 # dBm, measured path-loss exponents (about 1.5 to 6) and shadowing spreads
@@ -30,7 +32,9 @@ SIGMA_DBM_MAX = 30.0
 # Far beyond any radio's reach, and small enough that a sum of squared
 # ranges up to d_max_m (4 radii) stays finite in the in-cell solve.
 RECEPTION_RADIUS_MAX_M = 1e150
-# Below this radius d_max_m would fall under D_MIN_M and invert the clamp.
+# Below this radius d_max_m falls under rss_to_distance's D_MIN_M. A run's
+# lower clamp, D_MIN_SPACINGS spacings, is above d_max_m only on a lattice
+# over 160 radii apart, where no round hears two beacons to range.
 RECEPTION_RADIUS_MIN_M = D_MIN_M / D_MAX_FACTOR
 
 # Most a screened mean, from numpy's hypot and log10, may be from link_rss,
@@ -94,10 +98,11 @@ def distance_to_rss(d: float, params: ChannelParams) -> float:
 
 
 def _inverse_ranges(levels: Iterable[float], a_dbm: float, n_exp: float,
-                    d_max: float) -> tuple[list[float], int]:
+                    d_max: float, d_min: float = D_MIN_M) -> tuple[list[float], int]:
     """Each level's distance by the inverted log-distance model, clamped to
-    [D_MIN_M, d_max], and how many of them the clamp changed. Every range
-    in gridloc is computed here."""
+    [d_min, d_max], and how many of them the clamp changed. Every range in
+    gridloc is computed here, or, for a step of rounds, by
+    estimator.localize_step's arithmetic on arrays."""
     if n_exp <= 0:
         raise ValueError("n_exp must be positive")
     scale = 10.0 * n_exp
@@ -109,8 +114,8 @@ def _inverse_ranges(levels: Iterable[float], a_dbm: float, n_exp: float,
             # A level far below a_dbm at a small n_exp: beyond any d_max.
             d, clamped = d_max, clamped + 1
         else:
-            if d < D_MIN_M:
-                d, clamped = D_MIN_M, clamped + 1
+            if d < d_min:
+                d, clamped = d_min, clamped + 1
             elif d > d_max:
                 d, clamped = d_max, clamped + 1
         out.append(d)

@@ -15,7 +15,8 @@ coordinate: the fix reads positions, levels and bounds from the call's own
 reports and grid, with their bits, and ranges the four levels in one
 channel._inverse_ranges call. Reports, states and estimates are named
 tuples; localize builds its own with tuple.__new__, from fields already
-checked.
+checked. localize_step gives localize's bits for a step of rounds at once,
+ranging and refining on arrays by the same correctly rounded operations.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channel import (D_MAX_FACTOR, DEFAULT_A_DBM, ChannelParams,
+from .channel import (D_MAX_FACTOR, D_MIN_M, DEFAULT_A_DBM, ChannelParams,
                       _inverse_ranges)
 from .geometry import (COORD_TOL, CellId, GridSpec, Point, _cell_or_none,
                        _cells_or_none, _clamp)
@@ -144,6 +145,7 @@ class LocalizerConfig:
     a_dbm: float = DEFAULT_A_DBM
     near_beacon_tau: float = 0.25
     range_d_max: float = D_MAX_FACTOR * ChannelParams.reception_radius_m
+    range_d_min: float = D_MIN_M
 
 
 _strength = attrgetter("avg_rssi_dbm")
@@ -350,6 +352,24 @@ def centroid_estimate(reports: Sequence[RssiReport], state: EstimatorState,
                            state.n_current, False)), state
 
 
+def _rank_top4(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each round's count of reports, the rounds with four or more, and
+    for each of those the indices of its four strongest in select_top4's
+    order, ties and -0.0 included: one lexsort on (-level, x, y) of a row
+    per round, padded past its count with the weakest level, which ranks
+    last."""
+    counts = np.diff(cuts)
+    fixed = np.flatnonzero(counts >= 4)
+    cols = np.arange(max(counts.max(initial=0), 4))
+    row = np.asarray(cuts)[fixed, None] + cols
+    weakest = -levels.take(row, mode="clip")
+    weakest[cols >= counts[fixed, None]] = np.inf
+    rank = np.lexsort((xy[:, 1].take(row, mode="clip"), xy[:, 0].take(row, mode="clip"),
+                       weakest), axis=-1)
+    return counts, fixed, np.take_along_axis(row, rank[:, :4], 1)
+
+
 def centroid_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np.ndarray,
                   xy: np.ndarray, ns: Sequence[float],
                   config: LocalizerConfig) -> list[Estimate]:
@@ -365,17 +385,7 @@ def centroid_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
     or inf, as every round of a step with a weight past the largest float
     does, goes to centroid_estimate.
     """
-    counts = np.diff(cuts)
-    fixed = np.flatnonzero(counts >= 4)
-    # A row of contenders for each such round, padded past its count with
-    # the weakest level, which ranks last.
-    cols = np.arange(max(counts.max(initial=0), 4))
-    row = np.asarray(cuts)[fixed, None] + cols
-    weakest = -levels.take(row, mode="clip")
-    weakest[cols >= counts[fixed, None]] = np.inf
-    rank = np.lexsort((xy[:, 1].take(row, mode="clip"), xy[:, 0].take(row, mode="clip"),
-                       weakest), axis=-1)
-    top = np.take_along_axis(row, rank[:, :4], 1)
+    counts, fixed, top = _rank_top4(cuts, levels, xy)
     try:
         w = np.array([10.0 ** e for e in (levels[top] / 10.0).ravel().tolist()]).reshape(-1, 4)
     except OverflowError:
@@ -418,24 +428,99 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
     if top4 is None:
         return _new(Estimate, (None, _NO_FIX, None, n, False)), state
 
-    grid = config.grid
     quad = tuple(map(_position, top4))
-    cell, plan = _cell_plan(quad, grid)
-    d = _inverse_ranges(map(_strength, top4), config.a_dbm, n, config.range_d_max)[0]
+    cell, plan = _cell_plan(quad, config.grid)
+    d = _inverse_ranges(map(_strength, top4), config.a_dbm, n, config.range_d_max,
+                        config.range_d_min)[0]
     if cell is not None:
         pos = _solve_in_cell(quad, d, plan)
         return _new(Estimate, (pos, _REFINED, cell, n, False)), _new(EstimatorState, (n, pos))
+    estimate = _unframed(top4, plan, d, state.last_estimate, n, config)
+    return estimate, _new(EstimatorState, (n, estimate[0]))
 
-    # The strongest report's range decides the near-beacon test.
+
+def _unframed(top4: Sequence[RssiReport], split: tuple[tuple, ...], d: Sequence[float],
+              last: Optional[Point], n: float, config: LocalizerConfig) -> Estimate:
+    """localize's estimate of a top four that frames no cell, from its
+    _split_plan, ranges and the last fix: near beacon if the strongest
+    range is under near_beacon_tau spacings, else pair split or centroid."""
+    grid = config.grid
     bounds = grid.bounds()
     if d[0] < config.near_beacon_tau * grid.spacing_m:
         method, fallback = _NEAR_BEACON, False
-        pos = _near_beacon(top4[0].beacon_pos, d[0], state.last_estimate, bounds)
+        pos = _near_beacon(top4[0].beacon_pos, d[0], last, bounds)
     else:
-        method, pos = _PAIR_SPLIT, _pair_split(top4, plan, d)
+        method, pos = _PAIR_SPLIT, _pair_split(top4, split, d)
         fallback = pos is None
         if fallback:
             pos = weighted_centroid(top4)
-    cell = _cell_or_none(pos, grid, bounds)
-    return (_new(Estimate, (pos, method, cell, n, fallback)),
-            _new(EstimatorState, (n, pos)))
+    return _new(Estimate, (pos, method, _cell_or_none(pos, grid, bounds), n, fallback))
+
+
+def localize_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np.ndarray,
+                  xy: np.ndarray, ids: np.ndarray, ns: Sequence[float], state: EstimatorState,
+                  config: LocalizerConfig) -> tuple[list[Estimate], EstimatorState]:
+    """localize's estimate of each round of a step, with every bit, and the
+    state after them: round i's reports are reports[cuts[i]:cuts[i + 1]],
+    their levels, positions and beacon ids the same rows of levels, xy and
+    ids, its n_current is ns[i], and its last fix the one before it, or
+    state's for the first round.
+
+    The rounds are ranked as centroid_step ranks them. Each range is
+    Python's float power of an array quotient, clamped by comparisons as
+    _inverse_ranges clamps it, which ranges a step where a power overflows.
+    Each distinct top four, keyed by its ids (below 55,108, so the key fits
+    an int64), gets one _cell_plan. Refined rounds are solved on arrays in
+    _solve_in_cell's order, each clamp a where that picks what max and min
+    pick, -0.0 included (np.maximum and np.minimum may not). The other
+    rounds are fixed in order by localize's helpers; a no_fix keeps the last.
+    """
+    counts, fixed, top = _rank_top4(cuts, levels, xy)
+    a_dbm, lo, hi = config.a_dbm, config.range_d_min, config.range_d_max
+    n_top = np.asarray(ns, dtype=float)[fixed]
+    with np.errstate(over="ignore"):
+        e = (a_dbm - levels[top]) / (10.0 * n_top)[:, None]
+    try:
+        d = np.array([10.0 ** x for x in e.ravel().tolist()]).reshape(-1, 4)
+        d = np.where(d < lo, lo, np.where(d > hi, hi, d))
+    except OverflowError:
+        d = np.array([_inverse_ranges(row, a_dbm, n, hi, lo)[0]
+                      for row, n in zip(levels[top].tolist(), n_top.tolist())]).reshape(-1, 4)
+    base = int(ids.max(initial=0)) + 1
+    _, first, which = np.unique(ids[top].astype(np.int64) @ base ** np.arange(3, -1, -1),
+                                return_index=True, return_inverse=True)
+    plans = [_cell_plan((reports[i][0], reports[j][0], reports[k][0], reports[m][0]),
+                        config.grid) for i, j, k, m in top[first].tolist()]
+    framed = np.array([cell is not None for cell, _ in plans], dtype=bool)[which]
+    # Each refined round's eight indices, by _solve_in_cell's unpacking.
+    at = np.array([plan if cell is not None else (0,) * 8 for cell, plan in plans],
+                  dtype=int).reshape(-1, 8)[which[framed]]
+    quads = top[framed]
+    (x_lo, x_hi), (y_lo, y_hi) = (np.take_along_axis(xy[quads, k], at[:, 2 * k:2 * k + 2], 1).T
+                                  for k in (0, 1))
+    d1, d2, d3, d4 = np.take_along_axis(d[framed], at[:, 4:], 1).T
+    with np.errstate(all="ignore"):
+        x = 0.5 * (x_lo + x_hi - ((d1 * d1 + d4 * d4) - (d2 * d2 + d3 * d3))
+                   / (2.0 * (x_lo - x_hi)))
+        y = 0.5 * (y_hi + y_lo - ((d1 * d1 + d2 * d2) - (d3 * d3 + d4 * d4))
+                   / (2.0 * (y_hi - y_lo)))
+    x, y = np.where(x_lo > x, x_lo, x), np.where(y_lo > y, y_lo, y)
+    x, y = np.where(x_hi < x, x_hi, x), np.where(y_hi < y, y_hi, y)
+    solved = zip(x.tolist(), y.tolist())
+    unframed = zip(top[~framed].tolist(), d[~framed].tolist())
+    fixes = zip(which.tolist(), framed.tolist())
+    estimates, last = [], state.last_estimate
+    for n, k in zip(ns, counts.tolist()):
+        if k < 4:
+            estimates.append(_new(Estimate, (None, _NO_FIX, None, n, False)))
+            continue
+        u, refined = next(fixes)
+        cell, plan = plans[u]
+        if refined:
+            last = _new(Point, next(solved))
+            estimates.append(_new(Estimate, (last, _REFINED, cell, n, False)))
+        else:
+            row, r = next(unframed)
+            estimates.append(_unframed([reports[j] for j in row], plan, r, last, n, config))
+            last = estimates[-1][0]
+    return estimates, state if not estimates else _new(EstimatorState, (ns[-1], last))

@@ -37,10 +37,12 @@ half a step with quantize. So only links within 2 * eps of their round's
 fourth strongest screened level can reach its top four, and only they get
 exact levels (every link does when a trace writes every level); from
 those _contenders picks each round's levels at least as strong as its
-fourth strongest, and reports are built for those alone. Each fixer
-then takes the whole step: _localize_rounds calls localize once a round,
-in order, and _centroid_rounds fixes all of the step's rounds with one
-est.centroid_step call.
+fourth strongest, and reports are built for those alone. The fixers take
+the steps merged into batches, each closed once it holds CHUNK_DRAWS
+contenders or the rounds end: _localize_rounds fixes a batch with one
+est.localize_step call, or calls localize once a round where a recorder
+or tracer has replaced it, and _centroid_rounds with one est.centroid_step
+call.
 When a trace is asked for, a step's lines go to it at once, each round's
 from one template that _trace_writer joins from the beacons it heard. The
 discrete-event simulator that drives the protocol machines packet by
@@ -356,10 +358,10 @@ def _sink(trace: Union[list[str], Callable[[str], None], None]
 
 
 class _Step(NamedTuple):
-    """A step of rounds as a fixer reads it: the first round's index, each
+    """A batch of rounds as a fixer reads it: the first round's index, each
     round's true position, the contenders' reports, round i's from
-    reports[cuts[i]] to reports[cuts[i + 1]], their levels and positions as
-    arrays, and each round's adapted n, or None without adaptation."""
+    reports[cuts[i]] to reports[cuts[i + 1]], their levels, positions and
+    beacon ids as arrays, and each round's n, adapted or not."""
 
     first: int
     truth: list[geo.Point]
@@ -367,41 +369,66 @@ class _Step(NamedTuple):
     cuts: list[int]
     levels: np.ndarray
     xy: np.ndarray
+    ids: np.ndarray
     ns: Optional[list[float]]
+
+
+# localize's own code: a recorder or a tracer that wraps localize rebinds
+# every name bound to the function, never its code.
+_LOCALIZE_CODE = est.localize.__code__
 
 
 def _localize_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerConfig
                      ) -> tuple[list[RoundRecord], est.EstimatorState]:
-    """The step's records from est.localize, looked up on the module, so
-    that a patched one is called, once a round, and the state after them."""
-    localize, reports, cuts, ns = est.localize, step.reports, step.cuts, step.ns
-    records = []
-    for i, true_pos in enumerate(step.truth):
-        if ns is not None:
-            state = est.EstimatorState(ns[i], state.last_estimate)
-        estimate, state = localize(reports[cuts[i]:cuts[i + 1]], state, cfg)
-        records.append(_record(step.first + i, true_pos, estimate))
-    return records, state
+    """The batch's records from est.localize_step, and the state after
+    them; where est.localize has been replaced, from that, looked up on the
+    module, once a round."""
+    reports, cuts, ns = step.reports, step.cuts, step.ns
+    if getattr(est.localize, "__code__", None) is _LOCALIZE_CODE:
+        estimates, state = est.localize_step(reports, cuts, step.levels, step.xy, step.ids,
+                                             ns, state, cfg)
+        return _records(step, estimates), state
+    estimates = []
+    for n, a, b in zip(ns, cuts, cuts[1:]):
+        estimate, state = est.localize(reports[a:b], est.EstimatorState(n, state.last_estimate),
+                                       cfg)
+        estimates.append(estimate)
+    return _records(step, estimates), state
 
 
 def _centroid_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerConfig
                      ) -> tuple[list[RoundRecord], est.EstimatorState]:
-    """The step's records from est.centroid_step, which keeps no state."""
-    estimates = est.centroid_step(step.reports, step.cuts, step.levels, step.xy,
-                                  step.ns or [state.n_current] * len(step.truth), cfg)
+    """The batch's records from est.centroid_step, which keeps no state."""
+    return _records(step, est.centroid_step(step.reports, step.cuts, step.levels, step.xy,
+                                            step.ns, cfg)), state
+
+
+def _records(step: _Step, estimates: list[est.Estimate]) -> list[RoundRecord]:
+    """Each round's record, its error measured as geometry.dist measures it."""
     return [tuple.__new__(RoundRecord, (step.first + i, p, e, None if e.pos is None else
                                         math.hypot(e.pos[0] - p[0], e.pos[1] - p[1])))
-            for i, (p, e) in enumerate(zip(step.truth, estimates))], state
+            for i, (p, e) in enumerate(zip(step.truth, estimates))]
+
+
+def _merged(steps: list[_Step]) -> _Step:
+    """Consecutive steps of rounds as one."""
+    starts = accumulate((len(p.reports) for p in steps), initial=0)
+    return _Step(steps[0].first, [t for p in steps for t in p.truth],
+                 [r for p in steps for r in p.reports],
+                 [0] + [a + c for a, p in zip(starts, steps) for c in p.cuts[1:]],
+                 *(np.concatenate(arrays) for arrays in zip(*(p[4:7] for p in steps))),
+                 [n for p in steps for n in p.ns])
 
 
 def _run(s: Scenario, trace: Optional[Callable[[str], None]],
          fixers: tuple[Callable[[_Step, est.EstimatorState, est.LocalizerConfig],
                                 tuple[list[RoundRecord], est.EstimatorState]], ...]
          ) -> list[list[RoundRecord]]:
-    """One play of the rounds: each fixer fixes every step's contenders from
-    its own state, all states sharing the adapted n, into its own list of
-    records, the same as it gives played alone; then each step's trace
-    lines, each ending in a newline, go to trace if given."""
+    """One play of the rounds: each step's trace lines, each ending in a
+    newline, go to trace if given, and each fixer fixes every batch of
+    steps' contenders from its own state, all states sharing the adapted n,
+    into its own list of records, the same as it gives played alone. A
+    batch closes once it holds CHUNK_DRAWS contenders, or with the rounds."""
     rng = np.random.Generator(np.random.PCG64(s.seed))
     g, r = s.grid, s.channel.reception_radius_m
     (ox, oy), spacing = g.origin, g.spacing_m
@@ -422,6 +449,7 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
         a_dbm=s.channel.a_dbm,
         near_beacon_tau=s.estimator.near_beacon_tau,
         range_d_max=s.channel.d_max_m,
+        range_d_min=chan.D_MIN_SPACINGS * spacing,
     )
     n_exp = s.estimator.n_initial
     states = [est.EstimatorState(n_exp)] * len(fixers)
@@ -451,6 +479,7 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
 
     eps = 2 * chan.SCREEN_DB + 0.5 * s.quantize_rssi
     records = [[] for _ in fixers]
+    batch, held = [], 0
     for first in range(0, len(positions), step):
         chunk = positions[first:first + step]
         # fromiter reads the coordinates about five times as fast as np.array.
@@ -474,20 +503,22 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
         links, avgs, cuts = links[keep], avgs[keep], np.searchsorted(keep, firsts).tolist()
         ids = ids[links]
         reports = est.RssiReport.batch(map(beacon_pos, ids.tolist()), avgs.tolist(), n)
-        ns = None
+        ns = [n_exp] * len(chunk)
         if cal_mean is not None:
-            ns = []
             for i in range(len(chunk)):
-                n_exp = est.adapt_n(cals[i], cal_length, n_exp, s.channel.a_dbm,
-                                    s.estimator.n_min, s.estimator.n_max)
-                ns.append(n_exp)
-        played = _Step(first, chunk, reports, cuts, avgs, xy[ids], ns)
-        for k, fix in enumerate(fixers):
-            done, states[k] = fix(played, states[k], cfg)
-            records[k] += done
+                n_exp = ns[i] = est.adapt_n(cals[i], cal_length, n_exp, s.channel.a_dbm,
+                                            s.estimator.n_min, s.estimator.n_max)
         if write is not None:
             trace("\n".join([write(heard[a:b], levels[a:b], (first + i) * interval)
                              for i, (a, b) in enumerate(pairwise(ends))]) + "\n")
+        batch.append(_Step(first, chunk, reports, cuts, avgs, xy[ids], ids, ns))
+        held += len(reports)
+        if held < CHUNK_DRAWS and first + step < len(positions):
+            continue
+        played, batch, held = _merged(batch), [], 0
+        for k, fix in enumerate(fixers):
+            done, states[k] = fix(played, states[k], cfg)
+            records[k] += done
     return records
 
 
@@ -516,11 +547,6 @@ def _contenders(levels: np.ndarray, counts: Sequence[int], margin: float = 0.0) 
     fourth = np.full(k.size, -np.inf)
     fourth[big] = np.partition(rows, width - 4, axis=1)[:, width - 4] - margin
     return np.flatnonzero(levels >= np.repeat(fourth, k))
-
-
-def _record(idx: int, true_pos: geo.Point, estimate: est.Estimate) -> RoundRecord:
-    err = geo.dist(estimate.pos, true_pos) if estimate.pos is not None else None
-    return RoundRecord(idx, true_pos, estimate, err)
 
 
 def _trace_writer(p: ProtocolSettings, beacon_pos: Callable[[int], geo.Point]

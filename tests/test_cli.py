@@ -74,6 +74,18 @@ class TestLocate:
         assert float(fields[0]) == pytest.approx(10.6, abs=1e-9)
         assert float(fields[1]) == pytest.approx(5.7, abs=1e-9)
 
+    def test_a_fine_lattice_ranges_below_a_tenth_of_a_metre(self, tmp_path, capsys):
+        # The shortest range is 0.025 spacings, 1 mm here: with an absolute
+        # 0.1 m clamp every range clamped and the fix was the cell centre.
+        beacons = [(0.04 * i, 0.04 * j) for j in range(3) for i in range(3)]
+        reports = tmp_path / "reports.csv"
+        write_reports(reports, (0.01, 0.013), beacons)
+        assert main(["locate", str(reports), "--spacing", "0.04"]) == EXIT_OK
+        fields = capsys.readouterr().out.strip().split(",")
+        assert float(fields[0]) == pytest.approx(0.01, abs=1e-9)
+        assert float(fields[1]) == pytest.approx(0.013, abs=1e-9)
+        assert fields[2] == "refined"
+
     def test_three_reports_exit_no_fix(self, tmp_path, capsys):
         reports = tmp_path / "reports.csv"
         write_reports(reports, (1.0, 1.0), GRID_3X3[:3])

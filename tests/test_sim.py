@@ -420,6 +420,34 @@ class TestByteIdentity:
         write_records_csv(run_baseline(scenario_from_dict(digest_scenario(*case))), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.BASELINE_PINS[case]
 
+    @pytest.mark.parametrize("case", list(PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_a_replaced_localize_gives_the_records_of_the_step(self, case, monkeypatch):
+        # Unreplaced, localize_step fixes each batch; replaced, as a recorder
+        # or a tracer replaces it, localize is called once a round.
+        s = scenario_from_dict(digest_scenario(*case))
+        steps = []
+
+        def counting(*args, _original=estimator.localize_step):
+            steps.append(len(args[1]) - 1)
+            return _original(*args)
+
+        monkeypatch.setattr(estimator, "localize_step", counting)
+        records = run_scenario(s)
+        assert sum(steps) == s.rounds
+        # One wrapper, bound wherever localize is, as the benchmark's tracer binds it.
+        original, calls = estimator.localize, []
+
+        def wrapper(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (estimator, sim):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, wrapper)
+        assert repr(run_scenario(s)) == repr(records)
+        assert sum(steps) == s.rounds and len(calls) == s.rounds
+
     # The DES cases keep the ids they had before the batched engine existed.
     @pytest.mark.parametrize("cols,radius,sigma,engine", [
         pytest.param(cols, radius, sigma, engine, id=f"{cols}-{radius}-{sigma}{suffix}")
@@ -625,6 +653,18 @@ TIED_LEVELS = st.one_of(st.sampled_from([-61.25, -55.5, -50.0]),
 # -3240 dBm down. A round of them can have every weight 0.
 FAR_LEVELS = st.one_of(st.sampled_from([-3300.0, -3240.0, -3233.0]),
                        st.floats(-3300.0, -3000.0))
+
+
+@st.composite
+def cell_levels(draw):
+    """A round of the 4 x 3 lattice whose four strongest levels are the
+    corners of one cell, so that localize refines it."""
+    col, row = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    corners = {row * 4 + col, row * 4 + col + 1, row * 4 + col + 4, row * 4 + col + 5}
+    return [draw(st.floats(-60.0, -30.0) if i in corners else st.floats(-90.0, -60.5))
+            for i in range(12)]
+
+
 # Every beacon within half a metre below 0: the least weight times its
 # coordinate is -0.0, which the sums, from 0.0, add up to 0.0.
 NEAR_ZERO = GridSpec(origin=Point(-0.35, -0.35), spacing_m=0.1, cols=4, rows=3)
@@ -632,20 +672,47 @@ NEAR_ZERO = GridSpec(origin=Point(-0.35, -0.35), spacing_m=0.1, cols=4, rows=3)
 FAR_ORIGIN = GridSpec(origin=Point(1e20, 1e20), spacing_m=0.1, cols=4, rows=3)
 
 
+# Exponents down to where every range clamps (0.005, at levels near 0 dBm)
+# or a power overflows (1e-3, far below a_dbm).
+EXPONENTS = st.one_of(st.sampled_from([2.0, 0.005, 1e-3]), st.floats(1e-3, 6.0))
+# A last fix carried in from an earlier batch.
+LAST_FIXES = st.one_of(st.none(), st.builds(Point, st.floats(-2.0, 14.0), st.floats(-2.0, 10.0)))
+# (range_d_min, range_d_max): the defaults, a scaled lower clamp, and an
+# upper clamp whose square is 17 exactly.
+RANGE_BOUNDS = st.sampled_from([(chan.D_MIN_M, 120.0), (0.0025, 120.0),
+                                (chan.D_MIN_M, math.sqrt(17.0))])
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.lists(TIED_LEVELS, max_size=12) | st.lists(FAR_LEVELS, max_size=12),
-                min_size=1, max_size=8),
-       st.sampled_from([GridSpec(cols=4, rows=3), NEAR_ZERO, FAR_ORIGIN]))
-@example(rounds=[[-3233.0, -3240.0, -3240.0, -3240.0]], grid=NEAR_ZERO)
-def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid):
-    beacons = build_lattice(grid)
-    state, config = estimator.EstimatorState(2.0), estimator.LocalizerConfig(grid)
+@given(st.lists(st.lists(TIED_LEVELS, max_size=12) | st.lists(FAR_LEVELS, max_size=12)
+                | cell_levels(), min_size=1, max_size=8),
+       st.sampled_from([GridSpec(cols=4, rows=3), NEAR_ZERO, FAR_ORIGIN]),
+       st.lists(EXPONENTS, min_size=8, max_size=8), LAST_FIXES, RANGE_BOUNDS, st.booleans())
+@example(rounds=[[-3233.0, -3240.0, -3240.0, -3240.0]], grid=NEAR_ZERO, ns=[2.0] * 8,
+         last=None, bounds=(chan.D_MIN_M, 120.0), signed=False)
+# Beacons at -0.0: the refined x is 0.0 on the cell's low side, x_lo = -0.0,
+# where max(x, x_lo) is x and np.maximum(x, x_lo) is x_lo.
+@example(rounds=[[-45.0, -90.0, -95.0, -95.0, -45.0, -90.0]], grid=GridSpec(cols=4, rows=3),
+         ns=[2.0] * 8, last=None, bounds=(chan.D_MIN_M, math.sqrt(17.0)), signed=True)
+# Its mirror: the refined x is 0.0 on the cell's high side, x_hi = -0.0,
+# where min(x, x_hi) is x and np.minimum(x, x_hi) is x_hi.
+@example(rounds=[[-90.0, -45.0, -90.0, -45.0]], grid=GridSpec(origin=Point(-4.0, 0.0), cols=2,
+                                                             rows=2),
+         ns=[2.0] * 8, last=None, bounds=(chan.D_MIN_M, math.sqrt(17.0)), signed=True)
+def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid, ns, last, bounds, signed):
+    # With signed, each coordinate 0.0 of a beacon is -0.0.
+    beacons = [(b.id, Point(b.pos[0] or -0.0, b.pos[1] or -0.0) if signed else b.pos)
+               for b in build_lattice(grid)]
+    state = estimator.EstimatorState(2.0)
+    config = estimator.LocalizerConfig(grid, range_d_min=bounds[0], range_d_max=bounds[1])
     levels = np.array([v for r in rounds for v in r], dtype=float)
     keep = sim._contenders(levels, [len(r) for r in rounds]).tolist()
-    a, every, step = 0, [], []
+    a, every, step, ids = 0, [], [], []
     for r in rounds:
-        reports = [estimator.RssiReport(b.pos, v, 4) for b, v in zip(beacons, r)]
-        kept = [reports[i - a] for i in keep if a <= i < a + len(r)]
+        reports = [estimator.RssiReport(pos, v, 4) for (_, pos), v in zip(beacons, r)]
+        kept_at = [i - a for i in keep if a <= i < a + len(r)]
+        kept = [reports[i] for i in kept_at]
+        ids += [beacons[i][0] for i in kept_at]
         a += len(r)
         # The same report objects, in lattice order.
         assert list(map(id, kept)) == list(map(id, contenders(reports)))
@@ -665,6 +732,16 @@ def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid):
                                         config)
     assert repr(estimates) == repr([estimator.centroid_estimate(r, state, config)[0]
                                     for r in every])
+    # So is localize's, chained: round i at ns[i], from the last fix before
+    # it, the first from one carried in.
+    chained, fixes = estimator.EstimatorState(2.0, last), []
+    for r, n in zip(every, ns):
+        fix, chained = estimator.localize(r, estimator.EstimatorState(n, chained.last_estimate),
+                                          config)
+        fixes.append(fix)
+    got = estimator.localize_step(step, cuts, levels[keep], xy, np.array(ids, dtype=int),
+                                  ns[:len(rounds)], estimator.EstimatorState(2.0, last), config)
+    assert repr(got) == repr((fixes, chained))
 
 
 @pytest.mark.parametrize("run", [run_scenario, run_baseline, run_with_baseline],
@@ -769,6 +846,9 @@ def test_chunk_boundaries_change_no_output(s, cap, monkeypatch):
 @pytest.mark.parametrize("s,rounds_a_chunk", [
     pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0, n=25), 300,
                  id="3x3-adapt"),
+    # About 40,000 contenders: the fixers take two batches.
+    pytest.param(sweep_scenario(7, 3.0, True, True, 3, 30.0, n=100), 300,
+                 id="3x3-adapt-two-batches"),
     pytest.param(sweep_scenario(42, 3.0, False, False, 10, 30.0, n=10), None,
                  id="10x10"),
     # A round hears at most 28 of the 900 beacons.
@@ -795,6 +875,9 @@ def test_each_chunk_keeps_to_the_draw_caps(s, rounds_a_chunk, monkeypatch):
 
     monkeypatch.setattr(chan, "_links", record(links, chan._links))
     monkeypatch.setattr(chan, "receive_rounds", record(draws, chan.receive_rounds))
+    fixed = {name: [] for name in ("_localize_rounds", "_centroid_rounds")}
+    for name, calls in fixed.items():
+        monkeypatch.setattr(sim, name, record(calls, getattr(sim, name)))
     run_with_baseline(s)
     assert len(links) == len(draws)
     assert [Point(*p) for _, positions, *_ in links for p in positions.tolist()] == s.positions()
@@ -809,6 +892,20 @@ def test_each_chunk_keeps_to_the_draw_caps(s, rounds_a_chunk, monkeypatch):
     assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
     if rounds_a_chunk is not None:
         assert sizes[0] == rounds_a_chunk
+    # The fixers take the same batches: whole draw steps, in order, each
+    # batch closing at its first step to bring it to CHUNK_DRAWS contenders.
+    ends = list(itertools.accumulate(sizes, initial=0))
+    batches = [(step.first, len(step.truth), step.cuts) for step, *_ in fixed["_localize_rounds"]]
+    assert batches == [(step.first, len(step.truth), step.cuts)
+                       for step, *_ in fixed["_centroid_rounds"]]
+    starts = list(itertools.accumulate((rounds for _, rounds, _ in batches), initial=0))
+    assert [first for first, _, _ in batches] == starts[:-1]
+    assert starts[-1] == len(s.positions())
+    for i, (first, rounds, cuts) in enumerate(batches):
+        assert len(cuts) == rounds + 1 and first + rounds in ends
+        last_step = ends[ends.index(first + rounds) - 1] - first
+        assert cuts[last_step] < sim.CHUNK_DRAWS
+        assert cuts[-1] >= sim.CHUNK_DRAWS or i == len(batches) - 1
 
 
 @st.composite
@@ -823,6 +920,33 @@ def tied_scenarios(draw):
         draw(st.sampled_from([4.0, 4.0 * math.sqrt(2.0), 7.0, 12.0, 30.0])),
         n=draw(st.sampled_from([2, 3, cols - 1, 2 * cols - 2])),
         protocol={"accum_count": draw(st.sampled_from([1, 2, 8]))})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(-2, 3), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 3.0]),
+       st.sampled_from([(3, 30.0), (6, 9.0)]))
+def test_a_scaled_scenario_scales_every_fix(power, seed, sigma, lattice):
+    # Lengths times k = 10 ** power and a_dbm up by 20 * power dB at n = 2
+    # give every mean within rounding of the unscaled one, and the same
+    # draws: each fix is k times the unscaled fix, by the same method. At
+    # k = 0.01 every range was clamped to D_MIN_M before the lower clamp
+    # scaled with the spacing; k = 0.001 would put a 9 m radius under
+    # RECEPTION_RADIUS_MIN_M.
+    def scaled(k, shift):
+        cols, radius = lattice
+        return scenario_from_dict({
+            "seed": seed, "grid": {"spacing_m": 4.0 * k, "cols": cols, "rows": cols},
+            "channel": {"a_dbm": -45.0 + shift, "sigma_dbm": sigma,
+                        "reception_radius_m": radius * k},
+            "trajectory": {"kind": "lattice_sweep", "nx": 4, "ny": 4}, "rounds": 16})
+
+    k = 10.0 ** power
+    for plain, big in zip(run_scenario(scaled(1.0, 0.0)), run_scenario(scaled(k, 20.0 * power))):
+        assert big.estimate.method is plain.estimate.method
+        assert big.estimate.cell == plain.estimate.cell
+        if plain.estimate.pos is not None:
+            for u, v in zip(big.estimate.pos, plain.estimate.pos):
+                assert math.isclose(u, k * v, rel_tol=1e-9, abs_tol=4e-9 * k)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
