@@ -18,7 +18,7 @@ DEFAULT_RSSI_OFFSET_DBM = -45.0
 # sub-reference distances; RSS far below it would map to absurd ranges.
 D_MIN_M = 0.1
 D_MAX_FACTOR = 4.0
-# A run's and locate's shortest range in lattice spacings: D_MIN_M at 4 m.
+# localize's shortest range in lattice spacings (LocalizerConfig.range_d_min).
 D_MIN_SPACINGS = 0.025
 
 # Physical ranges of the propagation constants: a received power at 1 m in
@@ -32,9 +32,7 @@ SIGMA_DBM_MAX = 30.0
 # Far beyond any radio's reach, and small enough that a sum of squared
 # ranges up to d_max_m (4 radii) stays finite in the in-cell solve.
 RECEPTION_RADIUS_MAX_M = 1e150
-# Below this radius d_max_m falls under rss_to_distance's D_MIN_M. A run's
-# lower clamp, D_MIN_SPACINGS spacings, is above d_max_m only on a lattice
-# over 160 radii apart, where no round hears two beacons to range.
+# Below this radius d_max_m would fall under D_MIN_M, the lower clamp's cap.
 RECEPTION_RADIUS_MIN_M = D_MIN_M / D_MAX_FACTOR
 
 # Most a screened mean, from numpy's hypot and log10, may be from link_rss,
@@ -125,11 +123,11 @@ def _inverse_ranges(levels: Iterable[float], a_dbm: float, n_exp: float,
 def rss_to_distance(rss: float, a_dbm: float, n_exp: float,
                     d_max: float = D_MAX_FACTOR * ChannelParams.reception_radius_m
                     ) -> RangeEstimate:
-    """Invert the log-distance model; result clamped to [D_MIN_M, d_max].
+    """Invert the log-distance model; result clamped to [min(D_MIN_M, d_max), d_max].
 
     The clamped flag records whether the raw inverse fell outside the window.
     """
-    (d,), clamped = _inverse_ranges((rss,), a_dbm, n_exp, d_max)
+    (d,), clamped = _inverse_ranges((rss,), a_dbm, n_exp, d_max, min(D_MIN_M, d_max))
     return RangeEstimate(d, clamped > 0)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import harness, sim
-from .channel import D_MIN_SPACINGS, DEFAULT_A_DBM
+from .channel import DEFAULT_A_DBM
 from .estimator import (EstimatorState, FixMethod, LocalizerConfig,
                         RssiReport, localize)
 from .geometry import GridSpec, Point, _check_kind
@@ -130,8 +130,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     config = LocalizerConfig(grid=grid, a_dbm=args.a_dbm,
-                             near_beacon_tau=settings.near_beacon_tau,
-                             range_d_min=D_MIN_SPACINGS * grid.spacing_m)
+                             near_beacon_tau=settings.near_beacon_tau)
     estimate, _ = localize(reports, EstimatorState(n_current=settings.n_initial), config)
     if estimate.method is FixMethod.NO_FIX:
         print(",,no_fix,,,%s" % format(estimate.n_used, ".9g"))

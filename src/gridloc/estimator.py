@@ -22,7 +22,7 @@ ranging and refining on arrays by the same correctly rounded operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channel import (D_MAX_FACTOR, D_MIN_M, DEFAULT_A_DBM, ChannelParams,
+from .channel import (D_MAX_FACTOR, D_MIN_SPACINGS, DEFAULT_A_DBM, ChannelParams,
                       _inverse_ranges)
 from .geometry import (COORD_TOL, CellId, GridSpec, Point, _cell_or_none,
                        _cells_or_none, _clamp)
@@ -145,7 +145,12 @@ class LocalizerConfig:
     a_dbm: float = DEFAULT_A_DBM
     near_beacon_tau: float = 0.25
     range_d_max: float = D_MAX_FACTOR * ChannelParams.reception_radius_m
-    range_d_min: float = D_MIN_M
+    # Read off the grid, not set: D_MIN_SPACINGS spacings, never over range_d_max.
+    range_d_min: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "range_d_min",
+                           min(D_MIN_SPACINGS * self.grid.spacing_m, self.range_d_max))
 
 
 _strength = attrgetter("avg_rssi_dbm")
@@ -469,11 +474,11 @@ def localize_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
     The rounds are ranked as centroid_step ranks them. Each range is
     Python's float power of an array quotient, clamped by comparisons as
     _inverse_ranges clamps it, which ranges a step where a power overflows.
-    Each distinct top four, keyed by its ids (below 55,108, so the key fits
-    an int64), gets one _cell_plan. Refined rounds are solved on arrays in
-    _solve_in_cell's order, each clamp a where that picks what max and min
-    pick, -0.0 included (np.maximum and np.minimum may not). The other
-    rounds are fixed in order by localize's helpers; a no_fix keeps the last.
+    Each distinct top four of ids gets one _cell_plan. Refined rounds are
+    solved on arrays in _solve_in_cell's order, each clamp a where that
+    picks what max and min pick, -0.0 included (np.maximum and np.minimum
+    may not). The other rounds are fixed in order by localize's helpers; a
+    no_fix keeps the last.
     """
     counts, fixed, top = _rank_top4(cuts, levels, xy)
     a_dbm, lo, hi = config.a_dbm, config.range_d_min, config.range_d_max
@@ -486,9 +491,13 @@ def localize_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
     except OverflowError:
         d = np.array([_inverse_ranges(row, a_dbm, n, hi, lo)[0]
                       for row, n in zip(levels[top].tolist(), n_top.tolist())]).reshape(-1, 4)
-    base = int(ids.max(initial=0)) + 1
-    _, first, which = np.unique(ids[top].astype(np.int64) @ base ** np.arange(3, -1, -1),
-                                return_index=True, return_inverse=True)
+    # A top four's key: its ids as an int64's digits where they fit, else its row.
+    four = ids[top].astype(np.int64)
+    base = int(four.max(initial=0)) + 1
+    if four.min(initial=0) >= 0 and base ** 4 < 2 ** 63:
+        four = four @ base ** np.arange(3, -1, -1)
+    _, first, which = np.unique(four, return_index=True, return_inverse=True,
+                                axis=None if four.ndim == 1 else 0)
     plans = [_cell_plan((reports[i][0], reports[j][0], reports[k][0], reports[m][0]),
                         config.grid) for i, j, k, m in top[first].tolist()]
     framed = np.array([cell is not None for cell, _ in plans], dtype=bool)[which]

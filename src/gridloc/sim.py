@@ -370,7 +370,7 @@ class _Step(NamedTuple):
     levels: np.ndarray
     xy: np.ndarray
     ids: np.ndarray
-    ns: Optional[list[float]]
+    ns: list[float]
 
 
 # localize's own code: a recorder or a tracer that wraps localize rebinds
@@ -449,7 +449,6 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
         a_dbm=s.channel.a_dbm,
         near_beacon_tau=s.estimator.near_beacon_tau,
         range_d_max=s.channel.d_max_m,
-        range_d_min=chan.D_MIN_SPACINGS * spacing,
     )
     n_exp = s.estimator.n_initial
     states = [est.EstimatorState(n_exp)] * len(fixers)

@@ -122,7 +122,8 @@ def is_rectangle(quad: Sequence[Point]) -> bool:
 
 def range_of(config: LocalizerConfig, rss_dbm: float, n_exp: float) -> float:
     """The range localize gives one level under config and exponent n_exp."""
-    return _inverse_ranges((rss_dbm,), config.a_dbm, n_exp, config.range_d_max)[0][0]
+    return _inverse_ranges((rss_dbm,), config.a_dbm, n_exp, config.range_d_max,
+                           config.range_d_min)[0][0]
 
 
 def refine_in_cell(corner_distances: Sequence[tuple[Point, float]]) -> Point:
@@ -146,7 +147,7 @@ def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
         raise ValueError("pair_split_estimate needs exactly four reports")
     return _pair_split(reports, _split_plan(tuple(r.beacon_pos for r in reports)),
                        _inverse_ranges([r.avg_rssi_dbm for r in reports], config.a_dbm,
-                                       n_used, config.range_d_max)[0])
+                                       n_used, config.range_d_max, config.range_d_min)[0])
 
 
 def near_beacon_estimate(max_report: RssiReport, state: EstimatorState,

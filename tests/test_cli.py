@@ -74,6 +74,19 @@ class TestLocate:
         assert float(fields[0]) == pytest.approx(10.6, abs=1e-9)
         assert float(fields[1]) == pytest.approx(5.7, abs=1e-9)
 
+    def test_a_wide_lattice_caps_the_shortest_range_at_the_longest(self, tmp_path, capsys):
+        # 0.025 spacings is 250 m here, over locate's 120 m upper clamp. Capped
+        # at 120 m, every range is 120 m and the fix is the cell centre, as
+        # with a 0.1 m clamp; uncapped, the strongest level, 180 m from its
+        # beacon, would range 250 m and the other three 120 m.
+        beacons = [(1e4 * i, 1e4 * j) for j in range(3) for i in range(3)]
+        reports = tmp_path / "reports.csv"
+        write_reports(reports, (100.0, 150.0), beacons)
+        assert main(["locate", str(reports), "--spacing", "10000"]) == EXIT_OK
+        fields = capsys.readouterr().out.strip().split(",")
+        assert [float(v) for v in fields[:2]] == [5000.0, 5000.0]
+        assert fields[2:5] == ["refined", "0", "0"]
+
     def test_a_fine_lattice_ranges_below_a_tenth_of_a_metre(self, tmp_path, capsys):
         # The shortest range is 0.025 spacings, 1 mm here: with an absolute
         # 0.1 m clamp every range clamped and the fix was the cell centre.

@@ -171,6 +171,17 @@ class TestRangeOf:
         assert range_of(CONFIG, A_DBM + 30.0, 2.0) == D_MIN_M
         assert range_of(CONFIG, A_DBM - 100.0, 2.0) == CONFIG.range_d_max
 
+    def test_the_lower_clamp_is_capped_at_the_upper(self):
+        # 0.025 spacings: 0.1 m at 4 m; 250 m at 10 km, capped at 120 m.
+        assert CONFIG.range_d_min == D_MIN_M
+        assert LocalizerConfig(GridSpec(spacing_m=1e4)).range_d_min == 120.0
+        # Under a 0.04 m upper clamp a level raw at 0.032 m ranges 0.04 m, not
+        # 0.1 m, which would rank it farther than a weaker level.
+        config = LocalizerConfig(grid=GRID, a_dbm=A_DBM, range_d_max=0.04)
+        assert config.range_d_min == 0.04
+        assert rss_to_distance(A_DBM + 30.0, A_DBM, 2.0, 0.04) == (0.04, True)
+        assert range_of(config, A_DBM + 30.0, 2.0) == 0.04
+
     @pytest.mark.parametrize("n", [0.0, -1.0])
     def test_nonpositive_exponent_rejected(self, n):
         with pytest.raises(ValueError, match="n_exp must be positive"):

@@ -677,34 +677,39 @@ FAR_ORIGIN = GridSpec(origin=Point(1e20, 1e20), spacing_m=0.1, cols=4, rows=3)
 EXPONENTS = st.one_of(st.sampled_from([2.0, 0.005, 1e-3]), st.floats(1e-3, 6.0))
 # A last fix carried in from an earlier batch.
 LAST_FIXES = st.one_of(st.none(), st.builds(Point, st.floats(-2.0, 14.0), st.floats(-2.0, 10.0)))
-# (range_d_min, range_d_max): the defaults, a scaled lower clamp, and an
-# upper clamp whose square is 17 exactly.
-RANGE_BOUNDS = st.sampled_from([(chan.D_MIN_M, 120.0), (0.0025, 120.0),
-                                (chan.D_MIN_M, math.sqrt(17.0))])
+# Upper range clamps: the default, and one whose square is 17 exactly.
+D_MAXES = st.sampled_from([120.0, math.sqrt(17.0)])
+# A lattice whose lower range clamp, 0.025 spacings, is capped at the upper.
+WIDE = GridSpec(spacing_m=1e4, cols=4, rows=3)
+# Beacon ids times 2**50, whose four as the digits of an int64 key would
+# wrap to 2**50 times their sum, or negative.
+ID_FACTORS = st.sampled_from([1, 2**50, -1])
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.lists(TIED_LEVELS, max_size=12) | st.lists(FAR_LEVELS, max_size=12)
                 | cell_levels(), min_size=1, max_size=8),
-       st.sampled_from([GridSpec(cols=4, rows=3), NEAR_ZERO, FAR_ORIGIN]),
-       st.lists(EXPONENTS, min_size=8, max_size=8), LAST_FIXES, RANGE_BOUNDS, st.booleans())
+       st.sampled_from([GridSpec(cols=4, rows=3), NEAR_ZERO, FAR_ORIGIN, WIDE]),
+       st.lists(EXPONENTS, min_size=8, max_size=8), LAST_FIXES, D_MAXES, st.booleans(),
+       ID_FACTORS)
 @example(rounds=[[-3233.0, -3240.0, -3240.0, -3240.0]], grid=NEAR_ZERO, ns=[2.0] * 8,
-         last=None, bounds=(chan.D_MIN_M, 120.0), signed=False)
+         last=None, d_max=120.0, signed=False, id_factor=1)
 # Beacons at -0.0: the refined x is 0.0 on the cell's low side, x_lo = -0.0,
 # where max(x, x_lo) is x and np.maximum(x, x_lo) is x_lo.
 @example(rounds=[[-45.0, -90.0, -95.0, -95.0, -45.0, -90.0]], grid=GridSpec(cols=4, rows=3),
-         ns=[2.0] * 8, last=None, bounds=(chan.D_MIN_M, math.sqrt(17.0)), signed=True)
+         ns=[2.0] * 8, last=None, d_max=math.sqrt(17.0), signed=True, id_factor=1)
 # Its mirror: the refined x is 0.0 on the cell's high side, x_hi = -0.0,
 # where min(x, x_hi) is x and np.minimum(x, x_hi) is x_hi.
 @example(rounds=[[-90.0, -45.0, -90.0, -45.0]], grid=GridSpec(origin=Point(-4.0, 0.0), cols=2,
                                                              rows=2),
-         ns=[2.0] * 8, last=None, bounds=(chan.D_MIN_M, math.sqrt(17.0)), signed=True)
-def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid, ns, last, bounds, signed):
+         ns=[2.0] * 8, last=None, d_max=math.sqrt(17.0), signed=True, id_factor=1)
+def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid, ns, last, d_max, signed,
+                                                       id_factor):
     # With signed, each coordinate 0.0 of a beacon is -0.0.
-    beacons = [(b.id, Point(b.pos[0] or -0.0, b.pos[1] or -0.0) if signed else b.pos)
+    beacons = [(b.id * id_factor, Point(b.pos[0] or -0.0, b.pos[1] or -0.0) if signed else b.pos)
                for b in build_lattice(grid)]
     state = estimator.EstimatorState(2.0)
-    config = estimator.LocalizerConfig(grid, range_d_min=bounds[0], range_d_max=bounds[1])
+    config = estimator.LocalizerConfig(grid, range_d_max=d_max)
     levels = np.array([v for r in rounds for v in r], dtype=float)
     keep = sim._contenders(levels, [len(r) for r in rounds]).tolist()
     a, every, step, ids = 0, [], [], []
