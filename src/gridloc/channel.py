@@ -32,8 +32,6 @@ SIGMA_DBM_MAX = 30.0
 # Far beyond any radio's reach, and small enough that a sum of squared
 # ranges up to d_max_m (4 radii) stays finite in the in-cell solve.
 RECEPTION_RADIUS_MAX_M = 1e150
-# Below this radius d_max_m would fall under D_MIN_M, the lower clamp's cap.
-RECEPTION_RADIUS_MIN_M = D_MIN_M / D_MAX_FACTOR
 
 # Most a screened mean, from numpy's hypot and log10, may be from link_rss,
 # in dB; tests/test_channel.py checks a hundredth of it on the host.
@@ -70,9 +68,6 @@ class ChannelParams:
             raise ScenarioError("sigma_dbm", f"must be at most {SIGMA_DBM_MAX:g}")
         if self.reception_radius_m <= 0:
             raise ScenarioError("reception_radius_m", "must be positive")
-        if self.reception_radius_m < RECEPTION_RADIUS_MIN_M:
-            raise ScenarioError("reception_radius_m",
-                                f"must be at least {RECEPTION_RADIUS_MIN_M:g}")
         if self.reception_radius_m > RECEPTION_RADIUS_MAX_M:
             raise ScenarioError("reception_radius_m",
                                 f"must be at most {RECEPTION_RADIUS_MAX_M:g}")

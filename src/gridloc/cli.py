@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import harness, sim
-from .channel import DEFAULT_A_DBM
+from .channel import D_MAX_FACTOR, DEFAULT_A_DBM, RECEPTION_RADIUS_MAX_M
 from .estimator import (EstimatorState, FixMethod, LocalizerConfig,
                         RssiReport, localize)
 from .geometry import GridSpec, Point, _check_kind
@@ -129,8 +129,12 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    # The upper range clamp scales with the spacing, 120 m at the default 4 m,
+    # up to the simulator's ceiling, which keeps the in-cell squares finite.
+    d_max = min(LocalizerConfig.range_d_max * grid.spacing_m / GridSpec.spacing_m,
+                D_MAX_FACTOR * RECEPTION_RADIUS_MAX_M)
     config = LocalizerConfig(grid=grid, a_dbm=args.a_dbm,
-                             near_beacon_tau=settings.near_beacon_tau)
+                             near_beacon_tau=settings.near_beacon_tau, range_d_max=d_max)
     estimate, _ = localize(reports, EstimatorState(n_current=settings.n_initial), config)
     if estimate.method is FixMethod.NO_FIX:
         print(",,no_fix,,,%s" % format(estimate.n_used, ".9g"))

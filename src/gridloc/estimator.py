@@ -39,6 +39,10 @@ from .geometry import (COORD_TOL, CellId, GridSpec, Point, _cell_or_none,
 # Distinct ranked top-4s whose cell plans localize keeps. A 625-round
 # paper_sweep run has at most a few hundred.
 PLAN_CACHE_SIZE = 4096
+# The largest exponent of ten the step fixers take, capped on the array:
+# Python's ** raises past about 308.25, and 1e308 is past every range and
+# weight they keep.
+EXP10_MAX = 308.0
 
 
 class FixMethod(Enum):
@@ -385,16 +389,14 @@ def centroid_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
 
     The rounds are ranked at once, each in select_top4's order. Each weight
     is Python's float power (numpy's can round otherwise, and differently
-    on another host) and the sums are added a column at a time, from 0.0,
-    in weighted_centroid's order. A round whose absolute weights sum to 0
-    or inf, as every round of a step with a weight past the largest float
-    does, goes to centroid_estimate.
+    on another host) of an exponent capped at EXP10_MAX, and the sums are
+    added a column at a time, from 0.0, in weighted_centroid's order. A
+    round with an exponent past the cap, or whose weights sum to 0 or inf,
+    goes to centroid_estimate alone.
     """
     counts, fixed, top = _rank_top4(cuts, levels, xy)
-    try:
-        w = np.array([10.0 ** e for e in (levels[top] / 10.0).ravel().tolist()]).reshape(-1, 4)
-    except OverflowError:
-        w = np.zeros((fixed.size, 4))
+    e = levels[top] / 10.0
+    w = np.array([10.0 ** x for x in np.minimum(e, EXP10_MAX).ravel().tolist()]).reshape(-1, 4)
     xs, ys = xy[top, 0], xy[top, 1]
     wsum = wx = wy = 0.0
     px, py = np.full((2, counts.size), np.nan)
@@ -403,7 +405,7 @@ def centroid_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
         for k in range(4):
             wsum, wx, wy = wsum + w[:, k], wx + w[:, k] * xs[:, k], wy + w[:, k] * ys[:, k]
         px[fixed], py[fixed] = wx / wsum, wy / wsum
-    ok[fixed] = (0.0 < wsum) & (wsum < math.inf)
+    ok[fixed] = (0.0 < wsum) & (wsum < math.inf) & (e <= EXP10_MAX).all(1)
     return [_new(Estimate, (_new(Point, (x, y)), _CENTROID, cell, n, False)) if good
             else _new(Estimate, (None, _NO_FIX, None, n, False)) if k < 4
             else centroid_estimate(reports[a:b], _new(EstimatorState, (n, None)), config)[0]
@@ -472,32 +474,29 @@ def localize_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
     state's for the first round.
 
     The rounds are ranked as centroid_step ranks them. Each range is
-    Python's float power of an array quotient, clamped by comparisons as
-    _inverse_ranges clamps it, which ranges a step where a power overflows.
-    Each distinct top four of ids gets one _cell_plan. Refined rounds are
-    solved on arrays in _solve_in_cell's order, each clamp a where that
-    picks what max and min pick, -0.0 included (np.maximum and np.minimum
-    may not). The other rounds are fixed in order by localize's helpers; a
-    no_fix keeps the last.
+    Python's float power of an array quotient capped at EXP10_MAX, clamped
+    by comparisons as _inverse_ranges clamps it. So each range is
+    _inverse_ranges' for any range_d_max up to 1e308; the simulator's is at
+    most 4e150, D_MAX_FACTOR times RECEPTION_RADIUS_MAX_M. Each distinct
+    top four gets one _cell_plan, keyed by the ranks of its ids among
+    those the step's top fours name, as the digits of an int64: more than
+    55,108 beacons named raise ValueError. Refined rounds are solved on
+    arrays in _solve_in_cell's order, each clamp a where that picks what
+    max and min pick, -0.0 included (np.maximum and np.minimum may not).
+    The other rounds are fixed in order by localize's helpers; a no_fix
+    keeps the last.
     """
     counts, fixed, top = _rank_top4(cuts, levels, xy)
-    a_dbm, lo, hi = config.a_dbm, config.range_d_min, config.range_d_max
-    n_top = np.asarray(ns, dtype=float)[fixed]
+    lo, hi = config.range_d_min, config.range_d_max
     with np.errstate(over="ignore"):
-        e = (a_dbm - levels[top]) / (10.0 * n_top)[:, None]
-    try:
-        d = np.array([10.0 ** x for x in e.ravel().tolist()]).reshape(-1, 4)
-        d = np.where(d < lo, lo, np.where(d > hi, hi, d))
-    except OverflowError:
-        d = np.array([_inverse_ranges(row, a_dbm, n, hi, lo)[0]
-                      for row, n in zip(levels[top].tolist(), n_top.tolist())]).reshape(-1, 4)
-    # A top four's key: its ids as an int64's digits where they fit, else its row.
-    four = ids[top].astype(np.int64)
-    base = int(four.max(initial=0)) + 1
-    if four.min(initial=0) >= 0 and base ** 4 < 2 ** 63:
-        four = four @ base ** np.arange(3, -1, -1)
-    _, first, which = np.unique(four, return_index=True, return_inverse=True,
-                                axis=None if four.ndim == 1 else 0)
+        e = (config.a_dbm - levels[top]) / (10.0 * np.asarray(ns, dtype=float)[fixed])[:, None]
+    d = np.array([10.0 ** x for x in np.minimum(e, EXP10_MAX).ravel().tolist()]).reshape(-1, 4)
+    d = np.where(d < lo, lo, np.where(d > hi, hi, d))
+    names, ranks = np.unique(ids[top], return_inverse=True)
+    if names.size ** 4 > 2 ** 63:
+        raise ValueError(f"the top fours name {names.size:,} beacons; an int64 key holds 55,108")
+    _, first, which = np.unique(ranks.reshape(-1, 4) @ names.size ** np.arange(3, -1, -1),
+                                return_index=True, return_inverse=True)
     plans = [_cell_plan((reports[i][0], reports[j][0], reports[k][0], reports[m][0]),
                         config.grid) for i, j, k, m in top[first].tolist()]
     framed = np.array([cell is not None for cell, _ in plans], dtype=bool)[which]

@@ -8,10 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from gridloc.channel import (A_DBM_RANGE, D_MIN_M, N_EXP_MAX, RECEPTION_RADIUS_MAX_M,
-                             RECEPTION_RADIUS_MIN_M, SCREEN_DB, SIGMA_DBM_MAX,
-                             ChannelParams, average_levels, distance_to_rss, link_rss,
-                             _inverse_ranges, _links, receive_rounds,
+from gridloc.channel import (A_DBM_RANGE, N_EXP_MAX, RECEPTION_RADIUS_MAX_M, SCREEN_DB,
+                             SIGMA_DBM_MAX, ChannelParams, average_levels, distance_to_rss,
+                             link_rss, _inverse_ranges, _links, receive_rounds,
                              round_half_away_array, rss_to_distance, sample_rss)
 from gridloc.protocol import MAX_ACCUM_COUNT
 
@@ -34,14 +33,6 @@ class TestParams:
 
     def test_ranging_clamp_scales_with_radius(self):
         assert ChannelParams(reception_radius_m=30.0).d_max_m == 120.0
-
-    def test_smallest_radius_keeps_the_clamp_window(self):
-        # Any smaller radius would put d_max_m under D_MIN_M.
-        params = ChannelParams(reception_radius_m=RECEPTION_RADIUS_MIN_M)
-        assert RECEPTION_RADIUS_MIN_M == 0.025
-        assert params.d_max_m == D_MIN_M
-        with pytest.raises(ValueError, match="must be at least 0.025"):
-            ChannelParams(reception_radius_m=0.02)
 
 
 class TestDistanceToRss:

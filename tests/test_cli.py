@@ -74,17 +74,28 @@ class TestLocate:
         assert float(fields[0]) == pytest.approx(10.6, abs=1e-9)
         assert float(fields[1]) == pytest.approx(5.7, abs=1e-9)
 
-    def test_a_wide_lattice_caps_the_shortest_range_at_the_longest(self, tmp_path, capsys):
-        # 0.025 spacings is 250 m here, over locate's 120 m upper clamp. Capped
-        # at 120 m, every range is 120 m and the fix is the cell centre, as
-        # with a 0.1 m clamp; uncapped, the strongest level, 180 m from its
-        # beacon, would range 250 m and the other three 120 m.
+    def test_a_wide_lattice_ranges_in_its_own_spacing(self, tmp_path, capsys):
+        # The upper range clamp is 30 spacings, 300 km here. A fixed 120 m
+        # clamped every range, and the fix was the cell centre (5000, 5000).
         beacons = [(1e4 * i, 1e4 * j) for j in range(3) for i in range(3)]
         reports = tmp_path / "reports.csv"
-        write_reports(reports, (100.0, 150.0), beacons)
+        write_reports(reports, (2000.0, 3000.0), beacons)
         assert main(["locate", str(reports), "--spacing", "10000"]) == EXIT_OK
         fields = capsys.readouterr().out.strip().split(",")
-        assert [float(v) for v in fields[:2]] == [5000.0, 5000.0]
+        assert float(fields[0]) == pytest.approx(2000.0, rel=1e-9)
+        assert float(fields[1]) == pytest.approx(3000.0, rel=1e-9)
+        assert fields[2:5] == ["refined", "0", "0"]
+
+    def test_the_widest_lattice_ranges_below_the_simulators_ceiling(self, tmp_path, capsys):
+        # 30 spacings would be 3e161 m, whose square is past the largest
+        # float: the in-cell solve would give nan. Capped at 4e150 m, every
+        # range clamps and the fix is the cell centre.
+        beacons = [(1e160 * i, 1e160 * j) for j in range(3) for i in range(3)]
+        reports = tmp_path / "reports.csv"
+        write_reports(reports, (2e159, 3e159), beacons)
+        assert main(["locate", str(reports), "--spacing", "1e160"]) == EXIT_OK
+        fields = capsys.readouterr().out.strip().split(",")
+        assert [float(v) for v in fields[:2]] == [5e159, 5e159]
         assert fields[2:5] == ["refined", "0", "0"]
 
     def test_a_fine_lattice_ranges_below_a_tenth_of_a_metre(self, tmp_path, capsys):

@@ -111,8 +111,6 @@ RANGE = [
     ("channel", "sigma_dbm", -1.0, "must be >= 0"),
     ("channel", "sigma_dbm", 30.5, "must be at most 30"),
     ("channel", "reception_radius_m", 0.0, "must be positive"),
-    ("channel", "reception_radius_m", 0.02, "must be at least 0.025"),
-    ("channel", "reception_radius_m", math.nextafter(0.025, 0.0), "must be at least 0.025"),
     ("channel", "reception_radius_m", math.nextafter(1e150, math.inf), "must be at most 1e+150"),
     ("channel", "reception_radius_m", 1e308, "must be at most 1e+150"),
     ("estimator", "n_initial", 0.0, "must be positive"),

@@ -653,6 +653,11 @@ TIED_LEVELS = st.one_of(st.sampled_from([-61.25, -55.5, -50.0]),
 # -3240 dBm down. A round of them can have every weight 0.
 FAR_LEVELS = st.one_of(st.sampled_from([-3300.0, -3240.0, -3233.0]),
                        st.floats(-3300.0, -3000.0))
+# Far above 0 dBm a weight is past 1e308, the step fixers' cap: from
+# 3080 dBm, at 3082.5 still finite and from about 3083 dBm past the
+# largest float.
+HOT_LEVELS = st.one_of(st.sampled_from([3080.0, 3082.5, 3083.0, 3100.0]),
+                       st.floats(3000.0, 3200.0))
 
 
 @st.composite
@@ -688,12 +693,21 @@ ID_FACTORS = st.sampled_from([1, 2**50, -1])
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.lists(TIED_LEVELS, max_size=12) | st.lists(FAR_LEVELS, max_size=12)
-                | cell_levels(), min_size=1, max_size=8),
+                | st.lists(TIED_LEVELS | HOT_LEVELS, max_size=12) | cell_levels(),
+                min_size=1, max_size=8),
        st.sampled_from([GridSpec(cols=4, rows=3), NEAR_ZERO, FAR_ORIGIN, WIDE]),
        st.lists(EXPONENTS, min_size=8, max_size=8), LAST_FIXES, D_MAXES, st.booleans(),
        ID_FACTORS)
 @example(rounds=[[-3233.0, -3240.0, -3240.0, -3240.0]], grid=NEAR_ZERO, ns=[2.0] * 8,
          last=None, d_max=120.0, signed=False, id_factor=1)
+# One round whose ranges at n = 1e-3 are powers past the largest float, and
+# one with a weight past it, among rounds that refine a cell.
+@example(rounds=[[-45.0, -90.0, -95.0, -95.0, -45.0, -90.0],
+                 [-45.0, -90.0, -95.0, -95.0, -45.0, -90.0],
+                 [-45.0, -90.0, -95.0, -95.0, -45.0, -90.0],
+                 [3100.0, -90.0, -95.0, -95.0, -45.0, -90.0]],
+         grid=GridSpec(cols=4, rows=3), ns=[2.0, 1e-3] + [2.0] * 6, last=None, d_max=120.0,
+         signed=False, id_factor=1)
 # Beacons at -0.0: the refined x is 0.0 on the cell's low side, x_lo = -0.0,
 # where max(x, x_lo) is x and np.maximum(x, x_lo) is x_lo.
 @example(rounds=[[-45.0, -90.0, -95.0, -95.0, -45.0, -90.0]], grid=GridSpec(cols=4, rows=3),
@@ -747,6 +761,22 @@ def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid, ns, last, d
     got = estimator.localize_step(step, cuts, levels[keep], xy, np.array(ids, dtype=int),
                                   ns[:len(rounds)], estimator.EstimatorState(2.0, last), config)
     assert repr(got) == repr((fixes, chained))
+
+
+@pytest.mark.parametrize("named", [55_108, 55_109])
+def test_a_step_names_at_most_the_beacons_an_int64_key_holds(named):
+    # A top four's plan key is its ids' ranks as four digits of an int64:
+    # 55,108 ** 4 fits, 55,109 ** 4 does not, so keys could collide.
+    rounds = -(-named // 4)
+    report = estimator.RssiReport(Point(0.0, 0.0), -50.0)
+    args = ([report] * 4 * rounds, range(0, 4 * rounds + 1, 4), np.full(4 * rounds, -50.0),
+            np.zeros((4 * rounds, 2)), np.arange(4 * rounds) % named, [2.0] * rounds,
+            estimator.EstimatorState(), estimator.LocalizerConfig(GridSpec()))
+    if named > 55_108:
+        with pytest.raises(ValueError, match="name 55,109 beacons"):
+            estimator.localize_step(*args)
+    else:
+        assert len(estimator.localize_step(*args)[0]) == rounds
 
 
 @pytest.mark.parametrize("run", [run_scenario, run_baseline, run_with_baseline],
@@ -928,15 +958,14 @@ def tied_scenarios(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.integers(-2, 3), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 3.0]),
+@given(st.integers(-3, 3), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 3.0]),
        st.sampled_from([(3, 30.0), (6, 9.0)]))
 def test_a_scaled_scenario_scales_every_fix(power, seed, sigma, lattice):
     # Lengths times k = 10 ** power and a_dbm up by 20 * power dB at n = 2
     # give every mean within rounding of the unscaled one, and the same
     # draws: each fix is k times the unscaled fix, by the same method. At
     # k = 0.01 every range was clamped to D_MIN_M before the lower clamp
-    # scaled with the spacing; k = 0.001 would put a 9 m radius under
-    # RECEPTION_RADIUS_MIN_M.
+    # scaled with the spacing; at k = 0.001 the 9 m radius is 9 mm.
     def scaled(k, shift):
         cols, radius = lattice
         return scenario_from_dict({
