@@ -73,10 +73,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _REPORT_COLUMNS = ("beacon_x", "beacon_y", "avg_rssi_dbm")
+# A report's beacon is the lattice vertex within this many spacings of its
+# coordinates; a beacon surveyed 1 cm off at the default spacing is 0.0025.
+VERTEX_SPACINGS = 0.05
 
 
-def _parse_reports(path: Path) -> list[RssiReport]:
-    reports = []
+def _vertex(grid: GridSpec, x: float, y: float) -> Optional[Point]:
+    """The position of the lattice vertex within VERTEX_SPACINGS spacings
+    of (x, y), or None."""
+    (ox, oy), spacing = grid.origin, grid.spacing_m
+    col, row = (x - ox) / spacing, (y - oy) / spacing
+    # A quotient past the largest float is off the lattice; round() would raise.
+    if not math.isfinite(col + row):
+        return None
+    i, j = round(col), round(row)
+    if not (0 <= i < grid.cols and 0 <= j < grid.rows):
+        return None
+    # Measured from the vertex itself: far from the origin the quotients are
+    # rounded by more than the tolerance.
+    vertex = grid.beacon_position(i, j)
+    near = math.hypot(x - vertex[0], y - vertex[1]) <= VERTEX_SPACINGS * spacing
+    return vertex if near else None
+
+
+def _parse_reports(path: Path, grid: GridSpec) -> list[RssiReport]:
+    """The reports of a file, each at its beacon's vertex of grid: a line
+    off every vertex, or on one another line is on, is rejected."""
+    reports, lines = [], {}
     with path.open(encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -94,7 +117,15 @@ def _parse_reports(path: Path) -> list[RssiReport]:
                 for name, value in zip(_REPORT_COLUMNS, values):
                     if not math.isfinite(value):
                         raise ValueError(f"{name} must be finite")
-                report = RssiReport(Point(x, y), rssi, int(fields[3]))
+                vertex = _vertex(grid, x, y)
+                if vertex is None:
+                    raise ValueError(f"({x!r}, {y!r}) is not within {VERTEX_SPACINGS} "
+                                     "spacings of a lattice vertex")
+                if vertex in lines:
+                    raise ValueError(f"the beacon at ({vertex[0]!r}, {vertex[1]!r}) is "
+                                     f"reported on line {lines[vertex]} too")
+                lines[vertex] = lineno
+                report = RssiReport(vertex, rssi, int(fields[3]))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             reports.append(report)
@@ -125,7 +156,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
                             cols=args.cols, rows=args.rows)
         except sim.ScenarioError as exc:
             raise ValueError(f"{_LOCATE_FLAGS[exc.path]}: {exc.rule}") from exc
-        reports = _parse_reports(Path(args.reports))
+        reports = _parse_reports(Path(args.reports), grid)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

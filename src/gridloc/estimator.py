@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -75,8 +74,8 @@ class _ReportFields(NamedTuple):
 class RssiReport(_ReportFields):
     """Averaged signal strength from one beacon.
 
-    An immutable named tuple. The constructor, _make, _replace and batch
-    all check the sample count.
+    An immutable named tuple. The constructor, _make and _replace all check
+    the sample count.
     """
 
     __slots__ = ()
@@ -93,15 +92,6 @@ class RssiReport(_ReportFields):
         report = super()._make(iterable)
         _check_count(report.sample_count)
         return report
-
-    @classmethod
-    def batch(cls, positions: Iterable[Point], levels: Iterable[float],
-              sample_count: int) -> list[RssiReport]:
-        """RssiReport(p, level, sample_count) for each position and level
-        in turn, with the count checked once."""
-        _check_count(sample_count)
-        return list(map(tuple.__new__, repeat(cls),
-                        zip(positions, levels, repeat(sample_count))))
 
 
 def _check_n(n_current: float) -> None:
@@ -297,12 +287,11 @@ def _laterate(pa: Point, pb: Point, da: float, db: float, k: int) -> float:
     return 0.5 * (pa[k] + pb[k]) + (da * da - db * db) / (2.0 * (pb[k] - pa[k]))
 
 
-def _pair_split(reports: Sequence[RssiReport], split: tuple[tuple, ...],
+def _pair_split(quad: Sequence[Point], levels: Sequence[float], split: tuple[tuple, ...],
                 d: Sequence[float]) -> Optional[Point]:
-    """The pair-split fix of four reports from their _split_plan and their
-    ranges: the pairing whose pairs differ least in level laterates one
+    """The pair-split fix of four positions from their levels, _split_plan
+    and ranges: the pairing whose pairs differ least in level laterates one
     axis per pair. None when the chosen pairs leave an axis unfixed."""
-    levels = list(map(_strength, reports))
     best_cost, axes = math.inf, split[0][4]
     for a, b, i, j, fix in split:
         cost = abs(levels[a] - levels[b]) + abs(levels[i] - levels[j])
@@ -311,8 +300,8 @@ def _pair_split(reports: Sequence[RssiReport], split: tuple[tuple, ...],
     if axes is None:
         return None
     xa, xb, ya, yb = axes
-    return Point(_laterate(reports[xa].beacon_pos, reports[xb].beacon_pos, d[xa], d[xb], 0),
-                 _laterate(reports[ya].beacon_pos, reports[yb].beacon_pos, d[ya], d[yb], 1))
+    return Point(_laterate(quad[xa], quad[xb], d[xa], d[xb], 0),
+                 _laterate(quad[ya], quad[yb], d[ya], d[yb], 1))
 
 
 def _near_beacon(anchor: Point, r: float, target: Optional[Point],
@@ -330,18 +319,23 @@ def weighted_centroid(reports: Sequence[RssiReport]) -> Point:
     """Beacon positions averaged with linearized-power weights."""
     if not reports:
         raise ValueError("weighted_centroid needs at least one report")
+    return _centroid(list(map(_position, reports)), list(map(_strength, reports)))
+
+
+def _centroid(positions: Sequence[Point], levels: Sequence[float]) -> Point:
+    """weighted_centroid of the reports at positions with levels."""
     # Far from 0 dBm every weight can underflow to 0, or one overflow. Only
     # then is each taken relative to the strongest, which weighs 1; x - 0.0
     # is x, so every centroid that the absolute weights give keeps its bits.
     for strongest in (False, True):
-        ref = max(map(_strength, reports)) if strongest else 0.0
+        ref = max(levels) if strongest else 0.0
         wsum = wx = wy = 0.0
         try:
-            for r in reports:
-                w = 10.0 ** ((r.avg_rssi_dbm - ref) / 10.0)
+            for (x, y), level in zip(positions, levels):
+                w = 10.0 ** ((level - ref) / 10.0)
                 wsum += w
-                wx += w * r.beacon_pos[0]
-                wy += w * r.beacon_pos[1]
+                wx += w * x
+                wy += w * y
         except OverflowError:
             continue
         if 0.0 < wsum < math.inf:
@@ -379,20 +373,18 @@ def _rank_top4(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray
     return counts, fixed, np.take_along_axis(row, rank[:, :4], 1)
 
 
-def centroid_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np.ndarray,
-                  xy: np.ndarray, ns: Sequence[float],
-                  config: LocalizerConfig) -> list[Estimate]:
+def centroid_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray,
+                  ns: Sequence[float], config: LocalizerConfig) -> list[Estimate]:
     """centroid_estimate's estimate of each round of a step, with every bit:
-    round i's reports are reports[cuts[i]:cuts[i + 1]], their levels and
-    positions the same rows of the arrays levels and xy, and its n_current
-    is ns[i].
+    round i's reports are rows cuts[i] to cuts[i + 1] of the arrays levels
+    and xy, a level and a beacon position a row, and its n_current is ns[i].
 
     The rounds are ranked at once, each in select_top4's order. Each weight
     is Python's float power (numpy's can round otherwise, and differently
     on another host) of an exponent capped at EXP10_MAX, and the sums are
     added a column at a time, from 0.0, in weighted_centroid's order. A
     round with an exponent past the cap, or whose weights sum to 0 or inf,
-    goes to centroid_estimate alone.
+    goes to centroid_estimate alone, as reports built from its rows.
     """
     counts, fixed, top = _rank_top4(cuts, levels, xy)
     e = levels[top] / 10.0
@@ -408,7 +400,9 @@ def centroid_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
     ok[fixed] = (0.0 < wsum) & (wsum < math.inf) & (e <= EXP10_MAX).all(1)
     return [_new(Estimate, (_new(Point, (x, y)), _CENTROID, cell, n, False)) if good
             else _new(Estimate, (None, _NO_FIX, None, n, False)) if k < 4
-            else centroid_estimate(reports[a:b], _new(EstimatorState, (n, None)), config)[0]
+            else centroid_estimate(list(map(RssiReport, map(Point._make, xy[a:b].tolist()),
+                                            levels[a:b].tolist())),
+                                   _new(EstimatorState, (n, None)), config)[0]
             for x, y, cell, good, k, n, a, b in zip(
                 px.tolist(), py.tolist(), _cells_or_none(px, py, config.grid),
                 ok.tolist(), counts.tolist(), ns, cuts, cuts[1:])]
@@ -442,35 +436,38 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
     if cell is not None:
         pos = _solve_in_cell(quad, d, plan)
         return _new(Estimate, (pos, _REFINED, cell, n, False)), _new(EstimatorState, (n, pos))
-    estimate = _unframed(top4, plan, d, state.last_estimate, n, config)
+    estimate = _unframed(quad, list(map(_strength, top4)), plan, d, state.last_estimate, n,
+                         config)
     return estimate, _new(EstimatorState, (n, estimate[0]))
 
 
-def _unframed(top4: Sequence[RssiReport], split: tuple[tuple, ...], d: Sequence[float],
-              last: Optional[Point], n: float, config: LocalizerConfig) -> Estimate:
+def _unframed(quad: Sequence[Point], levels: Sequence[float], split: tuple[tuple, ...],
+              d: Sequence[float], last: Optional[Point], n: float,
+              config: LocalizerConfig) -> Estimate:
     """localize's estimate of a top four that frames no cell, from its
-    _split_plan, ranges and the last fix: near beacon if the strongest
-    range is under near_beacon_tau spacings, else pair split or centroid."""
+    positions, levels, _split_plan and ranges and the last fix: near beacon
+    if the strongest range is under near_beacon_tau spacings, else pair
+    split or the weighted centroid."""
     grid = config.grid
     bounds = grid.bounds()
     if d[0] < config.near_beacon_tau * grid.spacing_m:
         method, fallback = _NEAR_BEACON, False
-        pos = _near_beacon(top4[0].beacon_pos, d[0], last, bounds)
+        pos = _near_beacon(quad[0], d[0], last, bounds)
     else:
-        method, pos = _PAIR_SPLIT, _pair_split(top4, split, d)
+        method, pos = _PAIR_SPLIT, _pair_split(quad, levels, split, d)
         fallback = pos is None
         if fallback:
-            pos = weighted_centroid(top4)
+            pos = _centroid(quad, levels)
     return _new(Estimate, (pos, method, _cell_or_none(pos, grid, bounds), n, fallback))
 
 
-def localize_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np.ndarray,
-                  xy: np.ndarray, ids: np.ndarray, ns: Sequence[float], state: EstimatorState,
+def localize_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray, ids: np.ndarray,
+                  ns: Sequence[float], state: EstimatorState,
                   config: LocalizerConfig) -> tuple[list[Estimate], EstimatorState]:
     """localize's estimate of each round of a step, with every bit, and the
-    state after them: round i's reports are reports[cuts[i]:cuts[i + 1]],
-    their levels, positions and beacon ids the same rows of levels, xy and
-    ids, its n_current is ns[i], and its last fix the one before it, or
+    state after them: round i's reports are rows cuts[i] to cuts[i + 1] of
+    the arrays levels, xy and ids, a level, a beacon position and its id a
+    row, its n_current is ns[i], and its last fix the one before it, or
     state's for the first round.
 
     The rounds are ranked as centroid_step ranks them. Each range is
@@ -478,13 +475,15 @@ def localize_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
     by comparisons as _inverse_ranges clamps it. So each range is
     _inverse_ranges' for any range_d_max up to 1e308; the simulator's is at
     most 4e150, D_MAX_FACTOR times RECEPTION_RADIUS_MAX_M. Each distinct
-    top four gets one _cell_plan, keyed by the ranks of its ids among
-    those the step's top fours name, as the digits of an int64: more than
-    55,108 beacons named raise ValueError. Refined rounds are solved on
-    arrays in _solve_in_cell's order, each clamp a where that picks what
-    max and min pick, -0.0 included (np.maximum and np.minimum may not).
-    The other rounds are fixed in order by localize's helpers; a no_fix
-    keeps the last.
+    top four gets one _cell_plan of four Points from its first round's
+    rows, keyed by the ranks of its ids among those the step's top fours
+    name, as the digits of an int64: more than 55,108 beacons named raise
+    ValueError. An id names one position, so every round of a top four
+    shares its Points. Refined rounds are solved on arrays in
+    _solve_in_cell's order, each clamp a where that picks what max and min
+    pick, -0.0 included (np.maximum and np.minimum may not). The other
+    rounds are fixed in order by localize's helpers; a no_fix keeps the
+    last.
     """
     counts, fixed, top = _rank_top4(cuts, levels, xy)
     lo, hi = config.range_d_min, config.range_d_max
@@ -497,14 +496,14 @@ def localize_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
         raise ValueError(f"the top fours name {names.size:,} beacons; an int64 key holds 55,108")
     _, first, which = np.unique(ranks.reshape(-1, 4) @ names.size ** np.arange(3, -1, -1),
                                 return_index=True, return_inverse=True)
-    plans = [_cell_plan((reports[i][0], reports[j][0], reports[k][0], reports[m][0]),
-                        config.grid) for i, j, k, m in top[first].tolist()]
+    quads = [tuple(map(Point._make, quad)) for quad in xy[top[first]].tolist()]
+    plans = [_cell_plan(quad, config.grid) for quad in quads]
     framed = np.array([cell is not None for cell, _ in plans], dtype=bool)[which]
     # Each refined round's eight indices, by _solve_in_cell's unpacking.
     at = np.array([plan if cell is not None else (0,) * 8 for cell, plan in plans],
                   dtype=int).reshape(-1, 8)[which[framed]]
-    quads = top[framed]
-    (x_lo, x_hi), (y_lo, y_hi) = (np.take_along_axis(xy[quads, k], at[:, 2 * k:2 * k + 2], 1).T
+    rows = top[framed]
+    (x_lo, x_hi), (y_lo, y_hi) = (np.take_along_axis(xy[rows, k], at[:, 2 * k:2 * k + 2], 1).T
                                   for k in (0, 1))
     d1, d2, d3, d4 = np.take_along_axis(d[framed], at[:, 4:], 1).T
     with np.errstate(all="ignore"):
@@ -515,7 +514,7 @@ def localize_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
     x, y = np.where(x_lo > x, x_lo, x), np.where(y_lo > y, y_lo, y)
     x, y = np.where(x_hi < x, x_hi, x), np.where(y_hi < y, y_hi, y)
     solved = zip(x.tolist(), y.tolist())
-    unframed = zip(top[~framed].tolist(), d[~framed].tolist())
+    unframed = zip(levels[top[~framed]].tolist(), d[~framed].tolist())
     fixes = zip(which.tolist(), framed.tolist())
     estimates, last = [], state.last_estimate
     for n, k in zip(ns, counts.tolist()):
@@ -528,7 +527,7 @@ def localize_step(reports: Sequence[RssiReport], cuts: Sequence[int], levels: np
             last = _new(Point, next(solved))
             estimates.append(_new(Estimate, (last, _REFINED, cell, n, False)))
         else:
-            row, r = next(unframed)
-            estimates.append(_unframed([reports[j] for j in row], plan, r, last, n, config))
+            four, r = next(unframed)
+            estimates.append(_unframed(quads[u], four, plan, r, last, n, config))
             last = estimates[-1][0]
     return estimates, state if not estimates else _new(EstimatorState, (ns[-1], last))

@@ -37,12 +37,12 @@ half a step with quantize. So only links within 2 * eps of their round's
 fourth strongest screened level can reach its top four, and only they get
 exact levels (every link does when a trace writes every level); from
 those _contenders picks each round's levels at least as strong as its
-fourth strongest, and reports are built for those alone. The fixers take
-the steps merged into batches, each closed once it holds CHUNK_DRAWS
-contenders or the rounds end: _localize_rounds fixes a batch with one
-est.localize_step call, or calls localize once a round where a recorder
-or tracer has replaced it, and _centroid_rounds with one est.centroid_step
-call.
+fourth strongest. The fixers read those contenders as arrays of levels,
+positions and beacon ids, in steps merged into batches, each closed once
+it holds CHUNK_DRAWS contenders or the rounds end: _localize_rounds fixes
+a batch with one est.localize_step call, or, where a recorder or tracer
+has replaced localize, builds the batch's reports and calls it once a
+round, and _centroid_rounds with one est.centroid_step call.
 When a trace is asked for, a step's lines go to it at once, each round's
 from one template that _trace_writer joins from the beacons it heard. The
 discrete-event simulator that drives the protocol machines packet by
@@ -359,13 +359,14 @@ def _sink(trace: Union[list[str], Callable[[str], None], None]
 
 class _Step(NamedTuple):
     """A batch of rounds as a fixer reads it: the first round's index, each
-    round's true position, the contenders' reports, round i's from
-    reports[cuts[i]] to reports[cuts[i + 1]], their levels, positions and
-    beacon ids as arrays, and each round's n, adapted or not."""
+    round's true position, the sample count of every level, the
+    contenders' levels, positions and beacon ids as arrays, round i's
+    from row cuts[i] to row cuts[i + 1], and each round's n, adapted or
+    not."""
 
     first: int
     truth: list[geo.Point]
-    reports: list[est.RssiReport]
+    count: int
     cuts: list[int]
     levels: np.ndarray
     xy: np.ndarray
@@ -382,12 +383,18 @@ def _localize_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerC
                      ) -> tuple[list[RoundRecord], est.EstimatorState]:
     """The batch's records from est.localize_step, and the state after
     them; where est.localize has been replaced, from that, looked up on the
-    module, once a round."""
-    reports, cuts, ns = step.reports, step.cuts, step.ns
+    module, once a round, on reports built from the batch's rows."""
+    cuts, ns = step.cuts, step.ns
     if getattr(est.localize, "__code__", None) is _LOCALIZE_CODE:
-        estimates, state = est.localize_step(reports, cuts, step.levels, step.xy, step.ids,
-                                             ns, state, cfg)
+        estimates, state = est.localize_step(cuts, step.levels, step.xy, step.ids, ns, state,
+                                             cfg)
         return _records(step, estimates), state
+    # One Point a beacon, shared by its reports: a Point per report cost 2 MB
+    # of peak RSS in a sweep.
+    _, first, which = np.unique(step.ids, return_index=True, return_inverse=True)
+    points = list(map(geo.Point._make, step.xy[first].tolist()))
+    reports = [est.RssiReport(points[i], v, step.count)
+               for i, v in zip(which.tolist(), step.levels.tolist())]
     estimates = []
     for n, a, b in zip(ns, cuts, cuts[1:]):
         estimate, state = est.localize(reports[a:b], est.EstimatorState(n, state.last_estimate),
@@ -399,8 +406,8 @@ def _localize_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerC
 def _centroid_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerConfig
                      ) -> tuple[list[RoundRecord], est.EstimatorState]:
     """The batch's records from est.centroid_step, which keeps no state."""
-    return _records(step, est.centroid_step(step.reports, step.cuts, step.levels, step.xy,
-                                            step.ns, cfg)), state
+    return _records(step, est.centroid_step(step.cuts, step.levels, step.xy, step.ns,
+                                            cfg)), state
 
 
 def _records(step: _Step, estimates: list[est.Estimate]) -> list[RoundRecord]:
@@ -412,9 +419,8 @@ def _records(step: _Step, estimates: list[est.Estimate]) -> list[RoundRecord]:
 
 def _merged(steps: list[_Step]) -> _Step:
     """Consecutive steps of rounds as one."""
-    starts = accumulate((len(p.reports) for p in steps), initial=0)
-    return _Step(steps[0].first, [t for p in steps for t in p.truth],
-                 [r for p in steps for r in p.reports],
+    starts = accumulate((p.cuts[-1] for p in steps), initial=0)
+    return _Step(steps[0].first, [t for p in steps for t in p.truth], steps[0].count,
                  [0] + [a + c for a, p in zip(starts, steps) for c in p.cuts[1:]],
                  *(np.concatenate(arrays) for arrays in zip(*(p[4:7] for p in steps))),
                  [n for p in steps for n in p.ns])
@@ -437,13 +443,6 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
     xs, ys = (np.array([o + i * spacing for i in range(k)])
               for o, k in ((ox, g.cols), (oy, g.rows)))
     xy = np.column_stack([np.tile(xs, g.rows), np.repeat(ys, g.cols)])
-
-    @cache
-    def beacon_pos(i: int) -> geo.Point:
-        # One Point a beacon, made when it is first in range and shared by
-        # its reports: a Point per report cost 2 MB of peak RSS in a sweep.
-        return geo.Point._make(xy[i].tolist())
-
     cfg = est.LocalizerConfig(
         grid=g,
         a_dbm=s.channel.a_dbm,
@@ -457,7 +456,8 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
     cal_mean = chan.link_rss(cal_length, s.channel) if cal_length is not None else None
     n, interval = s.protocol.accum_count, s.protocol.round_interval_ms
 
-    write = _trace_writer(s.protocol, beacon_pos) if trace is not None else None
+    # position_of is the table's arithmetic: a trace's positions are its rows.
+    write = _trace_writer(s.protocol, g.position_of) if trace is not None else None
     positions = s.positions()
     # A position's window: the columns and rows within half of its nearest
     # vertex, shifted inside the lattice (half is capped where that spans it).
@@ -496,12 +496,11 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
         avgs = chan.average_levels(tests[:, links], exact(links), s.quantize_rssi)
         if write is not None:
             heard, levels = ids.tolist(), avgs.tolist()
-        # Reports only for each round's contenders, round i's from cuts[i].
+        # Each round's contenders, round i's from row cuts[i].
         firsts = np.searchsorted(links, ends)
         keep = _contenders(avgs, np.diff(firsts))
         links, avgs, cuts = links[keep], avgs[keep], np.searchsorted(keep, firsts).tolist()
         ids = ids[links]
-        reports = est.RssiReport.batch(map(beacon_pos, ids.tolist()), avgs.tolist(), n)
         ns = [n_exp] * len(chunk)
         if cal_mean is not None:
             for i in range(len(chunk)):
@@ -510,8 +509,8 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
         if write is not None:
             trace("\n".join([write(heard[a:b], levels[a:b], (first + i) * interval)
                              for i, (a, b) in enumerate(pairwise(ends))]) + "\n")
-        batch.append(_Step(first, chunk, reports, cuts, avgs, xy[ids], ids, ns))
-        held += len(reports)
+        batch.append(_Step(first, chunk, n, cuts, avgs, xy[ids], ids, ns))
+        held += avgs.size
         if held < CHUNK_DRAWS and first + step < len(positions):
             continue
         played, batch, held = _merged(batch), [], 0
@@ -548,13 +547,13 @@ def _contenders(levels: np.ndarray, counts: Sequence[int], margin: float = 0.0) 
     return np.flatnonzero(levels >= np.repeat(fourth, k))
 
 
-def _trace_writer(p: ProtocolSettings, beacon_pos: Callable[[int], geo.Point]
+def _trace_writer(p: ProtocolSettings, position: Callable[[int], geo.Point]
                   ) -> Callable[[list[int], list[float], float], str]:
     """write(ids, levels, t0), the lines of one round's schedule from t0 on,
     joined by newlines: the beacons of ids in range, each response carrying
     its level and p.accum_count. Each line's text after its time comes from
     protocol.format_trace_line once a run, a beacon's the first time it is in
-    range, at beacon_pos(id). The lines are one % template, joined each round
+    range, at position(id). The lines are one % template, joined each round
     from those texts, that takes the round's times and levels."""
     blind, cut = "m0", len(format(0.0, proto.TIME_SPEC))
     time_spec, value_spec = "%" + proto.TIME_SPEC, "%" + proto.VALUE_SPEC
@@ -570,7 +569,7 @@ def _trace_writer(p: ProtocolSettings, beacon_pos: Callable[[int], geo.Point]
     @cache
     def response(i: int) -> str:
         # A response's last two fields are its level and count.
-        msg = proto.RssiAvgResponse(f"b{i}", beacon_pos(i), 0.0, p.accum_count)
+        msg = proto.RssiAvgResponse(f"b{i}", position(i), 0.0, p.accum_count)
         head, _, count = tail(f"b{i}", blind, msg).rsplit(",", 2)
         return f"{head},{value_spec},{count}"
 

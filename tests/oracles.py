@@ -145,7 +145,8 @@ def pair_split_estimate(reports: Sequence[RssiReport], n_used: float,
     weighted centroid)."""
     if len(reports) != 4:
         raise ValueError("pair_split_estimate needs exactly four reports")
-    return _pair_split(reports, _split_plan(tuple(r.beacon_pos for r in reports)),
+    quad = tuple(r.beacon_pos for r in reports)
+    return _pair_split(quad, [r.avg_rssi_dbm for r in reports], _split_plan(quad),
                        _inverse_ranges([r.avg_rssi_dbm for r in reports], config.a_dbm,
                                        n_used, config.range_d_max, config.range_d_min)[0])
 

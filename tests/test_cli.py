@@ -147,6 +147,50 @@ class TestLocate:
         assert out == ""
         assert err == message + "\n"
 
+    def test_a_beacon_surveyed_off_its_vertex_is_read_at_the_vertex(self, tmp_path, capsys):
+        # The middle column written 10 um off: read at its coordinates, the
+        # four framed no cell and the fix was a pair split 4 cm off.
+        reports = tmp_path / "reports.csv"
+        write_reports(reports, (1.3, 2.1), GRID_3X3)
+        reports.write_text("".join(line.replace("4.0,", "4.00001,", 1) if line.startswith("4.0,")
+                                   else line for line in reports.read_text().splitlines(True)))
+        assert reports.read_text().count("4.00001,") == 3
+        assert main(["locate", str(reports)]) == EXIT_OK
+        assert capsys.readouterr() == ("1.3,2.1,refined,0,0,2\n", "")
+
+    def test_a_beacon_far_from_the_origin_is_at_its_vertex(self, tmp_path, capsys):
+        # At x = 1e10 a float steps by 1.9e-6 m, 0.19 of this spacing, so
+        # (x - origin) / spacing is that far from the column index.
+        grid = GridSpec(origin=Point(1e10, 0.0), spacing_m=1e-5, cols=3, rows=3)
+        beacons = [grid.beacon_position(i, j) for j in range(3) for i in range(3)]
+        assert max(abs((x - 1e10) / 1e-5 - round((x - 1e10) / 1e-5)) for x, _ in beacons) > 0.05
+        reports = tmp_path / "reports.csv"
+        reports.write_text("".join(f"{x!r},{y!r},-50.0,8\n" for x, y in beacons))
+        assert main(["locate", str(reports), "--origin", "1e10,0", "--spacing", "1e-5"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("row,flags,message", [
+        # 0.4 spacings off the vertex (0, 0).
+        ("1.6,0,-50.0,8", [],
+         "line 3: (1.6, 0.0) is not within 0.05 spacings of a lattice vertex"),
+        # Off the lattice, near the vertex a fourth column would have.
+        ("12,0,-50.0,8", [],
+         "line 3: (12.0, 0.0) is not within 0.05 spacings of a lattice vertex"),
+        # x - origin is past the largest float, on a lattice from -1e308 to 1e308.
+        ("1e308,0,-50.0,8", ["--origin=-1e308,0", "--spacing", "1e308"],
+         "line 3: (1e+308, 0.0) is not within 0.05 spacings of a lattice vertex"),
+        # The beacon at (4, 0) again, 1 cm off.
+        ("4.01,0,-51.0,8", [], "line 3: the beacon at (4.0, 0.0) is reported on line 2 too"),
+    ])
+    def test_a_report_off_every_vertex_or_on_a_reported_one_is_rejected(
+            self, tmp_path, capsys, row, flags, message):
+        reports = tmp_path / "reports.csv"
+        reports.write_text("beacon_x,beacon_y,avg_rssi_dbm,sample_count\n"
+                           "4,0,-50.0,8\n" + row + "\n"
+                           "0,4,-50.0,8\n4,4,-50.0,8\n")
+        assert main(["locate", str(reports), *flags]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["locate", str(tmp_path / "absent.csv")]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err

@@ -406,20 +406,10 @@ class TestRssiReport:
         lambda p: RssiReport(p, -50.0, 0),
         lambda p: RssiReport._make((p, -50.0, 0)),
         lambda p: RssiReport(p, -50.0, 3)._replace(sample_count=0),
-        lambda p: RssiReport.batch([p, p], [-50.0, -51.0], 0),
-    ], ids=["constructor", "_make", "_replace", "batch"])
+    ], ids=["constructor", "_make", "_replace"])
     def test_every_constructor_rejects_a_zero_count(self, build):
         with pytest.raises(ValueError, match="sample_count must be >= 1"):
             build(self.P)
-
-    def test_batch_equals_the_constructor(self):
-        positions = [self.P, Point(0.0, 4.0), Point(8.0, 8.0)]
-        levels = [-50.0, -61.25, -47.5]
-        batch = RssiReport.batch(positions, levels, 8)
-        one_by_one = [RssiReport(p, level, 8) for p, level in zip(positions, levels)]
-        assert batch == one_by_one
-        assert [type(r) for r in batch] == [RssiReport] * 3
-        assert RssiReport.batch([], [], 1) == []
 
     def test_fields_unpack_and_compare_as_a_tuple(self):
         r = RssiReport(self.P, -50.0)

@@ -49,14 +49,15 @@ def _modules() -> dict[str, ast.Module]:
             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
 
 
-def _references(trees) -> defaultdict:
-    """Each name read in the modules -> the ids of the nodes that read it."""
+def _references(trees, names: bool = True) -> defaultdict:
+    """Each name read in the modules, as an attribute or, with names, as a
+    bare name -> the ids of the nodes that read it."""
     references = defaultdict(set)
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and names:
                 references[node.id].add(id(node))
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 references[node.attr].add(id(node))
     return references
 
@@ -64,15 +65,19 @@ def _references(trees) -> defaultdict:
 def test_every_public_definition_has_a_reader():
     """A public function, class or method of a module is referenced in
     src/gridloc outside its own definition (not counting __init__), read
-    by the benchmark, or imported by the acceptance checks."""
+    by the benchmark, or imported by the acceptance checks. A method is
+    referenced only as an attribute: a local variable of its name is not
+    a read of it."""
     trees = _modules()
-    references = _references(trees)
+    references, attributes = _references(trees), _references(trees, names=False)
     benchmark_reads = traced_names() | attribute_names()
     accepted = _acceptance_imports()
     unread = []
     for module, tree in trees.items():
         for name, definition in _public_definitions(tree):
-            outside = references[name.rpartition(".")[2]] - set(map(id, ast.walk(definition)))
+            owner, _, attr = name.rpartition(".")
+            reads = (attributes if owner else references)[attr]
+            outside = reads - set(map(id, ast.walk(definition)))
             if not (outside or f"{module}.{name}" in benchmark_reads or name in accepted):
                 unread.append(f"{module}.{name}")
     assert unread == []
@@ -88,4 +93,19 @@ def test_every_private_definition_has_a_reader():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name.startswith("_")
               and not references[node.name] - set(map(id, ast.walk(node)))]
+    assert unread == []
+
+
+def test_every_import_is_read():
+    """Each name a module of src/gridloc imports, but for __init__ and from
+    __future__, is read in that module."""
+    unread = []
+    for module, tree in _modules().items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                unread += [f"{module}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.partition(".")[0]) not in read]
     assert unread == []

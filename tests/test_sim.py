@@ -428,7 +428,7 @@ class TestByteIdentity:
         steps = []
 
         def counting(*args, _original=estimator.localize_step):
-            steps.append(len(args[1]) - 1)
+            steps.append(len(args[0]) - 1)
             return _original(*args)
 
         monkeypatch.setattr(estimator, "localize_step", counting)
@@ -438,7 +438,7 @@ class TestByteIdentity:
         original, calls = estimator.localize, []
 
         def wrapper(*args):
-            calls.append(1)
+            calls.append(args[0])
             return original(*args)
 
         for module in (estimator, sim):
@@ -447,6 +447,14 @@ class TestByteIdentity:
                     monkeypatch.setattr(module, name, wrapper)
         assert repr(run_scenario(s)) == repr(records)
         assert sum(steps) == s.rounds and len(calls) == s.rounds
+        # The replacement gets reports of accum_count samples, and a beacon's
+        # reports in one batch share one Point: a Point a report would cost
+        # a recorder's peak memory.
+        reports = [r for call in calls for r in call]
+        assert ({(type(r), r.sample_count) for r in reports}
+                == {(estimator.RssiReport, s.protocol.accum_count)})
+        points = [r.beacon_pos for r in reports]
+        assert len(set(map(id, points))) <= len(set(points)) * len(steps)
 
     # The DES cases keep the ids they had before the batched engine existed.
     @pytest.mark.parametrize("cols,radius,sigma,engine", [
@@ -747,8 +755,7 @@ def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid, ns, last, d
     # reference from all of each round's reports, bit for bit.
     cuts = list(itertools.accumulate((len(contenders(r)) for r in every), initial=0))
     xy = np.array([r.beacon_pos for r in step], dtype=float).reshape(-1, 2)
-    estimates = estimator.centroid_step(step, cuts, levels[keep], xy, [2.0] * len(rounds),
-                                        config)
+    estimates = estimator.centroid_step(cuts, levels[keep], xy, [2.0] * len(rounds), config)
     assert repr(estimates) == repr([estimator.centroid_estimate(r, state, config)[0]
                                     for r in every])
     # So is localize's, chained: round i at ns[i], from the last fix before
@@ -758,7 +765,7 @@ def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid, ns, last, d
         fix, chained = estimator.localize(r, estimator.EstimatorState(n, chained.last_estimate),
                                           config)
         fixes.append(fix)
-    got = estimator.localize_step(step, cuts, levels[keep], xy, np.array(ids, dtype=int),
+    got = estimator.localize_step(cuts, levels[keep], xy, np.array(ids, dtype=int),
                                   ns[:len(rounds)], estimator.EstimatorState(2.0, last), config)
     assert repr(got) == repr((fixes, chained))
 
@@ -768,8 +775,7 @@ def test_a_step_names_at_most_the_beacons_an_int64_key_holds(named):
     # A top four's plan key is its ids' ranks as four digits of an int64:
     # 55,108 ** 4 fits, 55,109 ** 4 does not, so keys could collide.
     rounds = -(-named // 4)
-    report = estimator.RssiReport(Point(0.0, 0.0), -50.0)
-    args = ([report] * 4 * rounds, range(0, 4 * rounds + 1, 4), np.full(4 * rounds, -50.0),
+    args = (range(0, 4 * rounds + 1, 4), np.full(4 * rounds, -50.0),
             np.zeros((4 * rounds, 2)), np.arange(4 * rounds) % named, [2.0] * rounds,
             estimator.EstimatorState(), estimator.LocalizerConfig(GridSpec()))
     if named > 55_108:
