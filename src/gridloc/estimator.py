@@ -16,7 +16,9 @@ reports and grid, with their bits, and ranges the four levels in one
 channel._inverse_ranges call. Reports, states and estimates are named
 tuples; localize builds its own with tuple.__new__, from fields already
 checked. localize_step gives localize's bits for a step of rounds at once,
-ranging and refining on arrays by the same correctly rounded operations.
+ranging and refining on arrays by the same correctly rounded operations,
+and, like centroid_step, returns the step's fixes as columns (Fixes), with
+no Estimate a round.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import numpy as np
 
 from .channel import (D_MAX_FACTOR, D_MIN_SPACINGS, DEFAULT_A_DBM, ChannelParams,
                       _inverse_ranges)
-from .geometry import (COORD_TOL, CellId, GridSpec, Point, _cell_or_none,
-                       _cells_or_none, _clamp)
+from .geometry import COORD_TOL, CellId, GridSpec, Point, _cell_or_none, _clamp
 
 # Distinct ranked top-4s whose cell plans localize keeps. A 625-round
 # paper_sweep run has at most a few hundred.
@@ -55,7 +56,9 @@ class FixMethod(Enum):
 
 
 # In declaration order: on Python 3.11 each FixMethod.X is a descriptor call.
-_REFINED, _PAIR_SPLIT, _NEAR_BEACON, _NO_FIX, _CENTROID = FixMethod
+_REFINED, _PAIR_SPLIT, _NEAR_BEACON, _NO_FIX, _CENTROID = _METHODS = tuple(FixMethod)
+# A column of fixes holds each method as its index in _METHODS.
+_REFINED_CODE, _PAIR_SPLIT_CODE, _NEAR_BEACON_CODE, _NO_FIX_CODE, _CENTROID_CODE = range(5)
 # A named tuple from fields already checked, without its __new__.
 _new = tuple.__new__
 
@@ -131,6 +134,30 @@ class Estimate(NamedTuple):
     # True when pair-split geometry was unsupported and the weighted
     # centroid stood in.
     fallback_centroid: bool = False
+
+
+class Fixes(NamedTuple):
+    """The fixes of a step of rounds as columns, a round a row: x and y,
+    nan for a round without a fix; each method as its index in FixMethod,
+    an int8; whether the weighted centroid stood in for a pair split; and
+    a refined round's cell, from its plan. Any other round's cell is None
+    here: no CSV writes it, and a record reads it off the fix."""
+
+    x: np.ndarray
+    y: np.ndarray
+    method: np.ndarray
+    fallback: np.ndarray
+    cell: list[Optional[CellId]]
+
+
+def _fixes(estimates: Sequence[Estimate]) -> Fixes:
+    """The columns of estimates, as the step fixers give them."""
+    methods = [e[1] for e in estimates]
+    x, y = np.array([(math.nan, math.nan) if e[0] is None else e[0] for e in estimates],
+                    dtype=float).reshape(-1, 2).T
+    return Fixes(x, y, np.array(list(map(_METHODS.index, methods)), dtype=np.int8),
+                 np.array([e[4] for e in estimates], dtype=bool),
+                 [e[2] if m is _REFINED else None for e, m in zip(estimates, methods)])
 
 
 @dataclass(frozen=True)
@@ -374,38 +401,35 @@ def _rank_top4(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray
 
 
 def centroid_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray,
-                  ns: Sequence[float], config: LocalizerConfig) -> list[Estimate]:
-    """centroid_estimate's estimate of each round of a step, with every bit:
-    round i's reports are rows cuts[i] to cuts[i + 1] of the arrays levels
-    and xy, a level and a beacon position a row, and its n_current is ns[i].
+                  config: LocalizerConfig) -> Fixes:
+    """centroid_estimate's fix of each round of a step, with every bit, as
+    columns: round i's reports are rows cuts[i] to cuts[i + 1] of the
+    arrays levels and xy, a level and a beacon position a row.
 
     The rounds are ranked at once, each in select_top4's order. Each weight
     is Python's float power (numpy's can round otherwise, and differently
     on another host) of an exponent capped at EXP10_MAX, and the sums are
     added a column at a time, from 0.0, in weighted_centroid's order. A
     round with an exponent past the cap, or whose weights sum to 0 or inf,
-    goes to centroid_estimate alone, as reports built from its rows.
+    is fixed by centroid_estimate alone, from reports built from its rows.
     """
     counts, fixed, top = _rank_top4(cuts, levels, xy)
     e = levels[top] / 10.0
     w = np.array([10.0 ** x for x in np.minimum(e, EXP10_MAX).ravel().tolist()]).reshape(-1, 4)
     xs, ys = xy[top, 0], xy[top, 1]
-    wsum = wx = wy = 0.0
+    wsum = wx = wy = np.zeros(fixed.size)
     px, py = np.full((2, counts.size), np.nan)
-    ok = np.zeros(counts.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(4):
             wsum, wx, wy = wsum + w[:, k], wx + w[:, k] * xs[:, k], wy + w[:, k] * ys[:, k]
         px[fixed], py[fixed] = wx / wsum, wy / wsum
-    ok[fixed] = (0.0 < wsum) & (wsum < math.inf) & (e <= EXP10_MAX).all(1)
-    return [_new(Estimate, (_new(Point, (x, y)), _CENTROID, cell, n, False)) if good
-            else _new(Estimate, (None, _NO_FIX, None, n, False)) if k < 4
-            else centroid_estimate(list(map(RssiReport, map(Point._make, xy[a:b].tolist()),
-                                            levels[a:b].tolist())),
-                                   _new(EstimatorState, (n, None)), config)[0]
-            for x, y, cell, good, k, n, a, b in zip(
-                px.tolist(), py.tolist(), _cells_or_none(px, py, config.grid),
-                ok.tolist(), counts.tolist(), ns, cuts, cuts[1:])]
+    bad = ~((0.0 < wsum) & (wsum < math.inf) & (e <= EXP10_MAX).all(1))
+    for i in fixed[bad].tolist():
+        a, b = cuts[i], cuts[i + 1]
+        reports = list(map(RssiReport, map(Point._make, xy[a:b].tolist()), levels[a:b].tolist()))
+        px[i], py[i] = centroid_estimate(reports, EstimatorState(), config)[0][0]
+    return Fixes(px, py, np.where(counts >= 4, _CENTROID_CODE, _NO_FIX_CODE).astype(np.int8),
+                 np.zeros(counts.size, dtype=bool), [None] * counts.size)
 
 
 def localize(reports: Sequence[RssiReport], state: EstimatorState,
@@ -436,39 +460,40 @@ def localize(reports: Sequence[RssiReport], state: EstimatorState,
     if cell is not None:
         pos = _solve_in_cell(quad, d, plan)
         return _new(Estimate, (pos, _REFINED, cell, n, False)), _new(EstimatorState, (n, pos))
-    estimate = _unframed(quad, list(map(_strength, top4)), plan, d, state.last_estimate, n,
-                         config)
-    return estimate, _new(EstimatorState, (n, estimate[0]))
-
-
-def _unframed(quad: Sequence[Point], levels: Sequence[float], split: tuple[tuple, ...],
-              d: Sequence[float], last: Optional[Point], n: float,
-              config: LocalizerConfig) -> Estimate:
-    """localize's estimate of a top four that frames no cell, from its
-    positions, levels, _split_plan and ranges and the last fix: near beacon
-    if the strongest range is under near_beacon_tau spacings, else pair
-    split or the weighted centroid."""
     grid = config.grid
     bounds = grid.bounds()
-    if d[0] < config.near_beacon_tau * grid.spacing_m:
-        method, fallback = _NEAR_BEACON, False
-        pos = _near_beacon(quad[0], d[0], last, bounds)
-    else:
-        method, pos = _PAIR_SPLIT, _pair_split(quad, levels, split, d)
-        fallback = pos is None
-        if fallback:
-            pos = _centroid(quad, levels)
-    return _new(Estimate, (pos, method, _cell_or_none(pos, grid, bounds), n, fallback))
+    pos, method, fallback = _unframed(quad, map(_strength, top4), plan, d, state.last_estimate,
+                                      config, bounds)
+    return (_new(Estimate, (pos, _METHODS[method], _cell_or_none(pos, grid, bounds), n, fallback)),
+            _new(EstimatorState, (n, pos)))
+
+
+def _unframed(quad: Sequence[Point], levels: Iterable[float], split: tuple[tuple, ...],
+              d: Sequence[float], last: Optional[Point], config: LocalizerConfig,
+              bounds: Sequence[float]) -> tuple[Point, int, bool]:
+    """localize's fix of a top four that frames no cell, its method's
+    index in FixMethod and whether the weighted centroid stood in, from the
+    four's positions, levels, _split_plan and ranges, the last fix and the
+    grid's bounds: near beacon if the strongest range is under
+    near_beacon_tau spacings, else pair split or the weighted centroid.
+    Only a pair split reads the levels."""
+    if d[0] < config.near_beacon_tau * config.grid.spacing_m:
+        return _near_beacon(quad[0], d[0], last, bounds), _NEAR_BEACON_CODE, False
+    levels = list(levels)
+    pos = _pair_split(quad, levels, split, d)
+    if pos is None:
+        return _centroid(quad, levels), _PAIR_SPLIT_CODE, True
+    return pos, _PAIR_SPLIT_CODE, False
 
 
 def localize_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray, ids: np.ndarray,
                   ns: Sequence[float], state: EstimatorState,
-                  config: LocalizerConfig) -> tuple[list[Estimate], EstimatorState]:
-    """localize's estimate of each round of a step, with every bit, and the
-    state after them: round i's reports are rows cuts[i] to cuts[i + 1] of
-    the arrays levels, xy and ids, a level, a beacon position and its id a
-    row, its n_current is ns[i], and its last fix the one before it, or
-    state's for the first round.
+                  config: LocalizerConfig) -> tuple[Fixes, EstimatorState]:
+    """localize's fix of each round of a step, with every bit, as columns,
+    and the state after them: round i's reports are rows cuts[i] to
+    cuts[i + 1] of the arrays levels, xy and ids, a level, a beacon
+    position and its id a row, its n_current is ns[i], and its last fix the
+    one before it, or state's for the first round.
 
     The rounds are ranked as centroid_step ranks them. Each range is
     Python's float power of an array quotient capped at EXP10_MAX, clamped
@@ -481,9 +506,10 @@ def localize_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray, ids: 
     ValueError. An id names one position, so every round of a top four
     shares its Points. Refined rounds are solved on arrays in
     _solve_in_cell's order, each clamp a where that picks what max and min
-    pick, -0.0 included (np.maximum and np.minimum may not). The other
-    rounds are fixed in order by localize's helpers; a no_fix keeps the
-    last.
+    pick, -0.0 included (np.maximum and np.minimum may not), and carry
+    their plan's cell. The other rounds are fixed in order by localize's
+    helpers, each from the fix of the last round with four reports or
+    more; a no_fix keeps the last.
     """
     counts, fixed, top = _rank_top4(cuts, levels, xy)
     lo, hi = config.range_d_min, config.range_d_max
@@ -513,21 +539,30 @@ def localize_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray, ids: 
                    / (2.0 * (y_hi - y_lo)))
     x, y = np.where(x_lo > x, x_lo, x), np.where(y_lo > y, y_lo, y)
     x, y = np.where(x_hi < x, x_hi, x), np.where(y_hi < y, y_hi, y)
-    solved = zip(x.tolist(), y.tolist())
-    unframed = zip(levels[top[~framed]].tolist(), d[~framed].tolist())
-    fixes = zip(which.tolist(), framed.tolist())
-    estimates, last = [], state.last_estimate
-    for n, k in zip(ns, counts.tolist()):
-        if k < 4:
-            estimates.append(_new(Estimate, (None, _NO_FIX, None, n, False)))
-            continue
-        u, refined = next(fixes)
-        cell, plan = plans[u]
-        if refined:
-            last = _new(Point, next(solved))
-            estimates.append(_new(Estimate, (last, _REFINED, cell, n, False)))
-        else:
-            four, r = next(unframed)
-            estimates.append(_unframed(quads[u], four, plan, r, last, n, config))
-            last = estimates[-1][0]
-    return estimates, state if not estimates else _new(EstimatorState, (ns[-1], last))
+    px, py = np.full((2, counts.size), np.nan)
+    method = np.full(counts.size, _NO_FIX_CODE, dtype=np.int8)
+    fallback = np.zeros(counts.size, dtype=bool)
+    refined = fixed[framed]
+    px[refined], py[refined], method[refined] = x, y, _REFINED_CODE
+    cell = [None] * counts.size
+    for i, u in zip(fixed.tolist(), which.tolist()):
+        cell[i] = plans[u][0]
+    # The other rounds in order, each from the fix of the last round with one.
+    loose = np.flatnonzero(~framed)
+    if loose.size:
+        order, xs, ys, codes = fixed.tolist(), px.tolist(), py.tolist(), []
+        bounds = config.grid.bounds()
+        for k, u, four, r in zip(loose.tolist(), which[loose].tolist(),
+                                 levels[top[loose]].tolist(), d[loose].tolist()):
+            last = (_new(Point, (xs[order[k - 1]], ys[order[k - 1]])) if k
+                    else state.last_estimate)
+            i = order[k]
+            (xs[i], ys[i]), code, fallback[i] = _unframed(quads[u], four, plans[u][1], r, last,
+                                                          config, bounds)
+            codes.append(code)
+        px, py = np.array(xs), np.array(ys)
+        method[fixed[loose]] = codes
+    last = (_new(Point, (px.item(fixed[-1]), py.item(fixed[-1]))) if fixed.size
+            else state.last_estimate)
+    return (Fixes(px, py, method, fallback, cell),
+            _new(EstimatorState, (ns[-1], last)) if counts.size else state)

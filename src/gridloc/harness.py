@@ -1,15 +1,21 @@
-"""Error statistics and plot-ready exports for scenario runs."""
+"""Error statistics and plot-ready exports for scenario runs.
+
+Each statistic and the records writer work on a run's columns (sim.Columns),
+as the command line calls them; each public form takes RoundRecords and
+reads them as columns. A round has no fix where its method is no_fix."""
 
 from __future__ import annotations
 
 import math
 import statistics
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .sim import RoundRecord
+import numpy as np
+
+from . import estimator as est
+from .sim import Columns, RoundRecord
 
 DEFAULT_BUCKET_EDGES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -62,19 +68,35 @@ def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
     return edges
 
 
+def _columns(records: Sequence[RoundRecord]) -> Columns:
+    """records as the columns of a run."""
+    estimates = [r[2] for r in records]
+    return Columns([r[0] for r in records],
+                   np.array([r[1] for r in records], dtype=float).reshape(-1, 2),
+                   *est._fixes(estimates), [e[3] for e in estimates],
+                   np.array([math.nan if r[3] is None else r[3] for r in records], dtype=float))
+
+
+def _errors(run: Columns) -> np.ndarray:
+    """The errors of the rounds with a fix."""
+    return run.error[run.method != est._NO_FIX_CODE]
+
+
 def bucketize(records: Sequence[RoundRecord],
               edges: Sequence[float] = DEFAULT_BUCKET_EDGES) -> ErrorBuckets:
+    return _bucketize(_columns(records), edges)
+
+
+def _bucketize(run: Columns, edges: Sequence[float] = DEFAULT_BUCKET_EDGES) -> ErrorBuckets:
+    """bucketize of a run's columns: each error in the bucket bisect_right
+    finds, nan and inf in the last."""
     edges = _check_edges(edges)
-    counts = [0] * (len(edges) + 1)
-    no_fix = 0
-    for r in records:
-        if r.error_m is None:
-            no_fix += 1
-        else:
-            counts[bisect_right(edges, r.error_m)] += 1
-    fixed = sum(counts)
+    errors = _errors(run)
+    counts = tuple(np.bincount(np.searchsorted(edges, errors, side="right"),
+                               minlength=len(edges) + 1).tolist())
+    fixed = errors.size
     fractions = tuple(c / fixed for c in counts) if fixed else None
-    return ErrorBuckets(edges, tuple(counts), fractions, no_fix)
+    return ErrorBuckets(edges, counts, fractions, len(run.error) - fixed)
 
 
 def error_surface(records: Sequence[RoundRecord],
@@ -85,11 +107,14 @@ def error_surface(records: Sequence[RoundRecord],
     sim.sweep_points lays it out, so each row is the next nx records.
     Rounds without a fix carry NaN.
     """
-    if nx < 1 or not records or len(records) % nx:
+    return _error_surface(_columns(records), nx)
+
+
+def _error_surface(run: Columns, nx: int) -> list[list[tuple[float, float, float]]]:
+    """error_surface of a run's columns."""
+    if nx < 1 or not len(run.error) or len(run.error) % nx:
         raise ValueError("records do not form a rectangular sweep")
-    points = [(r.true_pos[0], r.true_pos[1],
-               r.error_m if r.error_m is not None else math.nan)
-              for r in records]
+    points = list(zip(*run.truth.T.tolist(), run.error.tolist()))
     return [points[i:i + nx] for i in range(0, len(points), nx)]
 
 
@@ -105,34 +130,39 @@ class Comparison:
     records: int
 
 
-def _errors(records: Sequence[RoundRecord]) -> list[float]:
-    return [r.error_m for r in records if r.error_m is not None]
-
-
 def median_error(records: Sequence[RoundRecord]) -> Optional[float]:
     """Median fix error, or None when no record had a fix."""
-    errors = _errors(records)
+    return _median_error(_columns(records))
+
+
+def _median_error(run: Columns) -> Optional[float]:
+    """median_error of a run's columns."""
+    errors = _errors(run).tolist()
     return statistics.median(errors) if errors else None
 
 
 def compare(a: Sequence[RoundRecord], b: Sequence[RoundRecord]) -> Comparison:
-    if len(a) != len(b):
+    return _compare(_columns(a), _columns(b))
+
+
+def _compare(a: Columns, b: Columns) -> Comparison:
+    """compare of two runs' columns."""
+    if len(a.error) != len(b.error):
         raise ValueError("record lists differ in length")
-    for ra, rb in zip(a, b):
-        if ra.true_pos != rb.true_pos:
-            raise ValueError(f"true positions differ at round {ra.round_index}")
-    errs_a = _errors(a)
-    errs_b = _errors(b)
-    both = [(ra.error_m, rb.error_m) for ra, rb in zip(a, b)
-            if ra.error_m is not None and rb.error_m is not None]
-    wins = sum(ea < eb for ea, eb in both) / len(both) if both else None
+    differ = np.flatnonzero((a.truth != b.truth).any(axis=1))
+    if differ.size:
+        raise ValueError(f"true positions differ at round {a.round[differ[0]]}")
+    errs_a, errs_b = _errors(a).tolist(), _errors(b).tolist()
+    both = (a.method != est._NO_FIX_CODE) & (b.method != est._NO_FIX_CODE)
+    pairs = np.count_nonzero(both)
+    wins = np.count_nonzero(a.error[both] < b.error[both]) / pairs if pairs else None
     return Comparison(
-        median_a=median_error(a),
-        median_b=median_error(b),
+        median_a=_median_error(a),
+        median_b=_median_error(b),
         mean_a=statistics.fmean(errs_a) if errs_a else None,
         mean_b=statistics.fmean(errs_b) if errs_b else None,
         a_wins_fraction=wins,
-        records=len(a),
+        records=len(a.error),
     )
 
 
@@ -140,19 +170,38 @@ def _g(value: float) -> str:
     return format(value, ".9g")
 
 
-# One records row with a fix and one without; "%.9g" % v is format(v, ".9g").
-_FIX_ROW = "%d,%.9g,%.9g,%.9g,%.9g,%s,%.9g,%.9g"
-_NO_FIX_ROW = "%d,%.9g,%.9g,,,%s,,%.9g"
+# A records row after its round, true_x and true_y, with a fix and without:
+# "%.9g" % v is format(v, ".9g").
+_HEAD = "%d,%.9g,%.9g"
+_FIX_ROW = "%s,%.9g,%.9g,%s,%.9g,%s"
+_NO_FIX_ROW = "%s,,,%s,,%s"
+# Each method's text, by its index in FixMethod.
+_METHOD_TEXT = tuple(m.value for m in est._METHODS)
 
 
 def write_records_csv(records: Sequence[RoundRecord],
                       path: Union[str, Path]) -> None:
+    _write_records(_columns(records), path)
+
+
+def _record_texts(run: Columns) -> tuple[list[str], list[str]]:
+    """Each round's "round,true_x,true_y" text and n_used text, which the
+    records of every fixer of one play of the rounds share."""
+    return (list(map(_HEAD.__mod__, zip(run.round, *run.truth.T.tolist()))),
+            list(map("%.9g".__mod__, run.n)))
+
+
+def _write_records(run: Columns, path: Union[str, Path],
+                   texts: Optional[tuple[list[str], list[str]]] = None) -> None:
+    """write_records_csv of a run's columns; texts, when given, are the
+    _record_texts of a run of the same rounds."""
+    heads, ns = texts or _record_texts(run)
+    methods = list(map(_METHOD_TEXT.__getitem__, run.method.tolist()))
     lines = ["round,true_x,true_y,est_x,est_y,method,error_m,n_used"]
-    for idx, (x, y), (pos, method, _, n_used, _), err in records:
-        if pos is None:
-            lines.append(_NO_FIX_ROW % (idx, x, y, method.value, n_used))
-        else:
-            lines.append(_FIX_ROW % (idx, x, y, pos[0], pos[1], method.value, err, n_used))
+    lines += map(_FIX_ROW.__mod__, zip(heads, run.x.tolist(), run.y.tolist(), methods,
+                                       run.error.tolist(), ns))
+    for i in np.flatnonzero(run.method == est._NO_FIX_CODE).tolist():
+        lines[i + 1] = _NO_FIX_ROW % (heads[i], methods[i], ns[i])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -170,7 +219,5 @@ def write_surface_csv(rows: Sequence[Sequence[tuple[float, float, float]]],
                       path: Union[str, Path]) -> None:
     """Gnuplot-style grid data: x,y,error rows with a blank line between
     sweep rows."""
-    chunks = []
-    for row in rows:
-        chunks.append("\n".join(f"{_g(x)},{_g(y)},{_g(e)}" for x, y, e in row))
+    chunks = ["\n".join(map("%.9g,%.9g,%.9g".__mod__, row)) for row in rows]
     Path(path).write_text("\n\n".join(chunks) + "\n", encoding="utf-8")

@@ -42,7 +42,11 @@ positions and beacon ids, in steps merged into batches, each closed once
 it holds CHUNK_DRAWS contenders or the rounds end: _localize_rounds fixes
 a batch with one est.localize_step call, or, where a recorder or tracer
 has replaced localize, builds the batch's reports and calls it once a
-round, and _centroid_rounds with one est.centroid_step call.
+round, and _centroid_rounds with one est.centroid_step call. A fixer gives
+a batch's fixes as columns, est.Fixes; _run joins each fixer's batches into
+one Columns, with the rounds' positions (one rounds x 2 array), n and the
+errors. The public runners build RoundRecords from those columns once; the
+command line writes its files from the columns and builds none.
 When a trace is asked for, a step's lines go to it at once, each round's
 from one template that _trace_writer joins from the beacons it heard. The
 discrete-event simulator that drives the protocol machines packet by
@@ -56,7 +60,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, pairwise
 from pathlib import Path
 from typing import Callable, Container, NamedTuple, Optional, Sequence, Union, get_args
 
@@ -199,22 +203,30 @@ class Scenario:
                                     f"must be longer than one clock step, {tick:g} ms")
 
     def _stops(self) -> list[tuple[int, geo.Point]]:
-        """(first round, position) of each stay of the blind node, in
-        round order; a stay lasts until the next one starts or the rounds
-        end."""
+        """(first round, position) of each stay of a blind node that does
+        not sweep, in round order; a stay lasts until the next one starts
+        or the rounds end."""
         t = self.trajectory
         if isinstance(t, Static):
             return [(0, t.point)]
-        if isinstance(t, LatticeSweep):
-            return list(enumerate(sweep_points(self.grid, t.nx, t.ny)))
         starts = accumulate((dwell for _, dwell in t.points), initial=0)
         return [(i, p) for i, (p, _) in zip(starts, t.points) if i < self.rounds]
 
     def positions(self) -> list[geo.Point]:
         """Blind-node position for each round."""
-        stops = self._stops()
-        ends = [start for start, _ in stops[1:]] + [self.rounds]
-        return [p for (start, p), end in zip(stops, ends) for _ in range(start, end)]
+        t = self.trajectory
+        if isinstance(t, LatticeSweep):
+            return sweep_points(self.grid, t.nx, t.ny)
+        return list(map(geo.Point._make, self._layout().tolist()))
+
+    def _layout(self) -> np.ndarray:
+        """positions() as a rounds x 2 array: a sweep laid out an axis at a
+        time, else each stop repeated for the rounds of its stay."""
+        t = self.trajectory
+        if isinstance(t, LatticeSweep):
+            return _sweep_layout(self.grid, t.nx, t.ny)
+        starts, stops = zip(*self._stops())
+        return np.repeat(np.array(stops, dtype=float), np.diff(starts + (self.rounds,)), axis=0)
 
 
 def _lines_near(v: float, origin: float, spacing: float, count: int) -> list[int]:
@@ -311,10 +323,15 @@ def _axis_samples(start: float, width: float, count: int, spacing: float) -> lis
 
 def sweep_points(grid: geo.GridSpec, nx: int, ny: int) -> list[geo.Point]:
     """Row-major sample grid over the lattice hull, inset half a step."""
+    return list(map(geo.Point._make, _sweep_layout(grid, nx, ny).tolist()))
+
+
+def _sweep_layout(grid: geo.GridSpec, nx: int, ny: int) -> np.ndarray:
+    """sweep_points as a rows x 2 array, laid out an axis at a time."""
     xmin, ymin, xmax, ymax = grid.bounds()
     xs = _axis_samples(xmin, xmax - xmin, nx, grid.spacing_m)
     ys = _axis_samples(ymin, ymax - ymin, ny, grid.spacing_m)
-    return [geo.Point(x, y) for y in ys for x in xs]
+    return np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
 
 
 class RoundRecord(NamedTuple):
@@ -322,6 +339,38 @@ class RoundRecord(NamedTuple):
     true_pos: geo.Point
     estimate: est.Estimate
     error_m: Optional[float]  # absent when there is no fix
+
+
+class Columns(NamedTuple):
+    """One fixer's run as columns, a round a row: the round's index, the
+    true positions as a rows x 2 array, then est.Fixes' x, y, method,
+    fallback and cell, n_used, and the error, nan without a fix."""
+
+    round: Sequence[int]
+    truth: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    method: np.ndarray
+    fallback: np.ndarray
+    cell: list[Optional[geo.CellId]]
+    n: list[float]
+    error: np.ndarray
+
+    def records(self, grid: geo.GridSpec) -> list[RoundRecord]:
+        """Each round's record. A fix that has no cell here gets the cell
+        geometry._cells_or_none reads off it, the cell localize and
+        centroid_estimate give it."""
+        cell, fixed = list(self.cell), self.method != est._NO_FIX_CODE
+        read = np.flatnonzero(fixed & np.array([c is None for c in cell], dtype=bool))
+        for i, c in zip(read.tolist(), geo._cells_or_none(self.x[read], self.y[read], grid)):
+            cell[i] = c
+        new, point, methods = tuple.__new__, geo.Point, est._METHODS
+        return [new(RoundRecord, (i, new(point, (tx, ty)), new(est.Estimate, (
+                    new(point, (x, y)) if f else None, methods[m], c, n, b)), e if f else None))
+                for i, tx, ty, x, y, m, c, n, b, e, f in zip(
+                    self.round, *self.truth.T.tolist(), self.x.tolist(), self.y.tolist(),
+                    self.method.tolist(), cell, self.n, self.fallback.tolist(),
+                    self.error.tolist(), fixed.tolist())]
 
 
 def _calibration_length(s: Scenario) -> float:
@@ -334,20 +383,21 @@ def run_scenario(s: Scenario, trace: Union[list[str], Callable[[str], None], Non
     """Play every round, localize each report set, and append each round's
     messages to trace when a list is given; a function is called instead
     with each step's lines, each ending in a newline."""
-    return _run(s, _sink(trace), (_localize_rounds,))[0]
+    return _run(s, _sink(trace), (_localize_rounds,))[0].records(s.grid)
 
 
 def run_baseline(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
     """Same rounds and RNG stream, but each fix is the weighted centroid
     of the four strongest reports. Comparison curve only."""
-    return _run(s, _sink(trace), (_centroid_rounds,))[0]
+    return _run(s, _sink(trace), (_centroid_rounds,))[0].records(s.grid)
 
 
 def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None
                       ) -> tuple[list[RoundRecord], list[RoundRecord]]:
     """(run_scenario(s), run_baseline(s)) from one play of the rounds, and
     the trace run_scenario writes."""
-    return tuple(_run(s, _sink(trace), (_localize_rounds, _centroid_rounds)))
+    return tuple(c.records(s.grid)
+                 for c in _run(s, _sink(trace), (_localize_rounds, _centroid_rounds)))
 
 
 def _sink(trace: Union[list[str], Callable[[str], None], None]
@@ -358,14 +408,11 @@ def _sink(trace: Union[list[str], Callable[[str], None], None]
 
 
 class _Step(NamedTuple):
-    """A batch of rounds as a fixer reads it: the first round's index, each
-    round's true position, the sample count of every level, the
-    contenders' levels, positions and beacon ids as arrays, round i's
-    from row cuts[i] to row cuts[i + 1], and each round's n, adapted or
-    not."""
+    """A batch of rounds as a fixer reads it: the sample count of every
+    level, the contenders' levels, positions and beacon ids as arrays,
+    round i's from row cuts[i] to row cuts[i + 1], and each round's n,
+    adapted or not."""
 
-    first: int
-    truth: list[geo.Point]
     count: int
     cuts: list[int]
     levels: np.ndarray
@@ -380,15 +427,13 @@ _LOCALIZE_CODE = est.localize.__code__
 
 
 def _localize_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerConfig
-                     ) -> tuple[list[RoundRecord], est.EstimatorState]:
-    """The batch's records from est.localize_step, and the state after
-    them; where est.localize has been replaced, from that, looked up on the
+                     ) -> tuple[est.Fixes, est.EstimatorState]:
+    """The batch's fixes from est.localize_step, and the state after them;
+    where est.localize has been replaced, from that, looked up on the
     module, once a round, on reports built from the batch's rows."""
     cuts, ns = step.cuts, step.ns
     if getattr(est.localize, "__code__", None) is _LOCALIZE_CODE:
-        estimates, state = est.localize_step(cuts, step.levels, step.xy, step.ids, ns, state,
-                                             cfg)
-        return _records(step, estimates), state
+        return est.localize_step(cuts, step.levels, step.xy, step.ids, ns, state, cfg)
     # One Point a beacon, shared by its reports: a Point per report cost 2 MB
     # of peak RSS in a sweep.
     _, first, which = np.unique(step.ids, return_index=True, return_inverse=True)
@@ -400,41 +445,35 @@ def _localize_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerC
         estimate, state = est.localize(reports[a:b], est.EstimatorState(n, state.last_estimate),
                                        cfg)
         estimates.append(estimate)
-    return _records(step, estimates), state
+    return est._fixes(estimates), state
 
 
 def _centroid_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerConfig
-                     ) -> tuple[list[RoundRecord], est.EstimatorState]:
-    """The batch's records from est.centroid_step, which keeps no state."""
-    return _records(step, est.centroid_step(step.cuts, step.levels, step.xy, step.ns,
-                                            cfg)), state
-
-
-def _records(step: _Step, estimates: list[est.Estimate]) -> list[RoundRecord]:
-    """Each round's record, its error measured as geometry.dist measures it."""
-    return [tuple.__new__(RoundRecord, (step.first + i, p, e, None if e.pos is None else
-                                        math.hypot(e.pos[0] - p[0], e.pos[1] - p[1])))
-            for i, (p, e) in enumerate(zip(step.truth, estimates))]
+                     ) -> tuple[est.Fixes, est.EstimatorState]:
+    """The batch's fixes from est.centroid_step, which keeps no state."""
+    return est.centroid_step(step.cuts, step.levels, step.xy, cfg), state
 
 
 def _merged(steps: list[_Step]) -> _Step:
     """Consecutive steps of rounds as one."""
     starts = accumulate((p.cuts[-1] for p in steps), initial=0)
-    return _Step(steps[0].first, [t for p in steps for t in p.truth], steps[0].count,
+    return _Step(steps[0].count,
                  [0] + [a + c for a, p in zip(starts, steps) for c in p.cuts[1:]],
-                 *(np.concatenate(arrays) for arrays in zip(*(p[4:7] for p in steps))),
+                 *(np.concatenate(arrays) for arrays in zip(*(p[2:5] for p in steps))),
                  [n for p in steps for n in p.ns])
 
 
 def _run(s: Scenario, trace: Optional[Callable[[str], None]],
          fixers: tuple[Callable[[_Step, est.EstimatorState, est.LocalizerConfig],
-                                tuple[list[RoundRecord], est.EstimatorState]], ...]
-         ) -> list[list[RoundRecord]]:
+                                tuple[est.Fixes, est.EstimatorState]], ...]
+         ) -> list[Columns]:
     """One play of the rounds: each step's trace lines, each ending in a
     newline, go to trace if given, and each fixer fixes every batch of
     steps' contenders from its own state, all states sharing the adapted n,
-    into its own list of records, the same as it gives played alone. A
-    batch closes once it holds CHUNK_DRAWS contenders, or with the rounds."""
+    into its own columns, the same as it gives played alone. A batch closes
+    once it holds CHUNK_DRAWS contenders, or with the rounds. Each fix's
+    error is math.hypot of its differences from the true position, taken
+    on the arrays, as geometry.dist measures it."""
     rng = np.random.Generator(np.random.PCG64(s.seed))
     g, r = s.grid, s.channel.reception_radius_m
     (ox, oy), spacing = g.origin, g.spacing_m
@@ -458,7 +497,7 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
 
     # position_of is the table's arithmetic: a trace's positions are its rows.
     write = _trace_writer(s.protocol, g.position_of) if trace is not None else None
-    positions = s.positions()
+    positions = s._layout()
     # A position's window: the columns and rows within half of its nearest
     # vertex, shifted inside the lattice (half is capped where that spans it).
     # slack bounds the rounding of the table, the vertex and r / spacing; the
@@ -477,12 +516,10 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
                    CHUNK_DRAWS // ((cal_mean is not None) + most * (n + 4))), 1)
 
     eps = 2 * chan.SCREEN_DB + 0.5 * s.quantize_rssi
-    records = [[] for _ in fixers]
+    fixes, n_used = [[] for _ in fixers], []
     batch, held = [], 0
     for first in range(0, len(positions), step):
-        chunk = positions[first:first + step]
-        # fromiter reads the coordinates about five times as fast as np.array.
-        pts = np.fromiter(chain.from_iterable(chunk), float, 2 * len(chunk)).reshape(-1, 2)
+        pts = positions[first:first + step]
         # An index past the largest float is clipped as any far one is.
         with np.errstate(over="ignore"):
             lo = np.clip(((pts - g.origin) / spacing).round() - half, 0, far).astype(int)
@@ -501,23 +538,32 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
         keep = _contenders(avgs, np.diff(firsts))
         links, avgs, cuts = links[keep], avgs[keep], np.searchsorted(keep, firsts).tolist()
         ids = ids[links]
-        ns = [n_exp] * len(chunk)
+        ns = [n_exp] * len(pts)
         if cal_mean is not None:
-            for i in range(len(chunk)):
+            for i in range(len(pts)):
                 n_exp = ns[i] = est.adapt_n(cals[i], cal_length, n_exp, s.channel.a_dbm,
                                             s.estimator.n_min, s.estimator.n_max)
         if write is not None:
             trace("\n".join([write(heard[a:b], levels[a:b], (first + i) * interval)
                              for i, (a, b) in enumerate(pairwise(ends))]) + "\n")
-        batch.append(_Step(first, chunk, n, cuts, avgs, xy[ids], ids, ns))
+        batch.append(_Step(n, cuts, avgs, xy[ids], ids, ns))
+        n_used += ns
         held += avgs.size
         if held < CHUNK_DRAWS and first + step < len(positions):
             continue
         played, batch, held = _merged(batch), [], 0
         for k, fix in enumerate(fixers):
             done, states[k] = fix(played, states[k], cfg)
-            records[k] += done
-    return records
+            fixes[k].append(done)
+    tx, ty = positions.T
+    runs = []
+    for parts in fixes:
+        x, y, method, fallback = map(np.concatenate, list(zip(*parts))[:4])
+        dx, dy = (x - tx).tolist(), (y - ty).tolist()
+        runs.append(Columns(range(len(positions)), positions, x, y, method, fallback,
+                            [c for p in parts for c in p.cell], n_used,
+                            np.fromiter(map(math.hypot, dx, dy), float, len(dx))))
+    return runs
 
 
 def _contenders(levels: np.ndarray, counts: Sequence[int], margin: float = 0.0) -> np.ndarray:

@@ -5,12 +5,15 @@ of its branches on its own, through the same private helpers, so a test can
 compare a localize fix with its branch bit for bit. cell_of_corners and
 _corner_plan are the partition phase as it once ran, in two passes: the
 reference that estimator._cell_plan's one pass is checked against.
+write_records_by_row is the records CSV as it was once written, a record
+at a time: the reference for harness's writer on columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Optional, Sequence, Union
 
 from gridloc.channel import _inverse_ranges
 from gridloc.estimator import (EstimatorState, LocalizerConfig, RssiReport,
@@ -159,3 +162,19 @@ def near_beacon_estimate(max_report: RssiReport, state: EstimatorState,
     return _near_beacon(max_report.beacon_pos,
                         range_of(config, max_report.avg_rssi_dbm, n_used),
                         state.last_estimate, config.grid.bounds())
+
+
+# One records row with a fix and one without; "%.9g" % v is format(v, ".9g").
+_FIX_ROW = "%d,%.9g,%.9g,%.9g,%.9g,%s,%.9g,%.9g"
+_NO_FIX_ROW = "%d,%.9g,%.9g,,,%s,,%.9g"
+
+
+def write_records_by_row(records: Sequence, path: Union[str, Path]) -> None:
+    """The records CSV of sim.RoundRecords, formatted a record at a time."""
+    lines = ["round,true_x,true_y,est_x,est_y,method,error_m,n_used"]
+    for idx, (x, y), (pos, method, _, n_used, _), err in records:
+        if pos is None:
+            lines.append(_NO_FIX_ROW % (idx, x, y, method.value, n_used))
+        else:
+            lines.append(_FIX_ROW % (idx, x, y, pos[0], pos[1], method.value, err, n_used))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -5,13 +5,17 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from gridloc import harness
 from gridloc.estimator import Estimate, FixMethod
 from gridloc.geometry import CellId, Point
 from gridloc.harness import (DEFAULT_BUCKET_EDGES, bucketize, compare,
                              error_surface, write_buckets_csv,
                              write_records_csv, write_surface_csv)
 from gridloc.sim import RoundRecord, run_scenario, scenario_from_dict
+from oracles import write_records_by_row
 
 
 def record(idx, true, err, method=FixMethod.REFINED, n=2.0):
@@ -214,3 +218,47 @@ class TestCsvWriters:
             "0.5,0.5,0.1\n1.5,0.5,0.2\n"
             "\n"
             "0.5,1.5,nan\n1.5,1.5,0.4\n")
+
+
+# Both zeros, subnormals, values at the ends of the float range, nan and
+# the infinities, and any float.
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                    1e308, -1.7976931348623157e308, 1.7976931348623157e308,
+                                    math.inf, -math.inf, math.nan]),
+                   st.floats(-3e-308, 3e-308), st.floats(1e307, 1.7976931348623157e308),
+                   st.floats())
+# An adapting run's n_used, one a round: repeats, both zeros and others.
+N_USED = st.one_of(st.sampled_from([2.0, 0.0, -0.0, 1.0, 6.0]), VALUES)
+
+
+@st.composite
+def fixes(draw):
+    """An estimate of any method, with its error; no_fix has neither fix nor error."""
+    method = draw(st.sampled_from(list(FixMethod)))
+    if method is FixMethod.NO_FIX:
+        return None, method, None
+    return Point(draw(VALUES), draw(VALUES)), method, draw(VALUES)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(0, 10**6), VALUES, VALUES, N_USED, fixes(), fixes()),
+                max_size=20))
+@example([(0, 0.0, -0.0, 0.0, (Point(-0.0, 0.0), FixMethod.REFINED, -0.0),
+           (None, FixMethod.NO_FIX, None)),
+          (1, -0.0, 0.0, -0.0, (None, FixMethod.NO_FIX, None),
+           (Point(0.0, -0.0), FixMethod.CENTROID, 0.0))])
+def test_the_column_writer_gives_the_bytes_of_a_row_at_a_time(tmp_path, rows):
+    # Two fixers' records of one play of the rounds: the second file is
+    # written with the round and n_used texts of the first, as a sweep writes.
+    systems = [[RoundRecord(i, Point(x, y), Estimate(pos, method, None, n), err)
+                for i, x, y, n, *fixes_ in rows for pos, method, err in [fixes_[k]]]
+               for k in (0, 1)]
+    runs = [harness._columns(records) for records in systems]
+    texts = harness._record_texts(runs[0])
+    for k, (records, run) in enumerate(zip(systems, runs)):
+        want, got, public = (tmp_path / f"{name}{k}.csv" for name in ("want", "got", "public"))
+        write_records_by_row(records, want)
+        harness._write_records(run, got, texts)
+        write_records_csv(records, public)
+        assert got.read_bytes() == public.read_bytes() == want.read_bytes()

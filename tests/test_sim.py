@@ -751,23 +751,42 @@ def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid, ns, last, d
             assert fix(kept, state, config) == fix(reports, state, config)
         every.append(reports)
         step += kept
-    # The baseline of every round's contenders at once is the per-round
-    # reference from all of each round's reports, bit for bit.
+    # The baseline's columns of every round's contenders at once are the
+    # per-round reference from all of each round's reports, bit for bit.
     cuts = list(itertools.accumulate((len(contenders(r)) for r in every), initial=0))
     xy = np.array([r.beacon_pos for r in step], dtype=float).reshape(-1, 2)
-    estimates = estimator.centroid_step(cuts, levels[keep], xy, [2.0] * len(rounds), config)
-    assert repr(estimates) == repr([estimator.centroid_estimate(r, state, config)[0]
-                                    for r in every])
-    # So is localize's, chained: round i at ns[i], from the last fix before
+    assert_columns_of(estimator.centroid_step(cuts, levels[keep], xy, config),
+                      [estimator.centroid_estimate(r, state, config)[0] for r in every])
+    # So are localize's, chained: round i at ns[i], from the last fix before
     # it, the first from one carried in.
     chained, fixes = estimator.EstimatorState(2.0, last), []
     for r, n in zip(every, ns):
         fix, chained = estimator.localize(r, estimator.EstimatorState(n, chained.last_estimate),
                                           config)
         fixes.append(fix)
-    got = estimator.localize_step(cuts, levels[keep], xy, np.array(ids, dtype=int),
-                                  ns[:len(rounds)], estimator.EstimatorState(2.0, last), config)
-    assert repr(got) == repr((fixes, chained))
+    columns, after = estimator.localize_step(cuts, levels[keep], xy, np.array(ids, dtype=int),
+                                             ns[:len(rounds)],
+                                             estimator.EstimatorState(2.0, last), config)
+    assert_columns_of(columns, fixes)
+    assert repr(after) == repr(chained)
+
+
+def assert_columns_of(columns: estimator.Fixes, estimates: list) -> None:
+    """columns hold each estimate's fix, method and fallback, bit for bit,
+    and a refined estimate's cell; repr tells -0.0 from 0.0, and a numpy
+    float from a float."""
+    x, y, method, fallback, cell = columns
+    assert (method.dtype, fallback.dtype) == (np.int8, bool)
+    assert len(x) == len(y) == len(method) == len(fallback) == len(cell) == len(estimates)
+    got = [(None if m is FixMethod.NO_FIX else (u, v), m, c, b)
+           for u, v, m, c, b in zip(x.tolist(), y.tolist(), map(list(FixMethod).__getitem__,
+                                                                 method.tolist()),
+                                    cell, fallback.tolist())]
+    assert repr(got) == repr([(None if e.pos is None else tuple(e.pos), e.method,
+                               e.cell if e.method is FixMethod.REFINED else None,
+                               e.fallback_centroid) for e in estimates])
+    assert all(math.isnan(u) and math.isnan(v) for (u, v, m) in zip(x, y, method)
+               if m == list(FixMethod).index(FixMethod.NO_FIX))
 
 
 @pytest.mark.parametrize("named", [55_108, 55_109])
@@ -782,7 +801,7 @@ def test_a_step_names_at_most_the_beacons_an_int64_key_holds(named):
         with pytest.raises(ValueError, match="name 55,109 beacons"):
             estimator.localize_step(*args)
     else:
-        assert len(estimator.localize_step(*args)[0]) == rounds
+        assert len(estimator.localize_step(*args)[0].x) == rounds
 
 
 @pytest.mark.parametrize("run", [run_scenario, run_baseline, run_with_baseline],
@@ -794,7 +813,8 @@ def test_batched_engine_matches_the_des(s, run):
         # One play of the rounds gives both systems' records.
         assert run(s) == (run_scenario(s), run_baseline(s))
         # In either order: each fixer keeps its own state, and all share n.
-        assert (sim._run(s, None, (sim._centroid_rounds, sim._localize_rounds))
+        assert ([c.records(s.grid)
+                 for c in sim._run(s, None, (sim._centroid_rounds, sim._localize_rounds))]
                 == [run_baseline(s), run_scenario(s)])
 
 
@@ -936,14 +956,13 @@ def test_each_chunk_keeps_to_the_draw_caps(s, rounds_a_chunk, monkeypatch):
     # The fixers take the same batches: whole draw steps, in order, each
     # batch closing at its first step to bring it to CHUNK_DRAWS contenders.
     ends = list(itertools.accumulate(sizes, initial=0))
-    batches = [(step.first, len(step.truth), step.cuts) for step, *_ in fixed["_localize_rounds"]]
-    assert batches == [(step.first, len(step.truth), step.cuts)
-                       for step, *_ in fixed["_centroid_rounds"]]
-    starts = list(itertools.accumulate((rounds for _, rounds, _ in batches), initial=0))
-    assert [first for first, _, _ in batches] == starts[:-1]
+    batches = [step.cuts for step, *_ in fixed["_localize_rounds"]]
+    assert batches == [step.cuts for step, *_ in fixed["_centroid_rounds"]]
+    starts = list(itertools.accumulate((len(cuts) - 1 for cuts in batches), initial=0))
     assert starts[-1] == len(s.positions())
-    for i, (first, rounds, cuts) in enumerate(batches):
-        assert len(cuts) == rounds + 1 and first + rounds in ends
+    for i, (first, cuts) in enumerate(zip(starts, batches)):
+        rounds = len(cuts) - 1
+        assert first + rounds in ends
         last_step = ends[ends.index(first + rounds) - 1] - first
         assert cuts[last_step] < sim.CHUNK_DRAWS
         assert cuts[-1] >= sim.CHUNK_DRAWS or i == len(batches) - 1
