@@ -12,7 +12,7 @@ from .harness import (Comparison, ErrorBuckets, bucketize, compare,
                       write_surface_csv)
 from .sim import (LatticeSweep, RoundRecord, Scenario, ScenarioError, Static,
                   Waypoints, load_scenario, parse_scenario, run_baseline,
-                  run_scenario, run_with_baseline, sweep_points)
+                  run_scenario, run_with_baseline)
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "bucketize", "compare", "containing_cell",
     "distance_to_rss", "error_surface", "load_scenario", "localize",
     "parse_scenario", "rss_to_distance", "run_baseline", "run_scenario",
-    "run_with_baseline", "sample_rss", "select_top4", "sweep_points",
+    "run_with_baseline", "sample_rss", "select_top4",
     "weighted_centroid", "write_buckets_csv", "write_records_csv",
     "write_surface_csv", "__version__",
 ]

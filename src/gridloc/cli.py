@@ -223,12 +223,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # once every other output is written; a run that fails leaves none.
         partial = out_dir / "trace.txt.partial" if args.trace else None
         with partial.open("w", encoding="utf-8") if partial else nullcontext() as fh:
-            (run,) = sim._run(scenario, fh.write if fh else None, (sim._localize_rounds,))
-        harness._write_records(run, out_dir / "records.csv")
-        buckets = harness._bucketize(run, edges)
+            run = sim.run_scenario(scenario, fh.write if fh else None, columns=True)
+        harness.write_records_csv(run, out_dir / "records.csv")
+        buckets = harness.bucketize(run, edges)
         harness.write_buckets_csv(buckets, out_dir / "buckets.csv")
         if isinstance(scenario.trajectory, sim.LatticeSweep):
-            rows = harness._error_surface(run, scenario.trajectory.nx)
+            rows = harness.error_surface(run, scenario.trajectory.nx)
             harness.write_surface_csv(rows, out_dir / "surface.csv")
         if partial:
             partial.replace(out_dir / "trace.txt")
@@ -239,8 +239,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if partial:
             partial.unlink(missing_ok=True)
     if args.buckets is not None:
-        buckets = harness._bucketize(run)
-    print(_summary_line("simulate", buckets, harness._median_error(run)))
+        buckets = harness.bucketize(run)
+    print(_summary_line("simulate", buckets, harness.median_error(run)))
     return EXIT_OK
 
 
@@ -291,17 +291,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         summary = ["vary_key,value,system,records,no_fix,"
                    "median_error_m,mean_error_m,fraction_below_1.5m,wins_vs_baseline"]
         for tag, scenario in variants:
-            refined, baseline = sim._run(scenario, None,
-                                         (sim._localize_rounds, sim._centroid_rounds))
-            # Both files share each round's index, true position and n_used.
-            texts = harness._record_texts(refined)
-            harness._write_records(refined, out_dir / f"records_{key}_{tag}.csv", texts)
-            harness._write_records(baseline, out_dir / f"baseline_{key}_{tag}.csv", texts)
-            c = harness._compare(refined, baseline)
+            refined, baseline = sim.run_with_baseline(scenario, columns=True)
+            harness.write_records_csv(refined, out_dir / f"records_{key}_{tag}.csv")
+            harness.write_records_csv(baseline, out_dir / f"baseline_{key}_{tag}.csv")
+            c = harness.compare(refined, baseline)
             for system, run, median, mean, wins in (
                     ("refined", refined, c.median_a, c.mean_a, c.a_wins_fraction),
                     ("baseline", baseline, c.median_b, c.mean_b, None)):
-                buckets = harness._bucketize(run)
+                buckets = harness.bucketize(run)
                 summary.append(",".join([
                     key, tag, system, str(c.records), str(buckets.no_fix_count),
                     "" if median is None else format(median, ".9g"),

@@ -140,8 +140,9 @@ class Fixes(NamedTuple):
     """The fixes of a step of rounds as columns, a round a row: x and y,
     nan for a round without a fix; each method as its index in FixMethod,
     an int8; whether the weighted centroid stood in for a pair split; and
-    a refined round's cell, from its plan. Any other round's cell is None
-    here: no CSV writes it, and a record reads it off the fix."""
+    each round's cell. The step fixers give only a refined round's, from
+    its plan, and None for any other: no CSV writes it, and a record reads
+    it off the fix."""
 
     x: np.ndarray
     y: np.ndarray
@@ -151,13 +152,17 @@ class Fixes(NamedTuple):
 
 
 def _fixes(estimates: Sequence[Estimate]) -> Fixes:
-    """The columns of estimates, as the step fixers give them."""
-    methods = [e[1] for e in estimates]
+    """The columns of estimates, each with its cell."""
     x, y = np.array([(math.nan, math.nan) if e[0] is None else e[0] for e in estimates],
                     dtype=float).reshape(-1, 2).T
-    return Fixes(x, y, np.array(list(map(_METHODS.index, methods)), dtype=np.int8),
-                 np.array([e[4] for e in estimates], dtype=bool),
-                 [e[2] if m is _REFINED else None for e, m in zip(estimates, methods)])
+    return Fixes(x, y, np.array([_METHODS.index(e[1]) for e in estimates], dtype=np.int8),
+                 np.array([e[4] for e in estimates], dtype=bool), [e[2] for e in estimates])
+
+
+def _joined(parts: Sequence[Fixes]) -> Fixes:
+    """The columns of consecutive steps' fixes as one."""
+    x, y, method, fallback, cells = zip(*parts)
+    return Fixes(*map(np.concatenate, (x, y, method, fallback)), [c for p in cells for c in p])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Error statistics and plot-ready exports for scenario runs.
 
-Each statistic and the records writer work on a run's columns (sim.Columns),
-as the command line calls them; each public form takes RoundRecords and
-reads them as columns. A round has no fix where its method is no_fix."""
+Each statistic and the records writer takes a run as its RoundRecords or
+as its sim.Columns, as the command line passes it, and reads records as
+columns. A round has no fix where its method is no_fix."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import estimator as est
-from .sim import Columns, RoundRecord
+from .sim import Columns, Run
 
 DEFAULT_BUCKET_EDGES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -68,29 +68,25 @@ def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
     return edges
 
 
-def _columns(records: Sequence[RoundRecord]) -> Columns:
-    """records as the columns of a run."""
-    estimates = [r[2] for r in records]
-    return Columns([r[0] for r in records],
-                   np.array([r[1] for r in records], dtype=float).reshape(-1, 2),
-                   *est._fixes(estimates), [e[3] for e in estimates],
-                   np.array([math.nan if r[3] is None else r[3] for r in records], dtype=float))
+def _columns(run: Run) -> Columns:
+    """A run as its columns."""
+    if isinstance(run, Columns):
+        return run
+    estimates = [r[2] for r in run]
+    return Columns([r[0] for r in run], np.array([r[1] for r in run], dtype=float).reshape(-1, 2),
+                   est._fixes(estimates), [e[3] for e in estimates],
+                   np.array([math.nan if r[3] is None else r[3] for r in run], dtype=float))
 
 
 def _errors(run: Columns) -> np.ndarray:
     """The errors of the rounds with a fix."""
-    return run.error[run.method != est._NO_FIX_CODE]
+    return run.error[run.fixes.method != est._NO_FIX_CODE]
 
 
-def bucketize(records: Sequence[RoundRecord],
-              edges: Sequence[float] = DEFAULT_BUCKET_EDGES) -> ErrorBuckets:
-    return _bucketize(_columns(records), edges)
-
-
-def _bucketize(run: Columns, edges: Sequence[float] = DEFAULT_BUCKET_EDGES) -> ErrorBuckets:
-    """bucketize of a run's columns: each error in the bucket bisect_right
-    finds, nan and inf in the last."""
+def bucketize(records: Run, edges: Sequence[float] = DEFAULT_BUCKET_EDGES) -> ErrorBuckets:
+    """Each error in the bucket bisect_right finds, nan and inf in the last."""
     edges = _check_edges(edges)
+    run = _columns(records)
     errors = _errors(run)
     counts = tuple(np.bincount(np.searchsorted(edges, errors, side="right"),
                                minlength=len(edges) + 1).tolist())
@@ -99,19 +95,14 @@ def _bucketize(run: Columns, edges: Sequence[float] = DEFAULT_BUCKET_EDGES) -> E
     return ErrorBuckets(edges, counts, fractions, len(run.error) - fixed)
 
 
-def error_surface(records: Sequence[RoundRecord],
-                  nx: int) -> list[list[tuple[float, float, float]]]:
+def error_surface(records: Run, nx: int) -> list[list[tuple[float, float, float]]]:
     """Sweep records as a rectangular grid of (x, y, error) rows.
 
     The records are a row-major sweep with nx points per row, as
-    sim.sweep_points lays it out, so each row is the next nx records.
+    a lattice sweep lays it out, so each row is the next nx records.
     Rounds without a fix carry NaN.
     """
-    return _error_surface(_columns(records), nx)
-
-
-def _error_surface(run: Columns, nx: int) -> list[list[tuple[float, float, float]]]:
-    """error_surface of a run's columns."""
+    run = _columns(records)
     if nx < 1 or not len(run.error) or len(run.error) % nx:
         raise ValueError("records do not form a rectangular sweep")
     points = list(zip(*run.truth.T.tolist(), run.error.tolist()))
@@ -130,35 +121,26 @@ class Comparison:
     records: int
 
 
-def median_error(records: Sequence[RoundRecord]) -> Optional[float]:
+def median_error(records: Run) -> Optional[float]:
     """Median fix error, or None when no record had a fix."""
-    return _median_error(_columns(records))
-
-
-def _median_error(run: Columns) -> Optional[float]:
-    """median_error of a run's columns."""
-    errors = _errors(run).tolist()
+    errors = _errors(_columns(records)).tolist()
     return statistics.median(errors) if errors else None
 
 
-def compare(a: Sequence[RoundRecord], b: Sequence[RoundRecord]) -> Comparison:
-    return _compare(_columns(a), _columns(b))
-
-
-def _compare(a: Columns, b: Columns) -> Comparison:
-    """compare of two runs' columns."""
+def compare(a: Run, b: Run) -> Comparison:
+    a, b = _columns(a), _columns(b)
     if len(a.error) != len(b.error):
         raise ValueError("record lists differ in length")
     differ = np.flatnonzero((a.truth != b.truth).any(axis=1))
     if differ.size:
         raise ValueError(f"true positions differ at round {a.round[differ[0]]}")
     errs_a, errs_b = _errors(a).tolist(), _errors(b).tolist()
-    both = (a.method != est._NO_FIX_CODE) & (b.method != est._NO_FIX_CODE)
-    pairs = np.count_nonzero(both)
-    wins = np.count_nonzero(a.error[both] < b.error[both]) / pairs if pairs else None
+    both = (a.fixes.method != est._NO_FIX_CODE) & (b.fixes.method != est._NO_FIX_CODE)
+    pairs = int(np.count_nonzero(both))
+    wins = int(np.count_nonzero(a.error[both] < b.error[both])) / pairs if pairs else None
     return Comparison(
-        median_a=_median_error(a),
-        median_b=_median_error(b),
+        median_a=median_error(a),
+        median_b=median_error(b),
         mean_a=statistics.fmean(errs_a) if errs_a else None,
         mean_b=statistics.fmean(errs_b) if errs_b else None,
         a_wins_fraction=wins,
@@ -170,38 +152,35 @@ def _g(value: float) -> str:
     return format(value, ".9g")
 
 
-# A records row after its round, true_x and true_y, with a fix and without:
-# "%.9g" % v is format(v, ".9g").
-_HEAD = "%d,%.9g,%.9g"
-_FIX_ROW = "%s,%.9g,%.9g,%s,%.9g,%s"
-_NO_FIX_ROW = "%s,,,%s,,%s"
+# A records row with a fix and without, the true position and n_used as
+# text: "%.9g" % v is format(v, ".9g").
+_FIX_ROW = "%d,%s,%s,%.9g,%.9g,%s,%.9g,%s"
+_NO_FIX_ROW = "%d,%s,%s,,,%s,,%s"
 # Each method's text, by its index in FixMethod.
 _METHOD_TEXT = tuple(m.value for m in est._METHODS)
 
 
-def write_records_csv(records: Sequence[RoundRecord],
-                      path: Union[str, Path]) -> None:
-    _write_records(_columns(records), path)
+def _texts(values: Union[np.ndarray, Sequence[float]]) -> list[str]:
+    """"%.9g" of each value, formatted once for each distinct one: keyed by
+    its bits, so 0.0 and -0.0, which print 0 and -0, stay apart."""
+    bits, which = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = list(map("%.9g".__mod__, bits.view(float).tolist()))
+    return [texts[i] for i in which.tolist()]
 
 
-def _record_texts(run: Columns) -> tuple[list[str], list[str]]:
-    """Each round's "round,true_x,true_y" text and n_used text, which the
-    records of every fixer of one play of the rounds share."""
-    return (list(map(_HEAD.__mod__, zip(run.round, *run.truth.T.tolist()))),
-            list(map("%.9g".__mod__, run.n)))
-
-
-def _write_records(run: Columns, path: Union[str, Path],
-                   texts: Optional[tuple[list[str], list[str]]] = None) -> None:
-    """write_records_csv of a run's columns; texts, when given, are the
-    _record_texts of a run of the same rounds."""
-    heads, ns = texts or _record_texts(run)
-    methods = list(map(_METHOD_TEXT.__getitem__, run.method.tolist()))
+def write_records_csv(records: Run, path: Union[str, Path]) -> None:
+    """One row a round. A sweep's true positions and n_used repeat, so
+    each of their values is formatted once."""
+    run = _columns(records)
+    x, y, method, _, _ = run.fixes
+    tx, ty = (_texts(axis) for axis in run.truth.T)
+    ns = _texts(run.n)
+    methods = list(map(_METHOD_TEXT.__getitem__, method.tolist()))
     lines = ["round,true_x,true_y,est_x,est_y,method,error_m,n_used"]
-    lines += map(_FIX_ROW.__mod__, zip(heads, run.x.tolist(), run.y.tolist(), methods,
+    lines += map(_FIX_ROW.__mod__, zip(run.round, tx, ty, x.tolist(), y.tolist(), methods,
                                        run.error.tolist(), ns))
-    for i in np.flatnonzero(run.method == est._NO_FIX_CODE).tolist():
-        lines[i + 1] = _NO_FIX_ROW % (heads[i], methods[i], ns[i])
+    for i in np.flatnonzero(method == est._NO_FIX_CODE).tolist():
+        lines[i + 1] = _NO_FIX_ROW % (run.round[i], tx[i], ty[i], methods[i], ns[i])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

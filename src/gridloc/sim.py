@@ -45,8 +45,8 @@ has replaced localize, builds the batch's reports and calls it once a
 round, and _centroid_rounds with one est.centroid_step call. A fixer gives
 a batch's fixes as columns, est.Fixes; _run joins each fixer's batches into
 one Columns, with the rounds' positions (one rounds x 2 array), n and the
-errors. The public runners build RoundRecords from those columns once; the
-command line writes its files from the columns and builds none.
+errors. The public runners build RoundRecords from those columns once, or,
+as the command line calls them, give the columns and build none.
 When a trace is asked for, a step's lines go to it at once, each round's
 from one template that _trace_writer joins from the beacons it heard. The
 discrete-event simulator that drives the protocol machines packet by
@@ -212,16 +212,10 @@ class Scenario:
         starts = accumulate((dwell for _, dwell in t.points), initial=0)
         return [(i, p) for i, (p, _) in zip(starts, t.points) if i < self.rounds]
 
-    def positions(self) -> list[geo.Point]:
-        """Blind-node position for each round."""
-        t = self.trajectory
-        if isinstance(t, LatticeSweep):
-            return sweep_points(self.grid, t.nx, t.ny)
-        return list(map(geo.Point._make, self._layout().tolist()))
-
     def _layout(self) -> np.ndarray:
-        """positions() as a rounds x 2 array: a sweep laid out an axis at a
-        time, else each stop repeated for the rounds of its stay."""
+        """The blind node's position each round, as a rounds x 2 array: a
+        sweep laid out an axis at a time, else each stop repeated for the
+        rounds of its stay."""
         t = self.trajectory
         if isinstance(t, LatticeSweep):
             return _sweep_layout(self.grid, t.nx, t.ny)
@@ -321,13 +315,9 @@ def _axis_samples(start: float, width: float, count: int, spacing: float) -> lis
     return out
 
 
-def sweep_points(grid: geo.GridSpec, nx: int, ny: int) -> list[geo.Point]:
-    """Row-major sample grid over the lattice hull, inset half a step."""
-    return list(map(geo.Point._make, _sweep_layout(grid, nx, ny).tolist()))
-
-
 def _sweep_layout(grid: geo.GridSpec, nx: int, ny: int) -> np.ndarray:
-    """sweep_points as a rows x 2 array, laid out an axis at a time."""
+    """The row-major sample grid over the lattice hull, inset half a step,
+    as a rows x 2 array, laid out an axis at a time."""
     xmin, ymin, xmax, ymax = grid.bounds()
     xs = _axis_samples(xmin, xmax - xmin, nx, grid.spacing_m)
     ys = _axis_samples(ymin, ymax - ymin, ny, grid.spacing_m)
@@ -343,16 +333,12 @@ class RoundRecord(NamedTuple):
 
 class Columns(NamedTuple):
     """One fixer's run as columns, a round a row: the round's index, the
-    true positions as a rows x 2 array, then est.Fixes' x, y, method,
-    fallback and cell, n_used, and the error, nan without a fix."""
+    true positions as a rows x 2 array, the fixes, n_used, and the error,
+    nan without a fix."""
 
     round: Sequence[int]
     truth: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    method: np.ndarray
-    fallback: np.ndarray
-    cell: list[Optional[geo.CellId]]
+    fixes: est.Fixes
     n: list[float]
     error: np.ndarray
 
@@ -360,17 +346,17 @@ class Columns(NamedTuple):
         """Each round's record. A fix that has no cell here gets the cell
         geometry._cells_or_none reads off it, the cell localize and
         centroid_estimate give it."""
-        cell, fixed = list(self.cell), self.method != est._NO_FIX_CODE
+        x, y, method, fallback, cell = self.fixes
+        cell, fixed = list(cell), method != est._NO_FIX_CODE
         read = np.flatnonzero(fixed & np.array([c is None for c in cell], dtype=bool))
-        for i, c in zip(read.tolist(), geo._cells_or_none(self.x[read], self.y[read], grid)):
+        for i, c in zip(read.tolist(), geo._cells_or_none(x[read], y[read], grid)):
             cell[i] = c
         new, point, methods = tuple.__new__, geo.Point, est._METHODS
         return [new(RoundRecord, (i, new(point, (tx, ty)), new(est.Estimate, (
                     new(point, (x, y)) if f else None, methods[m], c, n, b)), e if f else None))
                 for i, tx, ty, x, y, m, c, n, b, e, f in zip(
-                    self.round, *self.truth.T.tolist(), self.x.tolist(), self.y.tolist(),
-                    self.method.tolist(), cell, self.n, self.fallback.tolist(),
-                    self.error.tolist(), fixed.tolist())]
+                    self.round, *self.truth.T.tolist(), x.tolist(), y.tolist(), method.tolist(),
+                    cell, self.n, fallback.tolist(), self.error.tolist(), fixed.tolist())]
 
 
 def _calibration_length(s: Scenario) -> float:
@@ -378,33 +364,40 @@ def _calibration_length(s: Scenario) -> float:
     return geo.dist(s.grid.position_of(a), s.grid.position_of(b))
 
 
-def run_scenario(s: Scenario, trace: Union[list[str], Callable[[str], None], None] = None
-                 ) -> list[RoundRecord]:
+# A run as its records, or as its Columns, which gridloc.harness reads alike.
+Run = Union[Sequence[RoundRecord], Columns]
+
+
+def run_scenario(s: Scenario, trace: Union[list[str], Callable[[str], None], None] = None,
+                 columns: bool = False) -> Run:
     """Play every round, localize each report set, and append each round's
     messages to trace when a list is given; a function is called instead
-    with each step's lines, each ending in a newline."""
-    return _run(s, _sink(trace), (_localize_rounds,))[0].records(s.grid)
+    with each step's lines, each ending in a newline. Each runner gives
+    records, or with columns the run's Columns, building no record."""
+    return _played(s, trace, (_localize_rounds,), columns)[0]
 
 
-def run_baseline(s: Scenario, trace: Optional[list[str]] = None) -> list[RoundRecord]:
+def run_baseline(s: Scenario, trace: Optional[list[str]] = None, columns: bool = False) -> Run:
     """Same rounds and RNG stream, but each fix is the weighted centroid
     of the four strongest reports. Comparison curve only."""
-    return _run(s, _sink(trace), (_centroid_rounds,))[0].records(s.grid)
+    return _played(s, trace, (_centroid_rounds,), columns)[0]
 
 
-def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None
-                      ) -> tuple[list[RoundRecord], list[RoundRecord]]:
+def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None, columns: bool = False
+                      ) -> tuple[Run, Run]:
     """(run_scenario(s), run_baseline(s)) from one play of the rounds, and
     the trace run_scenario writes."""
-    return tuple(c.records(s.grid)
-                 for c in _run(s, _sink(trace), (_localize_rounds, _centroid_rounds)))
+    return _played(s, trace, (_localize_rounds, _centroid_rounds), columns)
 
 
-def _sink(trace: Union[list[str], Callable[[str], None], None]
-          ) -> Optional[Callable[[str], None]]:
-    """trace if it is a function, else one that adds each step's lines to it."""
-    return (trace if trace is None or callable(trace)
+def _played(s: Scenario, trace: Union[list[str], Callable[[str], None], None],
+            fixers: tuple[Callable, ...], columns: bool) -> tuple[Run, ...]:
+    """Each fixer's Columns from one _run, or without columns its records.
+    A trace that is a list gets each step's lines added to it."""
+    sink = (trace if trace is None or callable(trace)
             else lambda text: trace.extend(text[:-1].split("\n")))
+    runs = _run(s, sink, fixers)
+    return tuple(runs if columns else (c.records(s.grid) for c in runs))
 
 
 class _Step(NamedTuple):
@@ -558,10 +551,9 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
     tx, ty = positions.T
     runs = []
     for parts in fixes:
-        x, y, method, fallback = map(np.concatenate, list(zip(*parts))[:4])
-        dx, dy = (x - tx).tolist(), (y - ty).tolist()
-        runs.append(Columns(range(len(positions)), positions, x, y, method, fallback,
-                            [c for p in parts for c in p.cell], n_used,
+        joined = est._joined(parts)
+        dx, dy = (joined.x - tx).tolist(), (joined.y - ty).tolist()
+        runs.append(Columns(range(len(positions)), positions, joined, n_used,
                             np.fromiter(map(math.hypot, dx, dy), float, len(dx))))
     return runs
 

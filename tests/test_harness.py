@@ -12,9 +12,9 @@ from gridloc import harness
 from gridloc.estimator import Estimate, FixMethod
 from gridloc.geometry import CellId, Point
 from gridloc.harness import (DEFAULT_BUCKET_EDGES, bucketize, compare,
-                             error_surface, write_buckets_csv,
+                             error_surface, median_error, write_buckets_csv,
                              write_records_csv, write_surface_csv)
-from gridloc.sim import RoundRecord, run_scenario, scenario_from_dict
+from gridloc.sim import RoundRecord, run_scenario, run_with_baseline, scenario_from_dict
 from oracles import write_records_by_row
 
 
@@ -220,6 +220,22 @@ class TestCsvWriters:
             "0.5,1.5,nan\n1.5,1.5,0.4\n")
 
 
+def test_each_function_reads_a_runs_columns_as_its_records(tmp_path):
+    s = scenario_from_dict({"channel": {"sigma_dbm": 3.0},
+                            "trajectory": {"kind": "lattice_sweep", "nx": 6, "ny": 4},
+                            "rounds": 24})
+    refined, baseline = run_with_baseline(s, columns=True)
+    records = [run.records(s.grid) for run in (refined, baseline)]
+    assert repr(compare(refined, baseline)) == repr(compare(*records))
+    for run, rows in zip((refined, baseline), records):
+        assert bucketize(run, (0.25, 1.0)) == bucketize(rows, (0.25, 1.0))
+        assert median_error(run) == median_error(rows)
+        assert repr(error_surface(run, 6)) == repr(error_surface(rows, 6))
+        write_records_csv(run, tmp_path / "columns.csv")
+        write_records_csv(rows, tmp_path / "records.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
 # Both zeros, subnormals, values at the ends of the float range, nan and
 # the infinities, and any float.
 VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
@@ -249,16 +265,14 @@ def fixes(draw):
           (1, -0.0, 0.0, -0.0, (None, FixMethod.NO_FIX, None),
            (Point(0.0, -0.0), FixMethod.CENTROID, 0.0))])
 def test_the_column_writer_gives_the_bytes_of_a_row_at_a_time(tmp_path, rows):
-    # Two fixers' records of one play of the rounds: the second file is
-    # written with the round and n_used texts of the first, as a sweep writes.
+    # Two fixers' records of one play of the rounds, each written from its
+    # columns, as the command line writes them, and from its records.
     systems = [[RoundRecord(i, Point(x, y), Estimate(pos, method, None, n), err)
                 for i, x, y, n, *fixes_ in rows for pos, method, err in [fixes_[k]]]
                for k in (0, 1)]
-    runs = [harness._columns(records) for records in systems]
-    texts = harness._record_texts(runs[0])
-    for k, (records, run) in enumerate(zip(systems, runs)):
+    for k, records in enumerate(systems):
         want, got, public = (tmp_path / f"{name}{k}.csv" for name in ("want", "got", "public"))
         write_records_by_row(records, want)
-        harness._write_records(run, got, texts)
+        write_records_csv(harness._columns(records), got)
         write_records_csv(records, public)
         assert got.read_bytes() == public.read_bytes() == want.read_bytes()

@@ -62,18 +62,10 @@ def _references(trees, names: bool = True) -> defaultdict:
     return references
 
 
-# Point and record forms of a column implementation that no module calls:
-# the simulator and the command line read and write columns, and these
-# serve library callers.
-LIBRARY_FORMS = {"harness.median_error", "harness.write_records_csv",
-                 "sim.Scenario.positions", "sim.run_with_baseline"}
-
-
 def test_every_public_definition_has_a_reader():
     """A public function, class or method of a module is referenced in
     src/gridloc outside its own definition (not counting __init__), read
-    by the benchmark, or imported by the acceptance checks; or it is one of
-    LIBRARY_FORMS, each read by none of those. A method is
+    by the benchmark, or imported by the acceptance checks. A method is
     referenced only as an attribute: a local variable of its name is not
     a read of it."""
     trees = _modules()
@@ -88,7 +80,7 @@ def test_every_public_definition_has_a_reader():
             outside = reads - set(map(id, ast.walk(definition)))
             if not (outside or f"{module}.{name}" in benchmark_reads or name in accepted):
                 unread.append(f"{module}.{name}")
-    assert sorted(unread) == sorted(LIBRARY_FORMS)
+    assert unread == []
 
 
 def test_every_private_definition_has_a_reader():

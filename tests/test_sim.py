@@ -27,12 +27,22 @@ from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
                          Scenario, ScenarioError, Static, Waypoints,
                          load_scenario, parse_scenario,
                          run_baseline, run_scenario, run_with_baseline,
-                         scenario_from_dict, sweep_points)
+                         scenario_from_dict)
 from oracles import build_lattice
 
 
 def noiseless(point=Point(2.0, 2.0), rounds=1, **kwargs) -> Scenario:
     return Scenario(trajectory=Static(point), rounds=rounds, **kwargs)
+
+
+def positions(s: Scenario) -> list[Point]:
+    """The blind node's position each round."""
+    return list(map(Point._make, s._layout().tolist()))
+
+
+def sweep_points(grid: GridSpec, nx: int, ny: int) -> list[Point]:
+    """A lattice sweep's points, in round order."""
+    return list(map(Point._make, sim._sweep_layout(grid, nx, ny).tolist()))
 
 
 # The oracle: a discrete-event simulator (DES) that drives the protocol
@@ -109,7 +119,7 @@ def des_play(s: Scenario) -> tuple[list, list[str]]:
     beacons = build_lattice(s.grid)
     machines = _machines(beacons)
     sets, trace = [], []
-    for idx, pos in enumerate(s.positions()):
+    for idx, pos in enumerate(positions(s)):
         if s.estimator.adapt:
             # None beyond the radius, with no draw.
             sample_rss(calibration_length(s), s.channel, rng)
@@ -149,7 +159,7 @@ def centroid_records(s: Scenario, report_sets, ns) -> list[sim.RoundRecord]:
     report set, round i's with n_current ns[i]."""
     config = estimator.LocalizerConfig(s.grid)
     records = []
-    for i, (pos, reports, n) in enumerate(zip(s.positions(), report_sets, ns)):
+    for i, (pos, reports, n) in enumerate(zip(positions(s), report_sets, ns)):
         e, _ = estimator.centroid_estimate(reports, estimator.EstimatorState(n), config)
         records.append(sim.RoundRecord(i, pos, e, None if e.pos is None else dist(e.pos, pos)))
     return records
@@ -809,6 +819,10 @@ def test_a_step_names_at_most_the_beacons_an_int64_key_holds(named):
 @pytest.mark.parametrize("s", ORACLE_CASES)
 def test_batched_engine_matches_the_des(s, run):
     assert_matches_the_des(s, run)
+    # The columns a runner gives in place of its records hold the same rounds.
+    columns = run(s, columns=True)
+    assert ([c.records(s.grid) for c in columns] == list(run(s)) if run is run_with_baseline
+            else columns.records(s.grid) == run(s))
     if run is run_with_baseline:
         # One play of the rounds gives both systems' records.
         assert run(s) == (run_scenario(s), run_baseline(s))
@@ -865,7 +879,7 @@ def test_each_round_draws_one_block_and_one_calibration_level(s, cal_draws, run)
     # per round, the calibration level, then k · (accum_count + 4) levels.
     beacons = build_lattice(s.grid)
     normals = sum(cal_draws + len(links_at(beacons, pos, s.channel))
-                  * (s.protocol.accum_count + 4) for pos in s.positions())
+                  * (s.protocol.accum_count + 4) for pos in positions(s))
     assert played_stream(run, s) == stream_after(s.seed, normals)
 
 
@@ -941,13 +955,13 @@ def test_each_chunk_keeps_to_the_draw_caps(s, rounds_a_chunk, monkeypatch):
         monkeypatch.setattr(sim, name, record(calls, getattr(sim, name)))
     run_with_baseline(s)
     assert len(links) == len(draws)
-    assert [Point(*p) for _, positions, *_ in links for p in positions.tolist()] == s.positions()
+    assert [Point(*p) for _, pts, *_ in links for p in pts.tolist()] == positions(s)
     sizes = []
-    for (_, positions, _, candidates), (counts, n, cal_mean, *_) in zip(links, draws):
-        sizes.append(len(positions))
-        assert len(counts) == len(positions) == len(candidates)
+    for (_, pts, _, candidates), (counts, n, cal_mean, *_) in zip(links, draws):
+        sizes.append(len(pts))
+        assert len(counts) == len(pts) == len(candidates)
         normals = sum((cal_mean is not None) + k * (n + 4) for k in counts)
-        if len(positions) > 1:
+        if len(pts) > 1:
             assert candidates.size <= sim.CHUNK_DRAWS
             assert normals <= sim.CHUNK_DRAWS
     assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
@@ -959,7 +973,7 @@ def test_each_chunk_keeps_to_the_draw_caps(s, rounds_a_chunk, monkeypatch):
     batches = [step.cuts for step, *_ in fixed["_localize_rounds"]]
     assert batches == [step.cuts for step, *_ in fixed["_centroid_rounds"]]
     starts = list(itertools.accumulate((len(cuts) - 1 for cuts in batches), initial=0))
-    assert starts[-1] == len(s.positions())
+    assert starts[-1] == len(positions(s))
     for i, (first, cuts) in enumerate(zip(starts, batches)):
         rounds = len(cuts) - 1
         assert first + rounds in ends
@@ -1262,7 +1276,7 @@ def test_a_run_formats_each_beacon_tail_once_and_its_own(monkeypatch):
     s = Scenario(grid=GridSpec(cols=100, rows=100), rounds=2, trajectory=Waypoints(
         ((Point(50.5, 50.5), 1), (Point(90.5, 90.5), 1))))
     beacons = build_lattice(s.grid)
-    heard = {b.id for p in s.positions() for b, _ in links_at(beacons, p, s.channel)}
+    heard = {b.id for p in positions(s) for b, _ in links_at(beacons, p, s.channel)}
     run_scenario(s, [])
     assert len(calls) == 2 + s.protocol.accum_count + 2 * len(heard) == 702
     run_scenario(s, [])
@@ -1366,7 +1380,7 @@ class TestSweepPoints:
         # The one sample sits on the middle column, and on the middle row
         # when rows is odd; a quarter step back would reach another line.
         grid = GridSpec(spacing_m=spacing, cols=5, rows=rows)
-        (p,) = Scenario(grid=grid, trajectory=LatticeSweep(1, 1)).positions()
+        (p,) = positions(Scenario(grid=grid, trajectory=LatticeSweep(1, 1)))
         for v, count in ((p.x, grid.cols), (p.y, grid.rows)):
             assert all(abs(v - k * spacing) > COORD_TOL for k in range(count))
 
@@ -1375,12 +1389,12 @@ class TestTrajectories:
     def test_waypoints_dwell_expansion(self):
         s = Scenario(trajectory=Waypoints(((Point(1, 1), 2), (Point(5, 5), 1))),
                      rounds=3)
-        assert s.positions() == [Point(1, 1), Point(1, 1), Point(5, 5)]
+        assert positions(s) == [Point(1, 1), Point(1, 1), Point(5, 5)]
 
     def test_waypoints_truncated_or_held(self):
         w = Waypoints(((Point(1, 1), 2), (Point(5, 5), 1)))
-        assert Scenario(trajectory=w, rounds=2).positions() == [Point(1, 1)] * 2
-        assert Scenario(trajectory=w, rounds=5).positions()[-2:] == [Point(5, 5)] * 2
+        assert positions(Scenario(trajectory=w, rounds=2)) == [Point(1, 1)] * 2
+        assert positions(Scenario(trajectory=w, rounds=5))[-2:] == [Point(5, 5)] * 2
 
     def test_long_dwell_lays_out_only_the_rounds(self):
         # A dwell far longer than memory allows: only rounds points are made.
@@ -1389,7 +1403,7 @@ class TestTrajectories:
                 {"point": [1.0, 1.0], "dwell_rounds": 10**18},
                 {"point": [5.0, 5.0]}]},
             "rounds": 3})
-        assert s.positions() == [Point(1.0, 1.0)] * 3
+        assert positions(s) == [Point(1.0, 1.0)] * 3
         assert [r.true_pos for r in run_scenario(s)] == [Point(1.0, 1.0)] * 3
 
     def test_sweep_round_count_enforced(self):
@@ -1407,7 +1421,7 @@ class TestTrajectories:
     def test_waypoint_past_the_rounds_is_not_checked(self):
         # The second point sits on beacon 4, but no round reaches it.
         w = Waypoints(((Point(1.0, 1.0), 3), (Point(4.0, 4.0), 1)))
-        assert Scenario(trajectory=w, rounds=3).positions() == [Point(1.0, 1.0)] * 3
+        assert positions(Scenario(trajectory=w, rounds=3)) == [Point(1.0, 1.0)] * 3
         with pytest.raises(ScenarioError) as info:
             Scenario(trajectory=w, rounds=4)
         assert str(info.value) == "trajectory: point 3 coincides with beacon 4"
@@ -1774,7 +1788,7 @@ class TestScenarioParsing:
         s = scenario_from_dict(dict(
             MINIMAL, grid={"origin": [-1e308, 0.0], "spacing_m": 1e308},
             trajectory={"kind": "static", "point": [1e308, 0.0]}))
-        assert s.positions() == [Point(1e308, 0.0)]
+        assert positions(s) == [Point(1e308, 0.0)]
 
     @settings(max_examples=300, deadline=None)
     @given(origin=st.sampled_from([(0.0, 0.0), (-3.5, 10.25), (1e12, -1e12)]),
@@ -1826,7 +1840,7 @@ class TestScenarioParsing:
             ]},
             "rounds": 3,
         })
-        assert s.positions() == [Point(1, 1), Point(1, 1), Point(5, 5)]
+        assert positions(s) == [Point(1, 1), Point(1, 1), Point(5, 5)]
 
     def test_parse_rejects_bad_json(self):
         with pytest.raises(ScenarioError, match="not valid JSON"):
