@@ -218,6 +218,13 @@ def adapt_n(rss_between_beacons: float, true_dist_m: float, n_prime: float,
     input. The apparent length is computed unclamped on purpose: clamping
     would silently cap the recoverable exponent.
     """
+    return adapt_ns([rss_between_beacons], true_dist_m, n_prime, a_dbm, n_min, n_max)[0]
+
+
+def adapt_ns(levels: Iterable[float], true_dist_m: float, n_prime: float,
+             a_dbm: float, n_min: float = 1.0, n_max: float = 6.0) -> list[float]:
+    """adapt_n over consecutive rounds' calibration levels, each exponent
+    adapted from the one before, the first from n_prime; checked once."""
     if true_dist_m <= 0:
         raise ValueError("true_dist_m must be positive")
     if n_prime <= 0:
@@ -225,9 +232,12 @@ def adapt_n(rss_between_beacons: float, true_dist_m: float, n_prime: float,
     log_d = math.log(true_dist_m)
     if log_d == 0.0:
         raise ValueError("a 1 m link cannot calibrate the exponent")
-    log_d_apparent = (a_dbm - rss_between_beacons) / (10.0 * n_prime) * math.log(10.0)
-    n = n_prime * log_d_apparent / log_d
-    return min(max(n, n_min), n_max)
+    ln10, out = math.log(10.0), []
+    for rss in levels:
+        log_d_apparent = (a_dbm - rss) / (10.0 * n_prime) * ln10
+        n_prime = min(max(n_prime * log_d_apparent / log_d, n_min), n_max)
+        out.append(n_prime)
+    return out
 
 
 def _solve_in_cell(quad: Sequence[Point], ranges: Sequence[float],

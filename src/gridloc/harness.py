@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import estimator as est
-from .sim import Columns, Run
+from .sim import Columns, Run, _texts
 
 DEFAULT_BUCKET_EDGES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -158,14 +158,6 @@ _FIX_ROW = "%d,%s,%s,%.9g,%.9g,%s,%.9g,%s"
 _NO_FIX_ROW = "%d,%s,%s,,,%s,,%s"
 # Each method's text, by its index in FixMethod.
 _METHOD_TEXT = tuple(m.value for m in est._METHODS)
-
-
-def _texts(values: Union[np.ndarray, Sequence[float]]) -> list[str]:
-    """"%.9g" of each value, formatted once for each distinct one: keyed by
-    its bits, so 0.0 and -0.0, which print 0 and -0, stay apart."""
-    bits, which = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    texts = list(map("%.9g".__mod__, bits.view(float).tolist()))
-    return [texts[i] for i in which.tolist()]
 
 
 def write_records_csv(records: Run, path: Union[str, Path]) -> None:

@@ -47,8 +47,8 @@ a batch's fixes as columns, est.Fixes; _run joins each fixer's batches into
 one Columns, with the rounds' positions (one rounds x 2 array), n and the
 errors. The public runners build RoundRecords from those columns once, or,
 as the command line calls them, give the columns and build none.
-When a trace is asked for, a step's lines go to it at once, each round's
-from one template that _trace_writer joins from the beacons it heard. The
+When a trace is asked for, one _trace_writer call writes a step's lines,
+each round's from a cached template for the beacons it heard. The
 discrete-event simulator that drives the protocol machines packet by
 packet, and formats each of their messages whole, is the oracle in
 tests/test_sim.py.
@@ -59,8 +59,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cache
-from itertools import accumulate, pairwise
+from functools import cache, lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Container, NamedTuple, Optional, Sequence, Union, get_args
 
@@ -122,6 +122,8 @@ MAX_BEACONS = 10_000
 MAX_ROUNDS = 10**6
 # Most normals a run takes in one draw, unless one round needs more.
 CHUNK_DRAWS = 2**15
+# Distinct heard sets whose round templates a trace writer keeps.
+TEMPLATE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -525,20 +527,17 @@ def _run(s: Scenario, trace: Optional[Callable[[str], None]],
                  else _contenders(screen + tests.mean(axis=0), counts, 2 * eps))
         avgs = chan.average_levels(tests[:, links], exact(links), s.quantize_rssi)
         if write is not None:
-            heard, levels = ids.tolist(), avgs.tolist()
+            t0s = np.arange(first, first + len(pts)) * interval
+            trace(write(tuple(ids.tolist()), ends, avgs, t0s))
         # Each round's contenders, round i's from row cuts[i].
         firsts = np.searchsorted(links, ends)
         keep = _contenders(avgs, np.diff(firsts))
         links, avgs, cuts = links[keep], avgs[keep], np.searchsorted(keep, firsts).tolist()
         ids = ids[links]
-        ns = [n_exp] * len(pts)
-        if cal_mean is not None:
-            for i in range(len(pts)):
-                n_exp = ns[i] = est.adapt_n(cals[i], cal_length, n_exp, s.channel.a_dbm,
-                                            s.estimator.n_min, s.estimator.n_max)
-        if write is not None:
-            trace("\n".join([write(heard[a:b], levels[a:b], (first + i) * interval)
-                             for i, (a, b) in enumerate(pairwise(ends))]) + "\n")
+        ns = ([n_exp] * len(pts) if cal_mean is None
+              else est.adapt_ns(cals, cal_length, n_exp, s.channel.a_dbm,
+                                s.estimator.n_min, s.estimator.n_max))
+        n_exp = ns[-1]
         batch.append(_Step(n, cuts, avgs, xy[ids], ids, ns))
         n_used += ns
         held += avgs.size
@@ -585,16 +584,34 @@ def _contenders(levels: np.ndarray, counts: Sequence[int], margin: float = 0.0) 
     return np.flatnonzero(levels >= np.repeat(fourth, k))
 
 
+def _formatted(spec: str, values: list[float]) -> list[str]:
+    """spec % v of each value, from one % call (no spec here writes a break)."""
+    return (f"{spec}\n" * len(values) % tuple(values)).splitlines()
+
+
+def _texts(values: Union[np.ndarray, Sequence[float]]) -> list[str]:
+    """"%.9g" of each value, as proto.VALUE_SPEC formats it, once for each
+    distinct one: keyed by its bits, so 0.0 and -0.0, which print 0 and -0,
+    stay apart. Values that never repeat are formatted in order, unsorted."""
+    values = np.asarray(values, dtype=float)
+    bits = np.sort(values.view(np.int64))
+    if (bits[1:] != bits[:-1]).all():
+        return _formatted("%.9g", values.tolist())
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(_formatted("%.9g", bits.view(float).tolist()), dtype=object)[which].tolist()
+
+
 def _trace_writer(p: ProtocolSettings, position: Callable[[int], geo.Point]
-                  ) -> Callable[[list[int], list[float], float], str]:
-    """write(ids, levels, t0), the lines of one round's schedule from t0 on,
-    joined by newlines: the beacons of ids in range, each response carrying
-    its level and p.accum_count. Each line's text after its time comes from
-    protocol.format_trace_line once a run, a beacon's the first time it is in
-    range, at position(id). The lines are one % template, joined each round
-    from those texts, that takes the round's times and levels."""
+                  ) -> Callable[[tuple[int, ...], list[int], np.ndarray, np.ndarray], str]:
+    """write(ids, ends, levels, t0s), a step's lines, each ending in a
+    newline: round r's from t0s[r] on, hearing the beacons in range of the
+    tuple ids[ends[r]:ends[r + 1]], each response carrying its level from
+    the array levels and p.accum_count. Each line's text after its time comes
+    from protocol.format_trace_line once a run, a beacon's the first time it
+    is in range, at position(id). A round's lines are one % template of those
+    texts, kept for the last TEMPLATE_CACHE_SIZE heard sets."""
     blind, cut = "m0", len(format(0.0, proto.TIME_SPEC))
-    time_spec, value_spec = "%" + proto.TIME_SPEC, "%" + proto.VALUE_SPEC
+    time_spec, width = "%" + proto.TIME_SPEC, p.accum_count + 1
 
     def tail(src: str, dst: str, msg: proto.Message) -> str:
         # A line's time is its first field, filled in each round.
@@ -609,27 +626,35 @@ def _trace_writer(p: ProtocolSettings, position: Callable[[int], geo.Point]
         # A response's last two fields are its level and count.
         msg = proto.RssiAvgResponse(f"b{i}", position(i), 0.0, p.accum_count)
         head, _, count = tail(f"b{i}", blind, msg).rsplit(",", 2)
-        return f"{head},{value_spec},{count}"
+        return f"{head},%s,{count}"
 
     start = tail(blind, proto.BROADCAST, proto.LocationStart(blind))
     # The tests and the request, the same every round.
     middle = "\n".join([tail(blind, proto.BROADCAST, proto.RssiTest(blind, seq))
                         for seq in range(1, p.accum_count + 1)]
                        + [tail(blind, proto.BROADCAST, proto.RssiAvgRequest(blind))])
-    gaps = [p.inter_test_gap_ms] * p.accum_count
 
-    def write(ids: list[int], levels: list[float], t0: float) -> str:
-        if not ids:
-            return start % (time_spec % t0)
-        template = "\n".join([start, *map(ack, ids), middle, *map(response, ids)])
-        # Each test's time, then the request's. The gap is added once per
-        # test, as the blind machine's timer adds it; t0 + j * gap can round
-        # differently.
-        times = [time_spec % t for t in accumulate(gaps, initial=t0)]
-        # The start and the acks are at t0, each response at the request.
-        responses = [times[-1]] * (2 * len(ids))
-        responses[1::2] = levels
-        return template % (*[times[0]] * (len(ids) + 1), *times, *responses)
+    @lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+    def template(ids: tuple[int, ...]) -> str:
+        return "\n".join([start, *map(ack, ids), middle, *map(response, ids)])
+
+    def write(ids: tuple, ends: list[int], levels: np.ndarray, t0s: np.ndarray) -> str:
+        # A round's start, tests and request, a row: np.add.accumulate adds the
+        # gap once per test, in order, as the blind machine's timer does;
+        # t0 + j * gap can round differently.
+        rows = np.full((len(t0s), width), p.inter_test_gap_ms)
+        rows[:, 0] = t0s
+        times = _formatted(time_spec, np.add.accumulate(rows, axis=1).ravel().tolist())
+        values = _texts(levels)
+        lines = []
+        for a, b, ts in zip(ends, ends[1:], zip(*[iter(times)] * width)):
+            # The start and the acks are at t0, each response at the request.
+            responses = [ts[-1]] * (2 * (b - a))
+            responses[1::2] = values[a:b]
+            lines.append(template(ids[a:b]) % (*ts[:1] * (b - a + 1), *ts, *responses)
+                         if a < b else start % ts[0])
+        lines.append("")
+        return "\n".join(lines)
 
     return write
 

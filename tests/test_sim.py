@@ -1312,24 +1312,48 @@ TRACE_TIMES = st.one_of(st.sampled_from([0.0, 1e12, 999999999999.9995, 0.0005, 2
 
 
 @st.composite
-def trace_rounds(draw):
-    """Back-to-back rounds, each (ids, levels, t0), whose ids change, repeat
-    or are empty."""
-    pool = [[], [0], [1, 2, 5, 11], list(range(12))]
+def trace_steps(draw):
+    """Steps of back-to-back rounds, each step a list of rounds (ids,
+    levels, t0) that mixes empty rounds with heard ids that change or
+    repeat, within the step and across steps."""
+    pool = [[], [0], [1, 2, 5, 11], list(range(12)), [3, 4]]
     pool.append(draw(st.lists(st.integers(0, 11), unique=True).map(sorted)))
-    rounds = []
-    for ids in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)):
-        levels = draw(st.lists(TRACE_LEVELS, min_size=len(ids), max_size=len(ids)))
-        rounds.append((list(ids), levels, draw(TRACE_TIMES)))
-    return rounds
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        step = []
+        for ids in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)):
+            levels = draw(st.lists(TRACE_LEVELS, min_size=len(ids), max_size=len(ids)))
+            step.append((list(ids), levels, draw(TRACE_TIMES)))
+        steps.append(step)
+    return steps
+
+
+def write_step(write, step) -> str:
+    """A step's trace from the step writer, its rounds given as ids, round
+    ends, levels and start times."""
+    ids = tuple(i for heard, _, _ in step for i in heard)
+    ends = list(itertools.accumulate((len(heard) for heard, _, _ in step), initial=0))
+    levels = np.array([v for _, values, _ in step for v in values], dtype=float)
+    return write(ids, ends, levels, np.array([t0 for _, _, t0 in step], dtype=float))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(rounds=trace_rounds(), accum=st.sampled_from([1, 12]),
-       gap=st.sampled_from([0.0, 0.1]), percent=st.booleans())
-def test_a_written_round_is_its_messages_formatted_whole(rounds, accum, gap, percent):
+@given(steps=trace_steps(), accum=st.sampled_from([1, 12]),
+       gap=st.sampled_from([0.0, 0.1]), percent=st.booleans(),
+       cache=st.sampled_from([1, 2, sim.TEMPLATE_CACHE_SIZE]))
+# Five heard sets through a cache of one, empty rounds between them, and
+# -0.0 beside 0.0 in one step: every template is evicted and joined again.
+@example(steps=[[([0], [-0.0], 0.0), ([], [], 1e12),
+                 ([1, 2, 5, 11], [0.0, -0.0, 1e5, -0.0], 2.5e-4),
+                 ([3, 4], [5e-324, -0.0], 999999999999.9995), ([0], [0.0], 0.0005)],
+                [([1, 2, 5, 11], [-0.0, 0.0, 0.0, -0.0], 1.0), ([], [], 0.0),
+                 (list(range(12)), [-61.123456789012345] * 6 + [-0.0, 0.0] * 3, 3.0),
+                 ([0], [-0.0], 4.0)]],
+         accum=12, gap=0.1, percent=True, cache=1)
+def test_a_written_round_is_its_messages_formatted_whole(steps, accum, gap, percent, cache):
     # With percent, every line's text after its time holds a '%', which the
-    # writer's template must keep as it is.
+    # writer's template must keep as it is. cache bounds the writer's
+    # templates; at 1 or 2, the heard sets of a step can outnumber it.
     def format_line(*args, _original=proto.format_trace_line):
         line = _original(*args)
         return line.replace(",", ",%s%%", 1) if percent else line
@@ -1337,11 +1361,12 @@ def test_a_written_round_is_its_messages_formatted_whole(rounds, accum, gap, per
     p = ProtocolSettings(accum_count=accum, inter_test_gap_ms=gap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(proto, "format_trace_line", format_line)
+        mp.setattr(sim, "TEMPLATE_CACHE_SIZE", cache)
         write = sim._trace_writer(p, WRITER_GRID.position_of)
-        for ids, levels, t0 in rounds:
-            block = write(ids, levels, t0)
-            assert block.split("\n") == schedule_lines(p, WRITER_GRID.position_of,
-                                                        ids, levels, t0)
+        for step in steps:
+            assert write_step(write, step) == "".join(
+                line + "\n" for ids, levels, t0 in step
+                for line in schedule_lines(p, WRITER_GRID.position_of, ids, levels, t0))
 
 
 class TestSweepPoints:
