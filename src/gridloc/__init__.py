@@ -3,8 +3,7 @@
 from .channel import (ChannelParams, RangeEstimate, distance_to_rss,
                       rss_to_distance, sample_rss)
 from .estimator import (Estimate, EstimatorState, FixMethod, LocalizerConfig,
-                        RssiReport, adapt_n, localize, select_top4,
-                        weighted_centroid)
+                        RssiReport, adapt_n, localize, select_top4)
 from .geometry import (CellId, GeometryError, GridSpec, OutOfRegionError,
                        Point, containing_cell)
 from .harness import (Comparison, ErrorBuckets, bucketize, compare,
@@ -26,6 +25,6 @@ __all__ = [
     "distance_to_rss", "error_surface", "load_scenario", "localize",
     "parse_scenario", "rss_to_distance", "run_baseline", "run_scenario",
     "run_with_baseline", "sample_rss", "select_top4",
-    "weighted_centroid", "write_buckets_csv", "write_records_csv",
+    "write_buckets_csv", "write_records_csv",
     "write_surface_csv", "__version__",
 ]

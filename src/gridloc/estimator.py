@@ -17,8 +17,9 @@ channel._inverse_ranges call. Reports, states and estimates are named
 tuples; localize builds its own with tuple.__new__, from fields already
 checked. localize_step gives localize's bits for a step of rounds at once,
 ranging and refining on arrays by the same correctly rounded operations,
-and, like centroid_step, returns the step's fixes as columns (Fixes), with
-no Estimate a round.
+and, like centroid_step (the weighted-centroid baseline, whose per-round
+form is only a test reference), returns the step's fixes as columns
+(Fixes), with no Estimate a round.
 """
 
 from __future__ import annotations
@@ -50,15 +51,15 @@ class FixMethod(Enum):
     PAIR_SPLIT = "pair_split"
     NEAR_BEACON = "near_beacon"
     NO_FIX = "no_fix"
-    # Produced only by the baseline, centroid_estimate and centroid_step,
-    # never by localize().
+    # Produced only by the baseline, centroid_step, never by localize().
     CENTROID = "centroid"
 
 
 # In declaration order: on Python 3.11 each FixMethod.X is a descriptor call.
-_REFINED, _PAIR_SPLIT, _NEAR_BEACON, _NO_FIX, _CENTROID = _METHODS = tuple(FixMethod)
+_METHODS = tuple(FixMethod)
 # A column of fixes holds each method as its index in _METHODS.
 _REFINED_CODE, _PAIR_SPLIT_CODE, _NEAR_BEACON_CODE, _NO_FIX_CODE, _CENTROID_CODE = range(5)
+_REFINED, _NO_FIX = _METHODS[_REFINED_CODE], _METHODS[_NO_FIX_CODE]
 # A named tuple from fields already checked, without its __new__.
 _new = tuple.__new__
 
@@ -357,15 +358,8 @@ def _near_beacon(anchor: Point, r: float, target: Optional[Point],
     return _clamp(Point(anchor[0] + r * vx / norm, anchor[1] + r * vy / norm), bounds)
 
 
-def weighted_centroid(reports: Sequence[RssiReport]) -> Point:
-    """Beacon positions averaged with linearized-power weights."""
-    if not reports:
-        raise ValueError("weighted_centroid needs at least one report")
-    return _centroid(list(map(_position, reports)), list(map(_strength, reports)))
-
-
 def _centroid(positions: Sequence[Point], levels: Sequence[float]) -> Point:
-    """weighted_centroid of the reports at positions with levels."""
+    """Positions averaged with linearized-power weights of their levels."""
     # Far from 0 dBm every weight can underflow to 0, or one overflow. Only
     # then is each taken relative to the strongest, which weighs 1; x - 0.0
     # is x, so every centroid that the absolute weights give keeps its bits.
@@ -383,18 +377,6 @@ def _centroid(positions: Sequence[Point], levels: Sequence[float]) -> Point:
         if 0.0 < wsum < math.inf:
             break
     return Point(wx / wsum, wy / wsum)
-
-
-def centroid_estimate(reports: Sequence[RssiReport], state: EstimatorState,
-                      config: LocalizerConfig) -> tuple[Estimate, EstimatorState]:
-    """Baseline fix: the weighted centroid of the four strongest reports,
-    called as localize is; state comes back unchanged."""
-    top4 = select_top4(reports)
-    if top4 is None:
-        return _new(Estimate, (None, _NO_FIX, None, state.n_current, False)), state
-    pos, grid = weighted_centroid(top4), config.grid
-    return _new(Estimate, (pos, _CENTROID, _cell_or_none(pos, grid, grid.bounds()),
-                           state.n_current, False)), state
 
 
 def _rank_top4(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray
@@ -415,18 +397,18 @@ def _rank_top4(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray
     return counts, fixed, np.take_along_axis(row, rank[:, :4], 1)
 
 
-def centroid_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray,
-                  config: LocalizerConfig) -> Fixes:
-    """centroid_estimate's fix of each round of a step, with every bit, as
-    columns: round i's reports are rows cuts[i] to cuts[i + 1] of the
-    arrays levels and xy, a level and a beacon position a row.
+def centroid_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray) -> Fixes:
+    """The baseline's fix of each round of a step as columns, nan and
+    no_fix with fewer than four reports: round i's reports are rows cuts[i]
+    to cuts[i + 1] of the arrays levels and xy, a level and a beacon
+    position a row, and its fix has the bits of _centroid of its top four.
 
     The rounds are ranked at once, each in select_top4's order. Each weight
     is Python's float power (numpy's can round otherwise, and differently
     on another host) of an exponent capped at EXP10_MAX, and the sums are
-    added a column at a time, from 0.0, in weighted_centroid's order. A
-    round with an exponent past the cap, or whose weights sum to 0 or inf,
-    is fixed by centroid_estimate alone, from reports built from its rows.
+    added a column at a time, from 0.0, in _centroid's order. A round with
+    an exponent past the cap, or whose weights sum to 0 or inf, is fixed by
+    _centroid on its own four rows.
     """
     counts, fixed, top = _rank_top4(cuts, levels, xy)
     e = levels[top] / 10.0
@@ -439,10 +421,8 @@ def centroid_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray,
             wsum, wx, wy = wsum + w[:, k], wx + w[:, k] * xs[:, k], wy + w[:, k] * ys[:, k]
         px[fixed], py[fixed] = wx / wsum, wy / wsum
     bad = ~((0.0 < wsum) & (wsum < math.inf) & (e <= EXP10_MAX).all(1))
-    for i in fixed[bad].tolist():
-        a, b = cuts[i], cuts[i + 1]
-        reports = list(map(RssiReport, map(Point._make, xy[a:b].tolist()), levels[a:b].tolist()))
-        px[i], py[i] = centroid_estimate(reports, EstimatorState(), config)[0][0]
+    for i, rows in zip(fixed[bad].tolist(), top[bad]):
+        px[i], py[i] = _centroid(xy[rows].tolist(), levels[rows].tolist())
     return Fixes(px, py, np.where(counts >= 4, _CENTROID_CODE, _NO_FIX_CODE).astype(np.int8),
                  np.zeros(counts.size, dtype=bool), [None] * counts.size)
 

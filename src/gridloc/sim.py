@@ -118,7 +118,8 @@ Trajectory = Union[Static, Waypoints, LatticeSweep]
 
 # Largest lattice a scenario may describe, in beacons.
 MAX_BEACONS = 10_000
-# Most rounds a scenario may run; a run keeps about 1 kB of records a round.
+# Most rounds a scenario may run: the command line keeps columns, about 60 B
+# a round per fixer; only the library runners build records, up to 1 kB.
 MAX_ROUNDS = 10**6
 # Most normals a run takes in one draw, unless one round needs more.
 CHUNK_DRAWS = 2**15
@@ -345,9 +346,8 @@ class Columns(NamedTuple):
     error: np.ndarray
 
     def records(self, grid: geo.GridSpec) -> list[RoundRecord]:
-        """Each round's record. A fix that has no cell here gets the cell
-        geometry._cells_or_none reads off it, the cell localize and
-        centroid_estimate give it."""
+        """Each round's record. A fix that has no cell here gets the one
+        geometry._cells_or_none reads off it, as localize's own fixes do."""
         x, y, method, fallback, cell = self.fixes
         cell, fixed = list(cell), method != est._NO_FIX_CODE
         read = np.flatnonzero(fixed & np.array([c is None for c in cell], dtype=bool))
@@ -372,21 +372,22 @@ Run = Union[Sequence[RoundRecord], Columns]
 
 def run_scenario(s: Scenario, trace: Union[list[str], Callable[[str], None], None] = None,
                  columns: bool = False) -> Run:
-    """Play every round, localize each report set, and append each round's
-    messages to trace when a list is given; a function is called instead
-    with each step's lines, each ending in a newline. Each runner gives
+    """Play every round and localize each report set. Each runner appends
+    each round's messages to trace when it is a list, or calls it, a
+    function, with each step's lines, each ending in a newline; and gives
     records, or with columns the run's Columns, building no record."""
     return _played(s, trace, (_localize_rounds,), columns)[0]
 
 
-def run_baseline(s: Scenario, trace: Optional[list[str]] = None, columns: bool = False) -> Run:
-    """Same rounds and RNG stream, but each fix is the weighted centroid
-    of the four strongest reports. Comparison curve only."""
+def run_baseline(s: Scenario, trace: Union[list[str], Callable[[str], None], None] = None,
+                 columns: bool = False) -> Run:
+    """Same rounds, RNG stream and trace, but each fix is the weighted
+    centroid of the four strongest reports. Comparison curve only."""
     return _played(s, trace, (_centroid_rounds,), columns)[0]
 
 
-def run_with_baseline(s: Scenario, trace: Optional[list[str]] = None, columns: bool = False
-                      ) -> tuple[Run, Run]:
+def run_with_baseline(s: Scenario, trace: Union[list[str], Callable[[str], None], None] = None,
+                      columns: bool = False) -> tuple[Run, Run]:
     """(run_scenario(s), run_baseline(s)) from one play of the rounds, and
     the trace run_scenario writes."""
     return _played(s, trace, (_localize_rounds, _centroid_rounds), columns)
@@ -446,7 +447,7 @@ def _localize_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerC
 def _centroid_rounds(step: _Step, state: est.EstimatorState, cfg: est.LocalizerConfig
                      ) -> tuple[est.Fixes, est.EstimatorState]:
     """The batch's fixes from est.centroid_step, which keeps no state."""
-    return est.centroid_step(step.cuts, step.levels, step.xy, cfg), state
+    return est.centroid_step(step.cuts, step.levels, step.xy), state
 
 
 def _merged(steps: list[_Step]) -> _Step:

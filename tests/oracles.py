@@ -1,10 +1,14 @@
-"""Per-branch references for localize, and the lattice as a list of beacons.
+"""Per-branch references for localize, the baseline a round at a time, and
+the lattice as a list of beacons.
 
 localize is the one statement of both phases. Each function here calls one
 of its branches on its own, through the same private helpers, so a test can
-compare a localize fix with its branch bit for bit. cell_of_corners and
-_corner_plan are the partition phase as it once ran, in two passes: the
-reference that estimator._cell_plan's one pass is checked against.
+compare a localize fix with its branch bit for bit. centroid_estimate is
+the baseline on one round's reports, as it once ran in the package: the
+reference that estimator.centroid_step's columns are checked against.
+cell_of_corners and _corner_plan are the partition phase as it once ran,
+in two passes: the reference that estimator._cell_plan's one pass is
+checked against.
 write_records_by_row is the records CSV as it was once written, a record
 at a time: the reference for harness's writer on columns.
 """
@@ -16,10 +20,10 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from gridloc.channel import _inverse_ranges
-from gridloc.estimator import (EstimatorState, LocalizerConfig, RssiReport,
-                               _near_beacon, _pair_split, _solve_in_cell,
-                               _split_plan)
-from gridloc.geometry import COORD_TOL, CellId, GeometryError, GridSpec, Point
+from gridloc.estimator import (Estimate, EstimatorState, FixMethod, LocalizerConfig,
+                               RssiReport, _centroid, _near_beacon, _pair_split,
+                               _solve_in_cell, _split_plan, select_top4)
+from gridloc.geometry import COORD_TOL, CellId, GeometryError, GridSpec, Point, _cell_or_none
 
 
 @dataclass(frozen=True)
@@ -162,6 +166,25 @@ def near_beacon_estimate(max_report: RssiReport, state: EstimatorState,
     return _near_beacon(max_report.beacon_pos,
                         range_of(config, max_report.avg_rssi_dbm, n_used),
                         state.last_estimate, config.grid.bounds())
+
+
+def weighted_centroid(reports: Sequence[RssiReport]) -> Point:
+    """Beacon positions averaged with linearized-power weights."""
+    if not reports:
+        raise ValueError("weighted_centroid needs at least one report")
+    return _centroid([r.beacon_pos for r in reports], [r.avg_rssi_dbm for r in reports])
+
+
+def centroid_estimate(reports: Sequence[RssiReport], state: EstimatorState,
+                      config: LocalizerConfig) -> tuple[Estimate, EstimatorState]:
+    """Baseline fix: the weighted centroid of the four strongest reports,
+    called as localize is; state comes back unchanged."""
+    top4 = select_top4(reports)
+    if top4 is None:
+        return Estimate(None, FixMethod.NO_FIX, None, state.n_current), state
+    pos, grid = weighted_centroid(top4), config.grid
+    return Estimate(pos, FixMethod.CENTROID, _cell_or_none(pos, grid, grid.bounds()),
+                    state.n_current), state
 
 
 # One records row with a fix and one without; "%.9g" % v is format(v, ".9g").

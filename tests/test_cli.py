@@ -270,6 +270,14 @@ class TestSimulate:
         assert stdout.startswith("simulate: records=9 ")
         assert "median_error_m=" in stdout and "no_fix=0" in stdout
 
+    def test_a_run_without_a_fix_says_so(self, tmp_path, capsys):
+        # (2, 2) is 2.83 m from every beacon of its cell: none is in range.
+        scenario = tmp_path / "s.json"
+        write_scenario(scenario, channel={"reception_radius_m": 2.5},
+                       trajectory={"kind": "static", "point": [2.0, 2.0]})
+        assert main(["simulate", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr() == ("simulate: records=9 no_fix=9 (no fixes)\n", "")
+
     def test_trace_flag_writes_trace(self, tmp_path):
         scenario = tmp_path / "s.json"
         write_scenario(scenario, rounds=1)
@@ -533,9 +541,9 @@ class TestSweep:
         assert not out.exists() or list(out.iterdir()) == []
 
 
-def sweep_digests(tmp_path, capsys, vary, seed, quantize=False, adapt=False):
-    """sha256 of every file `gridloc sweep` writes, in name order, then of
-    its stdout, on a 4 x 4 lattice sweep at sigma = 3."""
+def sweep_digests(tmp_path, capsys, vary, seed, quantize=False, adapt=False, flags=()):
+    """sha256 of every file `gridloc sweep` writes, given flags, in name
+    order, then of its stdout, on a 4 x 4 lattice sweep at sigma = 3."""
     path = tmp_path / "scenario.json"
     write_scenario(path, seed=seed, estimator={"adapt": adapt},
                    channel={"sigma_dbm": 3.0}, quantize_rssi=quantize,
@@ -543,7 +551,7 @@ def sweep_digests(tmp_path, capsys, vary, seed, quantize=False, adapt=False):
                    rounds=16)
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main(["sweep", str(path), "--vary", vary, "--out", str(out)]) == EXIT_OK
+    assert main(["sweep", str(path), "--vary", vary, *flags, "--out", str(out)]) == EXIT_OK
     blobs = [f.read_bytes() for f in sorted(out.iterdir())]
     blobs.append(capsys.readouterr().out.encode())
     return tuple(hashlib.sha256(b).hexdigest() for b in blobs)
@@ -583,6 +591,10 @@ class TestSweepByteIdentity:
     @pytest.mark.parametrize("case", list(PINS), ids=lambda c: "-".join(map(str, c)))
     def test_outputs_match_pinned_digests(self, tmp_path, capsys, case):
         assert sweep_digests(tmp_path, capsys, *case) == self.PINS[case]
+
+    def test_seed_flag_overrides_the_scenario_seed(self, tmp_path, capsys):
+        assert (sweep_digests(tmp_path, capsys, "sigma=0,3", 42, flags=["--seed", "7"])
+                == self.PINS["sigma=0,3", 7, False, False])
 
     def test_each_round_is_localized_once(self, tmp_path, monkeypatch):
         calls = []

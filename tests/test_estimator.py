@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from gridloc.channel import D_MIN_M, ChannelParams, distance_to_rss, rss_to_distance
 from gridloc.estimator import (Estimate, EstimatorState, FixMethod,
                                LocalizerConfig, RssiReport, _cell_plan, adapt_n,
-                               localize, select_top4, weighted_centroid)
+                               localize, select_top4)
 from gridloc.geometry import (CellId, GeometryError, GridSpec, Point,
                               containing_cell, dist)
 from oracles import (build_lattice, near_beacon_estimate, pair_split_estimate,
-                     range_of, refine_in_cell)
+                     range_of, refine_in_cell, weighted_centroid)
 
 A_DBM = -45.0
 GRID = GridSpec(origin=Point(0.0, 0.0), spacing_m=4.0, cols=3, rows=3)

@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 from gridloc import estimator, sim
 from gridloc.channel import ChannelParams, distance_to_rss
 from gridloc.estimator import (EstimatorState, FixMethod, LocalizerConfig,
-                               RssiReport, localize, select_top4,
-                               weighted_centroid)
+                               RssiReport, localize, select_top4)
 from gridloc.geometry import (COORD_TOL, GeometryError, GridSpec, Point,
                               ScenarioError, dist)
 from oracles import (_corner_plan, build_lattice, cell_of_corners,
                      near_beacon_estimate, pair_split_estimate, range_of,
-                     refine_in_cell)
+                     refine_in_cell, weighted_centroid)
 
 # sha256 of the corpus lines, one per localize call, each field as float.hex.
 CORPUS_SHA256 = "0d0045cd5a3cb5875dc86b2cf3a0c1614ee5fa1f3aff4cfdac8272e0cf5f8ffb"

@@ -28,7 +28,7 @@ from gridloc.sim import (EstimatorSettings, LatticeSweep, ProtocolSettings,
                          load_scenario, parse_scenario,
                          run_baseline, run_scenario, run_with_baseline,
                          scenario_from_dict)
-from oracles import build_lattice
+from oracles import build_lattice, centroid_estimate
 
 
 def noiseless(point=Point(2.0, 2.0), rounds=1, **kwargs) -> Scenario:
@@ -160,7 +160,7 @@ def centroid_records(s: Scenario, report_sets, ns) -> list[sim.RoundRecord]:
     config = estimator.LocalizerConfig(s.grid)
     records = []
     for i, (pos, reports, n) in enumerate(zip(positions(s), report_sets, ns)):
-        e, _ = estimator.centroid_estimate(reports, estimator.EstimatorState(n), config)
+        e, _ = centroid_estimate(reports, estimator.EstimatorState(n), config)
         records.append(sim.RoundRecord(i, pos, e, None if e.pos is None else dist(e.pos, pos)))
     return records
 
@@ -757,7 +757,7 @@ def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid, ns, last, d
         want = estimator.select_top4(reports)
         assert (top4 is want is None
                 or list(map(id, top4)) == list(map(id, want)))
-        for fix in (estimator.localize, estimator.centroid_estimate):
+        for fix in (estimator.localize, centroid_estimate):
             assert fix(kept, state, config) == fix(reports, state, config)
         every.append(reports)
         step += kept
@@ -765,8 +765,8 @@ def test_each_fixer_reads_the_same_from_the_contenders(rounds, grid, ns, last, d
     # per-round reference from all of each round's reports, bit for bit.
     cuts = list(itertools.accumulate((len(contenders(r)) for r in every), initial=0))
     xy = np.array([r.beacon_pos for r in step], dtype=float).reshape(-1, 2)
-    assert_columns_of(estimator.centroid_step(cuts, levels[keep], xy, config),
-                      [estimator.centroid_estimate(r, state, config)[0] for r in every])
+    assert_columns_of(estimator.centroid_step(cuts, levels[keep], xy),
+                      [centroid_estimate(r, state, config)[0] for r in every])
     # So are localize's, chained: round i at ns[i], from the last fix before
     # it, the first from one carried in.
     chained, fixes = estimator.EstimatorState(2.0, last), []
@@ -1701,6 +1701,20 @@ class TestScenarioParsing:
           "estimator": {"adapt": True},
           "trajectory": {"kind": "static", "point": [1e20, 0.05]}},
          "estimator.calibration_beacons: the calibration beacons coincide"),
+        # With adapt on, the calibration pair is two distinct ids of the 3 x 3.
+        ({"estimator": {"adapt": True, "calibration_beacons": [1, 1]}},
+         "estimator.calibration_beacons: need two distinct beacon ids on the lattice"),
+        ({"estimator": {"adapt": True, "calibration_beacons": [0, 9]}},
+         "estimator.calibration_beacons: need two distinct beacon ids on the lattice"),
+        # Sections, trajectories and waypoints of the wrong JSON type.
+        ({"grid": 5}, "grid: expected an object"),
+        ({"trajectory": 5}, "trajectory: expected an object"),
+        ({"trajectory": {"kind": "waypoints", "points": 5}},
+         "trajectory.points: expected a list"),
+        ({"trajectory": {"kind": "waypoints", "points": [5]}},
+         "trajectory.points[0]: expected an object"),
+        ({"trajectory": {"kind": "waypoints", "points": [{"dwell_rounds": 2}]}},
+         "trajectory.points[0].point: required"),
     ])
     def test_error_messages_are_exact(self, patch, message):
         with pytest.raises(ScenarioError) as info:
@@ -1870,6 +1884,11 @@ class TestScenarioParsing:
     def test_parse_rejects_bad_json(self):
         with pytest.raises(ScenarioError, match="not valid JSON"):
             parse_scenario("{nope")
+
+    def test_a_document_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario("[]")
+        assert str(info.value) == "scenario must be an object"
 
     def test_load_round_trips_through_file(self, tmp_path):
         path = tmp_path / "s.json"
