@@ -13,13 +13,14 @@ at each corner or, for four that frame no cell, the pairs of each pairing
 in position order that fix x and y, if any. A plan holds indices, never a
 coordinate: the fix reads positions, levels and bounds from the call's own
 reports and grid, with their bits, and ranges the four levels in one
-channel._inverse_ranges call. Reports, states and estimates are named
-tuples; localize builds its own with tuple.__new__, from fields already
-checked. localize_step gives localize's bits for a step of rounds at once,
-ranging and refining on arrays by the same correctly rounded operations,
-and, like centroid_step (the weighted-centroid baseline, whose per-round
-form is only a test reference), returns the step's fixes as columns
-(Fixes), with no Estimate a round.
+channel._inverse_ranges call. Reports, states, estimates, points and cells
+are named tuples; localize builds its own, points and cells too, with
+tuple.__new__ from fields already checked, and reads report fields by
+position. localize_step gives localize's bits for a step of rounds at
+once, ranging and refining on arrays by the same correctly rounded
+operations, and, like centroid_step (the weighted-centroid baseline, whose
+per-round form is only a test reference), returns the step's fixes as
+columns (Fixes), with no Estimate a round.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -180,15 +181,15 @@ class LocalizerConfig:
                            min(D_MIN_SPACINGS * self.grid.spacing_m, self.range_d_max))
 
 
-_strength = attrgetter("avg_rssi_dbm")
-_position = attrgetter("beacon_pos")
+_strength, _position = itemgetter(1), itemgetter(0)
 
 
 def select_top4(reports: Sequence[RssiReport]) -> Optional[list[RssiReport]]:
     """Four strongest reports, or None when fewer than four beacons answered.
 
     Ties break on beacon position, lexicographic, so selection is
-    deterministic.
+    deterministic. Each report's level and position are read by index, in
+    RssiReport's field order (beacon_pos, avg_rssi_dbm, sample_count).
     """
     if len(reports) < 4:
         return None
@@ -256,7 +257,7 @@ def _solve_in_cell(quad: Sequence[Point], ranges: Sequence[float],
                / (2.0 * (x_lo - x_hi)))
     y = 0.5 * (y_hi + y_lo - ((d1 * d1 + d2 * d2) - (d3 * d3 + d4 * d4))
                / (2.0 * (y_hi - y_lo)))
-    return Point(min(max(x, x_lo), x_hi), min(max(y, y_lo), y_hi))
+    return _new(Point, (min(max(x, x_lo), x_hi), min(max(y, y_lo), y_hi)))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -343,8 +344,8 @@ def _pair_split(quad: Sequence[Point], levels: Sequence[float], split: tuple[tup
     if axes is None:
         return None
     xa, xb, ya, yb = axes
-    return Point(_laterate(quad[xa], quad[xb], d[xa], d[xb], 0),
-                 _laterate(quad[ya], quad[yb], d[ya], d[yb], 1))
+    return _new(Point, (_laterate(quad[xa], quad[xb], d[xa], d[xb], 0),
+                        _laterate(quad[ya], quad[yb], d[ya], d[yb], 1)))
 
 
 def _near_beacon(anchor: Point, r: float, target: Optional[Point],
@@ -355,7 +356,7 @@ def _near_beacon(anchor: Point, r: float, target: Optional[Point],
     norm = math.hypot(vx, vy)
     if norm <= COORD_TOL:
         return _clamp(anchor, bounds)
-    return _clamp(Point(anchor[0] + r * vx / norm, anchor[1] + r * vy / norm), bounds)
+    return _clamp((anchor[0] + r * vx / norm, anchor[1] + r * vy / norm), bounds)
 
 
 def _centroid(positions: Sequence[Point], levels: Sequence[float]) -> Point:
@@ -376,7 +377,7 @@ def _centroid(positions: Sequence[Point], levels: Sequence[float]) -> Point:
             continue
         if 0.0 < wsum < math.inf:
             break
-    return Point(wx / wsum, wy / wsum)
+    return _new(Point, (wx / wsum, wy / wsum))
 
 
 def _rank_top4(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray
@@ -495,11 +496,12 @@ def localize_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray, ids: 
     by comparisons as _inverse_ranges clamps it. So each range is
     _inverse_ranges' for any range_d_max up to 1e308; the simulator's is at
     most 4e150, D_MAX_FACTOR times RECEPTION_RADIUS_MAX_M. Each distinct
-    top four gets one _cell_plan of four Points from its first round's
-    rows, keyed by the ranks of its ids among those the step's top fours
-    name, as the digits of an int64: more than 55,108 beacons named raise
-    ValueError. An id names one position, so every round of a top four
-    shares its Points. Refined rounds are solved on arrays in
+    top four gets one _cell_plan of four (x, y) pairs from its first
+    round's rows, keyed by the ranks of its ids among those the step's top
+    fours name, as the digits of an int64: more than 55,108 beacons named
+    raise ValueError. An id names one position, so every round of a top
+    four shares its pairs, which equal localize's Points, hash alike and
+    share their plans. Refined rounds are solved on arrays in
     _solve_in_cell's order, each clamp a where that picks what max and min
     pick, -0.0 included (np.maximum and np.minimum may not), and carry
     their plan's cell. The other rounds are fixed in order by localize's
@@ -517,7 +519,7 @@ def localize_step(cuts: Sequence[int], levels: np.ndarray, xy: np.ndarray, ids: 
         raise ValueError(f"the top fours name {names.size:,} beacons; an int64 key holds 55,108")
     _, first, which = np.unique(ranks.reshape(-1, 4) @ names.size ** np.arange(3, -1, -1),
                                 return_index=True, return_inverse=True)
-    quads = [tuple(map(Point._make, quad)) for quad in xy[top[first]].tolist()]
+    quads = [tuple(map(tuple, quad)) for quad in xy[top[first]].tolist()]
     plans = [_cell_plan(quad, config.grid) for quad in quads]
     framed = np.array([cell is not None for cell, _ in plans], dtype=bool)[which]
     # Each refined round's eight indices, by _solve_in_cell's unpacking.

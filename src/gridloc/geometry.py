@@ -113,8 +113,11 @@ class GridSpec:
         for name in ("cols", "rows"):
             if getattr(self, name) < 2:
                 raise ScenarioError(name, "lattice needs at least 2 columns and 2 rows")
-        # localize keys its plans on the grid: hashed once here, not per lookup.
+        # localize keys its plans on the grid and reads its bounds: both once here.
         object.__setattr__(self, "_hash", hash(astuple(self)))
+        (x0, y0), s = self.origin, self.spacing_m
+        object.__setattr__(self, "_bounds",
+                           (x0, y0, x0 + (self.cols - 1) * s, y0 + (self.rows - 1) * s))
 
     def __hash__(self) -> int:
         return self._hash
@@ -135,15 +138,14 @@ class GridSpec:
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the lattice hull."""
-        (x0, y0), s = self.origin, self.spacing_m
-        return (x0, y0, x0 + (self.cols - 1) * s, y0 + (self.rows - 1) * s)
+        return self._bounds
 
 
-def _clamp(p: Point, bounds: Sequence[float]) -> Point:
+def _clamp(p: Sequence[float], bounds: Sequence[float]) -> Point:
     """The point of the box bounds, (xmin, ymin, xmax, ymax) as a grid's
-    bounds() gives them, nearest to p."""
+    bounds() gives them, nearest to the pair p."""
     xmin, ymin, xmax, ymax = bounds
-    return Point(min(max(p[0], xmin), xmax), min(max(p[1], ymin), ymax))
+    return tuple.__new__(Point, (min(max(p[0], xmin), xmax), min(max(p[1], ymin), ymax)))
 
 
 def _axis_cell(offset: float, spacing: float, n_cells: int) -> int:
@@ -170,8 +172,8 @@ def _cell_or_none(p: Point, spec: GridSpec, bounds: Sequence[float]) -> Optional
     if not (xmin - COORD_TOL <= p[0] <= xmax + COORD_TOL
             and ymin - COORD_TOL <= p[1] <= ymax + COORD_TOL):
         return None
-    return CellId(_axis_cell(p[0] - xmin, spec.spacing_m, spec.cols - 1),
-                  _axis_cell(p[1] - ymin, spec.spacing_m, spec.rows - 1))
+    return tuple.__new__(CellId, (_axis_cell(p[0] - xmin, spec.spacing_m, spec.cols - 1),
+                                  _axis_cell(p[1] - ymin, spec.spacing_m, spec.rows - 1)))
 
 
 def _axis_cells(offset: np.ndarray, spacing: float, n_cells: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from gridloc.channel import D_MIN_M, ChannelParams, distance_to_rss, rss_to_dist
 from gridloc.estimator import (Estimate, EstimatorState, FixMethod,
                                LocalizerConfig, RssiReport, _cell_plan, adapt_n,
                                localize, select_top4)
-from gridloc.geometry import (CellId, GeometryError, GridSpec, Point,
+from gridloc.geometry import (CellId, GeometryError, GridSpec, Point, _cell_or_none,
                               containing_cell, dist)
 from oracles import (build_lattice, near_beacon_estimate, pair_split_estimate,
                      range_of, refine_in_cell, weighted_centroid)
@@ -493,3 +493,55 @@ class TestEstimate:
         assert state == EstimatorState(2.0, estimate.pos)
         none, same = localize([], state, CONFIG)
         assert none == Estimate(None, FixMethod.NO_FIX) and same is state
+
+
+def _plain(reports: list[RssiReport]) -> list[RssiReport]:
+    """The reports with each position a bare (x, y) tuple, not a Point."""
+    return [RssiReport(tuple(r.beacon_pos), r.avg_rssi_dbm, r.sample_count) for r in reports]
+
+
+def _ranged(r: RssiReport) -> tuple[Point, float]:
+    return r.beacon_pos, range_of(CONFIG, r.avg_rssi_dbm, 2.0)
+
+
+_EDGE = reports_for(Point(0.2, 4.0))
+_WIDE = [RssiReport(Point(x, y), -58.0) for x, y in [(0, 0), (8, 0), (0, 4), (8, 4)]]
+# The pairs fix x from (0, 4) and (4, 4), ranged 1.4 and 8.9 m: x is about -7.7.
+_OUTSIDE = [RssiReport(Point(x, y), level)
+            for x, y, level in [(0, 4, -48.0), (4, 4, -64.0), (0, 0, -65.0), (0, 8, -65.0)]]
+
+
+# Each branch of localize: its reports, the last fix, and the reference
+# fix, method and fallback.
+@pytest.mark.parametrize("reports,last,want,method,fallback", [
+    (reports_for(Point(1.0, 1.0)), None,
+     lambda r: refine_in_cell([_ranged(x) for x in select_top4(r)]), FixMethod.REFINED, False),
+    (_EDGE, Point(0.5, 4.0), lambda r: near_beacon_estimate(
+        select_top4(r)[0], EstimatorState(last_estimate=Point(0.5, 4.0)), 2.0, CONFIG),
+     FixMethod.NEAR_BEACON, False),
+    (_EDGE, None, lambda r: Point(0.0, 4.0), FixMethod.NEAR_BEACON, False),
+    # The last fix is the anchor itself: no direction, the beacon's position.
+    (_EDGE, Point(0.0, 4.0), lambda r: Point(0.0, 4.0), FixMethod.NEAR_BEACON, False),
+    # Toward a last fix outside the lattice, clamped to its hull.
+    (_EDGE, Point(-3.0, 4.0), lambda r: Point(0.0, 4.0), FixMethod.NEAR_BEACON, False),
+    (reports_for(Point(1.0, 3.68)), None,
+     lambda r: pair_split_estimate(select_top4(r), 2.0, CONFIG), FixMethod.PAIR_SPLIT, False),
+    (_OUTSIDE, None,
+     lambda r: pair_split_estimate(select_top4(r), 2.0, CONFIG), FixMethod.PAIR_SPLIT, False),
+    (_WIDE, None, lambda r: weighted_centroid(select_top4(r)), FixMethod.PAIR_SPLIT, True),
+], ids=["refined", "near_beacon_with_last", "near_beacon_without_last",
+        "near_beacon_at_the_anchor", "near_beacon_clamped_to_the_hull", "pair_split",
+        "pair_split_outside_the_hull", "centroid_fallback"])
+@pytest.mark.parametrize("positions", [list, _plain], ids=["points", "bare_tuples"])
+def test_localize_keeps_its_types_on_every_branch(reports, last, want, method, fallback,
+                                                  positions):
+    # == cannot tell a bare tuple from a Point; type and repr can.
+    reports = positions(reports)
+    est, state = localize(reports, EstimatorState(2.0, last), CONFIG)
+    pos = Point(*want(reports))
+    cell = _cell_or_none(pos, GRID, GRID.bounds())
+    cell = None if cell is None else CellId(*cell)
+    assert repr(est) == repr(Estimate(pos, method, cell, 2.0, fallback))
+    assert type(est.pos) is type(state.last_estimate) is Point
+    assert type(est.cell) is type(cell)
+    assert repr(state) == repr(EstimatorState(2.0, pos))

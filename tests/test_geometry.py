@@ -1,7 +1,10 @@
 """Lattice geometry: construction, rectangle detection, cell resolution."""
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +22,12 @@ def one_pass_cell(quad, grid):
     """The cell localize's partition phase finds the four points frame, or
     None where cell_of_corners raises."""
     return _cell_plan.__wrapped__(tuple(quad), grid)[0]
+
+
+def hull(spec):
+    """(xmin, ymin, xmax, ymax) of a grid, summed afresh from its fields."""
+    (x0, y0), s = spec.origin, spec.spacing_m
+    return (x0, y0, x0 + (spec.cols - 1) * s, y0 + (spec.rows - 1) * s)
 
 
 @pytest.fixture
@@ -86,6 +95,20 @@ class TestGridSpec:
         with pytest.raises(GeometryError, match="outside the lattice"):
             cell_of_corners(outside, grid)
         assert one_pass_cell(outside, grid) is None
+        # bounds() gives the sum a grid works out when it is built, also for
+        # a signed-zero origin, a far edge that overflows, and a grid from
+        # replace (with new fields), deepcopy or pickle.
+        base = GridSpec(origin=Point(1.0, -1.0), spacing_m=0.25, cols=4, rows=5)
+        far = GridSpec(origin=Point(1e308, -1e308), spacing_m=1e308)
+        assert far.bounds()[2] == math.inf
+        for spec in (grid, GridSpec(origin=Point(-0.0, -0.0)), far,
+                     dataclasses.replace(base, origin=Point(-0.0, 3.0), spacing_m=2.5),
+                     copy.deepcopy(base), pickle.loads(pickle.dumps(base))):
+            assert repr(spec.bounds()) == repr(hull(spec))
+            xmin, ymin, xmax, ymax = spec.bounds()
+            assert type(containing_cell(Point(xmin, ymin), spec)) is CellId
+            assert repr(containing_cell(Point(xmax, ymax), spec)) == repr(
+                CellId(spec.cols - 2, spec.rows - 2))
 
     def test_cell_corners_round_trip(self, grid):
         for col in range(grid.cols - 1):
@@ -220,6 +243,7 @@ def points_about_a_lattice(draw):
 @given(points_about_a_lattice())
 def test_the_array_lookup_is_the_cell_or_none_of_each_point(case):
     spec, points = case
+    assert repr(spec.bounds()) == repr(hull(spec))
     xs, ys = (np.array(v, dtype=float) for v in (zip(*points) if points else ((), ())))
     # repr tells an int from a numpy integer.
     assert repr(_cells_or_none(xs, ys, spec)) == repr(
